@@ -14,8 +14,9 @@
 # separate processes; one worker SIGKILLed mid-job; the job completes
 # and the table is bit-identical to the 1-worker baseline), the
 # ThreadSanitizer build of the concurrency suites (intra-job
-# sharding, session jobs, the multi-query scheduler — incl. in-flight
-# dedup, persistent-cache restarts, admission quotas, and the
+# sharding and the block loop's lanes at 3 and 8 shards, session
+# jobs, the multi-query scheduler — incl. in-flight dedup,
+# persistent-cache restarts, admission quotas, and the
 # stale-admission regression — the inspection server/client, the
 # cluster coordinator/worker, thread pool, behavior store + blob tier,
 # the tracer/metrics observability suite (concurrent scrapes against
@@ -225,12 +226,12 @@ rm -f "$CLUSTER_LOG" "$W1_LOG" "$W2_LOG" "$BASELINE_OUT" "$KILLRUN_OUT"
 echo "== tsan: concurrency suites =="
 cmake -B "$TSAN_DIR" -S . -DDEEPBASE_TSAN=ON >/dev/null
 cmake --build "$TSAN_DIR" -j "$JOBS" --target parallel_engine_test \
-      service_test scheduler_test server_test util_test \
-      behavior_store_test cluster_test chaos_test observability_test \
-      explain_test
+      kernels_equivalence_test service_test scheduler_test server_test \
+      util_test behavior_store_test cluster_test chaos_test \
+      observability_test explain_test
 (cd "$TSAN_DIR" &&
  ctest --output-on-failure -j 1 \
-       -R 'parallel_engine_test|service_test|scheduler_test|server_test|util_test|behavior_store_test|cluster_test|chaos_test|observability_test|explain_test')
+       -R 'parallel_engine_test|kernels_equivalence_test|service_test|scheduler_test|server_test|util_test|behavior_store_test|cluster_test|chaos_test|observability_test|explain_test')
 
 echo "== tsan: chaos smoke (fixed seed, short schedule) =="
 DEEPBASE_CHAOS_SEED=805381 DEEPBASE_CHAOS_STEPS=16 \

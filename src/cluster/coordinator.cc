@@ -13,6 +13,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/block_pipeline.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -47,12 +48,6 @@ ClusterMetrics& Metrics() {
   }();
   return *metrics;
 }
-
-/// Mirror of the pipeline's shard-count clamp (block_pipeline.cc
-/// kMaxShards): the effective, clamped count keys the determinism
-/// contract, so the coordinator must pin the same value the worker
-/// pipeline would resolve.
-constexpr uint32_t kMaxShards = 64;
 
 Clock::duration Seconds(double s) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -410,6 +405,9 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       session_->catalog().Compile(request, default_options);
   if (!plan_or.ok()) return plan_or.status();
   InspectPlan plan = std::move(plan_or).ValueOrDie();
+  // Same pre-flight as a local run, before any work is dispatched: sliced
+  // workers drive the pipeline directly and would only normalize.
+  DB_RETURN_NOT_OK(CheckHypothesisOutputFormat(plan));
 
   // The scheduler's Execute installed the job tracer into the request's
   // options, so the coordinator's dispatch/merge spans and the imported
@@ -460,39 +458,12 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
   }
 
   // Effective shard count: the job's own pin wins; otherwise the cluster
-  // default. Clamped exactly as the worker pipeline clamps, because the
-  // clamped value keys the determinism contract.
-  uint32_t total_shards =
-      plan.options.num_shards > 0
-          ? static_cast<uint32_t>(plan.options.num_shards)
-          : config_.total_shards;
-  total_shards = std::min(total_shards, kMaxShards);
-
-  // Sliceable iff every (measure, hypothesis) state can merge without
-  // score drift — kExact integer counts or kBitExact pairwise-tree
-  // moments, so scores are byte-identical at any worker count — and no
-  // sequential-lane work is required. Streaming runs,
-  // S < 2, SGD measures, and model-merged composites pin the whole job to
-  // one worker instead (the pipeline would refuse RestrictShards anyway;
-  // this predicate mirrors its lane planning).
-  bool sliceable = !plan.options.streaming && total_shards >= 2;
-  for (const MeasureFactoryPtr& factory : plan.measures) {
-    if (!sliceable) break;
-    for (const HypothesisPtr& hyp : plan.hypotheses) {
-      if (plan.options.model_merging && factory->mergeable() &&
-          hyp->num_classes() == 2) {
-        sliceable = false;  // merged composite = sequential lane
-        break;
-      }
-      std::unique_ptr<Measure> probe =
-          factory->Create(1, hyp->num_classes());
-      if (probe == nullptr ||
-          probe->merge_exactness() == MergeExactness::kNone) {
-        sliceable = false;
-        break;
-      }
-    }
-  }
+  // default. Sliced jobs split it into ranges; the rest (streaming runs,
+  // S < 2, sequential-lane measures) pin the whole job to one worker.
+  const uint32_t total_shards = static_cast<uint32_t>(
+      ResolveShardCount(plan.options.num_shards, config_.total_shards));
+  const bool sliceable =
+      Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards);
 
   // The request that travels: pin every score-affecting option so the
   // scores depend only on (seed, total_shards), never on worker count or
@@ -586,12 +557,36 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
   // deadline-check cadence, not the completion latency.
   const std::atomic<bool>* cancel = plan.options.cancel;
   ProgressCounter* progress = plan.options.progress;
+  if (progress != nullptr) {
+    progress->blocks_done.store(0, std::memory_order_relaxed);
+    progress->records_done.store(0, std::memory_order_relaxed);
+    progress->blocks_total.store(
+        PlannedBlockDispatches(pinned, plan.dataset->num_records()),
+        std::memory_order_relaxed);
+  }
   bool cancelled = false;
   Status failure = Status::OK();
   bool degradable_failure = false;  ///< kUnavailable the local engine can fix
   {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
+      // Aggregate progress, strictly increasing: per-assignment maxima of
+      // live ticks and final counters, summed, published as a max. It runs
+      // before the completion check so the last result lands in it too.
+      if (progress != nullptr) {
+        uint64_t blocks = 0, records = 0;
+        for (const Assignment& a : run->assignments) {
+          blocks += std::max(a.live_blocks, a.result.blocks_processed);
+          records += std::max(a.live_records, a.result.records_processed);
+        }
+        if (blocks > progress->blocks_done.load(std::memory_order_relaxed)) {
+          progress->blocks_done.store(blocks, std::memory_order_relaxed);
+        }
+        if (records >
+            progress->records_done.load(std::memory_order_relaxed)) {
+          progress->records_done.store(records, std::memory_order_relaxed);
+        }
+      }
       if (run->failed) {
         failure = run->fail_status;
         degradable_failure = true;
@@ -712,23 +707,6 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
         lock.lock();
         for (const auto& worker : broken) MarkWorkerDeadLocked(worker);
         continue;
-      }
-
-      // Aggregate progress, strictly increasing: per-assignment maxima of
-      // live ticks and final counters, summed, published as a max.
-      if (progress != nullptr) {
-        uint64_t blocks = 0, records = 0;
-        for (const Assignment& a : run->assignments) {
-          blocks += std::max(a.live_blocks, a.result.blocks_processed);
-          records += std::max(a.live_records, a.result.records_processed);
-        }
-        if (blocks > progress->blocks_done.load(std::memory_order_relaxed)) {
-          progress->blocks_done.store(blocks, std::memory_order_relaxed);
-        }
-        if (records >
-            progress->records_done.load(std::memory_order_relaxed)) {
-          progress->records_done.store(records, std::memory_order_relaxed);
-        }
       }
 
       cv_.wait_for(lock, std::chrono::milliseconds(50));

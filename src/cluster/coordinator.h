@@ -6,15 +6,16 @@
 // cluster while result caching, in-flight dedup, and admission control
 // keep working — and runs each job as block-range assignments:
 //
-//   sliced — jobs whose measures all support exact-or-reassociated
-//     merging are split into min(total_shards, workers) contiguous shard
-//     ranges (partition.h), one assignment per range. Workers return
-//     serialized partial measure states; the coordinator deserializes and
-//     folds them in ascending shard order, which equals the in-process
-//     merge order, then assembles the result rows exactly as the engine
-//     does. Integer-count measures are bit-identical at any worker count;
-//     FP moment-sum measures agree up to rounding (bit-identical at one
-//     worker).
+//   sliced — jobs that are Sliceable (core/block_pipeline.h: every
+//     measure merges, no sequential-lane work) are split into
+//     min(total_shards, workers) contiguous shard ranges (partition.h),
+//     one assignment per range. Workers return serialized partial measure
+//     states; the coordinator deserializes and folds them in ascending
+//     shard order, which equals the in-process merge order, then
+//     assembles the result rows exactly as the engine does. Every
+//     mergeable measure merges exactly (integer counts) or bit-exactly
+//     (pairwise-tree moment sums), so tables are byte-identical at any
+//     worker count.
 //   whole — jobs with sequential-lane work (SGD-trained measures, model
 //     merging, streaming runs) are pinned to a single worker, which runs
 //     the full request and returns the serialized ResultTable.

@@ -183,12 +183,11 @@ wire::AssignResultWire InspectionWorker::RunSliced(
     return out;
   }
   InspectPlan plan = std::move(plan_or).ValueOrDie();
-  // The coordinator pinned the score-affecting options into the request;
-  // re-pin the slice invariants defensively and attach this process's
-  // substrate (pointers never travel).
+  // The coordinator pinned the score-affecting options into the request
+  // (RestrictShards rejects a job that is not sliceable); pin the
+  // assignment's partition and attach this process's substrate (pointers
+  // never travel).
   plan.options.num_shards = assignment.total_shards;
-  plan.options.streaming = false;
-  plan.options.model_merging = false;
   plan.options.shared_scan = nullptr;
   plan.options.hypothesis_cache = session_->hypothesis_cache();
   plan.options.behavior_store = session_->store();

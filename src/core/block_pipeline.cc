@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/behavior_store.h"
@@ -16,7 +17,7 @@ namespace deepbase {
 namespace {
 
 // Upper bound on the effective shard count (replica memory is linear in
-// shards; values above this are clamped with a warning).
+// shards).
 constexpr size_t kMaxShards = 64;
 
 // Error threshold for a measure family (paper §6.2 defaults).
@@ -27,23 +28,60 @@ double EpsilonFor(const MeasureFactory& factory, const InspectOptions& opts) {
   return opts.default_epsilon;
 }
 
-size_t ResolveShards(const InspectOptions& options) {
-  size_t shards = options.num_shards;
-  if (shards == 0) {
-    shards = options.pool != nullptr ? options.pool->num_threads() : 1;
-  }
-  if (shards > kMaxShards) {
-    // Clamping changes the effective shard count and therefore the
-    // (seed, shards)-keyed determinism contract — say so out loud.
-    DB_LOG(Warn) << "num_shards " << shards << " clamped to " << kMaxShards
-                 << " (see InspectOptions::num_shards); scores follow the "
-                 << "clamped count";
-    shards = kMaxShards;
-  }
-  return std::max<size_t>(shards, 1);
+// Model merging (§5.2.1) fuses a mergeable joint measure's binary
+// hypotheses into one composite model.
+bool FusesIntoComposite(const MeasureFactory& factory,
+                        const HypothesisFn& hypothesis, bool model_merging) {
+  return model_merging && factory.mergeable() &&
+         hypothesis.num_classes() == 2;
 }
 
 }  // namespace
+
+size_t ResolveShardCount(size_t requested, size_t fallback) {
+  return std::clamp<size_t>(requested != 0 ? requested : fallback, 1,
+                            kMaxShards);
+}
+
+bool NeedsSequentialLane(const MeasureFactory& factory,
+                         const HypothesisFn& hypothesis, bool model_merging) {
+  if (FusesIntoComposite(factory, hypothesis, model_merging)) return true;
+  const std::unique_ptr<Measure> probe =
+      factory.Create(1, hypothesis.num_classes());
+  return probe == nullptr ||
+         probe->merge_exactness() == MergeExactness::kNone;
+}
+
+bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
+               const std::vector<HypothesisPtr>& hypotheses,
+               const InspectOptions& options, size_t num_shards) {
+  if (options.streaming || num_shards < 2) return false;
+  for (const MeasureFactoryPtr& factory : measures) {
+    for (const HypothesisPtr& hypothesis : hypotheses) {
+      if (NeedsSequentialLane(*factory, *hypothesis, options.model_merging)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+size_t PlannedBlockDispatches(const InspectOptions& options,
+                              size_t num_records) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  const size_t block_size = std::max<size_t>(1, options.block_size);
+  const size_t per_pass = (num_records + block_size - 1) / block_size;
+  const size_t passes = std::max<size_t>(1, options.passes);
+  if (options.streaming) {
+    // Every pass re-extracts; max_blocks caps the whole run.
+    if (per_pass != 0 && passes > kMax / per_pass) return options.max_blocks;
+    return std::min(per_pass * passes, options.max_blocks);
+  }
+  // max_blocks caps the resident set, which every pass re-dispatches.
+  const size_t resident = std::min(per_pass, options.max_blocks);
+  if (resident != 0 && passes > kMax / resident) return kMax;
+  return resident * passes;
+}
 
 BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
                              const Dataset& dataset,
@@ -52,14 +90,27 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
                              const InspectOptions& options)
     : models_(models),
       dataset_(dataset),
+      scores_(scores),
       hypotheses_(hypotheses),
       options_(options) {
-  num_shards_ = ResolveShards(options);
-  pool_ = options.pool;
-  if (num_shards_ > 1 && pool_ == nullptr) {
-    owned_pool_ =
-        std::make_unique<ThreadPool>(std::min<size_t>(num_shards_, 16));
-    pool_ = owned_pool_.get();
+  num_shards_ = ResolveShardCount(
+      options.num_shards,
+      options.pool != nullptr ? options.pool->num_threads() : 1);
+  if (options.num_shards > num_shards_) {
+    // Clamping changes the effective shard count and therefore the
+    // (seed, shards)-keyed determinism contract — say so out loud.
+    DB_LOG(Warn) << "num_shards " << options.num_shards << " clamped to "
+                 << num_shards_ << " (see InspectOptions::num_shards); "
+                 << "scores follow the clamped count";
+  }
+  // One lane runs inline; S lanes fan out over the pool.
+  if (num_shards_ > 1) {
+    pool_ = options.pool;
+    if (pool_ == nullptr) {
+      owned_pool_ =
+          std::make_unique<ThreadPool>(std::min<size_t>(num_shards_, 16));
+      pool_ = owned_pool_.get();
+    }
   }
 
   // --- Plan extraction: per model, the union of its groups' units, and per
@@ -96,10 +147,9 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
 
   // --- Plan measures: merged states for mergeable joint measures over
   // binary hypotheses (when model merging is on), individual Measure
-  // instances for everything else. Pairs whose measure supports
-  // CloneState/MergeFrom ride the shard lanes when num_shards > 1;
-  // everything else (SGD-trained pairs, merged composites) is pinned to
-  // the sequential lane.
+  // instances for everything else. At S > 1, pairs that pass the lane
+  // test ride the shard lanes; everything else (SGD-trained pairs, merged
+  // composites) runs on the sequential lane.
   for (size_t m = 0; m < models_.size(); ++m) {
     for (size_t g = 0; g < models_[m].groups.size(); ++g) {
       const size_t nu = models_[m].groups[g].unit_ids.size();
@@ -108,8 +158,8 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
         const double eps = EpsilonFor(factory, options_);
         std::vector<size_t> mergeable_hyps;
         for (size_t h = 0; h < hypotheses_.size(); ++h) {
-          const bool binary = hypotheses_[h]->num_classes() == 2;
-          if (options_.model_merging && factory.mergeable() && binary) {
+          const HypothesisFn& hyp = *hypotheses_[h];
+          if (FusesIntoComposite(factory, hyp, options_.model_merging)) {
             mergeable_hyps.push_back(h);
           } else {
             PipelinePair pair;
@@ -117,13 +167,13 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
             pair.group_i = g;
             pair.score_i = s;
             pair.hyp_i = h;
-            pair.measure = factory.Create(nu, hypotheses_[h]->num_classes());
+            pair.measure = factory.Create(nu, hyp.num_classes());
             pair.epsilon = eps;
             pair.shardable =
                 num_shards_ > 1 &&
-                pair.measure->merge_exactness() != MergeExactness::kNone;
+                !NeedsSequentialLane(factory, hyp, options_.model_merging);
             if (pair.shardable) {
-              have_shardable_ = true;
+              pair.shard_converged.assign(num_shards_, 0);
             } else {
               have_sequential_ = true;
             }
@@ -147,6 +197,7 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
     }
   }
 
+  seq_lane_ = num_shards_ == 1 ? 0 : num_shards_;
   warned_bad_size_ =
       std::make_unique<std::atomic<bool>[]>(hypotheses_.size());
 
@@ -198,16 +249,11 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
 BlockPipeline::~BlockPipeline() = default;
 
 Status BlockPipeline::RestrictShards(size_t shard_lo, size_t shard_hi) {
-  if (num_shards_ <= 1) {
-    return Status::Invalid("slice mode requires num_shards > 1");
-  }
-  if (options_.streaming) {
-    return Status::Invalid("slice mode requires a materialized run");
-  }
-  if (have_sequential_) {
+  if (!Sliceable(scores_, hypotheses_, options_, num_shards_)) {
     return Status::Invalid(
-        "slice mode cannot host sequential-lane measures; run the job "
-        "whole on a single worker instead");
+        "slice mode requires a materialized run over num_shards > 1 with "
+        "no sequential-lane measures; run the job whole on a single worker "
+        "instead");
   }
   if (shard_lo >= shard_hi || shard_hi > num_shards_) {
     return Status::Invalid("shard range [" + std::to_string(shard_lo) + ", " +
@@ -297,8 +343,8 @@ BlockPipeline::LaneScratch BlockPipeline::MakeScratch() const {
 // are checked during execution (paper §4.1): a hypothesis emitting the
 // wrong number of behaviors is normalized (zero-pad / truncate) with a
 // one-time warning, so a misbehaving user function cannot silently corrupt
-// neighboring rows. InspectQuery::Execute additionally pre-flights this as
-// a hard error.
+// neighboring rows. CheckHypothesisOutputFormat (core/catalog.h) rejects
+// such a hypothesis before every local or distributed run.
 void BlockPipeline::ExtractInto(const std::vector<size_t>& block,
                                 size_t serial, BlockData* data) {
   const size_t ns = dataset_.ns();
@@ -397,10 +443,7 @@ std::span<const float> BlockPipeline::HypSpan(const BlockData& data,
 void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
                                       LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (!pair.shardable) continue;
-    if (!pair.shard_converged.empty() && pair.shard_converged[shard]) {
-      continue;
-    }
+    if (!pair.shardable || pair.shard_converged[shard]) continue;
     Measure* measure = (shard == 0 || pair.replicas.empty())
                            ? pair.measure.get()
                            : pair.replicas[shard].get();
@@ -412,19 +455,16 @@ void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
     measure->BeginBlock(data.serial);
     measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
     if (options_.early_stopping && measure->SupportsConvergence() &&
-        measure->ErrorEstimate() < pair.epsilon &&
-        !pair.shard_converged.empty()) {
+        measure->ErrorEstimate() < pair.epsilon) {
       pair.shard_converged[shard] = 1;
     }
   }
 }
 
 void BlockPipeline::InspectSequentialBlock(const BlockData& data,
-                                           LaneScratch* scratch,
-                                           bool include_shardable_primary) {
+                                           LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (pair.shardable && !include_shardable_primary) continue;
-    if (pair.converged) continue;
+    if (pair.shardable || pair.converged) continue;
     const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i,
                                       scratch);
     pair.measure->BeginBlock(data.serial);
@@ -474,10 +514,7 @@ bool BlockPipeline::SequentialLaneConverged() const {
 
 bool BlockPipeline::ShardLaneConverged(size_t shard) const {
   for (const auto& pair : pairs_) {
-    if (!pair.shardable) continue;
-    if (pair.shard_converged.empty() || !pair.shard_converged[shard]) {
-      return false;
-    }
+    if (pair.shardable && !pair.shard_converged[shard]) return false;
   }
   return true;
 }
@@ -493,7 +530,6 @@ bool BlockPipeline::AllConverged() const {
 }
 
 void BlockPipeline::EnsureReplicas() {
-  if (num_shards_ <= 1) return;
   for (auto& pair : pairs_) {
     if (!pair.shardable || !pair.replicas.empty()) continue;
     pair.replicas.resize(num_shards_);  // [0] stays null: primary stands in
@@ -502,8 +538,6 @@ void BlockPipeline::EnsureReplicas() {
       pair.replicas[s] = pair.measure->CloneState();
       DB_DCHECK(pair.replicas[s] != nullptr);
     }
-    pair.shard_converged.assign(num_shards_, 0);
-    if (pair.converged) pair.shard_converged[0] = 1;
   }
 }
 
@@ -518,67 +552,197 @@ void BlockPipeline::MergeReplicas() {
   }
 }
 
-void BlockPipeline::TickProgress(size_t records) const {
-  if (options_.progress == nullptr) return;
-  options_.progress->blocks_done.fetch_add(1, std::memory_order_relaxed);
-  options_.progress->records_done.fetch_add(records,
-                                            std::memory_order_relaxed);
+std::vector<std::vector<size_t>> BlockPipeline::Pull(
+    BlockIterator* it, size_t max, const Stopwatch& watch) const {
+  std::vector<std::vector<size_t>> idx;
+  while (idx.size() < max && it->HasNext() && !OverBudget(watch) &&
+         !CancelRequested()) {
+    idx.push_back(it->NextBlock());
+  }
+  return idx;
 }
 
-BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
+void BlockPipeline::Extract(const std::vector<std::vector<size_t>>& idx,
+                            size_t first, size_t serial, BlockData* out,
+                            const Stopwatch& watch, Totals* totals) {
+  // Budget and cancellation are re-checked per block; a skipped block
+  // stays empty and every lane passes over it.
+  ParallelDo(idx.size(), [&](size_t i) {
+    if (OwnsBlock(first + i) && !OverBudget(watch) && !CancelRequested()) {
+      ExtractInto(idx[i], serial + i, &out[i]);
+    } else {
+      out[i].rows = out[i].records = 0;
+      out[i].unit_s = out[i].hyp_s = 0;
+    }
+  });
+  for (size_t i = 0; i < idx.size(); ++i) {
+    const size_t shard = ShardOf(first + i);
+    lanes_[shard].stats.unit_extraction_s += out[i].unit_s;
+    lanes_[shard].stats.hyp_extraction_s += out[i].hyp_s;
+    if (OwnsShard(shard)) totals->records_processed += out[i].records;
+  }
+}
+
+void BlockPipeline::InspectOnLane(size_t lane, size_t block,
+                                  BlockData* data) {
+  Lane& state = lanes_[lane];
+  Stopwatch watch;
+  if (lane == ShardOf(block)) InspectShardBlock(*data, lane, &state.scratch);
+  if (lane == seq_lane_) InspectSequentialBlock(*data, &state.scratch);
+  state.stats.inspection_s += watch.Seconds();
+  state.stats.blocks_processed += 1;
+  state.stats.records_processed += data->records;
+  if (!OwnsShard(ShardOf(block)) ||
+      data->counted.exchange(true, std::memory_order_relaxed)) {
+    return;
+  }
+  state.blocks_counted += 1;
+  if (options_.progress != nullptr) {
+    options_.progress->blocks_done.fetch_add(1, std::memory_order_relaxed);
+    options_.progress->records_done.fetch_add(data->records,
+                                              std::memory_order_relaxed);
+  }
+}
+
+void BlockPipeline::RunLane(size_t lane, const Wave& wave,
+                            const Stopwatch& watch) {
+  const bool seq = lane == seq_lane_;
+  for (size_t i = 0; i < wave.size; ++i) {
+    const size_t block = wave.first + i;
+    if (!seq && lane != ShardOf(block)) continue;
+    if (options_.early_stopping && (!seq || SequentialLaneConverged()) &&
+        (lane >= num_shards_ || ShardLaneConverged(lane))) {
+      return;
+    }
+    if (OverBudget(watch) || CancelRequested()) return;
+    if (wave.blocks[i].rows == 0) continue;  // not extracted here
+    InspectOnLane(lane, block, &wave.blocks[i]);
+  }
+}
+
+void BlockPipeline::RunWave(const Wave& wave, const Stopwatch& watch,
+                            bool lane_spans) {
+  for (size_t i = 0; i < wave.size; ++i) {
+    wave.blocks[i].counted.store(false, std::memory_order_relaxed);
+  }
+  // Block 0 of pass 0 calibrates the primaries every replica is cloned
+  // from, so in slice mode shard 0's lane runs it on every worker.
+  const bool calibration = wave.pass == 0 && wave.first == 0;
+  ParallelDo(lanes_.size(), [&](size_t lane) {
+    if (lane < num_shards_ && !OwnsShard(lane) && !calibration) return;
+    // Each lane carries a private TraceContext (the shared Tracer's ring
+    // is internally locked) so lane spans parent to the pipeline caller
+    // without racing on a shared parent cursor.
+    TraceContext trace{lane_spans ? options_.tracer : nullptr,
+                       options_.trace_parent_span};
+    DB_SPAN_NAMED(lane_span, trace,
+                  lane < num_shards_ ? "pipeline.lane" : "pipeline.seq_lane");
+    if (lane < num_shards_) {
+      lane_span.Tag("shard", static_cast<uint64_t>(lane));
+    }
+    RunLane(lane, wave, watch);
+  });
+}
+
+BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   Totals totals;
   totals.num_shards = num_shards_;
-  // Plan the progress denominator up front: a full sweep is one dispatch
-  // per block per pass (materialized runs re-dispatch the same blocks on
-  // every pass; streaming runs re-extract, capped by max_blocks overall).
-  {
-    const size_t block_size = std::max<size_t>(1, options_.block_size);
-    const size_t per_pass =
-        (dataset_.num_records() + block_size - 1) / block_size;
-    const size_t passes = std::max<size_t>(1, options_.passes);
-    size_t planned;
-    const bool mul_overflows =
-        per_pass != 0 &&
-        passes > std::numeric_limits<size_t>::max() / per_pass;
-    if (options_.streaming) {
-      planned = mul_overflows ? options_.max_blocks
-                              : std::min(per_pass * passes,
-                                         options_.max_blocks);
-    } else {
-      const size_t capped = std::min(per_pass, options_.max_blocks);
-      planned = (capped != 0 &&
-                 passes > std::numeric_limits<size_t>::max() / capped)
-                    ? std::numeric_limits<size_t>::max()
-                    : capped * passes;
-    }
-    totals.blocks_planned = planned;
-    if (options_.progress != nullptr) {
-      options_.progress->blocks_done.store(0, std::memory_order_relaxed);
-      options_.progress->records_done.store(0, std::memory_order_relaxed);
-      options_.progress->blocks_total.store(planned,
-                                            std::memory_order_relaxed);
-    }
+  totals.blocks_planned =
+      PlannedBlockDispatches(options_, dataset_.num_records());
+  if (options_.progress != nullptr) {
+    // Set before any block runs, so pollers see the denominator while the
+    // loop is in flight.
+    options_.progress->blocks_done.store(0, std::memory_order_relaxed);
+    options_.progress->records_done.store(0, std::memory_order_relaxed);
+    options_.progress->blocks_total.store(totals.blocks_planned,
+                                          std::memory_order_relaxed);
   }
-  const size_t n_lanes =
-      num_shards_ == 1 ? 1 : num_shards_ + (have_sequential_ ? 1 : 0);
-  totals.lanes.assign(n_lanes, {});
   totals.store_hyp_mem_hits = store_hyp_mem_hits_;
   totals.store_hyp_disk_hits = store_hyp_disk_hits_;
   totals.store_hyp_misses = store_hyp_misses_;
-  totals.lanes[0].hyp_extraction_s += hyp_tier_prelude_s_;
-  if (num_shards_ == 1) {
-    RunSingleLane(total_watch, &totals);
-  } else if (options_.streaming) {
-    RunShardedStreaming(total_watch, &totals);
-  } else {
-    RunShardedMaterialized(total_watch, &totals);
+  lanes_.resize(num_shards_ == 1 ? 1
+                                 : num_shards_ + (have_sequential_ ? 1 : 0));
+  for (Lane& lane : lanes_) lane.scratch = MakeScratch();
+  lanes_[0].stats.hyp_extraction_s += hyp_tier_prelude_s_;
+
+  // Materialized: every owned block is extracted once, in parallel, and
+  // stays resident for every pass.
+  TraceContext trace{options_.tracer, options_.trace_parent_span};
+  std::vector<std::vector<size_t>> resident_idx;
+  if (!options_.streaming) {
+    BlockIterator it(&dataset_, options_.block_size, options_.shuffle_seed);
+    resident_idx = Pull(&it, options_.max_blocks, watch);
   }
+  std::vector<BlockData> resident(resident_idx.size());
+  if (!resident.empty()) {
+    DB_SPAN_NAMED(extract_span, trace, "pipeline.extract");
+    extract_span.Tag("blocks", static_cast<uint64_t>(resident.size()));
+    Extract(resident_idx, 0, 0, resident.data(), watch, &totals);
+  }
+
+  {
+    // Streaming extracts at most S blocks at a time. One span covers the
+    // whole loop: per-wave spans would flood the trace ring on long runs
+    // without adding timeline structure.
+    TraceContext stream_trace{options_.streaming ? options_.tracer : nullptr,
+                              options_.trace_parent_span};
+    DB_SPAN_NAMED(stream_span, stream_trace, "pipeline.stream");
+    std::vector<BlockData> fresh(options_.streaming ? num_shards_ : 0);
+    size_t pulled = 0;  // streaming blocks extracted so far (= next serial)
+    const size_t passes = std::max<size_t>(1, options_.passes);
+    bool stop = false;
+    for (size_t pass = 0; pass < passes && !stop; ++pass) {
+      std::optional<BlockIterator> it;
+      if (options_.streaming) {
+        it.emplace(&dataset_, options_.block_size,
+                   options_.shuffle_seed + pass);
+      }
+      // Every pass opens with block 0 alone, then waves of the rest.
+      for (size_t first = 0; !stop;) {
+        if (OverBudget(watch) || CancelRequested()) {
+          stop = true;
+          break;
+        }
+        Wave wave{pass, first};
+        if (options_.streaming) {
+          const size_t want = first == 0 ? 1 : num_shards_;
+          const std::vector<std::vector<size_t>> idx = Pull(
+              &*it, std::min(want, options_.max_blocks - pulled), watch);
+          Extract(idx, first, pulled, fresh.data(), watch, &totals);
+          pulled += idx.size();
+          stop = pulled == options_.max_blocks;
+          wave.blocks = fresh.data();
+          wave.size = idx.size();
+        } else if (first < resident.size()) {
+          wave.blocks = resident.data() + first;
+          wave.size = first == 0 ? 1 : resident.size() - first;
+        }
+        if (wave.size == 0) break;  // the pass is over
+        RunWave(wave, watch, /*lane_spans=*/!options_.streaming && first > 0);
+        if (pass == 0 && first == 0) {
+          if (wave.blocks[0].rows == 0) {  // cancelled before calibrating
+            stop = true;
+            break;
+          }
+          EnsureReplicas();
+        }
+        first += wave.size;
+        stop = stop || (options_.early_stopping && AllConverged());
+      }
+    }
+    stream_span.Tag("blocks", static_cast<uint64_t>(pulled));
+  }
+
+  totals.lanes.resize(lanes_.size());
+  for (size_t t = 0; t < lanes_.size(); ++t) {
+    totals.lanes[t] = lanes_[t].stats;
+    totals.blocks_processed += lanes_[t].blocks_counted;
+  }
+  totals.stopped_early = options_.early_stopping && AllConverged();
   if (num_shards_ > 1 && !sliced_) {
     // Slice mode skips the merge: the owned range's states leave through
     // TakeShardStates() and recombine on the coordinator. Merge time is
-    // its own phase (Totals::merge_s) — it used to be folded into lane
-    // 0's inspection_s, which double-billed the inspection phase.
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
+    // its own phase (Totals::merge_s), not block inspection.
     DB_SPAN(trace, "pipeline.merge");
     Stopwatch merge_watch;
     MergeReplicas();
@@ -586,340 +750,6 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
   }
   totals.deadline_exceeded = deadline_hit_.load(std::memory_order_relaxed);
   return totals;
-}
-
-// The classic sequential engine loop (paper §5.2), exactly as before the
-// pipeline existed: one lane consumes every block in shuffle order.
-void BlockPipeline::RunSingleLane(const Stopwatch& watch, Totals* totals) {
-  RuntimeStats::Shard& lane = totals->lanes[0];
-  LaneScratch scratch = MakeScratch();
-  const size_t passes = std::max<size_t>(1, options_.passes);
-  size_t serial = 0;
-  bool stopped_early = false;
-
-  auto inspect = [&](const BlockData& data) {
-    Stopwatch inspect_watch;
-    InspectSequentialBlock(data, &scratch, /*include_shardable_primary=*/true);
-    lane.inspection_s += inspect_watch.Seconds();
-    ++totals->blocks_processed;
-    ++lane.blocks_processed;
-    TickProgress(data.records);
-    return options_.early_stopping && AllConverged();
-  };
-
-  if (options_.streaming) {
-    // Online extraction (§5.2.3): stop reading the moment scores converge.
-    // Extra passes re-extract with a different shuffle (rare for streaming;
-    // multi-pass workloads normally materialize instead).
-    for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-      BlockIterator it(&dataset_, options_.block_size,
-                       options_.shuffle_seed + pass);
-      while (it.HasNext() &&
-             totals->blocks_processed < options_.max_blocks &&
-             !OverBudget(watch) && !CancelRequested()) {
-        std::vector<size_t> block = it.NextBlock();
-        BlockData data;
-        ExtractInto(block, serial++, &data);
-        lane.unit_extraction_s += data.unit_s;
-        lane.hyp_extraction_s += data.hyp_s;
-        lane.records_processed += data.records;
-        totals->records_processed += data.records;
-        if (inspect(data)) {
-          stopped_early = true;
-          break;
-        }
-      }
-    }
-  } else {
-    // Full materialization first (naive design, §5.1.2): all behaviors are
-    // extracted regardless of convergence; early stopping (if enabled) can
-    // only save inspection work. Additional passes reuse the materialized
-    // blocks at no extraction cost (the §6.3 multi-pass pattern).
-    std::vector<BlockData> materialized;
-    BlockIterator it(&dataset_, options_.block_size, options_.shuffle_seed);
-    while (it.HasNext() && materialized.size() < options_.max_blocks &&
-           !OverBudget(watch) && !CancelRequested()) {
-      std::vector<size_t> block = it.NextBlock();
-      BlockData data;
-      ExtractInto(block, serial++, &data);
-      lane.unit_extraction_s += data.unit_s;
-      lane.hyp_extraction_s += data.hyp_s;
-      lane.records_processed += data.records;
-      totals->records_processed += data.records;
-      materialized.push_back(std::move(data));
-    }
-    for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-      for (const BlockData& data : materialized) {
-        if (OverBudget(watch) || CancelRequested()) break;
-        if (inspect(data)) {
-          stopped_early = true;
-          break;
-        }
-      }
-    }
-  }
-  totals->stopped_early = stopped_early;
-}
-
-void BlockPipeline::RunShardedMaterialized(const Stopwatch& watch,
-                                           Totals* totals) {
-  const size_t S = num_shards_;
-  const size_t passes = std::max<size_t>(1, options_.passes);
-
-  // --- Enumerate blocks (cheap index shuffling only).
-  std::vector<std::vector<size_t>> block_idx;
-  BlockIterator it(&dataset_, options_.block_size, options_.shuffle_seed);
-  while (it.HasNext() && block_idx.size() < options_.max_blocks &&
-         !OverBudget(watch) && !CancelRequested()) {
-    block_idx.push_back(it.NextBlock());
-  }
-  if (block_idx.empty()) return;
-
-  // --- Parallel extraction over blocks. Budget/cancel are re-checked in
-  // the tasks; a truncated block stays empty and is skipped by every lane
-  // (nondeterministic only in the ways budget/cancel always were).
-  std::vector<BlockData> blocks(block_idx.size());
-  {
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
-    DB_SPAN_NAMED(extract_span, trace, "pipeline.extract");
-    extract_span.Tag("blocks", static_cast<uint64_t>(block_idx.size()));
-    ParallelDo(block_idx.size(), [&](size_t b) {
-      if (!OwnsBlock(b)) return;  // slice mode: another worker's block
-      if (OverBudget(watch) || CancelRequested()) return;
-      ExtractInto(block_idx[b], b, &blocks[b]);
-    });
-  }
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const size_t slot = b == 0 ? 0 : (b - 1) % S;
-    totals->lanes[slot].unit_extraction_s += blocks[b].unit_s;
-    totals->lanes[slot].hyp_extraction_s += blocks[b].hyp_s;
-    totals->records_processed += blocks[b].records;
-  }
-  if (blocks[0].rows == 0) return;  // cancelled before anything ran
-
-  // --- Pass 0, block 0 on the caller: calibrates the primary states
-  // (thresholds, bin edges) that CloneState() hands to every replica.
-  {
-    LaneScratch scratch = MakeScratch();
-    Stopwatch inspect_watch;
-    InspectSequentialBlock(blocks[0], &scratch,
-                           /*include_shardable_primary=*/true);
-    totals->lanes[0].inspection_s += inspect_watch.Seconds();
-    totals->lanes[0].blocks_processed += 1;
-    totals->lanes[0].records_processed += blocks[0].records;
-    // In slice mode every worker runs block 0 (calibration), but only the
-    // shard-0 owner counts it toward progress — the coordinator sums the
-    // per-range counters, so the block must tick exactly once cluster-wide.
-    if (OwnsShard(0)) TickProgress(blocks[0].records);
-    if (have_sequential_) {
-      totals->lanes[S].blocks_processed += 1;
-      totals->lanes[S].records_processed += blocks[0].records;
-    }
-  }
-  EnsureReplicas();
-
-  // --- Lanes: every shard (and the sequential lane, when present) runs
-  // its own pass loop without barriers; lane state is private, so the only
-  // synchronization is the final join.
-  const size_t n_lanes = S + (have_sequential_ ? 1 : 0);
-  std::vector<RuntimeStats::Shard> lane_acc(n_lanes);
-  ParallelDo(n_lanes, [&](size_t t) {
-    if (t < S && !OwnsShard(t)) return;  // slice mode: not our shard
-    // Each lane carries a private TraceContext (the shared Tracer's ring
-    // is internally locked) so lane spans parent to the pipeline caller
-    // without racing on a shared parent cursor.
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
-    DB_SPAN_NAMED(lane_span, trace,
-                  t < S ? "pipeline.lane" : "pipeline.seq_lane");
-    if (t < S) lane_span.Tag("shard", static_cast<uint64_t>(t));
-    LaneScratch scratch = MakeScratch();
-    RuntimeStats::Shard& acc = lane_acc[t];
-    bool stop = false;
-    if (t < S) {
-      for (size_t pass = 0; pass < passes && !stop; ++pass) {
-        if (options_.early_stopping && ShardLaneConverged(t)) break;
-        // Shard t owns blocks {b >= 1 : (b-1) % S == t}; shard 0 re-plays
-        // block 0 on passes >= 1 (pass 0 ran it on the caller above).
-        if (pass > 0 && t == 0) {
-          if (OverBudget(watch) || CancelRequested()) break;
-          Stopwatch inspect_watch;
-          InspectShardBlock(blocks[0], 0, &scratch);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[0].records;
-          TickProgress(blocks[0].records);
-        }
-        for (size_t b = t + 1; b < blocks.size(); b += S) {
-          if (OverBudget(watch) || CancelRequested()) {
-            stop = true;
-            break;
-          }
-          if (options_.early_stopping && ShardLaneConverged(t)) break;
-          if (blocks[b].rows == 0) continue;  // truncated by budget/cancel
-          Stopwatch inspect_watch;
-          InspectShardBlock(blocks[b], t, &scratch);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[b].records;
-          TickProgress(blocks[b].records);
-        }
-      }
-    } else {
-      // Sequential lane: non-mergeable pairs + merged composites, all
-      // blocks in global order (bit-exact at any shard count).
-      for (size_t pass = 0; pass < passes && !stop; ++pass) {
-        if (options_.early_stopping && SequentialLaneConverged()) break;
-        for (size_t b = pass == 0 ? 1 : 0; b < blocks.size(); ++b) {
-          if (OverBudget(watch) || CancelRequested()) {
-            stop = true;
-            break;
-          }
-          if (options_.early_stopping && SequentialLaneConverged()) break;
-          if (blocks[b].rows == 0) continue;
-          Stopwatch inspect_watch;
-          InspectSequentialBlock(blocks[b], &scratch,
-                                 /*include_shardable_primary=*/false);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[b].records;
-        }
-      }
-    }
-  });
-  for (size_t t = 0; t < n_lanes; ++t) {
-    totals->lanes[t].Accumulate(lane_acc[t]);
-  }
-  size_t shard_dispatch = 0;
-  for (size_t s = 0; s < S; ++s) {
-    shard_dispatch += totals->lanes[s].blocks_processed;
-  }
-  const size_t seq_dispatch =
-      have_sequential_ ? totals->lanes[S].blocks_processed : 0;
-  totals->blocks_processed = std::max(shard_dispatch, seq_dispatch);
-  totals->stopped_early = options_.early_stopping && AllConverged();
-}
-
-void BlockPipeline::RunShardedStreaming(const Stopwatch& watch,
-                                        Totals* totals) {
-  const size_t S = num_shards_;
-  const size_t passes = std::max<size_t>(1, options_.passes);
-  const size_t n_lanes = S + (have_sequential_ ? 1 : 0);
-  std::vector<LaneScratch> lane_scratch;
-  lane_scratch.reserve(n_lanes);
-  for (size_t t = 0; t < n_lanes; ++t) lane_scratch.push_back(MakeScratch());
-  std::vector<RuntimeStats::Shard> lane_acc(n_lanes);
-  size_t serial = 0;
-  size_t dispatched = 0;
-  bool stopped_early = false;
-  // One span over the whole streaming loop: per-wave spans would flood
-  // the trace ring on long runs without adding timeline structure.
-  TraceContext trace{options_.tracer, options_.trace_parent_span};
-  DB_SPAN_NAMED(stream_span, trace, "pipeline.stream");
-
-  for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-    BlockIterator it(&dataset_, options_.block_size,
-                     options_.shuffle_seed + pass);
-    if (!it.HasNext() || dispatched >= options_.max_blocks ||
-        OverBudget(watch) || CancelRequested()) {
-      break;
-    }
-    // --- Per-pass block 0 on the caller thread. On pass 0 it calibrates
-    // the primaries before the replicas are cloned; on later passes it is
-    // shard 0's block (plus the sequential lane's, like every block).
-    {
-      std::vector<size_t> block = it.NextBlock();
-      BlockData data;
-      ExtractInto(block, serial++, &data);
-      totals->lanes[0].unit_extraction_s += data.unit_s;
-      totals->lanes[0].hyp_extraction_s += data.hyp_s;
-      totals->records_processed += data.records;
-      Stopwatch inspect_watch;
-      if (pass == 0) {
-        InspectSequentialBlock(data, &lane_scratch[0],
-                               /*include_shardable_primary=*/true);
-        EnsureReplicas();
-      } else {
-        InspectSequentialBlock(data, &lane_scratch[0],
-                               /*include_shardable_primary=*/false);
-        InspectShardBlock(data, 0, &lane_scratch[0]);
-      }
-      totals->lanes[0].inspection_s += inspect_watch.Seconds();
-      totals->lanes[0].blocks_processed += 1;
-      totals->lanes[0].records_processed += data.records;
-      TickProgress(data.records);
-      if (have_sequential_) {
-        totals->lanes[S].blocks_processed += 1;
-        totals->lanes[S].records_processed += data.records;
-      }
-      ++dispatched;
-      if (options_.early_stopping && AllConverged()) {
-        stopped_early = true;
-        break;
-      }
-    }
-    // --- Waves of up to S blocks: parallel extraction, then one lane per
-    // block (wave offset i is shard i by construction) plus the sequential
-    // lane over the whole wave in order. Early stopping and the time
-    // budget are enforced at wave boundaries.
-    std::vector<std::vector<size_t>> wave_idx;
-    std::vector<BlockData> wave(S);
-    while (!stopped_early && it.HasNext() &&
-           dispatched < options_.max_blocks && !OverBudget(watch) &&
-           !CancelRequested()) {
-      wave_idx.clear();
-      while (wave_idx.size() < S && it.HasNext() &&
-             dispatched + wave_idx.size() < options_.max_blocks) {
-        wave_idx.push_back(it.NextBlock());
-      }
-      if (wave_idx.empty()) break;
-      const size_t wn = wave_idx.size();
-      const size_t base_serial = serial;
-      serial += wn;
-      ParallelDo(wn, [&](size_t i) {
-        ExtractInto(wave_idx[i], base_serial + i, &wave[i]);
-      });
-      for (size_t i = 0; i < wn; ++i) {
-        totals->lanes[i].unit_extraction_s += wave[i].unit_s;
-        totals->lanes[i].hyp_extraction_s += wave[i].hyp_s;
-        totals->records_processed += wave[i].records;
-      }
-      const size_t tasks = wn + (have_sequential_ ? 1 : 0);
-      ParallelDo(tasks, [&](size_t t) {
-        if (t < wn) {
-          Stopwatch inspect_watch;
-          InspectShardBlock(wave[t], t, &lane_scratch[t]);
-          lane_acc[t].inspection_s += inspect_watch.Seconds();
-          lane_acc[t].blocks_processed += 1;
-          lane_acc[t].records_processed += wave[t].records;
-          TickProgress(wave[t].records);
-        } else {
-          Stopwatch inspect_watch;
-          for (size_t i = 0; i < wn; ++i) {
-            InspectSequentialBlock(wave[i], &lane_scratch[S],
-                                   /*include_shardable_primary=*/false);
-            lane_acc[S].blocks_processed += 1;
-            lane_acc[S].records_processed += wave[i].records;
-          }
-          lane_acc[S].inspection_s += inspect_watch.Seconds();
-        }
-      });
-      dispatched += wn;
-      if (options_.early_stopping && AllConverged()) stopped_early = true;
-    }
-  }
-  for (size_t t = 0; t < n_lanes; ++t) {
-    totals->lanes[t].Accumulate(lane_acc[t]);
-  }
-  size_t shard_dispatch = 0;
-  for (size_t s = 0; s < S; ++s) {
-    shard_dispatch += totals->lanes[s].blocks_processed;
-  }
-  const size_t seq_dispatch =
-      have_sequential_ ? totals->lanes[S].blocks_processed : 0;
-  totals->blocks_processed = std::max(shard_dispatch, seq_dispatch);
-  totals->stopped_early =
-      stopped_early || (options_.early_stopping && AllConverged());
-  stream_span.Tag("blocks", static_cast<uint64_t>(dispatched));
 }
 
 }  // namespace deepbase

@@ -1,26 +1,36 @@
-// BlockPipeline: the engine's block-loop executor, and the codebase's
-// first intra-job scale axis. One inspection job's blocks are fanned out
-// over the session ThreadPool (extraction in parallel, inspection across
-// shard lanes), with per-shard measure-state replicas recombined through
-// the Measure::CloneState()/MergeFrom() API.
+// BlockPipeline: the engine's block loop (paper §5, Fig. 4). One
+// inspection job's blocks are extracted over the session ThreadPool and
+// inspected across lanes, with per-shard measure-state replicas
+// recombined through the Measure::CloneState()/MergeFrom() API.
 //
 // Determinism contract: every behavior depends only on (dataset, shuffle
 // seed, num_shards) — never on the thread count or scheduling. Blocks are
 // assigned to shards by index (block 0 calibrates the primary state, block
 // b > 0 belongs to shard (b-1) % S), each shard consumes its blocks in
-// ascending order, and partials merge in ascending shard order. Measures
-// whose MergeFrom is exact (integer counters) therefore produce identical
-// scores at any shard count; FP moment-sum measures agree up to rounding;
-// measures without merge support (SGD-trained) are pinned to a sequential
-// lane that consumes all blocks in global order and thus stay bit-exact at
-// every shard count.
+// ascending order, and partials merge in ascending shard order. Every
+// mergeable measure merges exactly (integer counts) or bit-exactly
+// (moment sums reduced through a pairwise tree keyed by block serial), so
+// tables are byte-identical at every shard count; measures without merge
+// support (SGD-trained) and merged composites run on the sequential lane,
+// which consumes all blocks in global order and so is bit-exact too.
 //
-// Lanes (num_shards = S > 1):
-//   shard lane s   — mergeable pairs' replica s over the shard's blocks
-//   sequential lane — non-mergeable pairs + merged (composite) measures,
-//                     all blocks in global order
-// With S == 1 everything runs on the single legacy lane, preserving the
-// pre-pipeline engine semantics exactly.
+// One loop with two inputs: materialized or streaming
+// (InspectOptions::streaming), and the owned shard set (every shard, or
+// the range RestrictShards sets). Each pass opens with block 0 alone — on
+// pass 0 it calibrates the primaries before the replicas are cloned —
+// followed by waves: when materialized, one wave of every other block
+// (extracted once, in parallel, and reused by later passes); when
+// streaming, waves of at most S blocks freshly extracted with seed
+// shuffle_seed + pass. Within a wave the lanes run in parallel:
+//   shard lane s    — the shardable pairs' replica s over shard s's blocks
+//   sequential lane — the other pairs and the merged composites over
+//                     every block, in order
+// At S == 1 there is one lane, and it is also the sequential lane.
+//
+// Block accounting: a block counts once per pass, on the first lane that
+// inspects it, and in slice mode only on the owner of its shard (block 0
+// belongs to shard 0). Live progress ticks by the same rule, so a finished
+// run's progress equals its blocks_processed.
 
 #pragma once
 
@@ -37,6 +47,34 @@
 
 namespace deepbase {
 
+/// \brief The pipeline's shard count: `requested` when nonzero, else
+/// `fallback`, clamped to [1, 64]. The clamped count keys the determinism
+/// contract, so every layer that predicts or pins a job's shard count
+/// (scheduler fingerprints, the cluster coordinator, EXPLAIN) resolves it
+/// here.
+size_t ResolveShardCount(size_t requested, size_t fallback);
+
+/// \brief The lane test: true when the (measure, hypothesis) pair needs
+/// the sequential lane at S > 1 — it is fused into a merged composite
+/// (model merging over a mergeable measure and a binary hypothesis), or
+/// its measure state cannot merge (MergeExactness::kNone).
+bool NeedsSequentialLane(const MeasureFactory& factory,
+                         const HypothesisFn& hypothesis, bool model_merging);
+
+/// \brief True when a job can run in slice mode
+/// (BlockPipeline::RestrictShards): materialized, at least two shards,
+/// and no (measure, hypothesis) pair needs the sequential lane.
+bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
+               const std::vector<HypothesisPtr>& hypotheses,
+               const InspectOptions& options, size_t num_shards);
+
+/// \brief Planned block dispatches of a full run over `num_records`
+/// records: blocks per pass × passes, capped by max_blocks (streaming runs
+/// cap the whole run, materialized runs the resident set). The progress
+/// denominator of local and distributed runs alike.
+size_t PlannedBlockDispatches(const InspectOptions& options,
+                              size_t num_records);
+
 /// \brief Incremental state for one (model, group, measure, hypothesis)
 /// pair. `measure` is the primary (shard-0) state; `replicas[s]` (s >= 1)
 /// are the shard clones of a sharded run, merged back into `measure` when
@@ -47,15 +85,14 @@ struct PipelinePair {
   std::vector<std::unique_ptr<Measure>> replicas;  // [0] unused (= primary)
   double epsilon = 0;
   bool shardable = false;
-  /// Sequential-lane convergence flag (also the S == 1 flag).
+  /// Sequential-lane convergence flag (unshardable pairs).
   bool converged = false;
-  /// Per-shard convergence flags (bytes, not vector<bool>: shards write
-  /// their own element concurrently).
+  /// Per-shard convergence flags of a shardable pair (bytes, not
+  /// vector<bool>: shards write their own element concurrently).
   std::vector<unsigned char> shard_converged;
 
   bool FullyConverged() const {
     if (!shardable) return converged;
-    if (shard_converged.empty()) return converged;
     for (unsigned char c : shard_converged) {
       if (!c) return false;
     }
@@ -78,7 +115,7 @@ struct PipelineMerged {
 };
 
 /// \brief Executes the block loop of one inspection (streaming or
-/// materialized) across extraction + shard lanes. Owns the measure states;
+/// materialized) across extraction and lanes. Owns the measure states;
 /// the engine assembles the result relation from pairs()/merged_states()
 /// after Run().
 class BlockPipeline {
@@ -87,11 +124,16 @@ class BlockPipeline {
   struct Totals {
     /// One entry per shard lane; when a sequential lane ran (non-mergeable
     /// or merged measures present at S > 1), one extra trailing entry
-    /// carries it. With S == 1 there is exactly one entry.
+    /// carries it. With S == 1 there is exactly one entry. Each lane
+    /// counts every block it inspected.
     std::vector<RuntimeStats::Shard> lanes;
     size_t num_shards = 1;
-    size_t blocks_processed = 0;   // block-inspection dispatches (see engine.h)
-    size_t records_processed = 0;  // records pulled from the iterator
+    /// Blocks inspected, each counted once per pass (see the accounting
+    /// rule above).
+    size_t blocks_processed = 0;
+    /// Records extracted; in slice mode block 0's count only on the
+    /// owner of shard 0.
+    size_t records_processed = 0;
     /// Planned dispatches of a full run (per-pass blocks × passes, capped
     /// by max_blocks) — the progress denominator; set before any block
     /// runs, so pollers see it while the loop is in flight.
@@ -137,9 +179,9 @@ class BlockPipeline {
   /// handed out through TakeShardStates() instead. Because the block→shard
   /// map and per-shard consumption order are unchanged, a worker's shard-s
   /// state is bit-identical to the in-process shard-s replica for the same
-  /// (seed, num_shards). Must be called before Run(). Fails for streaming
-  /// runs, S == 1, or when sequential-lane work is present (the cluster
-  /// pins such jobs to a single worker as a whole job instead).
+  /// (seed, num_shards). Must be called before Run(). Fails unless the job
+  /// is Sliceable() (the cluster pins other jobs to a single worker as a
+  /// whole job instead).
   Status RestrictShards(size_t shard_lo, size_t shard_hi);
 
   /// \brief Move out the owned range's partial states, one per pairs()
@@ -165,10 +207,13 @@ class BlockPipeline {
   struct BlockData {
     std::vector<std::shared_ptr<const Matrix>> unit_behaviors;
     Matrix hyp_cols;  // |H| × rows
-    size_t rows = 0;
+    size_t rows = 0;  // 0 = not extracted (budget, cancel, another slice)
     size_t records = 0;
     size_t serial = 0;  // unique per extracted block (scratch-cache tag)
     double unit_s = 0, hyp_s = 0;
+    /// Claimed by the first lane that inspects the block in the current
+    /// pass; cleared whenever the block's wave is dispatched.
+    std::atomic<bool> counted{false};
   };
 
   /// Per-lane scratch: reused (model, group) gather buffers, tagged by the
@@ -179,19 +224,39 @@ class BlockPipeline {
     std::vector<std::vector<size_t>> tag;  // serial + 1; 0 = empty
   };
 
+  /// One lane's private state, carried across waves.
+  struct Lane {
+    LaneScratch scratch;
+    RuntimeStats::Shard stats;
+    size_t blocks_counted = 0;  // blocks this lane inspected first
+  };
+
+  /// Blocks [first, first + size) of pass `pass`, resident in `blocks`.
+  struct Wave {
+    size_t pass = 0;
+    size_t first = 0;
+    BlockData* blocks = nullptr;
+    size_t size = 0;
+  };
+
   bool CancelRequested() const;
   bool OverBudget(const Stopwatch& watch) const;
   /// True once options_.deadline has passed; latches deadline_hit_ so the
   /// run is reported as deadline-truncated even if later checks race.
   bool DeadlinePassed() const;
   void ParallelDo(size_t n, const std::function<void(size_t)>& fn);
-  /// Bump the live progress sink (InspectOptions::progress) by one block
-  /// dispatch. Called from whichever lane dispatches the block, so it is
-  /// relaxed-atomic; progress counts each block once per pass (the shard
-  /// lanes' dispatch set), never the sequential lane's re-reads.
-  void TickProgress(size_t records) const;
 
   LaneScratch MakeScratch() const;
+  /// Up to `max` block index lists from `it`, stopping early at the
+  /// budget, deadline or cancellation.
+  std::vector<std::vector<size_t>> Pull(BlockIterator* it, size_t max,
+                                        const Stopwatch& watch) const;
+  /// Extract `idx[i]` as block `first + i` (serial `serial + i`) into
+  /// `out[i]`, in parallel, and book each block's extraction on its
+  /// shard's lane.
+  void Extract(const std::vector<std::vector<size_t>>& idx, size_t first,
+               size_t serial, BlockData* out, const Stopwatch& watch,
+               Totals* totals);
   void ExtractInto(const std::vector<size_t>& block, size_t serial,
                    BlockData* data);
   const Matrix& GroupMatrix(const BlockData& data, size_t m, size_t g,
@@ -199,26 +264,35 @@ class BlockPipeline {
   std::span<const float> HypSpan(const BlockData& data, size_t h) const;
 
   /// Feed one block to a shardable pair's shard-`s` replica (s == 0 is the
-  /// primary). Returns via flags; respects early stopping.
+  /// primary, which stands in for every shard until EnsureReplicas()).
+  /// Respects early stopping.
   void InspectShardBlock(const BlockData& data, size_t shard,
                          LaneScratch* scratch);
-  /// Feed one block to the sequential-lane states (non-shardable pairs and
-  /// merged measures); with `include_shardable_primary`, also the primaries
-  /// (S == 1 single lane and the per-pass calibration block).
-  void InspectSequentialBlock(const BlockData& data, LaneScratch* scratch,
-                              bool include_shardable_primary);
+  /// Feed one block to the sequential-lane states (unshardable pairs and
+  /// merged measures).
+  void InspectSequentialBlock(const BlockData& data, LaneScratch* scratch);
   bool SequentialLaneConverged() const;
   bool ShardLaneConverged(size_t shard) const;
+
+  /// The shard block `block` of a pass belongs to.
+  size_t ShardOf(size_t block) const {
+    return block == 0 ? 0 : (block - 1) % num_shards_;
+  }
+  /// Run every lane over `wave` in parallel; `lane_spans` records one
+  /// pipeline.lane / pipeline.seq_lane span per lane.
+  void RunWave(const Wave& wave, const Stopwatch& watch, bool lane_spans);
+  void RunLane(size_t lane, const Wave& wave, const Stopwatch& watch);
+  /// Inspect block `block` on `lane` and book it: the lane's seconds,
+  /// blocks and records, and — for the first lane to inspect it this pass,
+  /// if the block's shard is owned — the run's count and progress tick.
+  void InspectOnLane(size_t lane, size_t block, BlockData* data);
 
   void EnsureReplicas();
   void MergeReplicas();
 
-  void RunSingleLane(const Stopwatch& watch, Totals* totals);
-  void RunShardedMaterialized(const Stopwatch& watch, Totals* totals);
-  void RunShardedStreaming(const Stopwatch& watch, Totals* totals);
-
   const std::vector<ModelSpec>& models_;
   const Dataset& dataset_;
+  const std::vector<MeasureFactoryPtr>& scores_;
   const std::vector<HypothesisPtr>& hypotheses_;
   const InspectOptions& options_;
 
@@ -231,7 +305,6 @@ class BlockPipeline {
 
   std::vector<PipelinePair> pairs_;
   std::vector<PipelineMerged> merged_;
-  bool have_shardable_ = false;
   bool have_sequential_ = false;
 
   /// Slice-mode ownership tests (full runs own everything).
@@ -239,10 +312,14 @@ class BlockPipeline {
     return !sliced_ || (shard >= slice_lo_ && shard < slice_hi_);
   }
   bool OwnsBlock(size_t block) const {
-    return block == 0 || OwnsShard((block - 1) % num_shards_);
+    return block == 0 || OwnsShard(ShardOf(block));
   }
 
   size_t num_shards_ = 1;
+  /// Index of the sequential lane: lane 0 at S == 1, else lane S (present
+  /// only when have_sequential_).
+  size_t seq_lane_ = 0;
+  std::vector<Lane> lanes_;
   bool sliced_ = false;
   size_t slice_lo_ = 0, slice_hi_ = 0;
   ThreadPool* pool_ = nullptr;

@@ -263,22 +263,23 @@ Result<InspectPlan> Catalog::Compile(
   return plan;
 }
 
-Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats) {
-  // Pre-flight the hypothesis output format (paper §4.1: "output formats
-  // are checked during execution"): every hypothesis must emit one
-  // behavior per record symbol.
-  if (plan.dataset->num_records() > 0) {
-    const Record& probe = plan.dataset->record(0);
-    for (const HypothesisPtr& hyp : plan.hypotheses) {
-      const size_t got = hyp->Eval(probe).size();
-      if (got != plan.dataset->ns()) {
-        return Status::Invalid(
-            "hypothesis '" + hyp->name() + "' emitted " +
-            std::to_string(got) + " behaviors for a record of " +
-            std::to_string(plan.dataset->ns()) + " symbols");
-      }
+Status CheckHypothesisOutputFormat(const InspectPlan& plan) {
+  if (plan.dataset->num_records() == 0) return Status::OK();
+  const Record& probe = plan.dataset->record(0);
+  for (const HypothesisPtr& hyp : plan.hypotheses) {
+    const size_t got = hyp->Eval(probe).size();
+    if (got != plan.dataset->ns()) {
+      return Status::Invalid(
+          "hypothesis '" + hyp->name() + "' emitted " + std::to_string(got) +
+          " behaviors for a record of " +
+          std::to_string(plan.dataset->ns()) + " symbols");
     }
   }
+  return Status::OK();
+}
+
+Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats) {
+  DB_RETURN_NOT_OK(CheckHypothesisOutputFormat(plan));
   // A deadline that already passed never reaches the engine: callers get
   // the typed error without paying for planning-stage extraction.
   if (plan.options.deadline != std::chrono::steady_clock::time_point::max() &&

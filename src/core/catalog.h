@@ -161,6 +161,12 @@ class Catalog {
   std::map<std::string, MeasureFactoryPtr> measures_;
 };
 
+/// \brief Pre-flight the hypothesis output format (paper §4.1: "output
+/// formats are checked during execution"): every hypothesis must emit one
+/// behavior per record symbol, or the plan fails kInvalidArgument before
+/// any work starts. Local and distributed runs both call it.
+Status CheckHypothesisOutputFormat(const InspectPlan& plan);
+
 /// \brief Execute a compiled plan: pre-flight hypothesis output formats,
 /// run the engine, and apply the HAVING filter.
 Result<ResultTable> RunPlan(const InspectPlan& plan,

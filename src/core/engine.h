@@ -51,11 +51,13 @@ ModelSpec AllUnitsGroup(const Extractor* extractor,
                         const std::string& group_id = "all");
 
 /// \brief Live progress counters of one engine run, safe to read from any
-/// thread while the run is in flight. The block pipeline stores the
-/// planned dispatch count into `blocks_total` when its block loop starts
-/// (resetting `blocks_done`), then bumps `blocks_done`/`records_done` as
-/// block inspections complete — the counter JobHandle::Poll snapshots and
-/// the serving layer streams to remote clients as progress events. Early
+/// thread while the run is in flight. The block pipeline (or, for a
+/// distributed run, the cluster coordinator) stores the planned dispatch
+/// count into `blocks_total` when the run starts (resetting
+/// `blocks_done`), then bumps `blocks_done`/`records_done` as block
+/// inspections complete — the counter JobHandle::Poll snapshots and the
+/// serving layer streams to remote clients as progress events. A finished
+/// run's `blocks_done` equals its RuntimeStats::blocks_processed. Early
 /// stopping, budgets, and cancellation may finish a run below
 /// `blocks_total`; `blocks_done` never exceeds it.
 struct ProgressCounter {
@@ -133,11 +135,12 @@ struct InspectOptions {
   /// (sequential when no pool is attached); 1 = the classic sequential
   /// engine. Scores depend only on (shuffle seed, num_shards), never on
   /// the thread count: mergeable measures recombine shard partials via
-  /// Measure::MergeFrom in shard order (bit-exact for integer-count
-  /// measures, FP-rounding-exact for moment sums), and non-mergeable
-  /// (SGD-trained) measures run on a sequential lane in global block
-  /// order. Pin num_shards explicitly when bitwise reproducibility across
-  /// machines matters. Values above 64 are clamped (with a warning): the
+  /// Measure::MergeFrom in shard order (exact for integer counts,
+  /// bit-exact for moment sums through their pairwise tree, so full
+  /// sweeps match at every shard count), and non-mergeable (SGD-trained)
+  /// measures run on a sequential lane in global block order. Pin
+  /// num_shards explicitly when bitwise reproducibility across machines
+  /// matters. Values above 64 are clamped (with a warning): the
   /// effective, clamped count is what keys the determinism contract and
   /// is reported in RuntimeStats::num_shards.
   size_t num_shards = 0;
@@ -235,9 +238,12 @@ struct InspectOptions {
 ///
 /// Concurrency: phase seconds are summed from per-lane accumulators (each
 /// lane times its own work; no shared stopwatch), so under sharding they
-/// are CPU-seconds that may exceed the wall-clock total_s. blocks_processed
-/// counts block-inspection dispatches; under sharding a block inspected by
-/// both a shard lane and the sequential lane is counted once.
+/// are CPU-seconds that may exceed the wall-clock total_s.
+/// blocks_processed counts each inspected block once per pass, on the
+/// first lane that inspects it (a block inspected by both a shard lane
+/// and the sequential lane counts once); a distributed run counts each
+/// block on the owner of its shard only, so its counts equal a local
+/// run's.
 struct RuntimeStats {
   /// \brief One lane's runtime breakdown (see `shards`).
   struct Shard {

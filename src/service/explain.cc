@@ -3,10 +3,10 @@
 // Catalog::Compile (resolve-only), Scheduler::Probe, ResultCache::PeekTier
 // (via the probe), BehaviorStore::PeekTier, Histogram::Snap, and
 // InspectionSession::ProbeCluster — a dry run provably executes zero
-// blocks and moves zero counters. The cluster node mirrors the
-// coordinator's sliceability predicate and placement math verbatim
-// (src/cluster/coordinator.cc DistributedRun) so the rendered plan is the
-// plan, not an approximation of it.
+// blocks and moves zero counters. The cluster node calls the same shard
+// resolution, sliceability predicate and placement functions the
+// coordinator dispatches with, so the rendered plan is the plan, not an
+// approximation of it.
 
 #include "service/explain.h"
 
@@ -20,6 +20,7 @@
 
 #include "cluster/partition.h"
 #include "core/behavior_store.h"
+#include "core/block_pipeline.h"
 #include "core/inspect_parser.h"
 #include "service/scheduler.h"
 #include "tensor/matrix_store.h"
@@ -204,32 +205,6 @@ bool WireEncodable(const InspectRequest& request) {
   }
   return true;
 }
-
-// The coordinator's sliceability predicate, verbatim (DistributedRun):
-// non-streaming, >= 2 shards, and every (measure, hypothesis) pair can
-// merge without drift — no merged composites, no kNone measures.
-bool ClusterSliceable(const InspectPlan& compiled, uint32_t total_shards) {
-  bool sliceable = !compiled.options.streaming && total_shards >= 2;
-  for (const MeasureFactoryPtr& factory : compiled.measures) {
-    if (!sliceable) break;
-    for (const HypothesisPtr& hyp : compiled.hypotheses) {
-      if (compiled.options.model_merging && factory->mergeable() &&
-          hyp->num_classes() == 2) {
-        sliceable = false;
-        break;
-      }
-      std::unique_ptr<Measure> probe = factory->Create(1, hyp->num_classes());
-      if (probe == nullptr ||
-          probe->merge_exactness() == MergeExactness::kNone) {
-        sliceable = false;
-        break;
-      }
-    }
-  }
-  return sliceable;
-}
-
-constexpr uint32_t kMaxClusterShards = 64;  // coordinator.cc kMaxShards
 
 // ---------------------------------------------------------------------------
 // Plan assembly (the dry-run half of EXPLAIN).
@@ -438,11 +413,10 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
                        ? "no live workers (will degrade to local engine)"
                        : "no live workers (will fail kUnavailable)");
     } else {
-      uint32_t total_shards =
-          options.num_shards > 0 ? static_cast<uint32_t>(options.num_shards)
-                                 : cluster.total_shards;
-      total_shards = std::min(total_shards, kMaxClusterShards);
-      const bool sliceable = ClusterSliceable(compiled, total_shards);
+      const uint32_t total_shards = static_cast<uint32_t>(
+          ResolveShardCount(options.num_shards, cluster.total_shards));
+      const bool sliceable = Sliceable(compiled.measures, compiled.hypotheses,
+                                       compiled.options, total_shards);
       node.Add("", sliceable ? "dispatch (sliced)" : "dispatch (whole job)");
       node.Add("workers", JoinNames(cluster.live_workers));
       node.Add("total_shards", std::to_string(sliceable ? total_shards : 1));

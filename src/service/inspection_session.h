@@ -116,8 +116,7 @@ struct SessionConfig {
   // --- Observability (util/trace.h, util/metrics.h). ---
   /// Per-job span tracing: every async job gets a Tracer whose spans
   /// (scheduler queue, engine phases, cluster hops) are readable through
-  /// JobHandle::TraceSpans(). Runtime switch; the compile-time kill is
-  /// -DDEEPBASE_TRACE_DISABLED.
+  /// JobHandle::TraceSpans(). A runtime switch.
   bool enable_tracing = true;
   /// Span ring capacity per job (oldest spans drop beyond this).
   size_t trace_ring_capacity = 256;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/behavior_store.h"
+#include "core/block_pipeline.h"
 #include "util/failpoint.h"
 #include "util/fnv.h"
 #include "util/logging.h"
@@ -199,18 +200,14 @@ bool DeterministicOptions(const InspectOptions& options) {
 // therefore truncate) blocks differently.
 size_t ResolvedShardCountFor(const InspectOptions& options,
                              const SessionConfig& config) {
-  size_t shards = options.num_shards;
-  if (shards == 0 && options.pool != nullptr) {
-    shards = options.pool->num_threads();
-  }
-  if (shards == 0) {
-    // The session pool the scheduler would attach (ThreadPool's own
-    // 0 = hardware-concurrency rule).
-    shards = config.num_threads != 0
-                 ? config.num_threads
-                 : std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::min<size_t>(std::max<size_t>(shards, 1), 64);
+  // Without a pool on the request, the session pool the scheduler would
+  // attach (ThreadPool's own 0 = hardware-concurrency rule).
+  size_t pool_threads =
+      config.num_threads != 0
+          ? config.num_threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  if (options.pool != nullptr) pool_threads = options.pool->num_threads();
+  return ResolveShardCount(options.num_shards, pool_threads);
 }
 
 std::optional<uint64_t> InspectRequestFingerprint(

@@ -96,10 +96,10 @@ std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
 bool DeterministicOptions(const InspectOptions& options);
 
 /// \brief The shard count this session's engine would actually run the
-/// request at, mirroring BlockPipeline's resolution (explicit count →
-/// pool size → config threads → hardware concurrency, clamped to
-/// [1, 64]). Shared by the fingerprint's early-stopping carve-out and by
-/// EXPLAIN's partition plan.
+/// request at: ResolveShardCount (core/block_pipeline.h) over the pool the
+/// engine would get (the request's pool, else the session pool: config
+/// threads, else hardware concurrency). Shared by the fingerprint's
+/// early-stopping carve-out and by EXPLAIN's partition plan.
 size_t ResolvedShardCountFor(const InspectOptions& options,
                              const SessionConfig& config);
 

@@ -22,9 +22,7 @@
 //   ...                           // children recorded under this span
 //
 // A null tracer disables everything at runtime (the scope records
-// nothing). Compiling with -DDEEPBASE_TRACE_DISABLED replaces the scope
-// with an empty type, so DB_SPAN is a guaranteed no-op — the zero-
-// overhead path the bench-regression criterion holds against.
+// nothing).
 
 #pragma once
 
@@ -102,8 +100,6 @@ struct TraceContext {
   bool enabled() const { return tracer != nullptr; }
 };
 
-#if !defined(DEEPBASE_TRACE_DISABLED)
-
 /// \brief RAII span: binds itself as ctx.parent_span for its lifetime
 /// (restoring on destruction) and records the finished span into the
 /// tracer. No-op when ctx.tracer is null.
@@ -149,20 +145,6 @@ class SpanScope {
   uint64_t saved_parent_ = 0;
   TraceSpan span_;
 };
-
-#else  // DEEPBASE_TRACE_DISABLED
-
-/// \brief Compile-time kill switch: an empty scope the optimizer erases
-/// entirely (tests static_assert on std::is_empty).
-class SpanScope {
- public:
-  SpanScope(TraceContext*, const char*) {}
-  void Tag(const char*, const std::string&) {}
-  void Tag(const char*, uint64_t) {}
-  uint64_t id() const { return 0; }
-};
-
-#endif  // DEEPBASE_TRACE_DISABLED
 
 #define DB_SPAN_CONCAT_INNER(a, b) a##b
 #define DB_SPAN_CONCAT(a, b) DB_SPAN_CONCAT_INNER(a, b)

@@ -4,10 +4,12 @@
 // deterministic shard partition and rendezvous key placement, and the
 // end-to-end determinism contract — one in-process engine run, a
 // 1-worker cluster, and a 3-worker cluster produce bit-identical tables
-// for exact-merge measures (tolerance-equal for FP-reassociated ones),
-// including across a worker killed and replaced mid-job. Failure
-// semantics (no workers → kUnavailable, inline-pointer requests → local
-// fallback) and sequential-lane pinning (whole-mode jobs) ride along.
+// for every mergeable measure (exact integer counts and bit-exact
+// pairwise-tree moments), including across a worker killed and replaced
+// mid-job — with the same block counts and final progress as the local
+// run. Failure semantics (no workers → kUnavailable, inline-pointer
+// requests → local fallback, the hypothesis output-format pre-flight) and
+// sequential-lane pinning (whole-mode jobs) ride along.
 
 #include <gtest/gtest.h>
 
@@ -796,6 +798,98 @@ TEST(ClusterEndToEndTest, ProgressAggregatesStrictlyIncreasing) {
 
   worker1.Shutdown();
   worker2.Shutdown();
+  coordinator.Shutdown();
+}
+
+// Block 0 calibrates on every worker but counts only on the owner of
+// shard 0, and the coordinator plans the denominator and publishes the
+// last result: a finished sliced job reports exactly the local counts.
+TEST(ClusterEndToEndTest, SlicedCountsAndFinalProgressMatchLocalRun) {
+  InspectRequest request = ExactRequest();
+  request.options->block_size = 8;  // 24 blocks of 8 records
+
+  World local;
+  JobHandle local_job = local.session.Submit(request);
+  ASSERT_TRUE(local_job.Wait().ok());
+  JobProgress local_progress;
+  local_job.Poll(&local_progress);
+  const RuntimeStats local_stats = local_job.Stats();
+  ASSERT_EQ(local_stats.blocks_processed, 24u);
+  EXPECT_EQ(local_progress.blocks_completed, 24u);
+  EXPECT_EQ(local_progress.blocks_total, 24u);
+
+  for (size_t num_workers : {1u, 2u, 3u}) {
+    SCOPED_TRACE(std::to_string(num_workers) + " workers");
+    World coord_world;
+    cluster::CoordinatorConfig config;
+    config.total_shards = 4;
+    cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+    ASSERT_TRUE(coordinator.Start().ok());
+    std::vector<std::unique_ptr<World>> worlds;
+    std::vector<std::unique_ptr<cluster::InspectionWorker>> workers;
+    for (size_t i = 0; i < num_workers; ++i) {
+      worlds.push_back(std::make_unique<World>());
+      workers.push_back(std::make_unique<cluster::InspectionWorker>(
+          &worlds.back()->session,
+          cluster::WorkerConfig{.worker_id = "w-" + std::to_string(i),
+                                .coordinator_port = coordinator.port()}));
+      ASSERT_TRUE(workers.back()->Connect().ok());
+    }
+    ASSERT_TRUE(WaitForWorkers(coordinator, num_workers));
+
+    JobHandle job = coord_world.session.Submit(request);
+    ASSERT_TRUE(job.Wait().ok()) << job.Wait().status().ToString();
+    EXPECT_EQ(coordinator.stats().jobs_sliced, 1u);
+    JobProgress progress;
+    EXPECT_EQ(job.Poll(&progress), JobStatus::kDone);
+    EXPECT_EQ(job.Stats().blocks_processed, local_stats.blocks_processed);
+    EXPECT_EQ(job.Stats().records_processed, local_stats.records_processed);
+    EXPECT_EQ(progress.blocks_completed, local_progress.blocks_completed);
+    EXPECT_EQ(progress.blocks_total, local_progress.blocks_total);
+    EXPECT_EQ(progress.records_processed, local_progress.records_processed);
+
+    for (auto& worker : workers) worker->Shutdown();
+    coordinator.Shutdown();
+  }
+}
+
+TEST(ClusterEndToEndTest, HypothesisOutputFormatIsCheckedBeforeDispatch) {
+  // Emits one behavior too many per record: the local run rejects it in
+  // the pre-flight, and so must a sliced cluster run — before any worker
+  // would have normalized it.
+  const HypothesisPtr bad = std::make_shared<FunctionHypothesis>(
+      "too_long", [](const Record& rec) {
+        return std::vector<float>(rec.size() + 1, 1.0f);
+      });
+  InspectRequest request = ExactRequest();
+  request.hypothesis_sets = {"bad"};
+
+  World local;
+  local.session.catalog().RegisterHypotheses("bad", {bad});
+  Result<ResultTable> local_result = local.session.Inspect(request);
+  ASSERT_FALSE(local_result.ok());
+  EXPECT_EQ(local_result.status().code(), StatusCode::kInvalidArgument);
+
+  World coord_world;
+  coord_world.session.catalog().RegisterHypotheses("bad", {bad});
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  World worker_world;
+  worker_world.session.catalog().RegisterHypotheses("bad", {bad});
+  cluster::InspectionWorker worker(&worker_world.session,
+                                   {.worker_id = "w-0",
+                                    .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  Result<ResultTable> cluster_result = coord_world.session.Inspect(request);
+  ASSERT_FALSE(cluster_result.ok());
+  EXPECT_EQ(cluster_result.status().code(), local_result.status().code());
+  EXPECT_EQ(coordinator.stats().assignments_sent, 0u);
+
+  worker.Shutdown();
   coordinator.Shutdown();
 }
 

@@ -11,7 +11,9 @@
 //
 // The shard-invariance tests run the full engine at num_shards {1, 3, 8}
 // over several passes and require byte-identical serialized tables for
-// the kBitExact moment-sum measures — the pairwise-tree merge contract.
+// the kBitExact moment-sum measures — the pairwise-tree merge contract —
+// materialized and streaming, and beside sequential-lane work (SGD pairs
+// and merged composites). scripts/check.sh runs them under TSan too.
 //
 // Cross-lane reductions (Matrix::Sum, MatMul, Softmax in
 // tensor/matrix.cc) are the one place SIMD re-associates; their
@@ -191,6 +193,26 @@ Dataset MakeDataset(size_t n_records) {
   return ds;
 }
 
+// Every table of a run at num_shards 3 and 8 must serialize exactly as at
+// num_shards 1.
+void ExpectShardInvariant(const std::vector<MeasureFactoryPtr>& measures,
+                          const std::vector<HypothesisPtr>& hyps,
+                          InspectOptions options) {
+  PlantedExtractor extractor;
+  const std::vector<ModelSpec> models = {AllUnitsGroup(&extractor)};
+  Dataset ds = MakeDataset(96);
+  options.block_size = 8;
+  options.num_shards = 1;
+  const std::string at1 =
+      Inspect(models, ds, measures, hyps, options).SerializeToString();
+  for (size_t shards : {3u, 8u}) {
+    options.num_shards = shards;
+    EXPECT_EQ(Inspect(models, ds, measures, hyps, options).SerializeToString(),
+              at1)
+        << "num_shards=" << shards;
+  }
+}
+
 TEST(ShardInvarianceTest, MomentMergesAreByteIdenticalAtShards138) {
   PlantedExtractor extractor;
   const std::vector<ModelSpec> models = {AllUnitsGroup(&extractor)};
@@ -248,6 +270,33 @@ TEST(ShardInvarianceTest, StreamingMomentMergesAreByteIdenticalAtShards138) {
 
   EXPECT_EQ(at1, at3);
   EXPECT_EQ(at1, at8);
+
+  // A second pass re-extracts with its own shuffle seed.
+  options.passes = 2;
+  ExpectShardInvariant(measures, hyps, options);
+}
+
+TEST(ShardInvarianceTest, SequentialLaneRunsAreByteIdenticalAtShards138) {
+  // logreg_l1 runs on the sequential lane beside the shard lanes' pearson
+  // — as individual pairs, or (model merging on, two binary hypotheses)
+  // as one merged composite.
+  const std::vector<MeasureFactoryPtr> measures = {
+      std::make_shared<CorrelationScore>("pearson"),
+      std::make_shared<LogRegressionScore>("L1")};
+  const std::vector<HypothesisPtr> hyps = {std::make_shared<TokenHyp>("a"),
+                                           std::make_shared<TokenHyp>("b")};
+  for (bool streaming : {false, true}) {
+    for (bool merging : {false, true}) {
+      SCOPED_TRACE(std::string(streaming ? "streaming" : "materialized") +
+                   (merging ? ", merged composite" : ", individual pairs"));
+      InspectOptions options;
+      options.streaming = streaming;
+      options.model_merging = merging;
+      options.early_stopping = false;
+      options.passes = 2;
+      ExpectShardInvariant(measures, hyps, options);
+    }
+  }
 }
 
 // ------------------------------------------------------------------

@@ -5,9 +5,7 @@
 // (fires exactly once per offending job), metrics-snapshot consistency
 // under concurrent jobs, and the acceptance scenario — a 2-worker
 // distributed job whose trace stitches coordinator dispatch spans and
-// both workers' pipeline spans under one trace id. A sibling TU
-// (trace_disabled_check.cc, compiled with -DDEEPBASE_TRACE_DISABLED)
-// static_asserts that DB_SPAN is a no-op with tracing compiled out.
+// both workers' pipeline spans under one trace id.
 
 #include <gtest/gtest.h>
 

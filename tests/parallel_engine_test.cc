@@ -501,5 +501,69 @@ TEST(ParallelEngineTest, PerShardStatsCoverTheWork) {
   EXPECT_GE(stats.inspection_s, lane_insp_s);
 }
 
+// ------------------------------------------------ the one block loop
+
+// Block accounting follows one rule in every mode — a block counts once
+// per pass, on the first lane that inspects it — so a finished job polls
+// exactly its blocks_processed, and the lane layout is one lane at S = 1,
+// S lanes (+1 sequential lane when needed) above.
+TEST(ParallelEngineTest, FinalProgressEqualsBlocksProcessedInEveryMode) {
+  SyntheticExtractor ex;
+  Dataset ds = MakeAbDataset(384);  // 24 blocks of 16 records
+  SessionConfig config;
+  config.num_threads = 2;
+  config.hypothesis_cache_values = 0;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("synthetic", &ex);
+  session.catalog().RegisterDataset("ab", &ds);
+
+  struct Mode {
+    bool streaming;
+    size_t shards;
+    MeasureFactoryPtr measure;
+    size_t lanes;
+  };
+  const MeasureFactoryPtr pearson =
+      std::make_shared<CorrelationScore>("pearson");
+  const MeasureFactoryPtr logreg = std::make_shared<LogRegressionScore>("L1");
+  const std::vector<Mode> modes = {
+      {true, 1, pearson, 1},  {true, 4, pearson, 4},
+      {false, 1, pearson, 1}, {false, 4, pearson, 4},
+      {true, 1, logreg, 1},   {true, 4, logreg, 5},
+      {false, 1, logreg, 1},
+      // Only sequential-lane work: the shard lanes have nothing to inspect,
+      // so every block is first inspected on the sequential lane.
+      {false, 4, logreg, 5},
+  };
+  for (const Mode& mode : modes) {
+    const std::string context =
+        std::string(mode.streaming ? "streaming" : "materialized") +
+        " S=" + std::to_string(mode.shards) + " " + mode.measure->name();
+    InspectRequest request;
+    request.models.push_back({.name = "synthetic"});
+    request.hypotheses = MakeHypotheses();
+    request.dataset_name = "ab";
+    request.measures = {mode.measure};
+    InspectOptions options;
+    options.block_size = 16;
+    options.streaming = mode.streaming;
+    options.num_shards = mode.shards;
+    options.early_stopping = true;
+    options.model_merging = false;
+    request.options = options;
+
+    JobHandle job = session.Submit(request);
+    ASSERT_TRUE(job.Wait().ok()) << context;
+    JobProgress progress;
+    EXPECT_EQ(job.Poll(&progress), JobStatus::kDone) << context;
+    const RuntimeStats stats = job.Stats();
+    EXPECT_GT(stats.blocks_processed, 0u) << context;
+    EXPECT_EQ(progress.blocks_completed, stats.blocks_processed) << context;
+    EXPECT_EQ(progress.blocks_total, 24u) << context;
+    EXPECT_EQ(stats.blocks_total_planned, 24u) << context;
+    EXPECT_EQ(stats.shards.size(), mode.lanes) << context;
+  }
+}
+
 }  // namespace
 }  // namespace deepbase
