@@ -11,14 +11,17 @@
 //   2. A second query (different hypothesis set, so the result cache
 //      can't answer) reads the behaviors back via BehaviorStore::GetShared
 //      — served as an mmap handout (RuntimeStats::store_mmap_hits > 0),
-//      with store memory usage still ~0.
+//      with store memory usage still ~0. EXPLAIN, asked before the query
+//      runs, must predict that residency: `tier=mmap (out-of-core)` on
+//      the unit-behaviors node.
 //   3. A control session with a generous budget answers the same query
-//      from the memory tier; its result table must serialize to the
-//      exact same bytes.
+//      from the memory tier (and EXPLAIN must not predict mmap); its
+//      result table must serialize to the exact same bytes.
 //
-// Exits nonzero (with a diagnostic) if the mmap tier was not exercised
-// or the tables diverge. scripts/check.sh runs this as the out-of-core
-// gate. Build & run:  ./build/examples/oocore_smoke
+// Exits nonzero (with a diagnostic) if the mmap tier was not exercised,
+// EXPLAIN mispredicted the residency, or the tables diverge.
+// scripts/check.sh runs this as the out-of-core gate. Build & run:
+// ./build/examples/oocore_smoke
 
 #include <cstdio>
 #include <filesystem>
@@ -26,20 +29,41 @@
 #include "core/extractors.h"
 #include "grammar/sql_grammar.h"
 #include "nn/lstm_lm.h"
+#include "service/explain.h"
 #include "service/inspection_session.h"
 
 using namespace deepbase;
 
 namespace {
 
-Result<ResultTable> RunQuery(InspectionSession* session,
-                             const char* hypothesis_set,
-                             RuntimeStats* stats) {
+InspectRequest Query(const char* hypothesis_set) {
   InspectRequest request;
   request.models.push_back({.name = "sql_lm"});
   request.hypothesis_sets = {hypothesis_set};
   request.dataset_name = "queries";
-  return session->Inspect(request, stats);
+  return request;
+}
+
+Result<ResultTable> RunQuery(InspectionSession* session,
+                             const char* hypothesis_set,
+                             RuntimeStats* stats) {
+  return session->Inspect(Query(hypothesis_set), stats);
+}
+
+// EXPLAIN's residency prediction for the query's unit behaviors: the
+// plan's unit-behaviors line.
+std::string PredictedUnitTier(InspectionSession* session,
+                              const char* hypothesis_set) {
+  Result<InspectionPlan> plan = session->Explain(Query(hypothesis_set));
+  DB_CHECK_OK(plan.status());
+  const std::string text = plan->ToText();
+  const size_t at = text.find("unit-behaviors:");
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+bool PredictsMmap(const std::string& line) {
+  return line.find("tier=mmap (out-of-core)") != std::string::npos;
 }
 
 }  // namespace
@@ -99,6 +123,13 @@ int main() {
     auto first = RunQuery(&session, "keywords", &stats);
     DB_CHECK_OK(first.status());  // materializes into the store
 
+    const std::string predicted = PredictedUnitTier(&session, "where_kw");
+    if (!PredictsMmap(predicted)) {
+      std::fprintf(stderr,
+                   "FAIL: EXPLAIN did not predict the mmap tier: %s\n",
+                   predicted.c_str());
+      return 1;
+    }
     auto second = RunQuery(&session, "where_kw", &stats);
     DB_CHECK_OK(second.status());
     std::printf(
@@ -126,6 +157,13 @@ int main() {
 
     RuntimeStats stats;
     DB_CHECK_OK(RunQuery(&session, "keywords", &stats).status());
+    const std::string predicted = PredictedUnitTier(&session, "where_kw");
+    if (predicted.empty() || PredictsMmap(predicted)) {
+      std::fprintf(stderr,
+                   "FAIL: EXPLAIN predicted mmap for the control run: %s\n",
+                   predicted.c_str());
+      return 1;
+    }
     auto control = RunQuery(&session, "where_kw", &stats);
     DB_CHECK_OK(control.status());
     if (stats.store_mmap_hits != 0) {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <utility>
@@ -52,6 +51,13 @@ ClusterMetrics& Metrics() {
 Clock::duration Seconds(double s) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(s));
+}
+
+// Whole jobs place by rendezvous hash over the live workers, so repeats
+// land on the same worker and its behavior store warms up.
+std::string WholeJobOwner(const InspectRequest& request,
+                          const std::vector<std::string>& live_workers) {
+  return PlaceKey("job:" + request.dataset_name, live_workers);
 }
 
 }  // namespace
@@ -135,16 +141,12 @@ Status ClusterCoordinator::Start() {
                const InspectOptions& default_options, RuntimeStats* stats) {
           return DistributedRun(request, default_options, stats);
         });
-    // Feed the session's EXPLAIN layer: what this coordinator would do
-    // with the next job (shard default, degrade policy, live workers).
-    session_->SetClusterProbe([this] {
-      ClusterPlanProbe probe;
-      probe.active = true;
-      probe.total_shards = config_.total_shards;
-      probe.degrade_to_local = config_.degrade_to_local;
-      probe.live_workers = worker_ids();
-      return probe;
-    });
+    // Feed the session's EXPLAIN layer the decision DistributedRun would
+    // execute for a request right now.
+    session_->SetClusterProbe(
+        [this](const InspectRequest& request, const InspectPlan& plan) {
+          return PlanDispatch(request, plan);
+        });
   }
   return Status::OK();
 }
@@ -397,6 +399,41 @@ void ClusterCoordinator::MonitorLoop() {
   }
 }
 
+ClusterDispatch ClusterCoordinator::PlanDispatch(
+    const InspectRequest& request, const InspectPlan& plan) const {
+  ClusterDispatch dispatch;
+  dispatch.degrade_to_local = config_.degrade_to_local;
+  dispatch.live_workers = worker_ids();
+  // Requests holding inline pointers (extractors, datasets, hypothesis or
+  // measure objects) have no identity across the wire; they run on the
+  // local engine instead of failing.
+  wire::Writer probe;
+  if (!wire::EncodeInspectRequest(request, &probe).ok()) {
+    dispatch.mode = ClusterDispatch::Mode::kLocalFallback;
+    return dispatch;
+  }
+  if (dispatch.live_workers.empty()) {
+    dispatch.mode = ClusterDispatch::Mode::kNoWorkers;
+    return dispatch;
+  }
+  // Effective shard count: the job's own pin wins; otherwise the cluster
+  // default. Sliced jobs split it into ranges; the rest (streaming runs,
+  // S < 2, sequential-lane measures) pin the whole job to one worker.
+  const uint32_t total_shards = static_cast<uint32_t>(
+      ResolveShardCount(plan.options.num_shards, config_.total_shards));
+  if (Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards)) {
+    dispatch.mode = ClusterDispatch::Mode::kSliced;
+    dispatch.total_shards = total_shards;
+    dispatch.ranges = MakeShardRanges(
+        total_shards, static_cast<uint32_t>(dispatch.live_workers.size()));
+  } else {
+    dispatch.mode = ClusterDispatch::Mode::kWhole;
+    dispatch.ranges = {ShardRange{0, 1}};
+    dispatch.worker = WholeJobOwner(request, dispatch.live_workers);
+  }
+  return dispatch;
+}
+
 Result<ResultTable> ClusterCoordinator::DistributedRun(
     const InspectRequest& request, const InspectOptions& default_options,
     RuntimeStats* stats) {
@@ -416,19 +453,14 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
   TraceContext trace{tracer, plan.options.trace_parent_span};
   DB_SPAN_NAMED(run_span, trace, "coord.run");
 
-  // Requests holding inline pointers (extractors, datasets, hypothesis or
-  // measure objects) have no identity across the wire; run them on the
-  // local engine instead of failing them.
-  {
-    wire::Writer probe;
-    if (!wire::EncodeInspectRequest(request, &probe).ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.jobs_local_fallback;
-      }
-      return RunInspectRequest(request, session_->catalog(), default_options,
-                               stats);
+  const ClusterDispatch dispatch = PlanDispatch(request, plan);
+  if (dispatch.mode == ClusterDispatch::Mode::kLocalFallback) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.jobs_local_fallback;
     }
+    return RunInspectRequest(request, session_->catalog(), default_options,
+                             stats);
   }
 
   // Availability rescue: a kUnavailable outcome (quorum loss, attempts
@@ -457,21 +489,14 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
     if (!fp.ok()) return fail_or_degrade(fp);
   }
 
-  // Effective shard count: the job's own pin wins; otherwise the cluster
-  // default. Sliced jobs split it into ranges; the rest (streaming runs,
-  // S < 2, sequential-lane measures) pin the whole job to one worker.
-  const uint32_t total_shards = static_cast<uint32_t>(
-      ResolveShardCount(plan.options.num_shards, config_.total_shards));
-  const bool sliceable =
-      Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards);
-
   // The request that travels: pin every score-affecting option so the
   // scores depend only on (seed, total_shards), never on worker count or
   // which worker ran which range.
+  const bool sliceable = dispatch.mode == ClusterDispatch::Mode::kSliced;
   InspectRequest wire_request = request;
   InspectOptions pinned = plan.options;
   if (sliceable) {
-    pinned.num_shards = total_shards;
+    pinned.num_shards = dispatch.total_shards;
     pinned.model_merging = false;  // keeps worker pair order == merge order
   }
   wire_request.options = pinned;
@@ -485,51 +510,24 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       ++stats_.jobs_failed;
       return Status::Unavailable("coordinator is shutting down");
     }
-    const size_t live = LiveWorkersLocked().size();
-    if (live == 0) {
+    if (dispatch.mode == ClusterDispatch::Mode::kNoWorkers) {
       lock.unlock();  // fail_or_degrade takes mu_ (and may run locally)
       return fail_or_degrade(
           Status::Unavailable("no live workers registered"));
     }
     run_id = next_run_id_++;
-    if (sliceable) {
-      ++stats_.jobs_sliced;
-      const std::vector<ShardRange> ranges =
-          MakeShardRanges(total_shards, static_cast<uint32_t>(live));
-      for (const ShardRange& range : ranges) {
-        wire::AssignmentWire aw;
-        aw.assignment_id = next_assignment_id_++;
-        aw.mode = wire::AssignmentWire::Mode::kSliced;
-        aw.total_shards = total_shards;
-        aw.shard_lo = range.lo;
-        aw.shard_hi = range.hi;
-        // Pre-allocate the dispatch span: its id is baked into the cached
-        // payload (the worker parents its root to it), and the span itself
-        // is recorded once the assignment resolves.
-        if (tracer != nullptr) {
-          aw.trace_id = tracer->trace_id();
-          aw.parent_span = NewSpanId();
-        }
-        aw.request = wire_request;
-        wire::Writer w;
-        const Status st = wire::EncodeAssignment(aw, &w);
-        DB_DCHECK(st.ok());  // encodability was probed above
-        Assignment a;
-        a.id = aw.assignment_id;
-        a.shard_lo = range.lo;
-        a.dispatch_span = aw.parent_span;
-        a.payload = w.Take();
-        a.retry_at = Clock::now();
-        run->assignments.push_back(std::move(a));
-      }
-    } else {
-      ++stats_.jobs_whole;
+    ++(sliceable ? stats_.jobs_sliced : stats_.jobs_whole);
+    for (const ShardRange& range : dispatch.ranges) {
       wire::AssignmentWire aw;
       aw.assignment_id = next_assignment_id_++;
-      aw.mode = wire::AssignmentWire::Mode::kWhole;
-      aw.total_shards = 1;
-      aw.shard_lo = 0;
-      aw.shard_hi = 1;
+      aw.mode = sliceable ? wire::AssignmentWire::Mode::kSliced
+                          : wire::AssignmentWire::Mode::kWhole;
+      aw.total_shards = dispatch.total_shards;
+      aw.shard_lo = range.lo;
+      aw.shard_hi = range.hi;
+      // Pre-allocate the dispatch span: its id is baked into the cached
+      // payload (the worker parents its root to it), and the span itself
+      // is recorded once the assignment resolves.
       if (tracer != nullptr) {
         aw.trace_id = tracer->trace_id();
         aw.parent_span = NewSpanId();
@@ -537,9 +535,10 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       aw.request = wire_request;
       wire::Writer w;
       const Status st = wire::EncodeAssignment(aw, &w);
-      DB_DCHECK(st.ok());
+      DB_DCHECK(st.ok());  // PlanDispatch checked encodability
       Assignment a;
       a.id = aw.assignment_id;
+      a.shard_lo = range.lo;
       a.dispatch_span = aw.parent_span;
       a.payload = w.Take();
       a.retry_at = Clock::now();
@@ -657,17 +656,16 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
               Status::Unavailable("no live workers remain for this job");
           break;
         }
-        // Whole jobs place by rendezvous hash (stable across repeats →
-        // the chosen worker's behavior store warms up); sliced ranges
-        // spread round-robin over the sorted live set.
+        // A whole job goes to its rendezvous owner among the workers live
+        // now (the planned worker unless membership changed); sliced
+        // ranges spread round-robin over the sorted live set.
         std::shared_ptr<Worker> target;
-        if (run->assignments.size() == 1 && !sliceable) {
+        if (!sliceable) {
           std::vector<std::string> ids;
           for (const auto& worker : live) ids.push_back(worker->id);
-          const std::string chosen =
-              PlaceKey("job:" + wire_request.dataset_name, ids);
+          const std::string owner = WholeJobOwner(wire_request, ids);
           for (const auto& worker : live) {
-            if (worker->id == chosen) target = worker;
+            if (worker->id == owner) target = worker;
           }
         }
         if (target == nullptr) target = live[a.id % live.size()];
@@ -722,9 +720,9 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
   }
 
   if (cancelled) {
-    // Mirror the local engine's cancellation contract: OK with the partial
-    // (here: empty) table and stats.cancelled set; workers finish their
-    // in-flight assignments and the late results are ignored.
+    // The engine's cancellation contract: OK with the partial (here:
+    // empty) table and stats.cancelled set; workers finish their in-flight
+    // assignments and the late results are ignored.
     if (stats != nullptr) {
       stats->cancelled = true;
       stats->total_s = watch.Seconds();
@@ -802,7 +800,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       stats->records_processed += a.result.records_processed;
       all_converged = all_converged && a.result.all_converged != 0;
     }
-    stats->num_shards = sliceable ? total_shards : 1;
+    stats->num_shards = dispatch.total_shards;
     stats->all_converged = all_converged;
     stats->merge_s = merge_watch.Seconds();
     stats->worker_hop_s = worker_hop_s;
@@ -813,17 +811,18 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
 
 Result<ResultTable> ClusterCoordinator::MergeSliced(const InspectPlan& plan,
                                                     const RunState& run) {
-  // Ascending shard_lo = ascending shard id: with each worker having
-  // pre-merged its contiguous range in ascending order, this fold visits
-  // shards 0..S-1 exactly as the in-process MergeReplicas does.
+  // Ascending shard_lo = ascending shard id: each worker pre-merged its
+  // contiguous range in ascending order, so this fold visits shards
+  // 0..S-1 in order — the in-process merge order.
   std::vector<size_t> order(run.assignments.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&run](size_t a, size_t b) {
     return run.assignments[a].shard_lo < run.assignments[b].shard_lo;
   });
 
-  // Enumerate pairs exactly as BlockPipeline does with model merging off:
-  // model → group → measure → hypothesis.
+  // Workers return one state per BlockPipeline::pairs() entry. A sliced
+  // run has no merged composites, so that list runs model → group →
+  // measure → hypothesis.
   ResultTable table;
   size_t pair_idx = 0;
   for (size_t m = 0; m < plan.models.size(); ++m) {
@@ -860,37 +859,16 @@ Result<ResultTable> ClusterCoordinator::MergeSliced(const InspectPlan& plan,
           if (state == nullptr) {
             return Status::Internal("sliced run produced no partial states");
           }
-          const MeasureScores ms = state->Scores();
-          ResultRow base;
-          base.model_id = plan.models[m].extractor->model_id();
-          base.group_id = group.group_id;
-          base.measure = plan.measures[s]->name();
-          base.hypothesis = plan.hypotheses[h]->name();
-          base.group_score = ms.group_score;
-          if (ms.unit_scores.empty()) {
-            table.Add(base);
-          } else {
-            DB_DCHECK(ms.unit_scores.size() == group.unit_ids.size());
-            for (size_t u = 0; u < ms.unit_scores.size(); ++u) {
-              ResultRow row = base;
-              row.unit = group.unit_ids[u];
-              row.unit_score = ms.unit_scores[u];
-              table.Add(row);
-            }
-          }
+          AppendScoreRows(plan.models[m].extractor->model_id(), group,
+                          plan.measures[s]->name(),
+                          plan.hypotheses[h]->name(), state->Scores(),
+                          &table);
           ++pair_idx;
         }
       }
     }
   }
-  if (plan.min_abs_unit_score.has_value()) {
-    const float threshold = *plan.min_abs_unit_score;
-    table = table.Filter([threshold](const ResultRow& row) {
-      return row.unit >= 0 && !std::isnan(row.unit_score) &&
-             std::fabs(row.unit_score) > threshold;
-    });
-  }
-  return table;
+  return ApplyHaving(plan, std::move(table));
 }
 
 void ClusterCoordinator::Shutdown() {

@@ -4,21 +4,24 @@
 // — so every existing front door (InspectionSession::Submit/Inspect, the
 // network InspectionServer, the SQL layer) transparently executes on the
 // cluster while result caching, in-flight dedup, and admission control
-// keep working — and runs each job as block-range assignments:
+// keep working — and runs each job as PlanDispatch decides (the same
+// decision EXPLAIN renders through the session's cluster probe):
 //
+//   local — requests with inline definitions cannot cross the wire and
+//     run on the local engine.
 //   sliced — jobs that are Sliceable (core/block_pipeline.h: every
 //     measure merges, no sequential-lane work) are split into
 //     min(total_shards, workers) contiguous shard ranges (partition.h),
 //     one assignment per range. Workers return serialized partial measure
 //     states; the coordinator deserializes and folds them in ascending
-//     shard order, which equals the in-process merge order, then
-//     assembles the result rows exactly as the engine does. Every
-//     mergeable measure merges exactly (integer counts) or bit-exactly
-//     (pairwise-tree moment sums), so tables are byte-identical at any
-//     worker count.
+//     shard order, which equals the in-process merge order, then builds
+//     the table with the engine's row assembly (AppendScoreRows,
+//     ApplyHaving). Every mergeable measure merges exactly (integer
+//     counts) or bit-exactly (pairwise-tree moment sums), so tables are
+//     byte-identical at any worker count.
 //   whole — jobs with sequential-lane work (SGD-trained measures, model
-//     merging, streaming runs) are pinned to a single worker, which runs
-//     the full request and returns the serialized ResultTable.
+//     merging, streaming runs) are pinned to their rendezvous worker,
+//     which runs the full request and returns the serialized ResultTable.
 //
 // Determinism: the shard partition depends only on (total_shards, live
 // worker count); scores depend only on (shuffle seed, total_shards) —
@@ -147,6 +150,13 @@ class ClusterCoordinator {
   std::string PlaceStoreKey(const std::string& key) const;
 
   CoordinatorStats stats() const;
+
+  /// \brief The dispatch decision for `request` (compiled as `plan`) over
+  /// the workers live now: local fallback, no workers, sliced ranges, or
+  /// the whole job's rendezvous worker. DistributedRun executes it; the
+  /// session's cluster probe returns it to EXPLAIN.
+  ClusterDispatch PlanDispatch(const InspectRequest& request,
+                               const InspectPlan& plan) const;
 
   /// \brief Execute one request on the cluster. This is the EngineFn the
   /// scheduler calls (options already carry cancel/progress); exposed

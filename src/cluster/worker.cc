@@ -154,9 +154,9 @@ void InspectionWorker::ReaderLoop() {
         break;
       }
       default: {
-        // Forward compatibility: an unknown frame type is answered with a
-        // typed error and the connection stays alive, exactly as the
-        // client-facing server behaves.
+        // Forward compatibility (the wire protocol's rule for every peer):
+        // an unknown frame type is answered with a typed error and the
+        // connection stays alive.
         wire::Writer w;
         wire::EncodeStatus(
             Status::NotImplemented(

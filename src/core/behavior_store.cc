@@ -27,16 +27,15 @@ std::string NamespaceOf(const std::string& key) {
   return colon == std::string::npos ? key : key.substr(0, colon);
 }
 
-constexpr uint32_t kStoreMagicV1 = 0x44425354;  // "DBST" (legacy, read-only)
 constexpr uint32_t kStoreMagicV2 = 0x44425332;  // "DBS2"
 constexpr uint32_t kBlobMagic = 0x44425342;     // "DBSB"
 
 // The v2 behavior-file layout places the raw float payload (packed
 // logical rows×cols, row-major) at the first 64-byte boundary after the
 // header, so MmapMatrixStore can serve it in place: mapped pages are
-// cache-line aligned exactly like MemMatrixStore allocations. v1 files
-// (WriteMatrix framing at an arbitrary offset) are still readable but
-// never mmap-served; Put always writes v2.
+// cache-line aligned like MemMatrixStore allocations. It is the only
+// layout: a file with any other magic fails validation and is
+// quarantined like any corrupt file.
 constexpr size_t kPayloadAlign = 64;
 
 size_t AlignUp(size_t n, size_t align) {
@@ -192,8 +191,7 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
   uint64_t key_len = 0, checksum = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-  if (!in || (magic != kStoreMagicV1 && magic != kStoreMagicV2) ||
-      key_len > (1u << 20)) {
+  if (!in || magic != kStoreMagicV2 || key_len > (1u << 20)) {
     return corrupt("corrupt store file header");
   }
   std::string stored_key(key_len, '\0');
@@ -201,25 +199,6 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
   in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
   if (!in || stored_key != key) {
     return corrupt("key mismatch (hash collision?)");
-  }
-
-  if (magic == kStoreMagicV1) {
-    // Legacy framing (WriteMatrix at an arbitrary offset): deserialize
-    // only; never mmap-servable.
-    Result<Matrix> read = ReadMatrix(&in);
-    if (!read.ok()) {
-      return corrupt("unreadable matrix payload: " +
-                     read.status().ToString());
-    }
-    Matrix m = std::move(read).ValueOrDie();
-    if (MatrixChecksum(m) != checksum) {
-      return corrupt("checksum mismatch");
-    }
-    ++disk_hits_;
-    if (served_from != nullptr) *served_from = Tier::kDisk;
-    auto shared = std::make_shared<const Matrix>(std::move(m));
-    AdmitLocked(key, shared, /*cost=*/1.0);
-    return shared;
   }
 
   uint64_t rows = 0, cols = 0;
@@ -240,15 +219,9 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
     return corrupt("v2 store file truncated");
   }
 
-  // Out-of-core handout: a payload larger than the memory tier's
-  // effective limit would evict the whole LRU and still not fit, so map
-  // the aligned payload read-only and let the page cache stream it.
-  size_t mem_limit = memory_budget_;
-  auto quota_it = namespace_quotas_.find(NamespaceOf(key));
-  if (quota_it != namespace_quotas_.end()) {
-    mem_limit = std::min(mem_limit, quota_it->second);
-  }
-  if (mem_limit > 0 && payload_bytes > mem_limit) {
+  // Out-of-core handout: map the aligned payload read-only and let the
+  // page cache stream it.
+  if (OutOfCoreLocked(key, payload_bytes)) {
     std::shared_ptr<MmapMatrixStore> mapped =
         MmapMatrixStore::Map(path, payload_offset, rows, cols);
     if (mapped != nullptr) {
@@ -281,17 +254,23 @@ BehaviorStore::Tier BehaviorStore::PeekTier(const std::string& key) const {
   if (index_.count(key) > 0) return Tier::kMemory;
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(PathForKey(key), ec);
-  if (ec) return Tier::kMiss;
-  // Mirror GetShared's out-of-core rule: a payload bigger than the
-  // effective memory limit (global budget tightened by the namespace
-  // quota) is handed out as an mmap instead of deserializing.
-  size_t mem_limit = memory_budget_;
+  const size_t payload_offset = V2PayloadOffset(key.size());
+  // A file too short for its own header fails GetShared's validation.
+  if (ec || file_size < payload_offset) return Tier::kMiss;
+  // Put writes the payload right after the aligned header, so the file
+  // size pins the payload size GetShared compares.
+  return OutOfCoreLocked(key, file_size - payload_offset) ? Tier::kMmap
+                                                          : Tier::kDisk;
+}
+
+bool BehaviorStore::OutOfCoreLocked(const std::string& key,
+                                    size_t payload_bytes) const {
+  size_t limit = memory_budget_;
   auto quota_it = namespace_quotas_.find(NamespaceOf(key));
   if (quota_it != namespace_quotas_.end()) {
-    mem_limit = std::min(mem_limit, quota_it->second);
+    limit = std::min(limit, quota_it->second);
   }
-  if (mem_limit > 0 && file_size > mem_limit) return Tier::kMmap;
-  return Tier::kDisk;
+  return limit > 0 && payload_bytes > limit;
 }
 
 bool BehaviorStore::Contains(const std::string& key) const {
@@ -330,10 +309,7 @@ std::vector<std::string> BehaviorStore::Keys() const {
     uint64_t key_len = 0;
     in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
     in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-    if (!in || (magic != kStoreMagicV1 && magic != kStoreMagicV2) ||
-        key_len > (1u << 20)) {
-      continue;
-    }
+    if (!in || magic != kStoreMagicV2 || key_len > (1u << 20)) continue;
     std::string key(key_len, '\0');
     in.read(key.data(), static_cast<std::streamsize>(key_len));
     if (in) keys.push_back(std::move(key));
@@ -639,16 +615,10 @@ void BehaviorStore::AdmitLocked(const std::string& key,
   entry.key = key;
   entry.ns = NamespaceOf(key);
   entry.bytes = matrix->rows() * matrix->cols() * sizeof(float);
-  // A payload that can never fit its effective limit (global budget, or
-  // the namespace quota if tighter) is out-of-core territory: caching it
-  // would evict the entire working set only to be re-evicted itself, and
-  // GetShared serves it by mmap anyway. Leave it to the disk tier.
-  size_t limit = memory_budget_;
-  auto quota_it = namespace_quotas_.find(entry.ns);
-  if (quota_it != namespace_quotas_.end()) {
-    limit = std::min(limit, quota_it->second);
-  }
-  if (entry.bytes > limit) return;
+  // An out-of-core payload would evict the entire working set only to be
+  // re-evicted itself, and GetShared serves it by mmap anyway. Leave it to
+  // the disk tier.
+  if (OutOfCoreLocked(key, entry.bytes)) return;
   entry.cost = cost;
   entry.matrix = std::move(matrix);
   memory_bytes_ += entry.bytes;

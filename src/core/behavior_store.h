@@ -99,8 +99,8 @@ class BehaviorStore {
   /// effective memory limit, so it would be handed out as a read-only
   /// map), kDisk (on disk, would deserialize + admit), or kMiss (would
   /// extract). Counts nothing and never touches LRU order — EXPLAIN's
-  /// residency probe. The mmap verdict keys on the file footprint, a
-  /// header-sized overestimate of the payload GetShared compares.
+  /// residency probe. The mmap verdict is GetShared's own out-of-core
+  /// rule over the stored payload size.
   Tier PeekTier(const std::string& key) const;
 
   /// \brief Drop from the memory tier only (the persisted file survives).
@@ -202,6 +202,11 @@ class BehaviorStore {
   void AdmitLocked(const std::string& key,
                    std::shared_ptr<const Matrix> matrix, double cost);
   void EraseLocked(std::list<MemEntry>::iterator it, bool count_eviction);
+  /// The out-of-core rule: true when a `payload_bytes` matrix under `key`
+  /// exceeds the memory tier's effective limit (the global budget,
+  /// tightened by the key's namespace quota). Such a payload is never
+  /// admitted to the LRU and GetShared hands it out as an mmap.
+  bool OutOfCoreLocked(const std::string& key, size_t payload_bytes) const;
   /// Evict until `ns` (when non-empty) fits its quota and the whole tier
   /// fits the global budget. Cost-aware: among the least-recent
   /// candidates, the lowest cost-per-byte entry goes first.

@@ -28,15 +28,20 @@ double EpsilonFor(const MeasureFactory& factory, const InspectOptions& opts) {
   return opts.default_epsilon;
 }
 
-// Model merging (§5.2.1) fuses a mergeable joint measure's binary
-// hypotheses into one composite model.
+}  // namespace
+
 bool FusesIntoComposite(const MeasureFactory& factory,
                         const HypothesisFn& hypothesis, bool model_merging) {
   return model_merging && factory.mergeable() &&
          hypothesis.num_classes() == 2;
 }
 
-}  // namespace
+MergeExactness PairMergeExactness(const MeasureFactory& factory,
+                                  const HypothesisFn& hypothesis) {
+  const std::unique_ptr<Measure> probe =
+      factory.Create(1, hypothesis.num_classes());
+  return probe == nullptr ? MergeExactness::kNone : probe->merge_exactness();
+}
 
 size_t ResolveShardCount(size_t requested, size_t fallback) {
   return std::clamp<size_t>(requested != 0 ? requested : fallback, 1,
@@ -45,11 +50,8 @@ size_t ResolveShardCount(size_t requested, size_t fallback) {
 
 bool NeedsSequentialLane(const MeasureFactory& factory,
                          const HypothesisFn& hypothesis, bool model_merging) {
-  if (FusesIntoComposite(factory, hypothesis, model_merging)) return true;
-  const std::unique_ptr<Measure> probe =
-      factory.Create(1, hypothesis.num_classes());
-  return probe == nullptr ||
-         probe->merge_exactness() == MergeExactness::kNone;
+  return FusesIntoComposite(factory, hypothesis, model_merging) ||
+         PairMergeExactness(factory, hypothesis) == MergeExactness::kNone;
 }
 
 bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,

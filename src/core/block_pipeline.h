@@ -54,6 +54,17 @@ namespace deepbase {
 /// here.
 size_t ResolveShardCount(size_t requested, size_t fallback);
 
+/// \brief Model merging (§5.2.1): true when the pair is fused into the
+/// composite model of a mergeable joint measure over binary hypotheses.
+bool FusesIntoComposite(const MeasureFactory& factory,
+                        const HypothesisFn& hypothesis, bool model_merging);
+
+/// \brief How the pair's per-shard measure states combine
+/// (Measure::merge_exactness); kNone when the measure builds no state for
+/// the hypothesis.
+MergeExactness PairMergeExactness(const MeasureFactory& factory,
+                                  const HypothesisFn& hypothesis);
+
 /// \brief The lane test: true when the (measure, hypothesis) pair needs
 /// the sequential lane at S > 1 — it is fused into a merged composite
 /// (model merging over a mergeable measure and a binary hypothesis), or

@@ -303,14 +303,16 @@ Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats) {
         std::to_string(run_stats->blocks_processed) + " of " +
         std::to_string(run_stats->blocks_total_planned) + " planned blocks");
   }
-  if (plan.min_abs_unit_score.has_value()) {
-    const float threshold = *plan.min_abs_unit_score;
-    results = results.Filter([threshold](const ResultRow& row) {
-      return row.unit >= 0 && !std::isnan(row.unit_score) &&
-             std::fabs(row.unit_score) > threshold;
-    });
-  }
-  return results;
+  return ApplyHaving(plan, std::move(results));
+}
+
+ResultTable ApplyHaving(const InspectPlan& plan, ResultTable results) {
+  if (!plan.min_abs_unit_score.has_value()) return results;
+  const float threshold = *plan.min_abs_unit_score;
+  return results.Filter([threshold](const ResultRow& row) {
+    return row.unit >= 0 && !std::isnan(row.unit_score) &&
+           std::fabs(row.unit_score) > threshold;
+  });
 }
 
 Result<ResultTable> RunInspectRequest(const InspectRequest& request,

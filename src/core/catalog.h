@@ -167,6 +167,11 @@ class Catalog {
 /// any work starts. Local and distributed runs both call it.
 Status CheckHypothesisOutputFormat(const InspectPlan& plan);
 
+/// \brief The plan's HAVING |unit_score| > x filter over an assembled
+/// table (identity when the plan has none): keeps unit rows with a finite
+/// score above the threshold. Local and sliced cluster runs both apply it.
+ResultTable ApplyHaving(const InspectPlan& plan, ResultTable results);
+
 /// \brief Execute a compiled plan: pre-flight hypothesis output formats,
 /// run the engine, and apply the HAVING filter.
 Result<ResultTable> RunPlan(const InspectPlan& plan,

@@ -91,6 +91,28 @@ ModelSpec AllUnitsGroup(const Extractor* extractor,
   return spec;
 }
 
+void AppendScoreRows(const std::string& model_id, const UnitGroupSpec& group,
+                     const std::string& measure, const std::string& hypothesis,
+                     const MeasureScores& scores, ResultTable* table) {
+  ResultRow base;
+  base.model_id = model_id;
+  base.group_id = group.group_id;
+  base.measure = measure;
+  base.hypothesis = hypothesis;
+  base.group_score = scores.group_score;
+  if (scores.unit_scores.empty()) {
+    table->Add(base);
+    return;
+  }
+  DB_DCHECK(scores.unit_scores.size() == group.unit_ids.size());
+  for (size_t u = 0; u < scores.unit_scores.size(); ++u) {
+    ResultRow row = base;
+    row.unit = group.unit_ids[u];
+    row.unit_score = scores.unit_scores[u];
+    table->Add(row);
+  }
+}
+
 ResultTable Inspect(const std::vector<ModelSpec>& models_in,
                     const Dataset& dataset,
                     const std::vector<MeasureFactoryPtr>& scores,
@@ -191,25 +213,8 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
   ResultTable results;
   auto emit = [&](size_t m, size_t g, size_t s, size_t h,
                   const MeasureScores& ms) {
-    const ModelSpec& model = models[m];
-    const UnitGroupSpec& group = model.groups[g];
-    ResultRow base;
-    base.model_id = model.extractor->model_id();
-    base.group_id = group.group_id;
-    base.measure = scores[s]->name();
-    base.hypothesis = hypotheses[h]->name();
-    base.group_score = ms.group_score;
-    if (ms.unit_scores.empty()) {
-      results.Add(base);
-      return;
-    }
-    DB_DCHECK(ms.unit_scores.size() == group.unit_ids.size());
-    for (size_t u = 0; u < ms.unit_scores.size(); ++u) {
-      ResultRow row = base;
-      row.unit = group.unit_ids[u];
-      row.unit_score = ms.unit_scores[u];
-      results.Add(row);
-    }
+    AppendScoreRows(models[m].extractor->model_id(), models[m].groups[g],
+                    scores[s]->name(), hypotheses[h]->name(), ms, &results);
   };
   for (const auto& pair : pipeline.pairs()) {
     emit(pair.model_i, pair.group_i, pair.score_i, pair.hyp_i,

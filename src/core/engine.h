@@ -50,6 +50,14 @@ struct ModelSpec {
 ModelSpec AllUnitsGroup(const Extractor* extractor,
                         const std::string& group_id = "all");
 
+/// \brief Append one (model, group, measure, hypothesis) pair's result rows
+/// to `table`: a single group-level row when the measure reports no unit
+/// scores, else one row per unit of the group, in group order. Local runs
+/// and the coordinator's merge of sliced runs both assemble tables here.
+void AppendScoreRows(const std::string& model_id, const UnitGroupSpec& group,
+                     const std::string& measure, const std::string& hypothesis,
+                     const MeasureScores& scores, ResultTable* table);
+
 /// \brief Live progress counters of one engine run, safe to read from any
 /// thread while the run is in flight. The block pipeline (or, for a
 /// distributed run, the cluster coordinator) stores the planned dispatch

@@ -1,6 +1,6 @@
 // InspectionClient: the remote counterpart of InspectionSession. One TCP
-// connection multiplexes any number of concurrent remote jobs; the API
-// mirrors the in-process facade so code migrates by swapping the session
+// connection multiplexes any number of concurrent remote jobs; it offers
+// the in-process facade's verbs, so code migrates by swapping the session
 // for a client:
 //
 //   InspectionClient client({.host = "127.0.0.1", .port = port});
@@ -108,7 +108,7 @@ struct RemoteJobState {
 
 class InspectionClient;
 
-/// \brief Handle to a job running on the server; mirrors JobHandle.
+/// \brief Handle to a job running on the server: the remote JobHandle.
 /// Cheap to copy; members are safe from any thread. Valid only while the
 /// owning InspectionClient is alive.
 class RemoteJob {

@@ -1,12 +1,11 @@
 // EXPLAIN / EXPLAIN ANALYZE implementation (see explain.h for the
-// contract). Plan assembly touches only side-effect-free probes:
-// Catalog::Compile (resolve-only), Scheduler::Probe, ResultCache::PeekTier
-// (via the probe), BehaviorStore::PeekTier, Histogram::Snap, and
-// InspectionSession::ProbeCluster — a dry run provably executes zero
-// blocks and moves zero counters. The cluster node calls the same shard
-// resolution, sliceability predicate and placement functions the
-// coordinator dispatches with, so the rendered plan is the plan, not an
-// approximation of it.
+// contract). The plan renders decisions made elsewhere, each by the
+// function that makes it at run time: Catalog::Compile (resolve-only),
+// Scheduler::Probe (the scheduler's JobPlan and admission verdict),
+// BehaviorStore::PeekTier (store residency), the pipeline's lane rules
+// (FusesIntoComposite, PairMergeExactness) and InspectionSession::
+// ProbeCluster (the coordinator's dispatch decision). None of them moves
+// a counter, so a dry run executes zero blocks.
 
 #include "service/explain.h"
 
@@ -18,7 +17,6 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/partition.h"
 #include "core/behavior_store.h"
 #include "core/block_pipeline.h"
 #include "core/inspect_parser.h"
@@ -192,36 +190,53 @@ void CollectDivergences(const PlanNode& node, std::vector<std::string>* out) {
   for (const PlanNode& child : node.children) CollectDivergences(child, out);
 }
 
-// True when the request would survive wire::EncodeInspectRequest: every
-// definition referenced by catalog name, nothing inline. Mirrors the
-// codec's rejection rule so the cluster node can predict the
-// coordinator's inline fallback without a wire dependency.
-bool WireEncodable(const InspectRequest& request) {
-  if (request.dataset != nullptr) return false;
-  if (!request.hypotheses.empty()) return false;
-  if (!request.measures.empty()) return false;
-  for (const InspectRequest::ModelRef& m : request.models) {
-    if (m.extractor != nullptr || m.name.empty()) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Plan assembly (the dry-run half of EXPLAIN).
 // ---------------------------------------------------------------------------
 
-Result<InspectionPlan> BuildPlan(InspectionSession* session,
-                                 const InspectRequest& request) {
+// A rendered plan plus the decisions it renders, which ANALYZE compares
+// against what the job did.
+struct PlannedJob {
+  InspectionPlan plan;
+  SchedulerProbe scheduler;
+  ClusterDispatch cluster;
+};
+
+std::string AdmissionVerdict(const Admission& admission) {
+  switch (admission.outcome) {
+    case Admission::Outcome::kRejected:
+      return "reject (" + admission.status.message() + ")";
+    case Admission::Outcome::kCacheHit:
+      return "admit (result-cache hit)";
+    case Admission::Outcome::kWaiter:
+      return "admit (dedup waiter)";
+    case Admission::Outcome::kLeader:
+      return "admit (leader)";
+  }
+  return "unknown";
+}
+
+Result<PlannedJob> BuildPlan(InspectionSession* session,
+                             const InspectRequest& request) {
   const Catalog& catalog = session->catalog();
-  const InspectOptions options =
-      request.options.value_or(session->default_options());
-  DB_ASSIGN_OR_RETURN(InspectPlan compiled, catalog.Compile(request, options));
-  const SchedulerProbe probe = session->scheduler().Probe(request);
-  const ClusterPlanProbe cluster = session->ProbeCluster();
+  DB_ASSIGN_OR_RETURN(
+      InspectPlan compiled,
+      catalog.Compile(request, session->default_options()));
+  PlannedJob planned;
+  planned.scheduler = session->scheduler().Probe(request);
+  planned.cluster = session->ProbeCluster(request, compiled);
+  const SchedulerProbe& probe = planned.scheduler;
+  const JobPlan& job = probe.plan;
+  const Admission::Outcome outcome = probe.admission.outcome;
+  // The admission rule stops at its first deciding stage; the probe never
+  // evaluates failpoints, so a probed deadline verdict is the only
+  // rejection that precedes the cache.
+  const bool rejected_at_deadline =
+      outcome == Admission::Outcome::kRejected &&
+      probe.admission.status.code() == StatusCode::kDeadlineExceeded;
   BehaviorStore* store = session->store();
 
-  InspectionPlan plan;
-  PlanNode& root = plan.root;
+  PlanNode& root = planned.plan.root;
   root.name = "inspect";
   {
     std::vector<std::string> model_names;
@@ -249,10 +264,8 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "admission";
-    node.Add("", probe.would_admit
-                     ? "admit"
-                     : "reject (" + probe.admission_detail + ")");
-    node.Add("est_queued_bytes", std::to_string(probe.estimated_queued_bytes));
+    node.Add("", AdmissionVerdict(probe.admission));
+    node.Add("est_queued_bytes", std::to_string(job.queued_bytes));
     node.Add("active_jobs", std::to_string(probe.active_jobs));
     node.Add("queued_bytes", std::to_string(probe.queued_bytes));
     root.children.push_back(std::move(node));
@@ -262,36 +275,40 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "cache";
-    if (!probe.fingerprint.has_value()) {
+    if (!job.fingerprint.has_value()) {
       node.Add("", "not cacheable (inline definitions have no fingerprint)");
-    } else if (!probe.cacheable) {
+    } else if (!job.cacheable) {
       node.Add("", "disabled");
-    } else if (probe.cache_tier == "memory") {
-      node.Add("", "hit (memory)");
-    } else if (probe.cache_tier == "persistent") {
-      node.Add("", "hit (persistent)");
-    } else if (!probe.deterministic) {
+    } else if (outcome == Admission::Outcome::kCacheHit) {
+      node.Add("", "hit (" + probe.admission.cache_tier + ")");
+    } else if (rejected_at_deadline) {
+      node.Add("", "not consulted (rejected at the deadline)");
+    } else if (!job.deterministic) {
       node.Add("", "miss (volatile run; result will not be cached)");
     } else {
       node.Add("", "miss (will compute and admit)");
     }
-    if (probe.fingerprint.has_value()) {
-      node.Add("fingerprint", HexU64(*probe.fingerprint));
-      node.Add("catalog_version", std::to_string(probe.catalog_version));
+    if (job.fingerprint.has_value()) {
+      node.Add("fingerprint", HexU64(*job.fingerprint));
+      node.Add("catalog_version", std::to_string(job.catalog_version));
     }
     root.children.push_back(std::move(node));
   }
   {
     PlanNode node;
     node.name = "dedup";
-    if (!probe.fingerprint.has_value()) {
+    if (!job.fingerprint.has_value()) {
       node.Add("", "not dedupable (inline definitions have no fingerprint)");
-    } else if (!probe.deterministic) {
+    } else if (!job.deterministic) {
       node.Add("", "not dedupable (non-deterministic options)");
-    } else if (!probe.dedupable) {
+    } else if (!job.dedupable) {
       node.Add("", "disabled");
-    } else if (probe.dedup_inflight) {
+    } else if (outcome == Admission::Outcome::kWaiter) {
       node.Add("", "attach as waiter on in-flight leader");
+    } else if (outcome == Admission::Outcome::kCacheHit) {
+      node.Add("", "not consulted (served from the result cache)");
+    } else if (outcome == Admission::Outcome::kRejected) {
+      node.Add("", "no identical job in flight (rejected over quota)");
     } else {
       node.Add("", "leader (no identical job in flight)");
     }
@@ -304,11 +321,11 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
     node.name = "shared-scan";
     if (!probe.shared_scan_enabled) {
       node.Add("", "disabled");
-    } else if (!probe.group_key.has_value()) {
+    } else if (!job.group_key.has_value()) {
       node.Add("", "no group (request does not resolve against the catalog)");
     } else {
       node.Add("", probe.group_exists ? "join existing group" : "new group");
-      node.Add("group", *probe.group_key);
+      node.Add("group", *job.group_key);
     }
     root.children.push_back(std::move(node));
   }
@@ -339,7 +356,7 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
         unit.Add("lda", std::to_string(PaddedLda(cols)));
         node.children.push_back(std::move(unit));
       }
-      if (options.hypothesis_store_tier) {
+      if (job.options.hypothesis_store_tier) {
         for (const HypothesisPtr& hyp : compiled.hypotheses) {
           PlanNode hn;
           hn.name = "hyp-behaviors";
@@ -359,9 +376,10 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
 
   // --- shard partition + per-measure merge lanes ---
   {
+    const InspectOptions& options = job.options;
     PlanNode node;
     node.name = "partition";
-    node.Add("shards", std::to_string(probe.resolved_shard_count));
+    node.Add("shards", std::to_string(job.resolved_shard_count));
     node.Add("block_size", std::to_string(options.block_size));
     node.Add("passes", std::to_string(options.passes));
     node.Add("streaming", options.streaming ? "on" : "off");
@@ -375,17 +393,12 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
       int worst = 3;
       bool any = false;
       for (const HypothesisPtr& hyp : compiled.hypotheses) {
-        if (options.model_merging && factory->mergeable() &&
-            hyp->num_classes() == 2) {
+        if (FusesIntoComposite(*factory, *hyp, options.model_merging)) {
           merged_composite = true;
           continue;
         }
-        std::unique_ptr<Measure> probe_m =
-            factory->Create(1, hyp->num_classes());
-        worst = std::min(
-            worst, probe_m == nullptr
-                       ? 0
-                       : ExactnessRank(probe_m->merge_exactness()));
+        worst = std::min(worst,
+                         ExactnessRank(PairMergeExactness(*factory, *hyp)));
         any = true;
       }
       if (merged_composite) {
@@ -402,47 +415,40 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
 
   // --- cluster placement ---
   {
+    const ClusterDispatch& cluster = planned.cluster;
     PlanNode node;
     node.name = "cluster";
-    if (!cluster.active) {
-      node.Add("", "none (local engine)");
-    } else if (!WireEncodable(request)) {
-      node.Add("", "local fallback (inline definitions cannot cross the wire)");
-    } else if (cluster.live_workers.empty()) {
-      node.Add("", cluster.degrade_to_local
-                       ? "no live workers (will degrade to local engine)"
-                       : "no live workers (will fail kUnavailable)");
-    } else {
-      const uint32_t total_shards = static_cast<uint32_t>(
-          ResolveShardCount(options.num_shards, cluster.total_shards));
-      const bool sliceable = Sliceable(compiled.measures, compiled.hypotheses,
-                                       compiled.options, total_shards);
-      node.Add("", sliceable ? "dispatch (sliced)" : "dispatch (whole job)");
-      node.Add("workers", JoinNames(cluster.live_workers));
-      node.Add("total_shards", std::to_string(sliceable ? total_shards : 1));
-      node.Add("degrade_to_local", cluster.degrade_to_local ? "on" : "off");
-      if (sliceable) {
-        const std::vector<cluster::ShardRange> ranges =
-            cluster::MakeShardRanges(
-                total_shards,
-                static_cast<uint32_t>(cluster.live_workers.size()));
-        for (const cluster::ShardRange& range : ranges) {
-          PlanNode r;
-          r.name = "range";
-          r.Add("shards", "[" + std::to_string(range.lo) + "," +
+    switch (cluster.mode) {
+      case ClusterDispatch::Mode::kNone:
+        node.Add("", "none (local engine)");
+        break;
+      case ClusterDispatch::Mode::kLocalFallback:
+        node.Add("",
+                 "local fallback (inline definitions cannot cross the wire)");
+        break;
+      case ClusterDispatch::Mode::kNoWorkers:
+        node.Add("", cluster.degrade_to_local
+                         ? "no live workers (will degrade to local engine)"
+                         : "no live workers (will fail kUnavailable)");
+        break;
+      case ClusterDispatch::Mode::kSliced:
+      case ClusterDispatch::Mode::kWhole: {
+        const bool sliced = cluster.mode == ClusterDispatch::Mode::kSliced;
+        node.Add("", sliced ? "dispatch (sliced)" : "dispatch (whole job)");
+        node.Add("workers", JoinNames(cluster.live_workers));
+        node.Add("total_shards", std::to_string(cluster.total_shards));
+        node.Add("degrade_to_local", cluster.degrade_to_local ? "on" : "off");
+        for (const cluster::ShardRange& range : cluster.ranges) {
+          PlanNode a;
+          a.name = sliced ? "range" : "assignment";
+          a.Add("shards", "[" + std::to_string(range.lo) + "," +
                               std::to_string(range.hi) + ")");
           // Sliced ranges spread round-robin over the sorted live set,
           // keyed by a global assignment id the plan cannot predict.
-          r.Add("worker", "(round-robin)");
-          node.children.push_back(std::move(r));
+          a.Add("worker", sliced ? "(round-robin)" : cluster.worker);
+          node.children.push_back(std::move(a));
         }
-      } else {
-        PlanNode a;
-        a.name = "assignment";
-        a.Add("shards", "[0,1)");
-        a.Add("worker", cluster::PlaceKey("job:" + request.dataset_name,
-                                          cluster.live_workers));
-        node.children.push_back(std::move(a));
+        break;
       }
     }
     root.children.push_back(std::move(node));
@@ -469,8 +475,10 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
     Histogram* latency = MetricsRegistry::Global().GetHistogram(
         "deepbase_job_latency_seconds", DefaultLatencyBounds());
     const Histogram::Snapshot snap = latency->Snap();
-    if (!probe.cache_tier.empty()) {
+    if (outcome == Admission::Outcome::kCacheHit) {
       node.Add("", "cache hit: zero engine phases expected");
+    } else if (outcome == Admission::Outcome::kRejected) {
+      node.Add("", "rejected at admission: zero engine phases expected");
     } else if (snap.count == 0) {
       node.Add("", "no job history");
     } else {
@@ -481,7 +489,7 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
     root.children.push_back(std::move(node));
   }
 
-  return plan;
+  return planned;
 }
 
 // ---------------------------------------------------------------------------
@@ -528,10 +536,11 @@ std::vector<DispatchSpan> ParseDispatchSpans(
   return out;
 }
 
-void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
+void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
                   const RuntimeStats& stats, const JobSummary& summary,
                   const std::vector<TraceSpan>& spans) {
-  PlanNode& root = plan->root;
+  PlanNode& root = planned->plan.root;
+  const Admission::Outcome outcome = planned->scheduler.admission.outcome;
   root.AddActual("status", result.ok()
                                ? (stats.cancelled ? "cancelled" : "ok")
                                : result.status().ToString());
@@ -546,11 +555,10 @@ void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
 
   const bool actual_cache_hit = stats.result_cache_hits > 0;
   if (PlanNode* cache = root.Child("cache")) {
-    const std::string predicted =
-        cache->fields.empty() ? "" : cache->fields[0].second;
     cache->AddActual("hit", actual_cache_hit ? "yes" : "no");
-    const bool predicted_hit = predicted.rfind("hit", 0) == 0;
-    const bool predicted_miss = predicted.rfind("miss", 0) == 0;
+    const bool predicted_hit = outcome == Admission::Outcome::kCacheHit;
+    const bool predicted_miss =
+        planned->scheduler.plan.cacheable && !predicted_hit;
     if (predicted_hit && !actual_cache_hit) {
       cache->divergences.push_back(
           "predicted cache hit was not served from the cache");
@@ -592,9 +600,10 @@ void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
   }
 
   if (PlanNode* cluster_node = root.Child("cluster")) {
-    const std::string predicted =
-        cluster_node->fields.empty() ? "" : cluster_node->fields[0].second;
-    const bool predicted_dispatch = predicted.rfind("dispatch", 0) == 0;
+    const ClusterDispatch& cluster = planned->cluster;
+    const bool predicted_dispatch =
+        cluster.mode == ClusterDispatch::Mode::kSliced ||
+        cluster.mode == ClusterDispatch::Mode::kWhole;
     const std::vector<DispatchSpan> dispatches = ParseDispatchSpans(spans);
     if (predicted_dispatch) {
       cluster_node->AddActual("dispatches",
@@ -603,31 +612,18 @@ void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
                               FmtSeconds(stats.worker_hop_s));
       // Zip dispatch spans (sorted by their globally increasing
       // assignment id — the coordinator allocates them in range order)
-      // onto the planned range/assignment children.
-      size_t child_i = 0;
-      for (const DispatchSpan& d : dispatches) {
-        while (child_i < cluster_node->children.size() &&
-               cluster_node->children[child_i].name != "range" &&
-               cluster_node->children[child_i].name != "assignment") {
-          ++child_i;
-        }
-        if (child_i >= cluster_node->children.size()) break;
-        PlanNode& child = cluster_node->children[child_i++];
+      // onto the planned assignments, one child per range.
+      const size_t planned = cluster_node->children.size();
+      for (size_t i = 0; i < dispatches.size() && i < planned; ++i) {
+        const DispatchSpan& d = dispatches[i];
+        PlanNode& child = cluster_node->children[i];
         child.AddActual("worker", d.worker);
         child.AddActual("seconds", FmtSeconds(d.seconds));
-        if (child.name == "assignment" && !child.fields.empty()) {
-          for (const auto& [key, value] : child.fields) {
-            if (key == "worker" && value != d.worker) {
-              child.divergences.push_back(
-                  "placement differed from rendezvous prediction (planned " +
-                  value + ", ran on " + d.worker + ")");
-            }
-          }
+        if (child.name == "assignment" && cluster.worker != d.worker) {
+          child.divergences.push_back(
+              "placement differed from rendezvous prediction (planned " +
+              cluster.worker + ", ran on " + d.worker + ")");
         }
-      }
-      size_t planned = 0;
-      for (const PlanNode& child : cluster_node->children) {
-        if (child.name == "range" || child.name == "assignment") ++planned;
       }
       if (dispatches.size() > planned) {
         cluster_node->divergences.push_back(
@@ -696,34 +692,36 @@ std::vector<std::string> InspectionPlan::AllDivergences() const {
 
 Result<InspectionPlan> InspectionSession::Explain(
     const InspectRequest& request) {
-  return BuildPlan(this, request);
+  DB_ASSIGN_OR_RETURN(PlannedJob planned, BuildPlan(this, request));
+  return std::move(planned.plan);
 }
 
 Result<InspectionPlan> InspectionSession::ExplainAnalyze(
     const InspectRequest& request) {
   // Probe BEFORE running: the plan must reflect the decisions the
   // scheduler is about to make, not the state the job leaves behind.
-  DB_ASSIGN_OR_RETURN(InspectionPlan plan, BuildPlan(this, request));
+  DB_ASSIGN_OR_RETURN(PlannedJob planned, BuildPlan(this, request));
   JobHandle job = Submit(request);
   const Result<ResultTable>& result = job.Wait();
-  plan.analyzed = true;
-  AnnotatePlan(&plan, result, job.Stats(), job.Summary(), job.TraceSpans());
-  return plan;
+  planned.plan.analyzed = true;
+  AnnotatePlan(&planned, result, job.Stats(), job.Summary(),
+               job.TraceSpans());
+  return std::move(planned.plan);
 }
 
-void InspectionSession::SetClusterProbe(
-    std::function<ClusterPlanProbe()> probe) {
+void InspectionSession::SetClusterProbe(ClusterProbe probe) {
   std::lock_guard<std::mutex> lock(cluster_probe_mu_);
   cluster_probe_ = std::move(probe);
 }
 
-ClusterPlanProbe InspectionSession::ProbeCluster() const {
-  std::function<ClusterPlanProbe()> probe;
+ClusterDispatch InspectionSession::ProbeCluster(
+    const InspectRequest& request, const InspectPlan& plan) const {
+  ClusterProbe probe;
   {
     std::lock_guard<std::mutex> lock(cluster_probe_mu_);
     probe = cluster_probe_;
   }
-  return probe ? probe() : ClusterPlanProbe{};
+  return probe ? probe(request, plan) : ClusterDispatch{};
 }
 
 // ---------------------------------------------------------------------------
@@ -826,7 +824,9 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
   const std::vector<JobHandle> jobs = session->Jobs();
   const SchedulerStats sched = session->scheduler().stats();
   BehaviorStore* store = session->store();
-  const ClusterPlanProbe cluster = session->ProbeCluster();
+  // Membership only: the probe's live workers do not depend on the request.
+  const ClusterDispatch cluster = session->ProbeCluster({}, {});
+  const bool cluster_active = cluster.mode != ClusterDispatch::Mode::kNone;
   const std::vector<std::string> armed = failpoint::ArmedSites();
 
   if (json) {
@@ -873,7 +873,7 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
       out += "}";
     }
     out += ",\"cluster\":{\"active\":";
-    out += cluster.active ? "true" : "false";
+    out += cluster_active ? "true" : "false";
     out += ",\"workers\":[";
     for (size_t i = 0; i < cluster.live_workers.size(); ++i) {
       if (i > 0) out += ",";
@@ -925,8 +925,8 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
            " mmap_hits=" + std::to_string(store->mmap_hits()) +
            " misses=" + std::to_string(store->misses()) + "\n";
   }
-  out += "  cluster: active=" + std::string(cluster.active ? "yes" : "no");
-  if (cluster.active) {
+  out += "  cluster: active=" + std::string(cluster_active ? "yes" : "no");
+  if (cluster_active) {
     out += " workers=" + JoinNames(cluster.live_workers);
   }
   out += "\n";

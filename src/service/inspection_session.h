@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/partition.h"
 #include "core/behavior_store.h"
 #include "core/cache.h"
 #include "core/catalog.h"
@@ -243,16 +244,28 @@ class InspectQuery;
 class Scheduler;
 struct InspectionPlan;
 
-/// \brief What a cluster coordinator attached to this session would do
-/// with the next job — the cluster half of an EXPLAIN plan. Registered by
-/// ClusterCoordinator::Start (cleared on Shutdown) through
-/// InspectionSession::SetClusterProbe, so the service layer can render
-/// cluster placement without a layering cycle onto src/cluster.
-struct ClusterPlanProbe {
-  bool active = false;          ///< a coordinator engine is installed
-  uint32_t total_shards = 0;    ///< coordinator default shard count
+/// \brief How the attached cluster coordinator dispatches one request:
+/// the verdict of ClusterCoordinator::PlanDispatch, which DistributedRun
+/// executes and EXPLAIN renders. It reaches the service layer through the
+/// probe ClusterCoordinator::Start installs with
+/// InspectionSession::SetClusterProbe (cleared on Shutdown), so there is
+/// no layering cycle onto src/cluster.
+struct ClusterDispatch {
+  enum class Mode {
+    kNone,           ///< no coordinator installed: the local engine runs it
+    kLocalFallback,  ///< inline definitions cannot cross the wire: local
+    kNoWorkers,      ///< degrades to local, or fails kUnavailable
+    kSliced,         ///< one assignment per contiguous shard range
+    kWhole,          ///< one assignment on the rendezvous worker
+  };
+  Mode mode = Mode::kNone;
   bool degrade_to_local = false;
   std::vector<std::string> live_workers;  ///< sorted live worker ids
+  uint32_t total_shards = 1;  ///< kSliced: the pinned shard count
+  /// One shard range per assignment, ascending: kSliced's split of
+  /// [0, total_shards), or kWhole's single [0, 1).
+  std::vector<cluster::ShardRange> ranges;
+  std::string worker;  ///< kWhole: the planned worker
 };
 
 /// \brief The facade. Thread-safe: Submit/Inspect may be called
@@ -327,10 +340,15 @@ class InspectionSession {
   /// \brief Install (or clear, with nullptr) the cluster-coordinator
   /// probe feeding EXPLAIN's placement plan. Called by
   /// ClusterCoordinator::Start/Shutdown.
-  void SetClusterProbe(std::function<ClusterPlanProbe()> probe);
-  /// \brief Snapshot of the attached cluster (active = false when no
-  /// coordinator is installed).
-  ClusterPlanProbe ProbeCluster() const;
+  using ClusterProbe = std::function<ClusterDispatch(const InspectRequest&,
+                                                     const InspectPlan&)>;
+  void SetClusterProbe(ClusterProbe probe);
+  /// \brief The attached coordinator's dispatch decision for `request`
+  /// (compiled as `plan`); mode kNone when no coordinator is installed.
+  /// Its membership fields (live_workers, degrade_to_local) do not depend
+  /// on the request.
+  ClusterDispatch ProbeCluster(const InspectRequest& request,
+                               const InspectPlan& plan) const;
 
  private:
   friend class Scheduler;
@@ -359,7 +377,7 @@ class InspectionSession {
   std::vector<std::shared_ptr<internal::JobState>> jobs_;
 
   mutable std::mutex cluster_probe_mu_;
-  std::function<ClusterPlanProbe()> cluster_probe_;  // guarded by ^
+  ClusterProbe cluster_probe_;  // guarded by ^
 };
 
 }  // namespace deepbase

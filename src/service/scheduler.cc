@@ -169,20 +169,6 @@ bool ParseBlobKeyVersion(const std::string& key, uint64_t* version) {
   return true;
 }
 
-/// Shared deadline gate for both admission paths: a request whose
-/// deadline has already passed is rejected up front with the typed error
-/// instead of occupying a queue slot it can never use.
-Status CheckAdmissionDeadline(const InspectOptions& options) {
-  if (options.deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= options.deadline) {
-    return Status::DeadlineExceeded(
-        "job deadline expired before admission");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 // Only complete, deterministic runs are cacheable/dedupable: a cancelled
 // or budget-truncated result depends on wall-clock timing. A deadline is
 // the same hazard as a finite time budget (whether the run completes
@@ -210,43 +196,10 @@ size_t ResolvedShardCountFor(const InspectOptions& options,
   return ResolveShardCount(options.num_shards, pool_threads);
 }
 
-std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, const Catalog& catalog,
-    const InspectOptions& options) {
-  // Cacheable requests are fully name-resolved: inline extractor,
-  // hypothesis, or measure objects have no stable identity to key on.
-  if (request.models.empty()) return std::nullopt;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    if (ref.extractor != nullptr || ref.name.empty()) return std::nullopt;
-  }
-  if (!request.hypotheses.empty()) return std::nullopt;
-  if (!request.measures.empty()) return std::nullopt;
-
-  uint64_t h = kFnvOffsetBasis;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    HashStr(ref.name, &h);
-    HashPod(ref.group_by_layer, &h);
-    for (const UnitGroupSpec& group : ref.groups) {
-      HashStr(group.group_id, &h);
-      h = Fnv1a(group.unit_ids.data(), group.unit_ids.size() * sizeof(int),
-                h);
-    }
-  }
-  for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
-  HashStr("|filter", &h);
-  for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
-  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
-  if (!dataset_fp) return std::nullopt;
-  HashPod(*dataset_fp, &h);
-  HashStr("|measures", &h);
-  for (const std::string& name : request.measure_names) HashStr(name, &h);
-  const bool has_min = request.min_abs_unit_score.has_value();
-  HashPod(has_min, &h);
-  if (has_min) HashPod(*request.min_abs_unit_score, &h);
-  HashOptions(options, &h);
-  return h;
-}
-
+// Batching key for shared-scan grouping: model ids + dataset fingerprint
+// + the options that shape the block sequence. nullopt when the request
+// cannot be resolved against the catalog (it then runs solo and reports
+// its own compile error).
 std::optional<std::string> BatchKeyFor(const InspectRequest& request,
                                        const Catalog& catalog,
                                        const InspectOptions& options) {
@@ -292,6 +245,45 @@ std::optional<std::string> BatchKeyFor(const InspectRequest& request,
   key += ':';
   key += std::to_string(options.passes);
   return key;
+}
+
+}  // namespace
+
+std::optional<uint64_t> InspectRequestFingerprint(
+    const InspectRequest& request, const Catalog& catalog,
+    const InspectOptions& options) {
+  // Cacheable requests are fully name-resolved: inline extractor,
+  // hypothesis, or measure objects have no stable identity to key on.
+  if (request.models.empty()) return std::nullopt;
+  for (const InspectRequest::ModelRef& ref : request.models) {
+    if (ref.extractor != nullptr || ref.name.empty()) return std::nullopt;
+  }
+  if (!request.hypotheses.empty()) return std::nullopt;
+  if (!request.measures.empty()) return std::nullopt;
+
+  uint64_t h = kFnvOffsetBasis;
+  for (const InspectRequest::ModelRef& ref : request.models) {
+    HashStr(ref.name, &h);
+    HashPod(ref.group_by_layer, &h);
+    for (const UnitGroupSpec& group : ref.groups) {
+      HashStr(group.group_id, &h);
+      h = Fnv1a(group.unit_ids.data(), group.unit_ids.size() * sizeof(int),
+                h);
+    }
+  }
+  for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
+  HashStr("|filter", &h);
+  for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
+  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
+  if (!dataset_fp) return std::nullopt;
+  HashPod(*dataset_fp, &h);
+  HashStr("|measures", &h);
+  for (const std::string& name : request.measure_names) HashStr(name, &h);
+  const bool has_min = request.min_abs_unit_score.has_value();
+  HashPod(has_min, &h);
+  if (has_min) HashPod(*request.min_abs_unit_score, &h);
+  HashOptions(options, &h);
+  return h;
 }
 
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
@@ -516,12 +508,8 @@ void Scheduler::OnCatalogMutation(uint64_t version) {
 }
 
 std::optional<Scheduler::GroupHandle> Scheduler::AttachToGroup(
-    const InspectRequest& request) {
-  if (!session_->config_.enable_shared_scan) return std::nullopt;
-  std::optional<std::string> key =
-      BatchKeyFor(request, session_->catalog_,
-                  request.options.value_or(session_->config_.options));
-  if (!key) return std::nullopt;
+    const std::optional<std::string>& key) {
+  if (!session_->config_.enable_shared_scan || !key) return std::nullopt;
   GroupHandle handle;
   handle.key = *key;
   std::lock_guard<std::mutex> lock(mu_);
@@ -733,11 +721,14 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
       promoted_root = promoted->root_span;
     }
     RuntimeStats promoted_stats;
-    Result<ResultTable> promoted_result =
-        Execute(job->request, AttachToGroup(job->request), job->fingerprint,
-                job->version, job->dataset_fingerprint, &promoted->cancel,
-                promoted->progress.get(), &promoted_stats,
-                promoted_tracer.get(), promoted_root);
+    Result<ResultTable> promoted_result = Execute(
+        job->request,
+        AttachToGroup(BatchKeyFor(
+            job->request, session_->catalog_,
+            job->request.options.value_or(session_->config_.options))),
+        job->fingerprint, job->version, job->dataset_fingerprint,
+        &promoted->cancel, promoted->progress.get(), &promoted_stats,
+        promoted_tracer.get(), promoted_root);
     pending.reset();
     if (promoted_stats.cancelled) {
       // Cancelled promotions resolve immediately (the next loop turn may
@@ -869,308 +860,261 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
   return result;
 }
 
-Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
-                                       RuntimeStats* stats) {
-  const int64_t submit_ns = TraceNowNs();
-  Metrics().submitted->Inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++jobs_scheduled_;
-  }
-  const uint64_t version = session_->catalog_.version();
-  const InspectOptions request_options =
-      request.options.value_or(session_->config_.options);
-  DB_RETURN_NOT_OK(CheckAdmissionDeadline(request_options));
-  DB_FAILPOINT("scheduler.admit");
-  std::optional<uint64_t> fingerprint;
-  uint64_t dataset_fp = 0;
+JobPlan Scheduler::PlanJob(const InspectRequest& request) const {
+  const SessionConfig& config = session_->config_;
+  const Catalog& catalog = session_->catalog_;
+  JobPlan plan;
+  plan.options = request.options.value_or(config.options);
+  plan.catalog_version = catalog.version();
+  plan.resolved_shard_count = ResolvedShardCountFor(plan.options, config);
+  plan.deterministic = DeterministicOptions(plan.options);
   // The fingerprint keys both the result cache and the dedup registry;
   // either feature alone needs it. Bit-exact shard merges make full
   // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see ResolvedShardCountFor/HashOptions).
-  if (session_->config_.enable_result_cache ||
-      session_->config_.enable_inflight_dedup) {
-    InspectOptions fp_options = request_options;
-    if (request_options.early_stopping) {
-      fp_options.num_shards =
-          ResolvedShardCountFor(request_options, session_->config_);
+  // the *resolved* shard count (see HashOptions).
+  if (config.enable_result_cache || config.enable_inflight_dedup) {
+    InspectOptions fp_options = plan.options;
+    if (fp_options.early_stopping) {
+      fp_options.num_shards = plan.resolved_shard_count;
     }
-    fingerprint = InspectRequestFingerprint(request, session_->catalog_,
-                                            fp_options);
-    if (fingerprint) {
-      dataset_fp =
-          DatasetFingerprintFor(request, session_->catalog_).value_or(0);
+    plan.fingerprint = InspectRequestFingerprint(request, catalog, fp_options);
+    if (plan.fingerprint) {
+      plan.dataset_fingerprint =
+          DatasetFingerprintFor(request, catalog).value_or(0);
     }
   }
-  if (fingerprint && session_->config_.enable_result_cache) {
-    result_cache_.InvalidateBelow(version);
-    if (std::optional<ResultTable> hit =
-            result_cache_.Lookup(*fingerprint, version, dataset_fp)) {
+  plan.cacheable = plan.fingerprint.has_value() && config.enable_result_cache;
+  plan.dedupable = plan.fingerprint.has_value() &&
+                   config.enable_inflight_dedup && plan.deterministic;
+  plan.group_key = BatchKeyFor(request, catalog, plan.options);
+  plan.queued_bytes = EstimateQueuedBytes(request);
+  return plan;
+}
+
+Status Scheduler::QuotaLocked(const JobPlan& plan, bool queued) const {
+  const SessionConfig& config = session_->config_;
+  if (config.max_concurrent_jobs > 0 &&
+      active_jobs_ >= config.max_concurrent_jobs) {
+    return Status::ResourceExhausted(
+        "concurrent-job quota exhausted: " + std::to_string(active_jobs_) +
+        " active, quota " + std::to_string(config.max_concurrent_jobs));
+  }
+  // Keyed on queued (not running) jobs: the first job into an empty queue
+  // is always admitted, even over-size, so a single large request cannot
+  // wedge the session.
+  if (queued && config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
+      queued_bytes_ + plan.queued_bytes > config.max_queued_bytes) {
+    return Status::ResourceExhausted(
+        "queued-bytes quota exhausted: " + std::to_string(queued_bytes_) +
+        " queued + " + std::to_string(plan.queued_bytes) +
+        " requested > quota " + std::to_string(config.max_queued_bytes));
+  }
+  return Status::OK();
+}
+
+Admission Scheduler::Admit(const InspectRequest& request,
+                           const JobPlan& plan, bool queued,
+                           Commit* commit) {
+  Admission verdict;
+  auto reject = [&verdict](Status why) {
+    verdict.outcome = Admission::Outcome::kRejected;
+    verdict.status = std::move(why);
+    return verdict;
+  };
+  if (commit != nullptr) {
+    Metrics().submitted->Inc();
+    std::lock_guard<std::mutex> lock(mu_);
+    ++jobs_scheduled_;
+  }
+
+  // 1. Deadline: a request that can no longer finish never takes a slot.
+  if (plan.options.deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= plan.options.deadline) {
+    return reject(
+        Status::DeadlineExceeded("job deadline expired before admission"));
+  }
+  if (commit != nullptr && failpoint::Armed()) {
+    Status fault = failpoint::Evaluate("scheduler.admit");
+    if (!fault.ok()) return reject(std::move(fault));
+  }
+
+  // 2. Result cache.
+  if (plan.cacheable) {
+    if (commit == nullptr) {
+      verdict.cache_tier = result_cache_.PeekTier(
+          *plan.fingerprint, plan.catalog_version, plan.dataset_fingerprint);
+      if (!verdict.cache_tier.empty()) {
+        verdict.outcome = Admission::Outcome::kCacheHit;
+        return verdict;
+      }
+    } else {
+      result_cache_.InvalidateBelow(plan.catalog_version);
+      commit->table = result_cache_.Lookup(
+          *plan.fingerprint, plan.catalog_version, plan.dataset_fingerprint);
+      if (commit->table) {
+        Metrics().cache_hits->Inc();
+        verdict.outcome = Admission::Outcome::kCacheHit;
+        return verdict;
+      }
+    }
+  }
+
+  // Stages 3-5 decide under one lock, so a rejected request leaves no
+  // registry entry behind and a registered leader is always admitted.
+  std::lock_guard<std::mutex> lock(mu_);
+  // 3. Dedup waiter.
+  if (plan.dedupable) {
+    auto it = inflight_.find({*plan.fingerprint, plan.catalog_version});
+    if (it != inflight_.end() && !it->second->done) {
+      if (commit != nullptr) {
+        std::shared_ptr<InflightJob> job = it->second;
+        const std::shared_ptr<internal::JobState>& state = commit->state;
+        state->progress = job->progress;  // poll the leader's run
+        job->waiters.push_back(state);
+        ++dedup_followers_;
+        Metrics().dedup_followers->Inc();
+        // Cancel on a waiter resolves the waiter, never the leader.
+        std::lock_guard<std::mutex> state_lock(state->mu);
+        std::weak_ptr<internal::JobState> weak_state = state;
+        state->on_cancel = [this, job, weak_state] {
+          if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
+        };
+      }
+      verdict.outcome = Admission::Outcome::kWaiter;
+      return verdict;
+    }
+  }
+  // 4. Quota.
+  if (Status quota = QuotaLocked(plan, queued); !quota.ok()) {
+    if (commit != nullptr) {
+      ++admission_rejections_;
+      Metrics().admission_rejections->Inc();
+    }
+    return reject(std::move(quota));
+  }
+  // 5. Leader.
+  if (commit != nullptr) {
+    ++active_jobs_;
+    Metrics().queue_depth->Add(1);
+    if (queued) {
+      ++queued_jobs_;
+      commit->queued_bytes =
+          session_->config_.max_queued_bytes > 0 ? plan.queued_bytes : 0;
+      queued_bytes_ += commit->queued_bytes;
+    }
+    if (plan.dedupable) {
+      auto inflight = std::make_shared<InflightJob>();
+      inflight->fingerprint = *plan.fingerprint;
+      inflight->version = plan.catalog_version;
+      inflight->dataset_fingerprint = plan.dataset_fingerprint;
+      inflight->request = request;
+      inflight->progress = std::make_shared<ProgressCounter>();
+      inflight_[{*plan.fingerprint, plan.catalog_version}] = inflight;
+      commit->inflight = std::move(inflight);
+    }
+  }
+  verdict.outcome = Admission::Outcome::kLeader;
+  return verdict;
+}
+
+Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
+                                       RuntimeStats* stats) {
+  Commit commit;
+  commit.state = std::make_shared<internal::JobState>();
+  commit.state->submit_ns = TraceNowNs();
+  const std::shared_ptr<internal::JobState>& state = commit.state;
+  const JobPlan plan = PlanJob(request);
+  const Admission admission =
+      Admit(request, plan, /*queued=*/false, &commit);
+  switch (admission.outcome) {
+    case Admission::Outcome::kRejected:
+      FinalizeJob(state, "error");
+      return admission.status;
+    case Admission::Outcome::kCacheHit:
       if (stats != nullptr) {
         *stats = RuntimeStats{};
         stats->result_cache_hits = 1;
       }
-      Metrics().cache_hits->Inc();
-      CountJobTerminal(
-          "ok", static_cast<double>(TraceNowNs() - submit_ns) * 1e-9);
-      return std::move(*hit);
+      FinalizeJob(state, "ok");
+      return std::move(*commit.table);
+    case Admission::Outcome::kWaiter: {
+      // The leader's side delivers (or promotes this caller) and
+      // finalizes the state.
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->cv.wait(lock, [&state] {
+        return state->status == JobStatus::kDone ||
+               state->status == JobStatus::kCancelled;
+      });
+      if (stats != nullptr) *stats = state->stats;
+      return *state->result;
     }
-  }
-
-  const bool dedupable = fingerprint.has_value() &&
-                         session_->config_.enable_inflight_dedup &&
-                         DeterministicOptions(request_options);
-  std::shared_ptr<InflightJob> inflight;
-  std::shared_ptr<internal::JobState> waiter;
-  Status admitted = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = dedupable ? inflight_.find({*fingerprint, version})
-                        : inflight_.end();
-    if (dedupable && it != inflight_.end() && !it->second->done) {
-      // Identical request already in flight: park this caller on it.
-      waiter = std::make_shared<internal::JobState>();
-      waiter->progress = it->second->progress;  // poll the leader's run
-      waiter->submit_ns = submit_ns;
-      it->second->waiters.push_back(waiter);
-      ++dedup_followers_;
-      Metrics().dedup_followers->Inc();
-    } else {
-      // Admission first, leader registration second, atomically: a
-      // rejected request must leave no registry entry behind. The sync
-      // path runs immediately, so only the concurrent-job quota applies
-      // (nothing ever sits in a queue).
-      const SessionConfig& config = session_->config_;
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "concurrent-job quota exhausted: " +
-            std::to_string(active_jobs_) + " active, quota " +
-            std::to_string(config.max_concurrent_jobs));
-      } else {
-        ++active_jobs_;
-        Metrics().queue_depth->Add(1);
-        if (dedupable) {
-          inflight = std::make_shared<InflightJob>();
-          inflight->fingerprint = *fingerprint;
-          inflight->version = version;
-          inflight->dataset_fingerprint = dataset_fp;
-          inflight->request = request;
-          inflight->progress = std::make_shared<ProgressCounter>();
-          inflight_[{*fingerprint, version}] = inflight;
-        }
-      }
-    }
-  }
-  if (waiter != nullptr) {
-    std::unique_lock<std::mutex> lock(waiter->mu);
-    waiter->cv.wait(lock, [&waiter] {
-      return waiter->status == JobStatus::kDone ||
-             waiter->status == JobStatus::kCancelled;
-    });
-    if (stats != nullptr) *stats = waiter->stats;
-    return *waiter->result;
-  }
-  if (!admitted.ok()) {
-    CountJobTerminal("error", -1);
-    return admitted;
+    case Admission::Outcome::kLeader:
+      break;
   }
 
   RuntimeStats local;
-  Result<ResultTable> result =
-      Execute(request, AttachToGroup(request), fingerprint, version,
-              dataset_fp, /*cancel=*/nullptr,
-              inflight ? inflight->progress.get() : nullptr, &local);
-  if (inflight) {
-    FinishInflight(inflight, result, local, /*leader_cancelled=*/false);
+  Result<ResultTable> result = Execute(
+      request, AttachToGroup(plan.group_key), plan.fingerprint,
+      plan.catalog_version, plan.dataset_fingerprint, /*cancel=*/nullptr,
+      commit.inflight ? commit.inflight->progress.get() : nullptr, &local);
+  if (commit.inflight) {
+    FinishInflight(commit.inflight, result, local,
+                   /*leader_cancelled=*/false);
   }
   OnJobFinished();
-  CountJobTerminal(local.cancelled ? "cancelled"
-                                   : (result.ok() ? "ok" : "error"),
-                   static_cast<double>(TraceNowNs() - submit_ns) * 1e-9);
+  FinalizeJob(state, local.cancelled ? "cancelled"
+                                     : (result.ok() ? "ok" : "error"));
   if (stats != nullptr) *stats = local;
   return result;
 }
 
 JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   const int64_t submit_ns = TraceNowNs();
-  Metrics().submitted->Inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++jobs_scheduled_;
-  }
+  Commit commit;
+  commit.state = session_->NewJobState();
+  const std::shared_ptr<internal::JobState>& state = commit.state;
   // The job's tracer exists before any admission decision, so even
   // born-terminal handles carry a (tiny) trace. An inbound trace_id (the
   // serving layer) is adopted; 0 mints a fresh one.
   std::shared_ptr<Tracer> tracer;
   uint64_t root_span = 0;
   if (session_->config_.enable_tracing) {
-    tracer = std::make_shared<Tracer>(
-        trace_id != 0 ? trace_id : NewTraceId(),
-        session_->config_.trace_ring_capacity);
+    tracer = std::make_shared<Tracer>(trace_id != 0 ? trace_id : NewTraceId(),
+                                      session_->config_.trace_ring_capacity);
     root_span = NewSpanId();
   }
-  auto attach_trace = [&](const std::shared_ptr<internal::JobState>& state) {
+  {
     std::lock_guard<std::mutex> lock(state->mu);
     state->tracer = tracer;
     state->root_span = root_span;
     state->submit_ns = submit_ns;
-  };
-  const uint64_t version = session_->catalog_.version();
-  const InspectOptions request_options =
-      request.options.value_or(session_->config_.options);
-  {
-    // Same admission gates as RunSync, surfaced as a born-terminal handle
-    // (Submit has no Status channel).
-    Status admit = CheckAdmissionDeadline(request_options);
-    if (admit.ok() && failpoint::Armed()) {
-      admit = failpoint::Evaluate("scheduler.admit");
-    }
-    if (!admit.ok()) {
-      auto state = session_->NewJobState();
-      attach_trace(state);
+  }
+  const JobPlan plan = PlanJob(request);
+  const Admission admission = Admit(request, plan, /*queued=*/true, &commit);
+  switch (admission.outcome) {
+    case Admission::Outcome::kRejected:
+    case Admission::Outcome::kCacheHit: {
+      // Born terminal: Submit has no Status channel of its own.
+      const bool hit = admission.outcome == Admission::Outcome::kCacheHit;
       {
         std::lock_guard<std::mutex> lock(state->mu);
         state->status = JobStatus::kDone;
-        state->result = admit;
+        state->stats.result_cache_hits = hit ? 1 : 0;
+        state->result = hit ? Result<ResultTable>(std::move(*commit.table))
+                            : Result<ResultTable>(admission.status);
         state->cv.notify_all();
       }
-      FinalizeJob(state, "error");
+      FinalizeJob(state, hit ? "ok" : "error");
       return JobHandle(state);
     }
-  }
-  std::optional<uint64_t> fingerprint;
-  uint64_t dataset_fp = 0;
-  // The fingerprint keys both the result cache and the dedup registry;
-  // either feature alone needs it. Bit-exact shard merges make full
-  // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see ResolvedShardCountFor/HashOptions).
-  if (session_->config_.enable_result_cache ||
-      session_->config_.enable_inflight_dedup) {
-    InspectOptions fp_options = request_options;
-    if (request_options.early_stopping) {
-      fp_options.num_shards =
-          ResolvedShardCountFor(request_options, session_->config_);
-    }
-    fingerprint = InspectRequestFingerprint(request, session_->catalog_,
-                                            fp_options);
-    if (fingerprint) {
-      dataset_fp =
-          DatasetFingerprintFor(request, session_->catalog_).value_or(0);
-    }
-  }
-  if (fingerprint && session_->config_.enable_result_cache) {
-    result_cache_.InvalidateBelow(version);
-    if (std::optional<ResultTable> hit =
-            result_cache_.Lookup(*fingerprint, version, dataset_fp)) {
-      // Served without touching the engine: the job is born done.
-      auto state = session_->NewJobState();
-      attach_trace(state);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->status = JobStatus::kDone;
-        state->stats.result_cache_hits = 1;
-        state->result = std::move(*hit);
-        state->cv.notify_all();
-      }
-      Metrics().cache_hits->Inc();
-      FinalizeJob(state, "ok");
+    case Admission::Outcome::kWaiter:
       return JobHandle(state);
-    }
-  }
-
-  // One critical section decides the job's role: waiter on an identical
-  // in-flight job (bypasses admission — it consumes no engine
-  // resources), rejected over quota, or admitted leader.
-  const SessionConfig& config = session_->config_;
-  const bool dedupable = fingerprint.has_value() &&
-                         config.enable_inflight_dedup &&
-                         DeterministicOptions(request_options);
-  const bool quota_enabled =
-      config.max_concurrent_jobs > 0 || config.max_queued_bytes > 0;
-  const size_t estimate =
-      config.max_queued_bytes > 0 ? EstimateQueuedBytes(request) : 0;
-  std::shared_ptr<InflightJob> inflight;
-  Status admitted = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dedupable) {
-      auto it = inflight_.find({*fingerprint, version});
-      if (it != inflight_.end() && !it->second->done) {
-        std::shared_ptr<InflightJob> job = it->second;
-        auto state = session_->NewJobState();
-        attach_trace(state);
-        state->progress = job->progress;  // poll the leader's run
-        job->waiters.push_back(state);
-        ++dedup_followers_;
-        Metrics().dedup_followers->Inc();
-        {
-          // Cancel on a waiter resolves the waiter, never the leader.
-          std::lock_guard<std::mutex> state_lock(state->mu);
-          std::weak_ptr<internal::JobState> weak_state = state;
-          state->on_cancel = [this, job, weak_state] {
-            if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
-          };
-        }
-        return JobHandle(state);
-      }
-    }
-    if (quota_enabled) {
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "concurrent-job quota exhausted: " +
-            std::to_string(active_jobs_) + " active, quota " +
-            std::to_string(config.max_concurrent_jobs));
-      } else if (config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
-                 queued_bytes_ + estimate > config.max_queued_bytes) {
-        // Keyed on queued (not running) jobs: the first job into an
-        // empty queue is always admitted, even over-size, so a single
-        // large request cannot wedge the session.
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "queued-bytes quota exhausted: " +
-            std::to_string(queued_bytes_) + " queued + " +
-            std::to_string(estimate) + " requested > quota " +
-            std::to_string(config.max_queued_bytes));
-      }
-    }
-    if (admitted.ok()) {
-      ++active_jobs_;
-      Metrics().queue_depth->Add(1);
-      ++queued_jobs_;
-      queued_bytes_ += estimate;
-      if (dedupable) {
-        inflight = std::make_shared<InflightJob>();
-        inflight->fingerprint = *fingerprint;
-        inflight->version = version;
-        inflight->dataset_fingerprint = dataset_fp;
-        inflight->request = request;
-        inflight->progress = std::make_shared<ProgressCounter>();
-        inflight_[{*fingerprint, version}] = inflight;
-      }
-    }
-  }
-  if (!admitted.ok()) {
-    auto state = session_->NewJobState();
-    attach_trace(state);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->status = JobStatus::kDone;
-      state->result = admitted;
-      state->cv.notify_all();
-    }
-    FinalizeJob(state, "error");
-    return JobHandle(state);
+    case Admission::Outcome::kLeader:
+      break;
   }
 
   if (tracer != nullptr) {
-    // Admission is over: one span covers the deadline gate, fingerprint,
+    // Admission is over: one span covers the plan, the deadline gate, the
     // cache probe, and the dedup/quota critical section.
     TraceSpan admit_span;
     admit_span.span_id = NewSpanId();
@@ -1178,23 +1122,25 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     admit_span.name = "sched.admit";
     admit_span.start_ns = submit_ns;
     admit_span.duration_ns = TraceNowNs() - submit_ns;
-    if (inflight != nullptr) admit_span.tags = "dedup=leader";
+    if (commit.inflight != nullptr) admit_span.tags = "dedup=leader";
     tracer->Record(std::move(admit_span));
   }
 
   ThreadPool* pool = session_->EnsurePool();
-  auto state = session_->NewJobState();
-  attach_trace(state);
   // The leader's handle and the in-flight registry share one progress
   // counter, so waiters attached later poll this run's live counters.
+  std::shared_ptr<InflightJob> inflight = std::move(commit.inflight);
   if (inflight) state->progress = inflight->progress;
   // Group membership is claimed at submit time (not when the worker picks
   // the job up), so every job queued in one burst lands in one group.
-  std::optional<GroupHandle> group = AttachToGroup(request);
-  pool->Submit([this, state, fingerprint, version, dataset_fp, estimate,
-                inflight, submit_ns, group = std::move(group),
+  std::optional<GroupHandle> group = AttachToGroup(plan.group_key);
+  pool->Submit([this, state, fingerprint = plan.fingerprint,
+                version = plan.catalog_version,
+                dataset_fp = plan.dataset_fingerprint,
+                charged = commit.queued_bytes, inflight, submit_ns,
+                group = std::move(group),
                 request = std::move(request)]() mutable {
-    OnJobStarted(estimate);
+    OnJobStarted(charged);
     const int64_t start_ns = TraceNowNs();
     std::shared_ptr<Tracer> job_tracer;
     uint64_t job_root = 0;
@@ -1285,74 +1231,19 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   return JobHandle(state);
 }
 
-SchedulerProbe Scheduler::Probe(const InspectRequest& request) const {
-  SchedulerProbe p;
-  const Catalog& catalog = session_->catalog_;
-  const SessionConfig& config = session_->config_;
-  p.catalog_version = catalog.version();
-  const InspectOptions options =
-      request.options.value_or(config.options);
-  p.deterministic = DeterministicOptions(options);
-  p.resolved_shard_count = ResolvedShardCountFor(options, config);
-  // Same fingerprint the Submit paths compute: early-stopping requests
-  // pin the resolved shard count (see HashOptions).
-  if (config.enable_result_cache || config.enable_inflight_dedup) {
-    InspectOptions fp_options = options;
-    if (options.early_stopping) {
-      fp_options.num_shards = p.resolved_shard_count;
-    }
-    p.fingerprint = InspectRequestFingerprint(request, catalog, fp_options);
-    if (p.fingerprint) {
-      p.dataset_fingerprint =
-          DatasetFingerprintFor(request, catalog).value_or(0);
-    }
+SchedulerProbe Scheduler::Probe(const InspectRequest& request) {
+  SchedulerProbe probe;
+  probe.plan = PlanJob(request);
+  probe.admission = Admit(request, probe.plan, /*queued=*/true,
+                          /*commit=*/nullptr);
+  probe.shared_scan_enabled = session_->config_.enable_shared_scan;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (probe.plan.group_key) {
+    probe.group_exists = groups_.count(*probe.plan.group_key) > 0;
   }
-  p.cacheable = p.fingerprint.has_value() && config.enable_result_cache;
-  if (p.cacheable) {
-    p.cache_tier = result_cache_.PeekTier(*p.fingerprint, p.catalog_version,
-                                          p.dataset_fingerprint);
-  }
-  p.dedupable = p.fingerprint.has_value() && config.enable_inflight_dedup &&
-                p.deterministic;
-  p.shared_scan_enabled = config.enable_shared_scan;
-  p.group_key = BatchKeyFor(request, catalog, options);
-  p.estimated_queued_bytes = EstimateQueuedBytes(request);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (p.dedupable) {
-      auto it = inflight_.find({*p.fingerprint, p.catalog_version});
-      p.dedup_inflight = it != inflight_.end() && !it->second->done;
-    }
-    if (p.shared_scan_enabled && p.group_key) {
-      p.group_exists = groups_.count(*p.group_key) > 0;
-    }
-    p.active_jobs = active_jobs_;
-    p.queued_bytes = queued_bytes_;
-    // A dedup waiter bypasses admission entirely; otherwise mirror the
-    // quota gates Submit would apply right now.
-    if (!p.dedup_inflight) {
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        p.would_admit = false;
-        p.admission_detail =
-            "concurrent-job quota exhausted: " + std::to_string(active_jobs_) +
-            " active, quota " + std::to_string(config.max_concurrent_jobs);
-      } else if (config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
-                 queued_bytes_ + p.estimated_queued_bytes >
-                     config.max_queued_bytes) {
-        p.would_admit = false;
-        p.admission_detail =
-            "queued-bytes quota exhausted: " + std::to_string(queued_bytes_) +
-            " queued + " + std::to_string(p.estimated_queued_bytes) +
-            " requested > quota " + std::to_string(config.max_queued_bytes);
-      }
-    }
-  }
-  if (p.would_admit && !CheckAdmissionDeadline(options).ok()) {
-    p.would_admit = false;
-    p.admission_detail = "job deadline expired before admission";
-  }
-  return p;
+  probe.active_jobs = active_jobs_;
+  probe.queued_bytes = queued_bytes_;
+  return probe;
 }
 
 SchedulerStats Scheduler::stats() const {

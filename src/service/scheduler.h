@@ -50,6 +50,24 @@
 //      concurrent jobs and queued extraction bytes; over-quota
 //      submissions are rejected with kResourceExhausted instead of
 //      queueing without bound.
+//
+// Admission. Submit() and Inspect() (RunSync) plan each request once
+// (JobPlan) and then apply one rule; the first stage that decides wins:
+//   1. deadline — an expired deadline rejects with kDeadlineExceeded (an
+//      armed "scheduler.admit" failpoint rejects here too);
+//   2. result cache — a cached result for (fingerprint, catalog version)
+//      is served without the engine;
+//   3. dedup waiter — an identical deterministic job in flight takes the
+//      request as a waiter, past the quotas (it consumes no engine
+//      resources);
+//   4. quota — max_concurrent_jobs, then max_queued_bytes (queued jobs
+//      only), reject with kResourceExhausted;
+//   5. leader — the job runs the engine: on the session pool for
+//      Submit(), on the caller's thread for Inspect().
+// Every request counts once in deepbase_jobs_submitted_total and once in
+// deepbase_jobs_total{status=...}, whichever stage decided it. Probe()
+// applies the same rule for EXPLAIN against ResultCache::PeekTier and the
+// live counters, and commits nothing.
 
 #pragma once
 
@@ -78,30 +96,9 @@ std::optional<uint64_t> InspectRequestFingerprint(
     const InspectRequest& request, const Catalog& catalog,
     const InspectOptions& options);
 
-/// \brief Batching key for shared-scan grouping: model ids + dataset
-/// fingerprint + the options that shape the block sequence. nullopt when
-/// the request cannot be resolved against the catalog (it then runs
-/// solo and reports its own compile error).
-std::optional<std::string> BatchKeyFor(const InspectRequest& request,
-                                       const Catalog& catalog,
-                                       const InspectOptions& options);
-
 /// \brief Blob-tier key of one persisted result-cache entry.
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
                                uint64_t dataset_fingerprint);
-
-/// \brief True when the run is complete and clock-independent — the
-/// cacheability/dedupability gate (a truncated or deadline-bearing run
-/// depends on wall-clock timing). Shared with EXPLAIN.
-bool DeterministicOptions(const InspectOptions& options);
-
-/// \brief The shard count this session's engine would actually run the
-/// request at: ResolveShardCount (core/block_pipeline.h) over the pool the
-/// engine would get (the request's pool, else the session pool: config
-/// threads, else hardware concurrency). Shared by the fingerprint's
-/// early-stopping carve-out and by EXPLAIN's partition plan.
-size_t ResolvedShardCountFor(const InspectOptions& options,
-                             const SessionConfig& config);
 
 /// \brief LRU-over-bytes cache of completed inspection results, keyed by
 /// (request fingerprint, catalog version), with an optional persistent
@@ -250,26 +247,48 @@ struct SchedulerStats {
   void Accumulate(const SchedulerStats& other);
 };
 
-/// \brief What the scheduler *would* decide for a request right now —
-/// the admission/cache/dedup/group half of an EXPLAIN plan. Computed by
-/// Scheduler::Probe without mutating anything: no counters move, no LRU
-/// reorders, no blob is read, no registry entry is created.
-struct SchedulerProbe {
-  std::optional<uint64_t> fingerprint;  ///< nullopt = not cacheable
-  uint64_t dataset_fingerprint = 0;
+/// \brief Everything the scheduler derives from one request, computed
+/// once (Scheduler::PlanJob) and read by admission, execution and EXPLAIN.
+struct JobPlan {
+  InspectOptions options;  ///< the request's options, else the defaults
   uint64_t catalog_version = 0;
-  bool deterministic = false;  ///< DeterministicOptions(effective options)
+  /// Cache and dedup key (InspectRequestFingerprint; early-stopping runs
+  /// pin resolved_shard_count). nullopt for inline definitions, or when
+  /// the result cache and dedup are both off.
+  std::optional<uint64_t> fingerprint;
+  uint64_t dataset_fingerprint = 0;
+  size_t resolved_shard_count = 0;  ///< ResolvedShardCountFor
+  bool deterministic = false;  ///< DeterministicOptions(options)
   bool cacheable = false;      ///< fingerprint && result cache enabled
-  bool dedupable = false;      ///< fingerprint && dedup enabled && determ.
-  std::string cache_tier;      ///< "memory" | "persistent" | "" (miss)
-  bool dedup_inflight = false;  ///< would attach as waiter on a leader
+  bool dedupable = false;      ///< fingerprint && dedup on && deterministic
+  std::optional<std::string> group_key;  ///< BatchKeyFor (shared scan)
+  /// Extraction footprint estimate, the unit of the queued-bytes quota.
+  size_t queued_bytes = 0;
+};
+
+/// \brief The admission rule's verdict (see "Admission" above).
+struct Admission {
+  enum class Outcome {
+    kRejected,  ///< `status` says why (deadline, failpoint or quota)
+    kCacheHit,  ///< served from the result cache, no engine run
+    kWaiter,    ///< attached to an identical in-flight leader
+    kLeader,    ///< runs the engine
+  };
+  Outcome outcome = Outcome::kLeader;
+  Status status;           ///< kRejected only
+  std::string cache_tier;  ///< Probe's kCacheHit: "memory" | "persistent"
+};
+
+/// \brief What Submit() would do with a request right now — the scheduler
+/// half of an EXPLAIN plan (Scheduler::Probe): the request's JobPlan, the
+/// admission verdict, and the counters it was judged against. Computing
+/// it moves no counter, reorders no LRU, reads no blob and registers no
+/// job.
+struct SchedulerProbe {
+  JobPlan plan;
+  Admission admission;
   bool shared_scan_enabled = false;
-  std::optional<std::string> group_key;  ///< shared-scan batching key
-  bool group_exists = false;  ///< a live group already has this key
-  size_t resolved_shard_count = 0;
-  size_t estimated_queued_bytes = 0;  ///< the queued-bytes quota unit
-  bool would_admit = true;
-  std::string admission_detail;  ///< set when would_admit is false
+  bool group_exists = false;  ///< a live group already has plan.group_key
   size_t active_jobs = 0;
   size_t queued_bytes = 0;
 };
@@ -280,15 +299,15 @@ class Scheduler {
  public:
   explicit Scheduler(InspectionSession* session);
 
-  /// \brief Async path: result-cache probe, in-flight dedup, admission
-  /// check, group attach, enqueue. Over-quota submissions return a handle
-  /// already resolved with kResourceExhausted. `trace_id` threads an
+  /// \brief Async path: admission, then a leader joins its shared-scan
+  /// group and queues on the session pool. Rejected requests and cache
+  /// hits return a handle that is already resolved. `trace_id` threads an
   /// externally minted trace id (the serving layer's Submit frame) into
   /// the job's Tracer; 0 mints a fresh id.
   JobHandle Submit(InspectRequest request, uint64_t trace_id = 0);
-  /// \brief Sync path: same caching/dedup/admission, run on the caller
-  /// thread (an identical in-flight job parks the caller until the
-  /// leader's result is ready).
+  /// \brief Sync path: the same admission, with the leader run on the
+  /// caller's thread (a waiter parks the caller until the leader's result
+  /// is ready). Sync jobs are untraced and not listed in Jobs().
   Result<ResultTable> RunSync(const InspectRequest& request,
                               RuntimeStats* stats);
 
@@ -309,9 +328,9 @@ class Scheduler {
       RuntimeStats* stats)>;
   void SetEngine(EngineFn fn);
 
-  /// \brief EXPLAIN's dry-run view of the decisions Submit() would make
-  /// for `request` right now. Strictly read-only (see SchedulerProbe).
-  SchedulerProbe Probe(const InspectRequest& request) const;
+  /// \brief EXPLAIN's dry run of Submit(): the same plan and admission
+  /// rule, committing nothing (see SchedulerProbe).
+  SchedulerProbe Probe(const InspectRequest& request);
 
   SchedulerStats stats() const;
   ResultCache& result_cache() { return result_cache_; }
@@ -345,7 +364,30 @@ class Scheduler {
     std::shared_ptr<ProgressCounter> progress;
   };
 
-  std::optional<GroupHandle> AttachToGroup(const InspectRequest& request);
+  /// What committing an admission hands back to Submit/RunSync.
+  struct Commit {
+    /// The job (set by the caller); a waiter is parked on it.
+    std::shared_ptr<internal::JobState> state;
+    std::optional<ResultTable> table;  ///< kCacheHit: the cached result
+    /// kLeader: its dedup registry entry (dedupable requests only).
+    std::shared_ptr<InflightJob> inflight;
+    size_t queued_bytes = 0;  ///< kLeader: bytes charged to the queue
+  };
+
+  /// The request's JobPlan. Read-only.
+  JobPlan PlanJob(const InspectRequest& request) const;
+  /// The admission rule, in its one order (see "Admission" above). With
+  /// `commit`, the verdict takes effect atomically: counters move, the
+  /// cache lookup is counted, a waiter or leader is registered. Without
+  /// it (Probe), the cache is peeked and nothing moves. `queued` = the
+  /// leader would wait on the pool (Submit), so max_queued_bytes applies.
+  Admission Admit(const InspectRequest& request, const JobPlan& plan,
+                  bool queued, Commit* commit);
+  /// The quota verdict against the live counters; OK when within quota.
+  Status QuotaLocked(const JobPlan& plan, bool queued) const;
+
+  std::optional<GroupHandle> AttachToGroup(
+      const std::optional<std::string>& key);
   /// Fold the client's counters, detach, retire the group if empty.
   void ReleaseGroup(GroupHandle* group);
   /// Run one request on the calling thread (group already attached) and

@@ -12,6 +12,7 @@
 #include "core/engine.h"
 #include "measures/scores.h"
 #include "nn/lstm_lm.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -516,6 +517,101 @@ TEST_F(StoreFixture, MmapHandoutSurvivesStoreDeletion) {
   EXPECT_FALSE(store.Contains("doomed"));
   // POSIX keeps mapped pages alive after unlink; the data stays readable.
   EXPECT_EQ((**shared)(63, 39), m(63, 39));
+}
+
+TEST_F(StoreFixture, PeekTierPredictsTheTierGetSharedServes) {
+  // 64×16 floats: a 4096-byte payload in a 4160-byte file. Around the
+  // payload size, the predicted tier must be the tier a cold read takes.
+  const std::string key = "unit:peek";
+  {
+    BehaviorStore writer(dir_.string(), /*memory_budget_bytes=*/1 << 20);
+    ASSERT_TRUE(writer.Put(key, TestMatrix(64, 16, 8)).ok());
+  }
+  const size_t payload = 64 * 16 * sizeof(float);
+  const std::vector<std::pair<size_t, BehaviorStore::Tier>> cases = {
+      {payload - 1, BehaviorStore::Tier::kMmap},
+      {payload, BehaviorStore::Tier::kDisk},
+      {payload + 32, BehaviorStore::Tier::kDisk}};
+  for (const auto& [budget, tier] : cases) {
+    BehaviorStore store(dir_.string(), budget);  // a restart: cold memory
+    const BehaviorStore::Tier predicted = store.PeekTier(key);
+    BehaviorStore::Tier served = BehaviorStore::Tier::kMiss;
+    ASSERT_TRUE(store.GetShared(key, &served).ok());
+    EXPECT_EQ(predicted, served) << "budget " << budget;
+    EXPECT_EQ(served, tier) << "budget " << budget;
+  }
+}
+
+TEST_F(StoreFixture, LegacyV1FileIsQuarantinedAndReinspectedIdentically) {
+  Dataset ds(Vocab::FromChars("ab"), 8);
+  Rng rng(29);
+  for (int i = 0; i < 40; ++i) {
+    std::string text;
+    for (int t = 0; t < 8; ++t) text += rng.Bernoulli(0.5) ? 'a' : 'b';
+    ds.AddText(text);
+  }
+  LstmLm model(ds.vocab().size(), 6, 1, 31);
+  LstmLmExtractor live("lm", &model);
+
+  // Hand-write the unit behaviors in the retired v1 framing ("DBST"
+  // header, then WriteMatrix) with a valid checksum, where the store
+  // looks for the key.
+  const std::string key = UnitBehaviorKey("lm", ds);
+  std::vector<size_t> records(ds.num_records());
+  for (size_t r = 0; r < records.size(); ++r) records[r] = r;
+  std::vector<int> units(live.num_units());
+  for (size_t u = 0; u < units.size(); ++u) units[u] = static_cast<int>(u);
+  const Matrix behaviors = live.ExtractBlock(ds, records, units);
+  uint64_t checksum = kFnvOffsetBasis;
+  const uint64_t rows = behaviors.rows(), cols = behaviors.cols();
+  checksum = Fnv1a(&rows, sizeof(rows), checksum);
+  checksum = Fnv1a(&cols, sizeof(cols), checksum);
+  for (size_t r = 0; r < behaviors.rows(); ++r) {
+    checksum =
+        Fnv1a(behaviors.row_data(r), behaviors.cols() * sizeof(float), checksum);
+  }
+  std::filesystem::create_directories(dir_);
+  const std::filesystem::path v1_path =
+      dir_ / (HexU64(Fnv1a(key.data(), key.size())) + ".behaviors");
+  {
+    std::ofstream out(v1_path, std::ios::binary);
+    const uint32_t magic = 0x44425354;  // "DBST"
+    const uint64_t key_len = key.size();
+    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    out.write(reinterpret_cast<const char*>(&key_len), sizeof(key_len));
+    out.write(key.data(), static_cast<std::streamsize>(key.size()));
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    WriteMatrix(behaviors, &out);
+  }
+
+  std::vector<HypothesisPtr> hyps = {
+      std::make_shared<KeywordHypothesis>("ab")};
+  std::vector<MeasureFactoryPtr> scores = {
+      std::make_shared<CorrelationScore>("pearson")};
+  InspectOptions opts;
+  opts.block_size = 16;
+  opts.early_stopping = false;
+
+  BehaviorStore legacy(dir_.string());
+  opts.behavior_store = &legacy;
+  const ResultTable from_legacy =
+      Inspect({AllUnitsGroup(&live)}, ds, scores, hyps, opts);
+  EXPECT_EQ(legacy.quarantines(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(v1_path));
+
+  BehaviorStore fresh((dir_ / "fresh").string());
+  opts.behavior_store = &fresh;
+  const ResultTable from_fresh =
+      Inspect({AllUnitsGroup(&live)}, ds, scores, hyps, opts);
+  EXPECT_EQ(from_legacy.SerializeToString(), from_fresh.SerializeToString());
+
+  // The next inspection re-materializes in the current layout.
+  opts.behavior_store = &legacy;
+  RuntimeStats stats;
+  const ResultTable again =
+      Inspect({AllUnitsGroup(&live)}, ds, scores, hyps, opts, &stats);
+  EXPECT_EQ(stats.store_misses, 1u);
+  EXPECT_EQ(again.SerializeToString(), from_fresh.SerializeToString());
 }
 
 }  // namespace

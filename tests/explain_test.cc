@@ -16,10 +16,14 @@
 //      exactness, and both workers' shard ranges with actual seconds.
 //   6. The textual front-end (EXPLAIN [ANALYZE] INSPECT ... through
 //      SqlSession) and RenderStatusz.
+//   7. The rendered admission verdict is what Submit() then does, over
+//      every combination of cache, quota slot, deadline and in-flight
+//      leader.
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -400,6 +404,121 @@ TEST(ExplainAnalyzeTest, TwoWorkerClusterPlanShowsRangesAndMergeExactness) {
   w0.Shutdown();
   w1.Shutdown();
   coordinator.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The plan is the admission that runs: across session states, the verdict
+// the admission node renders is what Submit() does next.
+// ---------------------------------------------------------------------------
+
+// Park every pool thread until `release` flips, so submitted jobs stay
+// queued: they hold their quota slot and their dedup registration.
+std::vector<std::future<void>> BlockPool(ThreadPool* pool, size_t n,
+                                         std::atomic<bool>* release) {
+  std::vector<std::future<void>> blockers;
+  for (size_t i = 0; i < n; ++i) {
+    blockers.push_back(pool->Submit([release] {
+      while (!release->load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }));
+  }
+  return blockers;
+}
+
+// What a Submit() did, in the admission node's words.
+std::string SubmitOutcome(const JobHandle& job, const SchedulerStats& before,
+                          const SchedulerStats& after) {
+  if (job.Done()) {
+    const Result<ResultTable>& result = job.Wait();
+    if (!result.ok()) return "reject (" + result.status().message() + ")";
+    return job.Stats().result_cache_hits == 1 ? "admit (result-cache hit)"
+                                              : "done without the cache";
+  }
+  if (after.dedup_followers == before.dedup_followers + 1) {
+    return "admit (dedup waiter)";
+  }
+  if (after.snapshot.active_jobs == before.snapshot.active_jobs + 1) {
+    return "admit (leader)";
+  }
+  return "unclassified";
+}
+
+TEST(ExplainAdmissionTest, RenderedVerdictIsWhatSubmitDoes) {
+  for (int row = 0; row < 16; ++row) {
+    const bool warm_cache = (row & 1) != 0;
+    const bool slot_taken = (row & 2) != 0;
+    const bool deadline_expired = (row & 4) != 0;
+    const bool leader_in_flight = (row & 8) != 0;
+    SCOPED_TRACE("warm_cache=" + std::to_string(warm_cache) +
+                 " slot_taken=" + std::to_string(slot_taken) +
+                 " deadline_expired=" + std::to_string(deadline_expired) +
+                 " leader_in_flight=" + std::to_string(leader_in_flight));
+
+    // One concurrent-job slot; a free slot next to an in-flight leader
+    // needs a second one.
+    SessionConfig config{.num_threads = 2};
+    config.max_concurrent_jobs = leader_in_flight && !slot_taken ? 2 : 1;
+    World world(std::move(config));
+    std::atomic<bool> release{false};
+    std::vector<std::future<void>> blockers =
+        BlockPool(world.session.thread_pool(), 2, &release);
+
+    const InspectRequest base = PearsonRequest(2);
+    std::vector<JobHandle> queued;
+    if (leader_in_flight) {
+      queued.push_back(world.session.Submit(base));  // identical leader
+    } else if (slot_taken) {
+      InspectRequest other = base;
+      other.options->shuffle_seed += 1;  // a distinct job holds the slot
+      queued.push_back(world.session.Submit(other));
+    }
+    for (const JobHandle& job : queued) ASSERT_FALSE(job.Done());
+    if (warm_cache) {
+      const Result<CatalogDataset> dataset =
+          world.session.catalog().GetDataset("ab");
+      ASSERT_TRUE(dataset.ok());
+      const std::optional<uint64_t> fingerprint = InspectRequestFingerprint(
+          base, world.session.catalog(), *base.options);
+      ASSERT_TRUE(fingerprint.has_value());
+      world.session.scheduler().result_cache().Insert(
+          *fingerprint, world.session.catalog_version(),
+          dataset->fingerprint, ResultTable());
+    }
+
+    InspectRequest request = base;
+    if (deadline_expired) {
+      request.options->deadline =
+          std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    }
+    // The rule, in its order: deadline, result cache, dedup, quota.
+    const std::string expected =
+        deadline_expired
+            ? "reject (job deadline expired before admission)"
+        : warm_cache       ? "admit (result-cache hit)"
+        : leader_in_flight ? "admit (dedup waiter)"
+        : slot_taken
+            ? "reject (concurrent-job quota exhausted: 1 active, quota 1)"
+            : "admit (leader)";
+
+    Result<InspectionPlan> plan = world.session.Explain(request);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const PlanNode* admission = plan->root.Child("admission");
+    ASSERT_NE(admission, nullptr);
+    ASSERT_FALSE(admission->fields.empty());
+    const std::string predicted = admission->fields[0].second;
+    EXPECT_EQ(predicted, expected) << plan->ToText();
+
+    const SchedulerStats before = world.session.scheduler().stats();
+    JobHandle job = world.session.Submit(request);
+    const SchedulerStats after = world.session.scheduler().stats();
+    EXPECT_EQ(SubmitOutcome(job, before, after), predicted) << plan->ToText();
+
+    release.store(true, std::memory_order_release);
+    for (std::future<void>& blocker : blockers) blocker.get();
+    job.Wait();
+    for (const JobHandle& q : queued) ASSERT_TRUE(q.Wait().ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

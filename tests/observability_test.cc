@@ -26,6 +26,7 @@
 #include "server/wire.h"
 #include "service/inspection_session.h"
 #include "util/codec.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -515,6 +516,41 @@ TEST(ObservabilityTest, TracingOffYieldsNoSpansAndNoTraceId) {
   EXPECT_TRUE(job.TraceSpans().empty());
   EXPECT_EQ(job.Summary().trace_id, 0u);
   EXPECT_GT(job.Summary().total_s, 0.0);  // phases still measured
+}
+
+// ---------------------------------------------------------------------------
+// Admission rejections count as one terminal error each, sync or async.
+// ---------------------------------------------------------------------------
+
+TEST(ObservabilityTest, AdmissionRejectionCountsOneErrorOnEveryPath) {
+  World world;
+  const char* kErrors = "deepbase_jobs_total{status=\"error\"}";
+  InspectRequest expired = PlantedRequest();
+  expired.options->deadline =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+
+  uint64_t before = CounterValue(kErrors);
+  EXPECT_EQ(world.session.Inspect(expired).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(CounterValue(kErrors), before + 1);
+
+  before = CounterValue(kErrors);
+  JobHandle job = world.session.Submit(expired);
+  EXPECT_EQ(job.Wait().status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(SettleCounter(kErrors, before + 1), before + 1);
+
+  failpoint::Arm("scheduler.admit",
+                 failpoint::Action{.code = StatusCode::kUnavailable});
+  before = CounterValue(kErrors);
+  const Status sync_status = world.session.Inspect(PlantedRequest()).status();
+  const uint64_t after_sync = CounterValue(kErrors);
+  JobHandle armed = world.session.Submit(PlantedRequest());
+  const Status async_status = armed.Wait().status();
+  failpoint::DisarmAll();
+  EXPECT_EQ(sync_status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(after_sync, before + 1);
+  EXPECT_EQ(async_status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(SettleCounter(kErrors, before + 2), before + 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "core/behavior_store.h"
@@ -590,6 +591,67 @@ TEST(SchedulerDedupTest, CancellingTheLeaderPromotesAWaiter) {
   EXPECT_EQ(sched.dedup_followers, 1u);
   EXPECT_EQ(sched.dedup_promotions, 1u);
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
+}
+
+// A sync Inspect() takes the same admission path as Submit(): it parks as
+// a dedup waiter on an identical async leader, and when that leader is
+// cancelled before it runs, the sync caller is promoted and gets the
+// isolated run's table.
+TEST(SchedulerDedupTest, SyncWaiterIsPromotedWhenTheAsyncLeaderIsCancelled) {
+  CountingExtractor extractor(4);
+  Dataset dataset = MakeAbDataset(240, 8);
+
+  SessionConfig config;
+  config.options.block_size = 16;
+  config.options.early_stopping = false;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("ab", &dataset);
+
+  CountingExtractor reference_extractor(4);
+  InspectOptions plain;
+  plain.block_size = 16;
+  plain.early_stopping = false;
+  plain.num_shards = 1;
+  ResultTable reference =
+      Inspect({AllUnitsGroup(&reference_extractor)}, dataset,
+              {std::make_shared<CorrelationScore>("pearson")},
+              {IsAHypothesis()}, plain);
+
+  std::atomic<bool> release{false};
+  auto blockers = BlockPool(session.thread_pool(), 2, &release);
+  JobHandle leader = session.Submit(PlantedRequest());
+  std::optional<Result<ResultTable>> sync_result;
+  RuntimeStats sync_stats;
+  std::thread caller([&] {
+    sync_result = session.Inspect(PlantedRequest(), &sync_stats);
+  });
+  for (int i = 0; i < 5000 && session.scheduler().stats().dedup_followers == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(session.scheduler().stats().dedup_followers, 1u);
+  leader.Cancel();  // before it ever runs: the sync waiter must take over
+  release.store(true, std::memory_order_release);
+  caller.join();
+
+  leader.Wait();
+  EXPECT_EQ(leader.Poll(), JobStatus::kCancelled);
+  ASSERT_TRUE(sync_result.has_value());
+  ASSERT_TRUE(sync_result->ok()) << sync_result->status().ToString();
+  EXPECT_EQ((*sync_result)->SerializeToString(),
+            reference.SerializeToString());
+  // The promoted caller really ran the engine (it is no dedup hit).
+  EXPECT_GT(sync_stats.blocks_processed, 0u);
+  EXPECT_EQ(sync_stats.dedup_hits, 0u);
+  const SchedulerStats sched = session.scheduler().stats();
+  EXPECT_EQ(sched.dedup_promotions, 1u);
+  EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
+  // Sync jobs stay out of Jobs(): only the async leader is listed.
+  EXPECT_EQ(session.Jobs().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
