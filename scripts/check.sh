@@ -40,6 +40,35 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cd "$REPO_ROOT"
 
+echo "== lint =="
+# One compile per session job: Scheduler::PlanJob compiles each request
+# and the job carries that JobPlan through admission, the engine, dedup
+# promotion, the cluster and EXPLAIN. A Catalog::Compile anywhere else in
+# src/service or src/cluster re-resolves names the job already resolved
+# (and may see a newer catalog version than its cache/dedup key names).
+# Allowed besides PlanJob: the DistributedRun(request, default_options,
+# stats) wrapper and InspectionWorker::RunSliced (a wire request compiled
+# in the worker's own session). A function starts at a column-0 line
+# holding "(".
+LINT_OWNERS='Scheduler::PlanJob|ClusterCoordinator::DistributedRun|InspectionWorker::RunSliced'
+if ! awk -v owners="($LINT_OWNERS)\\(" '
+      FNR == 1 { fn = "" }
+      /^[A-Za-z_].*\(/ { fn = $0 }
+      { code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /(^|[^A-Za-z0-9_])Compile\(/ && fn !~ owners {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      FILENAME ~ /scheduler\.cc$/ && code ~ /Get(Model|Dataset)\(/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/service/*.cc src/service/*.h \
+                        src/cluster/*.cc src/cluster/*.h; then
+  echo "lint: the lines above re-resolve a session job's request against" \
+       "the catalog. Scheduler::PlanJob owns the job's one compile: read" \
+       "the JobPlan's compiled plan (RunPlan executes it) instead."
+  exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 

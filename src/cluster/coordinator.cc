@@ -137,9 +137,9 @@ Status ClusterCoordinator::Start() {
   monitor_thread_ = std::thread([this] { MonitorLoop(); });
   if (config_.install_engine) {
     session_->scheduler().SetEngine(
-        [this](const InspectRequest& request,
-               const InspectOptions& default_options, RuntimeStats* stats) {
-          return DistributedRun(request, default_options, stats);
+        [this](const InspectRequest& request, const InspectPlan& plan,
+               RuntimeStats* stats) {
+          return RunCompiled(request, plan, stats);
         });
     // Feed the session's EXPLAIN layer the decision DistributedRun would
     // execute for a request right now.
@@ -437,16 +437,20 @@ ClusterDispatch ClusterCoordinator::PlanDispatch(
 Result<ResultTable> ClusterCoordinator::DistributedRun(
     const InspectRequest& request, const InspectOptions& default_options,
     RuntimeStats* stats) {
+  DB_ASSIGN_OR_RETURN(InspectPlan plan,
+                      session_->catalog().Compile(request, default_options));
+  return RunCompiled(request, plan, stats);
+}
+
+Result<ResultTable> ClusterCoordinator::RunCompiled(
+    const InspectRequest& request, const InspectPlan& plan,
+    RuntimeStats* stats) {
   Stopwatch watch;
-  Result<InspectPlan> plan_or =
-      session_->catalog().Compile(request, default_options);
-  if (!plan_or.ok()) return plan_or.status();
-  InspectPlan plan = std::move(plan_or).ValueOrDie();
   // Same pre-flight as a local run, before any work is dispatched: sliced
   // workers drive the pipeline directly and would only normalize.
   DB_RETURN_NOT_OK(CheckHypothesisOutputFormat(plan));
 
-  // The scheduler's Execute installed the job tracer into the request's
+  // The scheduler's Execute installed the job tracer into the plan's
   // options, so the coordinator's dispatch/merge spans and the imported
   // worker spans all land in the same per-job trace.
   Tracer* tracer = plan.options.tracer;
@@ -459,8 +463,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.jobs_local_fallback;
     }
-    return RunInspectRequest(request, session_->catalog(), default_options,
-                             stats);
+    return RunPlan(plan, stats);
   }
 
   // Availability rescue: a kUnavailable outcome (quorum loss, attempts
@@ -476,8 +479,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.jobs_degraded_local;
       }
-      return RunInspectRequest(request, session_->catalog(), default_options,
-                               stats);
+      return RunPlan(plan, stats);
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.jobs_failed;

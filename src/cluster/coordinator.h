@@ -158,9 +158,9 @@ class ClusterCoordinator {
   ClusterDispatch PlanDispatch(const InspectRequest& request,
                                const InspectPlan& plan) const;
 
-  /// \brief Execute one request on the cluster. This is the EngineFn the
-  /// scheduler calls (options already carry cancel/progress); exposed
-  /// publicly so tests can drive it without a session round-trip.
+  /// \brief Compile one request against the session catalog and execute
+  /// it on the cluster (RunCompiled). Lets tests and benches drive the
+  /// cluster without a session round-trip.
   Result<ResultTable> DistributedRun(const InspectRequest& request,
                                      const InspectOptions& default_options,
                                      RuntimeStats* stats);
@@ -222,6 +222,12 @@ class ClusterCoordinator {
   /// Recompute the store key → worker placement over live workers and
   /// push it to every live worker. Called on membership changes.
   void PushStoreKeymap();
+
+  /// The EngineFn the scheduler calls with a job's compiled plan: run it as
+  /// PlanDispatch decides (local fallback and degradation RunPlan it).
+  Result<ResultTable> RunCompiled(const InspectRequest& request,
+                                  const InspectPlan& plan,
+                                  RuntimeStats* stats);
 
   /// Merge a completed sliced run into the final table (ascending
   /// shard_lo = ascending shard id = the in-process merge order).

@@ -189,9 +189,7 @@ wire::AssignResultWire InspectionWorker::RunSliced(
   // never travel).
   plan.options.num_shards = assignment.total_shards;
   plan.options.shared_scan = nullptr;
-  plan.options.hypothesis_cache = session_->hypothesis_cache();
-  plan.options.behavior_store = session_->store();
-  plan.options.pool = session_->thread_pool();
+  session_->AttachSubstrate(&plan.options);
   plan.options.progress = progress;
   plan.options.cancel = &cancel_;
   plan.options.tracer = tracer;

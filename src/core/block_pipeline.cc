@@ -43,6 +43,16 @@ MergeExactness PairMergeExactness(const MeasureFactory& factory,
   return probe == nullptr ? MergeExactness::kNone : probe->merge_exactness();
 }
 
+std::vector<int> UnitUnion(const ModelSpec& model) {
+  std::vector<int> units;
+  for (const UnitGroupSpec& group : model.groups) {
+    units.insert(units.end(), group.unit_ids.begin(), group.unit_ids.end());
+  }
+  std::sort(units.begin(), units.end());
+  units.erase(std::unique(units.begin(), units.end()), units.end());
+  return units;
+}
+
 size_t ResolveShardCount(size_t requested, size_t fallback) {
   return std::clamp<size_t>(requested != 0 ? requested : fallback, 1,
                             kMaxShards);
@@ -123,13 +133,8 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
   group_cols_.resize(models_.size());
   group_identity_.resize(models_.size());
   for (size_t m = 0; m < models_.size(); ++m) {
-    std::vector<int> units;
-    for (const auto& group : models_[m].groups) {
-      units.insert(units.end(), group.unit_ids.begin(), group.unit_ids.end());
-    }
-    std::sort(units.begin(), units.end());
-    units.erase(std::unique(units.begin(), units.end()), units.end());
-    model_units_[m] = units;
+    model_units_[m] = UnitUnion(models_[m]);
+    const std::vector<int>& units = model_units_[m];
     group_cols_[m].resize(models_[m].groups.size());
     group_identity_[m].resize(models_[m].groups.size());
     for (size_t g = 0; g < models_[m].groups.size(); ++g) {

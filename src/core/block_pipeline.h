@@ -54,6 +54,12 @@ namespace deepbase {
 /// here.
 size_t ResolveShardCount(size_t requested, size_t fallback);
 
+/// \brief The units one block extraction of `model` reads: the sorted,
+/// deduplicated union of its groups' unit ids. The pipeline extracts this
+/// column set and SharedScan keys blocks by it, so the scheduler groups
+/// jobs by it too.
+std::vector<int> UnitUnion(const ModelSpec& model);
+
 /// \brief Model merging (§5.2.1): true when the pair is fused into the
 /// composite model of a mergeable joint measure over binary hypotheses.
 bool FusesIntoComposite(const MeasureFactory& factory,

@@ -7,6 +7,7 @@
 #include "core/behavior_store.h"
 #include "core/inspect_parser.h"
 #include "measures/scores.h"
+#include "util/fnv.h"
 
 namespace deepbase {
 
@@ -66,45 +67,19 @@ void Catalog::SetMutationListener(std::function<void(uint64_t)> listener) {
   mutation_listener_ = std::move(listener);
 }
 
-Result<CatalogModel> Catalog::GetModel(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = models_.find(name);
-  if (it == models_.end()) {
-    return Status::NotFound("model not registered: " + name);
-  }
-  return it->second;
-}
-
-Result<std::vector<HypothesisPtr>> Catalog::GetHypotheses(
-    const std::string& set_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = hypothesis_sets_.find(set_name);
-  if (it == hypothesis_sets_.end()) {
-    return Status::NotFound("hypothesis set not registered: " + set_name);
-  }
-  return it->second;
-}
-
-Result<CatalogDataset> Catalog::GetDataset(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
-    return Status::NotFound("dataset not registered: " + name);
-  }
-  return it->second;
-}
-
-Result<MeasureFactoryPtr> Catalog::GetMeasure(const std::string& name) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = measures_.find(name);
-    if (it != measures_.end()) return it->second;
-  }
-  // Fall back to the built-in measure registry shared with the parsers.
-  return MeasureByName(name);
-}
-
 namespace {
+
+// One registry lookup; the caller holds the catalog lock.
+template <typename Map>
+Result<typename Map::mapped_type> Lookup(const Map& map,
+                                         const std::string& name,
+                                         const char* what) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    return Status::NotFound(std::string(what) + " not registered: " + name);
+  }
+  return it->second;
+}
 
 template <typename Map>
 std::vector<std::string> KeysOf(const Map& map) {
@@ -115,6 +90,35 @@ std::vector<std::string> KeysOf(const Map& map) {
 }
 
 }  // namespace
+
+Result<CatalogModel> Catalog::GetModel(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Lookup(models_, name, "model");
+}
+
+Result<std::vector<HypothesisPtr>> Catalog::GetHypotheses(
+    const std::string& set_name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Lookup(hypothesis_sets_, set_name, "hypothesis set");
+}
+
+Result<CatalogDataset> Catalog::GetDataset(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Lookup(datasets_, name, "dataset");
+}
+
+Result<MeasureFactoryPtr> Catalog::GetMeasure(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return MeasureLocked(name);
+}
+
+Result<MeasureFactoryPtr> Catalog::MeasureLocked(
+    const std::string& name) const {
+  auto it = measures_.find(name);
+  if (it != measures_.end()) return it->second;
+  // Fall back to the built-in measure registry shared with the parsers.
+  return MeasureByName(name);
+}
 
 std::vector<std::string> Catalog::ModelNames() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -163,6 +167,10 @@ Result<InspectPlan> Catalog::Compile(
   InspectPlan plan;
   plan.options = request.options.value_or(default_options);
   plan.min_abs_unit_score = request.min_abs_unit_score;
+  // Every name resolves under one lock acquisition, so the plan is the
+  // catalog as of one version (InspectPlan::catalog_version).
+  std::unique_lock<std::mutex> lock(mu_);
+  plan.catalog_version = version_;
 
   // --- Models.
   if (request.models.empty()) {
@@ -175,7 +183,8 @@ Result<InspectPlan> Catalog::Compile(
         return Status::Invalid("model reference has neither a catalog name "
                                "nor an inline extractor");
       }
-      DB_ASSIGN_OR_RETURN(CatalogModel entry, GetModel(ref.name));
+      DB_ASSIGN_OR_RETURN(CatalogModel entry,
+                          Lookup(models_, ref.name, "model"));
       extractor = entry.extractor;
     }
     if (extractor == nullptr) {
@@ -215,7 +224,7 @@ Result<InspectPlan> Catalog::Compile(
   for (const HypothesisPtr& hyp : request.hypotheses) add_hypothesis(hyp);
   for (const std::string& set_name : request.hypothesis_sets) {
     DB_ASSIGN_OR_RETURN(std::vector<HypothesisPtr> set,
-                        GetHypotheses(set_name));
+                        Lookup(hypothesis_sets_, set_name, "hypothesis set"));
     for (const HypothesisPtr& hyp : set) add_hypothesis(hyp);
   }
   if (!request.hypothesis_filter.empty()) {
@@ -242,8 +251,9 @@ Result<InspectPlan> Catalog::Compile(
     plan.dataset = request.dataset;
   } else if (!request.dataset_name.empty()) {
     DB_ASSIGN_OR_RETURN(CatalogDataset entry,
-                        GetDataset(request.dataset_name));
+                        Lookup(datasets_, request.dataset_name, "dataset"));
     plan.dataset = entry.dataset;
+    plan.dataset_fingerprint = entry.fingerprint;
   }
   if (plan.dataset == nullptr) {
     return Status::Invalid("INSPECT requires an OVER dataset");
@@ -254,13 +264,104 @@ Result<InspectPlan> Catalog::Compile(
     if (measure != nullptr) plan.measures.push_back(measure);
   }
   for (const std::string& name : request.measure_names) {
-    DB_ASSIGN_OR_RETURN(MeasureFactoryPtr measure, GetMeasure(name));
+    DB_ASSIGN_OR_RETURN(MeasureFactoryPtr measure, MeasureLocked(name));
     plan.measures.push_back(std::move(measure));
   }
+  lock.unlock();
   if (plan.measures.empty()) {
     plan.measures.push_back(std::make_shared<CorrelationScore>("pearson"));
   }
+  // An inline dataset has no registration snapshot: hash its content, off
+  // the catalog lock.
+  if (request.dataset != nullptr) {
+    plan.dataset_fingerprint = DatasetFingerprint(*request.dataset);
+  }
   return plan;
+}
+
+namespace {
+
+void HashStr(const std::string& s, uint64_t* h) {
+  *h = Fnv1a(s.data(), s.size(), *h);
+  *h = Fnv1a(";", 1, *h);
+}
+
+template <typename T>
+void HashPod(const T& value, uint64_t* h) {
+  *h = Fnv1a(&value, sizeof(value), *h);
+}
+
+/// The option values that can change scores or row sets; pointers
+/// (store, caches, pool, cancel) and purely observational fields never
+/// participate.
+void HashOptions(const InspectOptions& o, uint64_t* h) {
+  HashPod(o.block_size, h);
+  HashPod(o.shuffle_seed, h);
+  HashPod(o.passes, h);
+  HashPod(o.streaming, h);
+  HashPod(o.early_stopping, h);
+  HashPod(o.model_merging, h);
+  HashPod(o.corr_epsilon, h);
+  HashPod(o.logreg_epsilon, h);
+  HashPod(o.default_epsilon, h);
+  // The shard count participates only under early stopping. Full sweeps
+  // are shard-count-invariant: every mergeable measure's shard merge is
+  // kExact (integer counts) or kBitExact (canonical pairwise-tree
+  // reduction of per-block moments), and non-mergeable measures run on
+  // the sequential lane regardless of shard count — so one cached result
+  // serves every shard count. Early stopping breaks the invariance (each
+  // shard lane truncates at its own convergence point, so the set of
+  // processed blocks depends on the dealing), hence those runs stay
+  // keyed by the resolved count.
+  if (o.early_stopping) HashPod(o.num_shards, h);
+  HashPod(o.time_budget_s, h);
+  HashPod(o.max_blocks, h);
+}
+
+}  // namespace
+
+std::optional<uint64_t> InspectRequestFingerprint(
+    const InspectRequest& request, uint64_t dataset_fingerprint,
+    const InspectOptions& options) {
+  // Cacheable requests are fully name-resolved: inline extractor,
+  // hypothesis, or measure objects have no stable identity to key on.
+  if (request.models.empty()) return std::nullopt;
+  for (const InspectRequest::ModelRef& ref : request.models) {
+    if (ref.extractor != nullptr || ref.name.empty()) return std::nullopt;
+  }
+  if (!request.hypotheses.empty()) return std::nullopt;
+  if (!request.measures.empty()) return std::nullopt;
+
+  uint64_t h = kFnvOffsetBasis;
+  for (const InspectRequest::ModelRef& ref : request.models) {
+    HashStr(ref.name, &h);
+    HashPod(ref.group_by_layer, &h);
+    for (const UnitGroupSpec& group : ref.groups) {
+      HashStr(group.group_id, &h);
+      h = Fnv1a(group.unit_ids.data(), group.unit_ids.size() * sizeof(int),
+                h);
+    }
+  }
+  for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
+  HashStr("|filter", &h);
+  for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
+  HashPod(dataset_fingerprint, &h);
+  HashStr("|measures", &h);
+  for (const std::string& name : request.measure_names) HashStr(name, &h);
+  const bool has_min = request.min_abs_unit_score.has_value();
+  HashPod(has_min, &h);
+  if (has_min) HashPod(*request.min_abs_unit_score, &h);
+  HashOptions(options, &h);
+  return h;
+}
+
+std::optional<uint64_t> InspectRequestFingerprint(
+    const InspectRequest& request, const Catalog& catalog,
+    const InspectOptions& options) {
+  Result<InspectPlan> plan = catalog.Compile(request, options);
+  if (!plan.ok()) return std::nullopt;
+  return InspectRequestFingerprint(request, plan->dataset_fingerprint,
+                                   options);
 }
 
 Status CheckHypothesisOutputFormat(const InspectPlan& plan) {
@@ -313,15 +414,6 @@ ResultTable ApplyHaving(const InspectPlan& plan, ResultTable results) {
     return row.unit >= 0 && !std::isnan(row.unit_score) &&
            std::fabs(row.unit_score) > threshold;
   });
-}
-
-Result<ResultTable> RunInspectRequest(const InspectRequest& request,
-                                      const Catalog& catalog,
-                                      const InspectOptions& default_options,
-                                      RuntimeStats* stats) {
-  DB_ASSIGN_OR_RETURN(InspectPlan plan,
-                      catalog.Compile(request, default_options));
-  return RunPlan(plan, stats);
 }
 
 }  // namespace deepbase

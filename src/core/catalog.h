@@ -34,9 +34,9 @@ struct CatalogModel {
 };
 
 /// \brief A registered dataset plus a snapshot of its content fingerprint
-/// (informational metadata: the store path recomputes DatasetFingerprint
-/// live when keying entries, and the planned session-level result cache
-/// keys on it — see ROADMAP).
+/// (Compile copies it into InspectPlan::dataset_fingerprint, which keys the
+/// session's result cache and shared-scan groups; the store path
+/// recomputes DatasetFingerprint live when keying entries).
 struct CatalogDataset {
   const Dataset* dataset = nullptr;
   uint64_t fingerprint = 0;
@@ -91,6 +91,13 @@ struct InspectPlan {
   const Dataset* dataset = nullptr;
   InspectOptions options;
   std::optional<float> min_abs_unit_score;
+  /// The catalog version Compile resolved every name at (one lock
+  /// acquisition): a job running this plan runs that version's
+  /// definitions, however the catalog changes afterwards.
+  uint64_t catalog_version = 0;
+  /// The dataset's content fingerprint: the catalog's registration
+  /// snapshot for a named dataset, a live hash for an inline one.
+  uint64_t dataset_fingerprint = 0;
 };
 
 /// \brief Registry of named models, hypothesis sets, datasets, and
@@ -137,7 +144,8 @@ class Catalog {
   /// not at the next submission. One listener; nullptr clears it.
   void SetMutationListener(std::function<void(uint64_t)> listener);
 
-  /// \brief Resolve every name in `request` and produce the engine plan.
+  /// \brief Resolve every name in `request` and produce the engine plan,
+  /// under one lock acquisition (see InspectPlan::catalog_version).
   /// Returns descriptive errors: kNotFound for unknown catalog names,
   /// kInvalidArgument for structurally invalid requests (no model, no
   /// dataset, empty hypothesis list, out-of-range unit ids).
@@ -148,6 +156,9 @@ class Catalog {
   /// Bump version_ under the lock and invoke the mutation listener after
   /// releasing it (listeners may read back through the catalog).
   void BumpVersion(std::unique_lock<std::mutex> lock);
+  /// A registered measure, else the built-in one of that name. Caller
+  /// holds mu_.
+  Result<MeasureFactoryPtr> MeasureLocked(const std::string& name) const;
 
   mutable std::mutex mu_;
   uint64_t version_ = 0;
@@ -161,6 +172,18 @@ class Catalog {
   std::map<std::string, MeasureFactoryPtr> measures_;
 };
 
+/// \brief Result-cache and dedup key of a fully catalog-resolved request:
+/// its names, the resolved dataset fingerprint and the score-affecting
+/// option values; nullopt for inline extractor/hypothesis/measure objects.
+std::optional<uint64_t> InspectRequestFingerprint(
+    const InspectRequest& request, uint64_t dataset_fingerprint,
+    const InspectOptions& options);
+/// \brief The same, taking the dataset fingerprint from compiling
+/// `request` against `catalog`; nullopt when it does not compile.
+std::optional<uint64_t> InspectRequestFingerprint(
+    const InspectRequest& request, const Catalog& catalog,
+    const InspectOptions& options);
+
 /// \brief Pre-flight the hypothesis output format (paper §4.1: "output
 /// formats are checked during execution"): every hypothesis must emit one
 /// behavior per record symbol, or the plan fails kInvalidArgument before
@@ -173,16 +196,10 @@ Status CheckHypothesisOutputFormat(const InspectPlan& plan);
 ResultTable ApplyHaving(const InspectPlan& plan, ResultTable results);
 
 /// \brief Execute a compiled plan: pre-flight hypothesis output formats,
-/// run the engine, and apply the HAVING filter.
+/// run the engine, and apply the HAVING filter. Every frontend runs a
+/// request as Catalog::Compile then RunPlan; session jobs compile once,
+/// in Scheduler::PlanJob.
 Result<ResultTable> RunPlan(const InspectPlan& plan,
                             RuntimeStats* stats = nullptr);
-
-/// \brief Compile + run in one step against `catalog`. This is the single
-/// execution path shared by every frontend; InspectionSession layers its
-/// store/cache/thread-pool on top by rewriting `default_options`.
-Result<ResultTable> RunInspectRequest(
-    const InspectRequest& request, const Catalog& catalog,
-    const InspectOptions& default_options = {},
-    RuntimeStats* stats = nullptr);
 
 }  // namespace deepbase

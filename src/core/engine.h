@@ -332,9 +332,9 @@ struct RuntimeStats {
   /// True if the run was stopped by InspectOptions::cancel.
   bool cancelled = false;
   /// True if the run was stopped by InspectOptions::deadline. The table
-  /// returned by Inspect() is partial; RunPlan/RunInspectRequest convert
-  /// this flag into a kDeadlineExceeded error so no caller above the raw
-  /// engine ever mistakes the truncation for a complete result.
+  /// returned by Inspect() is partial; RunPlan converts this flag into a
+  /// kDeadlineExceeded error so no caller above the raw engine ever
+  /// mistakes the truncation for a complete result.
   bool deadline_exceeded = false;
 
   /// \brief Sum another run's counters/timings into this one (used when a

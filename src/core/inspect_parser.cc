@@ -185,8 +185,8 @@ Result<ResultTable> ExecuteInspect(const std::string& statement,
                                    const InspectOptions& options,
                                    RuntimeStats* stats) {
   DB_ASSIGN_OR_RETURN(InspectRequest request, ParseInspect(statement, catalog));
-  request.options = options;
-  return RunInspectRequest(request, catalog, options, stats);
+  DB_ASSIGN_OR_RETURN(InspectPlan plan, catalog.Compile(request, options));
+  return RunPlan(plan, stats);
 }
 
 }  // namespace deepbase

@@ -78,13 +78,14 @@ InspectQuery& InspectQuery::HavingUnitScoreAbove(float threshold) {
 }
 
 Result<ResultTable> InspectQuery::Execute(RuntimeStats* stats) const {
-  if (catalog_ != nullptr) {
-    return RunInspectRequest(request_, *catalog_, InspectOptions{}, stats);
-  }
-  // Fully inline query: compile against an empty catalog. Name references
-  // (if any) fail with the same descriptive errors a session would give.
+  // A fully inline query compiles against an empty catalog. Name
+  // references (if any) fail with the same descriptive errors a session
+  // would give.
   static const Catalog kEmptyCatalog;
-  return RunInspectRequest(request_, kEmptyCatalog, InspectOptions{}, stats);
+  const Catalog& catalog = catalog_ != nullptr ? *catalog_ : kEmptyCatalog;
+  DB_ASSIGN_OR_RETURN(InspectPlan plan,
+                      catalog.Compile(request_, InspectOptions{}));
+  return RunPlan(plan, stats);
 }
 
 }  // namespace deepbase

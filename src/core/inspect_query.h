@@ -17,11 +17,10 @@
 //
 // The builder is a thin frontend: it only assembles an InspectRequest.
 // Execute() compiles the request against the bound Catalog (or an empty
-// one when everything is inline) via the shared RunInspectRequest path —
-// the same path used by the textual INSPECT parser, the SQL layer, and
-// InspectionSession. To run through a session (shared behavior store,
-// hypothesis cache, async jobs), pass the builder or its request() to
-// InspectionSession::Inspect / Submit.
+// one when everything is inline) and runs the plan (Catalog::Compile,
+// RunPlan) — the path every frontend shares. To run through a session
+// (shared behavior store, hypothesis cache, async jobs), pass the builder
+// or its request() to InspectionSession::Inspect / Submit.
 
 #pragma once
 

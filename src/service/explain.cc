@@ -1,11 +1,11 @@
 // EXPLAIN / EXPLAIN ANALYZE implementation (see explain.h for the
 // contract). The plan renders decisions made elsewhere, each by the
-// function that makes it at run time: Catalog::Compile (resolve-only),
-// Scheduler::Probe (the scheduler's JobPlan and admission verdict),
-// BehaviorStore::PeekTier (store residency), the pipeline's lane rules
-// (FusesIntoComposite, PairMergeExactness) and InspectionSession::
-// ProbeCluster (the coordinator's dispatch decision). None of them moves
-// a counter, so a dry run executes zero blocks.
+// function that makes it at run time: Scheduler::Probe (the job's
+// JobPlan — its one Catalog::Compile and everything derived from it — and
+// the admission verdict), BehaviorStore::PeekTier (store residency), the
+// pipeline's lane rules (FusesIntoComposite, PairMergeExactness) and
+// InspectionSession::ProbeCluster (the coordinator's dispatch decision).
+// None of them moves a counter, so a dry run executes zero blocks.
 
 #include "service/explain.h"
 
@@ -218,15 +218,14 @@ std::string AdmissionVerdict(const Admission& admission) {
 
 Result<PlannedJob> BuildPlan(InspectionSession* session,
                              const InspectRequest& request) {
-  const Catalog& catalog = session->catalog();
-  DB_ASSIGN_OR_RETURN(
-      InspectPlan compiled,
-      catalog.Compile(request, session->default_options()));
   PlannedJob planned;
   planned.scheduler = session->scheduler().Probe(request);
-  planned.cluster = session->ProbeCluster(request, compiled);
   const SchedulerProbe& probe = planned.scheduler;
-  const JobPlan& job = probe.plan;
+  const JobPlan& job = *probe.plan;
+  // A request that does not compile fails as Inspect would.
+  DB_RETURN_NOT_OK(job.status);
+  const InspectPlan& compiled = job.compiled;
+  planned.cluster = session->ProbeCluster(request, compiled);
   const Admission::Outcome outcome = probe.admission.outcome;
   // The admission rule stops at its first deciding stage; the probe never
   // evaluates failpoints, so a probed deadline verdict is the only
@@ -290,7 +289,7 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
     }
     if (job.fingerprint.has_value()) {
       node.Add("fingerprint", HexU64(*job.fingerprint));
-      node.Add("catalog_version", std::to_string(job.catalog_version));
+      node.Add("catalog_version", std::to_string(compiled.catalog_version));
     }
     root.children.push_back(std::move(node));
   }
@@ -321,11 +320,9 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
     node.name = "shared-scan";
     if (!probe.shared_scan_enabled) {
       node.Add("", "disabled");
-    } else if (!job.group_key.has_value()) {
-      node.Add("", "no group (request does not resolve against the catalog)");
     } else {
       node.Add("", probe.group_exists ? "join existing group" : "new group");
-      node.Add("group", *job.group_key);
+      node.Add("group", job.group_key);
     }
     root.children.push_back(std::move(node));
   }
@@ -334,14 +331,13 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "inputs";
-    if (store == nullptr || compiled.dataset == nullptr) {
+    if (store == nullptr) {
       node.Add("", "no store (live extraction every run)");
     } else {
       const Dataset& dataset = *compiled.dataset;
       node.Add("records", std::to_string(dataset.num_records()));
       node.Add("ns", std::to_string(dataset.ns()));
       for (const ModelSpec& model : compiled.models) {
-        if (model.extractor == nullptr) continue;
         PlanNode unit;
         unit.name = "unit-behaviors";
         unit.Add("model", model.extractor->model_id());
@@ -356,7 +352,7 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
         unit.Add("lda", std::to_string(PaddedLda(cols)));
         node.children.push_back(std::move(unit));
       }
-      if (job.options.hypothesis_store_tier) {
+      if (compiled.options.hypothesis_store_tier) {
         for (const HypothesisPtr& hyp : compiled.hypotheses) {
           PlanNode hn;
           hn.name = "hyp-behaviors";
@@ -376,7 +372,7 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
 
   // --- shard partition + per-measure merge lanes ---
   {
-    const InspectOptions& options = job.options;
+    const InspectOptions& options = compiled.options;
     PlanNode node;
     node.name = "partition";
     node.Add("shards", std::to_string(job.resolved_shard_count));
@@ -558,7 +554,7 @@ void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
     cache->AddActual("hit", actual_cache_hit ? "yes" : "no");
     const bool predicted_hit = outcome == Admission::Outcome::kCacheHit;
     const bool predicted_miss =
-        planned->scheduler.plan.cacheable && !predicted_hit;
+        planned->scheduler.plan->cacheable && !predicted_hit;
     if (predicted_hit && !actual_cache_hit) {
       cache->divergences.push_back(
           "predicted cache hit was not served from the cache");

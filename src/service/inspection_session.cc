@@ -159,22 +159,19 @@ InspectionSession::~InspectionSession() {
   catalog_.SetMutationListener(nullptr);
 }
 
-InspectOptions InspectionSession::EffectiveOptions(
-    const InspectRequest& request) {
-  InspectOptions options = request.options.value_or(config_.options);
-  if (options.hypothesis_cache == nullptr) {
-    options.hypothesis_cache = hyp_cache_.get();
+void InspectionSession::AttachSubstrate(InspectOptions* options) {
+  if (options->hypothesis_cache == nullptr) {
+    options->hypothesis_cache = hyp_cache_.get();
   }
-  if (options.behavior_store == nullptr) {
-    options.behavior_store = store_.get();
+  if (options->behavior_store == nullptr) {
+    options->behavior_store = store_.get();
   }
   // Intra-job sharding runs on the session pool (num_shards == 0 resolves
   // to the pool size). num_shards == 1 keeps sync-only sessions
-  // thread-free, as before.
-  if (options.pool == nullptr && options.num_shards != 1) {
-    options.pool = EnsurePool();
+  // thread-free.
+  if (options->pool == nullptr && options->num_shards != 1) {
+    options->pool = EnsurePool();
   }
-  return options;
 }
 
 std::shared_ptr<internal::JobState> InspectionSession::NewJobState() {

@@ -300,10 +300,16 @@ class InspectionSession {
   /// \brief The session's behavior store (nullptr when store_dir was
   /// empty).
   BehaviorStore* store() { return store_.get(); }
-  HypothesisCache* hypothesis_cache() { return hyp_cache_.get(); }
   /// \brief The async worker pool, created lazily by the first Submit()
   /// (sync-only sessions never spawn threads).
   ThreadPool* thread_pool() { return EnsurePool(); }
+
+  /// \brief Attach the session substrate to a job's options where unset:
+  /// the hypothesis cache, the behavior store and, for jobs that shard
+  /// their block loop (num_shards != 1, including the pool-sized 0), the
+  /// session pool — shared fairly, as ParallelFor is cooperative. The
+  /// scheduler and cluster workers both run jobs through it.
+  void AttachSubstrate(InspectOptions* options);
 
   /// \brief Synchronous inspection: compile against the catalog, serve
   /// behaviors through the session store/cache, run the engine.
@@ -353,13 +359,6 @@ class InspectionSession {
  private:
   friend class Scheduler;
 
-  /// Apply the session substrate (store, cache, thread pool) to a
-  /// request's options. Requests that shard their block loop
-  /// (num_shards != 1, including the pool-sized default of 0) get the
-  /// session pool: jobs and shards share it with a fair budget —
-  /// ParallelFor is cooperative, so each job's own thread always makes
-  /// progress and idle workers accelerate whoever queued first.
-  InspectOptions EffectiveOptions(const InspectRequest& request);
   /// Create the worker pool on first use.
   ThreadPool* EnsurePool();
   /// Allocate + register the state of a new job (any status).

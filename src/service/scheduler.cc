@@ -90,58 +90,6 @@ void CountJobTerminal(const char* status, double wall_s) {
   if (wall_s >= 0) m.latency->Observe(wall_s);
 }
 
-void HashStr(const std::string& s, uint64_t* h) {
-  *h = Fnv1a(s.data(), s.size(), *h);
-  *h = Fnv1a(";", 1, *h);
-}
-
-template <typename T>
-void HashPod(const T& value, uint64_t* h) {
-  *h = Fnv1a(&value, sizeof(value), *h);
-}
-
-/// The option values that can change scores or row sets; pointers
-/// (store, caches, pool, cancel) and purely observational fields never
-/// participate.
-void HashOptions(const InspectOptions& o, uint64_t* h) {
-  HashPod(o.block_size, h);
-  HashPod(o.shuffle_seed, h);
-  HashPod(o.passes, h);
-  HashPod(o.streaming, h);
-  HashPod(o.early_stopping, h);
-  HashPod(o.model_merging, h);
-  HashPod(o.corr_epsilon, h);
-  HashPod(o.logreg_epsilon, h);
-  HashPod(o.default_epsilon, h);
-  // The shard count participates only under early stopping. Full sweeps
-  // are shard-count-invariant: every mergeable measure's shard merge is
-  // kExact (integer counts) or kBitExact (canonical pairwise-tree
-  // reduction of per-block moments), and non-mergeable measures run on
-  // the sequential lane regardless of shard count — so one cached result
-  // serves every shard count. Early stopping breaks the invariance (each
-  // shard lane truncates at its own convergence point, so the set of
-  // processed blocks depends on the dealing), hence those runs stay
-  // keyed by the resolved count.
-  if (o.early_stopping) HashPod(o.num_shards, h);
-  HashPod(o.time_budget_s, h);
-  HashPod(o.max_blocks, h);
-}
-
-/// Resolved dataset fingerprint of a request: the catalog's registration
-/// snapshot for named datasets, a live content hash for inline ones.
-std::optional<uint64_t> DatasetFingerprintFor(const InspectRequest& request,
-                                              const Catalog& catalog) {
-  if (request.dataset != nullptr) {
-    return DatasetFingerprint(*request.dataset);
-  }
-  if (!request.dataset_name.empty()) {
-    Result<CatalogDataset> entry = catalog.GetDataset(request.dataset_name);
-    if (!entry.ok()) return std::nullopt;
-    return entry->fingerprint;
-  }
-  return std::nullopt;
-}
-
 /// Parse the catalog-version field out of a "cache:<fp>:<version>:<ds>"
 /// blob key; false when the key is not a result-cache entry.
 bool ParseBlobKeyVersion(const std::string& key, uint64_t* version) {
@@ -196,46 +144,25 @@ size_t ResolvedShardCountFor(const InspectOptions& options,
   return ResolveShardCount(options.num_shards, pool_threads);
 }
 
-// Batching key for shared-scan grouping: model ids + dataset fingerprint
-// + the options that shape the block sequence. nullopt when the request
-// cannot be resolved against the catalog (it then runs solo and reports
-// its own compile error).
-std::optional<std::string> BatchKeyFor(const InspectRequest& request,
-                                       const Catalog& catalog,
-                                       const InspectOptions& options) {
-  if (request.models.empty()) return std::nullopt;
+// Batching key for shared-scan grouping: per model its id and resolved
+// unit union — SharedScan keys blocks by it, so jobs share blocks however
+// their groups partition the union, and a layer-0 job's blocks are never
+// held pending for a layer-1 job — then the dataset fingerprint and the
+// options that shape the block sequence.
+std::string BatchKeyFor(const InspectPlan& plan) {
   std::string key;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    const Extractor* extractor = ref.extractor;
-    if (extractor == nullptr) {
-      if (ref.name.empty()) return std::nullopt;
-      Result<CatalogModel> entry = catalog.GetModel(ref.name);
-      if (!entry.ok() || entry->extractor == nullptr) return std::nullopt;
-      extractor = entry->extractor;
-    }
-    key += extractor->model_id();
+  for (const ModelSpec& model : plan.models) {
+    const std::vector<int> units = UnitUnion(model);
+    key += model.extractor->model_id();
     key += '@';
-    // The unit-group footprint: blocks are keyed by the unit *union* in
-    // the scan, so only jobs with identical footprints can share cached
-    // blocks — keeping different footprints in different groups stops a
-    // layer-0 job's blocks from being held pending for a layer-1 job
-    // that will never read them.
-    uint64_t gh = kFnvOffsetBasis;
-    gh = Fnv1a(&ref.group_by_layer, sizeof(ref.group_by_layer), gh);
-    for (const UnitGroupSpec& group : ref.groups) {
-      const uint64_t n = group.unit_ids.size();
-      gh = Fnv1a(&n, sizeof(n), gh);
-      gh = Fnv1a(group.unit_ids.data(), group.unit_ids.size() * sizeof(int),
-                 gh);
-    }
-    key += std::to_string(gh);
+    key += std::to_string(
+        Fnv1a(units.data(), units.size() * sizeof(int), kFnvOffsetBasis));
     key += '|';
   }
-  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
-  if (!dataset_fp) return std::nullopt;
-  key += std::to_string(*dataset_fp);
+  key += std::to_string(plan.dataset_fingerprint);
   // Scan-shaping options: jobs with different block sequences would never
   // share cached blocks anyway, so keep their groups separate.
+  const InspectOptions& options = plan.options;
   key += '|';
   key += std::to_string(options.block_size);
   key += ':';
@@ -247,44 +174,21 @@ std::optional<std::string> BatchKeyFor(const InspectRequest& request,
   return key;
 }
 
-}  // namespace
-
-std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, const Catalog& catalog,
-    const InspectOptions& options) {
-  // Cacheable requests are fully name-resolved: inline extractor,
-  // hypothesis, or measure objects have no stable identity to key on.
-  if (request.models.empty()) return std::nullopt;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    if (ref.extractor != nullptr || ref.name.empty()) return std::nullopt;
+// Rough extraction footprint of a plan (dataset symbols × unit count),
+// the unit of the queued-bytes quota.
+size_t QueuedBytesFor(const InspectPlan& plan) {
+  size_t units = 0;
+  for (const ModelSpec& model : plan.models) {
+    units += model.extractor->num_units();
   }
-  if (!request.hypotheses.empty()) return std::nullopt;
-  if (!request.measures.empty()) return std::nullopt;
-
-  uint64_t h = kFnvOffsetBasis;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    HashStr(ref.name, &h);
-    HashPod(ref.group_by_layer, &h);
-    for (const UnitGroupSpec& group : ref.groups) {
-      HashStr(group.group_id, &h);
-      h = Fnv1a(group.unit_ids.data(), group.unit_ids.size() * sizeof(int),
-                h);
-    }
-  }
-  for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
-  HashStr("|filter", &h);
-  for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
-  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
-  if (!dataset_fp) return std::nullopt;
-  HashPod(*dataset_fp, &h);
-  HashStr("|measures", &h);
-  for (const std::string& name : request.measure_names) HashStr(name, &h);
-  const bool has_min = request.min_abs_unit_score.has_value();
-  HashPod(has_min, &h);
-  if (has_min) HashPod(*request.min_abs_unit_score, &h);
-  HashOptions(options, &h);
-  return h;
+  const size_t symbols = plan.dataset->num_records() * plan.dataset->ns();
+  const size_t estimate =
+      symbols * std::max<size_t>(units, 1) * sizeof(float);
+  // An empty dataset still occupies a queue slot; charge a floor.
+  return std::max<size_t>(estimate, size_t{1} << 10);
 }
+
+}  // namespace
 
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
                                uint64_t dataset_fingerprint) {
@@ -508,12 +412,12 @@ void Scheduler::OnCatalogMutation(uint64_t version) {
 }
 
 std::optional<Scheduler::GroupHandle> Scheduler::AttachToGroup(
-    const std::optional<std::string>& key) {
-  if (!session_->config_.enable_shared_scan || !key) return std::nullopt;
+    const std::string& key) {
+  if (!session_->config_.enable_shared_scan) return std::nullopt;
   GroupHandle handle;
-  handle.key = *key;
+  handle.key = key;
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<SharedScan>& scan = groups_[*key];
+  std::shared_ptr<SharedScan>& scan = groups_[key];
   if (scan == nullptr) {
     scan = std::make_shared<SharedScan>(
         session_->config_.shared_scan_budget_bytes);
@@ -540,30 +444,6 @@ void Scheduler::ReleaseGroup(GroupHandle* group) {
     groups_.erase(it);
   }
   group->scan.reset();
-}
-
-size_t Scheduler::EstimateQueuedBytes(const InspectRequest& request) const {
-  const Catalog& catalog = session_->catalog_;
-  size_t units = 0;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    const Extractor* extractor = ref.extractor;
-    if (extractor == nullptr && !ref.name.empty()) {
-      Result<CatalogModel> entry = catalog.GetModel(ref.name);
-      if (entry.ok()) extractor = entry->extractor;
-    }
-    if (extractor != nullptr) units += extractor->num_units();
-  }
-  const Dataset* dataset = request.dataset;
-  if (dataset == nullptr && !request.dataset_name.empty()) {
-    Result<CatalogDataset> entry = catalog.GetDataset(request.dataset_name);
-    if (entry.ok()) dataset = entry->dataset;
-  }
-  const size_t symbols =
-      dataset != nullptr ? dataset->num_records() * dataset->ns() : 0;
-  const size_t estimate =
-      symbols * std::max<size_t>(units, 1) * sizeof(float);
-  // Unresolvable requests still occupy a queue slot; charge a floor.
-  return std::max<size_t>(estimate, size_t{1} << 10);
 }
 
 void Scheduler::OnJobStarted(size_t queued_bytes) {
@@ -671,7 +551,8 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
         // or the leader's cancellation) to every remaining waiter.
         job->done = true;
         to_deliver.swap(job->waiters);
-        auto it = inflight_.find({job->fingerprint, job->version});
+        auto it = inflight_.find(
+            {*job->plan->fingerprint, job->plan->compiled.catalog_version});
         if (it != inflight_.end() && it->second == job) inflight_.erase(it);
       }
     }
@@ -708,9 +589,10 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
       }
       return;
     }
-    // Promotion: the ex-waiter becomes the leader and re-runs on this
-    // thread with its own cancellation; later waiters stay attached (the
-    // registry entry survives) and are served by this run.
+    // Promotion: the ex-waiter becomes the leader and re-runs the
+    // leader's plan on this thread with its own cancellation; later
+    // waiters stay attached (the registry entry survives) and are served
+    // by this run.
     std::shared_ptr<Tracer> promoted_tracer;
     uint64_t promoted_root = 0;
     {
@@ -722,13 +604,9 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
     }
     RuntimeStats promoted_stats;
     Result<ResultTable> promoted_result = Execute(
-        job->request,
-        AttachToGroup(BatchKeyFor(
-            job->request, session_->catalog_,
-            job->request.options.value_or(session_->config_.options))),
-        job->fingerprint, job->version, job->dataset_fingerprint,
-        &promoted->cancel, promoted->progress.get(), &promoted_stats,
-        promoted_tracer.get(), promoted_root);
+        *job->plan, AttachToGroup(job->plan->group_key), &promoted->cancel,
+        promoted->progress.get(), &promoted_stats, promoted_tracer.get(),
+        promoted_root);
     pending.reset();
     if (promoted_stats.cancelled) {
       // Cancelled promotions resolve immediately (the next loop turn may
@@ -806,17 +684,15 @@ void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
   }
 }
 
-Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
+Result<ResultTable> Scheduler::Execute(const JobPlan& job,
                                        std::optional<GroupHandle> group,
-                                       std::optional<uint64_t> fingerprint,
-                                       uint64_t version,
-                                       uint64_t dataset_fingerprint,
                                        const std::atomic<bool>* cancel,
                                        ProgressCounter* progress,
                                        RuntimeStats* stats, Tracer* tracer,
                                        uint64_t parent_span) {
-  InspectRequest effective = request;
-  InspectOptions options = session_->EffectiveOptions(request);
+  InspectPlan plan = job.compiled;
+  InspectOptions& options = plan.options;
+  session_->AttachSubstrate(&options);
   if (cancel != nullptr) options.cancel = cancel;
   if (progress != nullptr) options.progress = progress;
   if (group) options.shared_scan = group->client.get();
@@ -827,7 +703,6 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
     options.tracer = tracer;
     options.trace_parent_span = parent_span;
   }
-  effective.options = options;
   RuntimeStats local;
   EngineFn engine;
   {
@@ -835,13 +710,9 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
     engine = engine_fn_;
   }
   Result<ResultTable> result =
-      engine ? engine(effective, session_->config_.options, &local)
-             : RunInspectRequest(effective, session_->catalog_,
-                                 session_->config_.options, &local);
+      engine ? engine(job.request, plan, &local) : RunPlan(plan, &local);
   if (group) ReleaseGroup(&*group);
-  // A fingerprint may exist purely for dedup; only admit to the cache
-  // when the result cache itself is enabled.
-  if (fingerprint && session_->config_.enable_result_cache) {
+  if (job.cacheable) {
     local.result_cache_misses = 1;
     Metrics().cache_misses->Inc();
     // Only complete, deterministic runs are cacheable. Staleness is
@@ -849,45 +720,49 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
     // by any Register* that happened while this job ran, so a result
     // computed under an invalidated catalog version is rejected there —
     // no check-then-insert race against the catalog here.
-    const bool complete =
-        result.ok() && !local.cancelled && DeterministicOptions(options);
-    if (complete) {
-      result_cache_.Insert(*fingerprint, version, dataset_fingerprint,
-                           *result);
+    if (result.ok() && !local.cancelled && job.deterministic) {
+      result_cache_.Insert(*job.fingerprint, job.compiled.catalog_version,
+                           job.compiled.dataset_fingerprint, *result);
     }
   }
   if (stats != nullptr) *stats = local;
   return result;
 }
 
-JobPlan Scheduler::PlanJob(const InspectRequest& request) const {
+std::shared_ptr<const JobPlan> Scheduler::PlanJob(
+    InspectRequest request) const {
   const SessionConfig& config = session_->config_;
-  const Catalog& catalog = session_->catalog_;
-  JobPlan plan;
-  plan.options = request.options.value_or(config.options);
-  plan.catalog_version = catalog.version();
-  plan.resolved_shard_count = ResolvedShardCountFor(plan.options, config);
-  plan.deterministic = DeterministicOptions(plan.options);
+  auto plan = std::make_shared<JobPlan>();
+  // The job's one compile: every later stage reads this plan, so the job
+  // runs the catalog as of compiled.catalog_version.
+  Result<InspectPlan> compiled =
+      session_->catalog_.Compile(request, config.options);
+  plan->request = std::move(request);
+  if (!compiled.ok()) {
+    plan->status = compiled.status();
+    return plan;
+  }
+  plan->compiled = std::move(compiled).ValueOrDie();
+  const InspectOptions& options = plan->compiled.options;
+  plan->resolved_shard_count = ResolvedShardCountFor(options, config);
+  plan->deterministic = DeterministicOptions(options);
   // The fingerprint keys both the result cache and the dedup registry;
   // either feature alone needs it. Bit-exact shard merges make full
   // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see HashOptions).
+  // the *resolved* shard count (see HashOptions in core/catalog.cc).
   if (config.enable_result_cache || config.enable_inflight_dedup) {
-    InspectOptions fp_options = plan.options;
+    InspectOptions fp_options = options;
     if (fp_options.early_stopping) {
-      fp_options.num_shards = plan.resolved_shard_count;
+      fp_options.num_shards = plan->resolved_shard_count;
     }
-    plan.fingerprint = InspectRequestFingerprint(request, catalog, fp_options);
-    if (plan.fingerprint) {
-      plan.dataset_fingerprint =
-          DatasetFingerprintFor(request, catalog).value_or(0);
-    }
+    plan->fingerprint = InspectRequestFingerprint(
+        plan->request, plan->compiled.dataset_fingerprint, fp_options);
   }
-  plan.cacheable = plan.fingerprint.has_value() && config.enable_result_cache;
-  plan.dedupable = plan.fingerprint.has_value() &&
-                   config.enable_inflight_dedup && plan.deterministic;
-  plan.group_key = BatchKeyFor(request, catalog, plan.options);
-  plan.queued_bytes = EstimateQueuedBytes(request);
+  plan->cacheable = plan->fingerprint.has_value() && config.enable_result_cache;
+  plan->dedupable = plan->fingerprint.has_value() &&
+                    config.enable_inflight_dedup && plan->deterministic;
+  plan->group_key = BatchKeyFor(plan->compiled);
+  plan->queued_bytes = QueuedBytesFor(plan->compiled);
   return plan;
 }
 
@@ -912,9 +787,9 @@ Status Scheduler::QuotaLocked(const JobPlan& plan, bool queued) const {
   return Status::OK();
 }
 
-Admission Scheduler::Admit(const InspectRequest& request,
-                           const JobPlan& plan, bool queued,
-                           Commit* commit) {
+Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
+                           bool queued, Commit* commit) {
+  const JobPlan& plan = *job;
   Admission verdict;
   auto reject = [&verdict](Status why) {
     verdict.outcome = Admission::Outcome::kRejected;
@@ -927,9 +802,12 @@ Admission Scheduler::Admit(const InspectRequest& request,
     ++jobs_scheduled_;
   }
 
+  // 0. Compile: a request that does not resolve never takes a slot.
+  if (!plan.status.ok()) return reject(plan.status);
   // 1. Deadline: a request that can no longer finish never takes a slot.
-  if (plan.options.deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= plan.options.deadline) {
+  const InspectOptions& options = plan.compiled.options;
+  if (options.deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= options.deadline) {
     return reject(
         Status::DeadlineExceeded("job deadline expired before admission"));
   }
@@ -939,18 +817,20 @@ Admission Scheduler::Admit(const InspectRequest& request,
   }
 
   // 2. Result cache.
+  const uint64_t version = plan.compiled.catalog_version;
   if (plan.cacheable) {
+    const uint64_t dataset_fingerprint = plan.compiled.dataset_fingerprint;
     if (commit == nullptr) {
-      verdict.cache_tier = result_cache_.PeekTier(
-          *plan.fingerprint, plan.catalog_version, plan.dataset_fingerprint);
+      verdict.cache_tier = result_cache_.PeekTier(*plan.fingerprint, version,
+                                                  dataset_fingerprint);
       if (!verdict.cache_tier.empty()) {
         verdict.outcome = Admission::Outcome::kCacheHit;
         return verdict;
       }
     } else {
-      result_cache_.InvalidateBelow(plan.catalog_version);
-      commit->table = result_cache_.Lookup(
-          *plan.fingerprint, plan.catalog_version, plan.dataset_fingerprint);
+      result_cache_.InvalidateBelow(version);
+      commit->table = result_cache_.Lookup(*plan.fingerprint, version,
+                                           dataset_fingerprint);
       if (commit->table) {
         Metrics().cache_hits->Inc();
         verdict.outcome = Admission::Outcome::kCacheHit;
@@ -964,7 +844,7 @@ Admission Scheduler::Admit(const InspectRequest& request,
   std::lock_guard<std::mutex> lock(mu_);
   // 3. Dedup waiter.
   if (plan.dedupable) {
-    auto it = inflight_.find({*plan.fingerprint, plan.catalog_version});
+    auto it = inflight_.find({*plan.fingerprint, version});
     if (it != inflight_.end() && !it->second->done) {
       if (commit != nullptr) {
         std::shared_ptr<InflightJob> job = it->second;
@@ -1004,12 +884,9 @@ Admission Scheduler::Admit(const InspectRequest& request,
     }
     if (plan.dedupable) {
       auto inflight = std::make_shared<InflightJob>();
-      inflight->fingerprint = *plan.fingerprint;
-      inflight->version = plan.catalog_version;
-      inflight->dataset_fingerprint = plan.dataset_fingerprint;
-      inflight->request = request;
+      inflight->plan = job;
       inflight->progress = std::make_shared<ProgressCounter>();
-      inflight_[{*plan.fingerprint, plan.catalog_version}] = inflight;
+      inflight_[{*plan.fingerprint, version}] = inflight;
       commit->inflight = std::move(inflight);
     }
   }
@@ -1023,9 +900,8 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
   commit.state = std::make_shared<internal::JobState>();
   commit.state->submit_ns = TraceNowNs();
   const std::shared_ptr<internal::JobState>& state = commit.state;
-  const JobPlan plan = PlanJob(request);
-  const Admission admission =
-      Admit(request, plan, /*queued=*/false, &commit);
+  const std::shared_ptr<const JobPlan> plan = PlanJob(request);
+  const Admission admission = Admit(plan, /*queued=*/false, &commit);
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
       FinalizeJob(state, "error");
@@ -1054,8 +930,7 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
 
   RuntimeStats local;
   Result<ResultTable> result = Execute(
-      request, AttachToGroup(plan.group_key), plan.fingerprint,
-      plan.catalog_version, plan.dataset_fingerprint, /*cancel=*/nullptr,
+      *plan, AttachToGroup(plan->group_key), /*cancel=*/nullptr,
       commit.inflight ? commit.inflight->progress.get() : nullptr, &local);
   if (commit.inflight) {
     FinishInflight(commit.inflight, result, local,
@@ -1089,8 +964,8 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     state->root_span = root_span;
     state->submit_ns = submit_ns;
   }
-  const JobPlan plan = PlanJob(request);
-  const Admission admission = Admit(request, plan, /*queued=*/true, &commit);
+  const std::shared_ptr<const JobPlan> plan = PlanJob(std::move(request));
+  const Admission admission = Admit(plan, /*queued=*/true, &commit);
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
     case Admission::Outcome::kCacheHit: {
@@ -1114,8 +989,9 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   }
 
   if (tracer != nullptr) {
-    // Admission is over: one span covers the plan, the deadline gate, the
-    // cache probe, and the dedup/quota critical section.
+    // Admission is over: one span covers the compile and plan, the
+    // deadline gate, the cache probe, and the dedup/quota critical
+    // section.
     TraceSpan admit_span;
     admit_span.span_id = NewSpanId();
     admit_span.parent_id = root_span;
@@ -1133,13 +1009,9 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   if (inflight) state->progress = inflight->progress;
   // Group membership is claimed at submit time (not when the worker picks
   // the job up), so every job queued in one burst lands in one group.
-  std::optional<GroupHandle> group = AttachToGroup(plan.group_key);
-  pool->Submit([this, state, fingerprint = plan.fingerprint,
-                version = plan.catalog_version,
-                dataset_fp = plan.dataset_fingerprint,
-                charged = commit.queued_bytes, inflight, submit_ns,
-                group = std::move(group),
-                request = std::move(request)]() mutable {
+  std::optional<GroupHandle> group = AttachToGroup(plan->group_key);
+  pool->Submit([this, state, plan, charged = commit.queued_bytes, inflight,
+                submit_ns, group = std::move(group)]() mutable {
     OnJobStarted(charged);
     const int64_t start_ns = TraceNowNs();
     std::shared_ptr<Tracer> job_tracer;
@@ -1186,9 +1058,8 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     }
     RuntimeStats stats;
     Result<ResultTable> result =
-        Execute(request, std::move(group), fingerprint, version, dataset_fp,
-                &state->cancel, state->progress.get(), &stats,
-                job_tracer.get(), job_root);
+        Execute(*plan, std::move(group), &state->cancel,
+                state->progress.get(), &stats, job_tracer.get(), job_root);
     auto resolve_leader = [&] {
       std::lock_guard<std::mutex> lock(state->mu);
       state->stats = stats;
@@ -1234,13 +1105,10 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
 SchedulerProbe Scheduler::Probe(const InspectRequest& request) {
   SchedulerProbe probe;
   probe.plan = PlanJob(request);
-  probe.admission = Admit(request, probe.plan, /*queued=*/true,
-                          /*commit=*/nullptr);
+  probe.admission = Admit(probe.plan, /*queued=*/true, /*commit=*/nullptr);
   probe.shared_scan_enabled = session_->config_.enable_shared_scan;
   std::lock_guard<std::mutex> lock(mu_);
-  if (probe.plan.group_key) {
-    probe.group_exists = groups_.count(*probe.plan.group_key) > 0;
-  }
+  probe.group_exists = groups_.count(probe.plan->group_key) > 0;
   probe.active_jobs = active_jobs_;
   probe.queued_bytes = queued_bytes_;
   return probe;

@@ -40,9 +40,10 @@
 //      only that waiter; cancelling the leader promotes the first live
 //      waiter to re-run (on the leader's worker) or fails cleanly when
 //      none remain.
-//   4. Shared-scan job batching — queued jobs are grouped by
-//      (model ids, dataset fingerprint, scan-shaping options) and their
-//      block extraction is fused through one SharedScan: each block's
+//   4. Shared-scan job batching — queued jobs are grouped by (model id
+//      and resolved unit union per model, dataset fingerprint, scan-shaping
+//      options) and their block extraction is fused through one
+//      SharedScan, which keys blocks the same way: each block's
 //      unit behaviors are extracted once and fanned out to every member
 //      job's own measure set. Member jobs keep their own early stopping
 //      and cancellation, and scores are bit-identical to isolated runs.
@@ -51,8 +52,16 @@
 //      submissions are rejected with kResourceExhausted instead of
 //      queueing without bound.
 //
-// Admission. Submit() and Inspect() (RunSync) plan each request once
-// (JobPlan) and then apply one rule; the first stage that decides wins:
+// Admission. Submit() and Inspect() (RunSync) plan each request once:
+// PlanJob compiles it (Catalog::Compile) and derives the JobPlan from the
+// compiled plan. The JobPlan travels with the job through admission, the
+// engine (local or the cluster's), dedup promotion and EXPLAIN; nothing
+// re-resolves a catalog name. So a job runs the definitions of the
+// catalog version it was admitted under — the version its cache and
+// dedup key name — even when a Register* lands while it is queued. The
+// first stage of the rule that decides wins:
+//   0. compile — a request that does not compile is rejected with
+//      Catalog::Compile's status;
 //   1. deadline — an expired deadline rejects with kDeadlineExceeded (an
 //      armed "scheduler.admit" failpoint rejects here too);
 //   2. result cache — a cached result for (fingerprint, catalog version)
@@ -88,13 +97,6 @@
 namespace deepbase {
 
 class BehaviorStore;
-
-/// \brief Fingerprint of a fully catalog-resolved InspectRequest plus the
-/// score-affecting option values; nullopt when the request is not
-/// cacheable (inline extractors / hypothesis / measure objects).
-std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, const Catalog& catalog,
-    const InspectOptions& options);
 
 /// \brief Blob-tier key of one persisted result-cache entry.
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
@@ -247,21 +249,23 @@ struct SchedulerStats {
   void Accumulate(const SchedulerStats& other);
 };
 
-/// \brief Everything the scheduler derives from one request, computed
-/// once (Scheduler::PlanJob) and read by admission, execution and EXPLAIN.
+/// \brief One job's request, compiled once (Scheduler::PlanJob), and what
+/// the scheduler derives from it. Shared and immutable: admission, the
+/// engine, a promoted dedup waiter and EXPLAIN all read this instance.
 struct JobPlan {
-  InspectOptions options;  ///< the request's options, else the defaults
-  uint64_t catalog_version = 0;
+  InspectRequest request;  ///< as submitted (the cluster ships it by name)
+  /// Catalog::Compile's status; the fields below are set only when OK.
+  Status status;
+  InspectPlan compiled;  ///< options: the request's, else the defaults
   /// Cache and dedup key (InspectRequestFingerprint; early-stopping runs
   /// pin resolved_shard_count). nullopt for inline definitions, or when
   /// the result cache and dedup are both off.
   std::optional<uint64_t> fingerprint;
-  uint64_t dataset_fingerprint = 0;
   size_t resolved_shard_count = 0;  ///< ResolvedShardCountFor
   bool deterministic = false;  ///< DeterministicOptions(options)
   bool cacheable = false;      ///< fingerprint && result cache enabled
   bool dedupable = false;      ///< fingerprint && dedup on && deterministic
-  std::optional<std::string> group_key;  ///< BatchKeyFor (shared scan)
+  std::string group_key;       ///< BatchKeyFor (shared scan)
   /// Extraction footprint estimate, the unit of the queued-bytes quota.
   size_t queued_bytes = 0;
 };
@@ -269,7 +273,7 @@ struct JobPlan {
 /// \brief The admission rule's verdict (see "Admission" above).
 struct Admission {
   enum class Outcome {
-    kRejected,  ///< `status` says why (deadline, failpoint or quota)
+    kRejected,  ///< `status` says why (compile, deadline, failpoint, quota)
     kCacheHit,  ///< served from the result cache, no engine run
     kWaiter,    ///< attached to an identical in-flight leader
     kLeader,    ///< runs the engine
@@ -285,10 +289,10 @@ struct Admission {
 /// it moves no counter, reorders no LRU, reads no blob and registers no
 /// job.
 struct SchedulerProbe {
-  JobPlan plan;
+  std::shared_ptr<const JobPlan> plan;
   Admission admission;
   bool shared_scan_enabled = false;
-  bool group_exists = false;  ///< a live group already has plan.group_key
+  bool group_exists = false;  ///< a live group already has plan->group_key
   size_t active_jobs = 0;
   size_t queued_bytes = 0;
 };
@@ -316,15 +320,15 @@ class Scheduler {
   void OnCatalogMutation(uint64_t version);
 
   /// \brief Pluggable engine: when set, Execute() calls `fn` instead of
-  /// RunInspectRequest. This is how the cluster coordinator slots in — it
-  /// is "a scheduler whose engine is remote": result caching, in-flight
-  /// dedup, admission control, and progress plumbing all keep working
-  /// around the replacement, which receives the effective request (cancel/
-  /// progress already threaded into its options) and the session defaults.
+  /// RunPlan. This is how the cluster coordinator slots in — it is "a
+  /// scheduler whose engine is remote": result caching, in-flight dedup,
+  /// admission control, and progress plumbing all keep working around the
+  /// replacement, which receives the job's request and its compiled plan
+  /// (session substrate, cancel and progress already in plan.options).
   /// Pass nullptr to restore the local engine. Takes effect for jobs that
   /// start after the call; in-flight jobs keep the engine they started on.
   using EngineFn = std::function<Result<ResultTable>(
-      const InspectRequest& request, const InspectOptions& default_options,
+      const InspectRequest& request, const InspectPlan& plan,
       RuntimeStats* stats)>;
   void SetEngine(EngineFn fn);
 
@@ -347,15 +351,12 @@ class Scheduler {
     std::shared_ptr<SharedScanClient> client;
   };
 
-  /// One entry of the in-flight dedup registry: the leader's request (for
-  /// waiter promotion after a leader cancel) plus the waiters parked on
-  /// it. `done` flips when the leader's terminal delivery has begun; a
-  /// waiter that finds `done` missed the delivery and must run itself.
+  /// One entry of the in-flight dedup registry: the leader's plan (a
+  /// waiter promoted after a leader cancel runs it) plus the waiters
+  /// parked on it. `done` flips when the leader's terminal delivery has
+  /// begun; a waiter that finds `done` missed it and must run itself.
   struct InflightJob {
-    uint64_t fingerprint = 0;
-    uint64_t version = 0;
-    uint64_t dataset_fingerprint = 0;
-    InspectRequest request;
+    std::shared_ptr<const JobPlan> plan;
     bool done = false;                                       // guarded by mu_
     std::vector<std::shared_ptr<internal::JobState>> waiters;  // guarded by mu_
     /// The leader's live progress counter, created at registration and
@@ -374,30 +375,29 @@ class Scheduler {
     size_t queued_bytes = 0;  ///< kLeader: bytes charged to the queue
   };
 
-  /// The request's JobPlan. Read-only.
-  JobPlan PlanJob(const InspectRequest& request) const;
+  /// Compile the request (the job's one Catalog::Compile) and derive its
+  /// JobPlan. Read-only.
+  std::shared_ptr<const JobPlan> PlanJob(InspectRequest request) const;
   /// The admission rule, in its one order (see "Admission" above). With
   /// `commit`, the verdict takes effect atomically: counters move, the
   /// cache lookup is counted, a waiter or leader is registered. Without
   /// it (Probe), the cache is peeked and nothing moves. `queued` = the
   /// leader would wait on the pool (Submit), so max_queued_bytes applies.
-  Admission Admit(const InspectRequest& request, const JobPlan& plan,
-                  bool queued, Commit* commit);
+  Admission Admit(const std::shared_ptr<const JobPlan>& plan, bool queued,
+                  Commit* commit);
   /// The quota verdict against the live counters; OK when within quota.
   Status QuotaLocked(const JobPlan& plan, bool queued) const;
 
-  std::optional<GroupHandle> AttachToGroup(
-      const std::optional<std::string>& key);
+  /// Join the shared-scan group `key` (nullopt when shared scans are off).
+  std::optional<GroupHandle> AttachToGroup(const std::string& key);
   /// Fold the client's counters, detach, retire the group if empty.
   void ReleaseGroup(GroupHandle* group);
-  /// Run one request on the calling thread (group already attached) and
-  /// admit the result to the cache when eligible. `tracer`/`parent_span`
-  /// thread the job's trace into the engine options (a request that
-  /// already carries its own tracer keeps it).
-  Result<ResultTable> Execute(const InspectRequest& request,
+  /// Run one job's compiled plan on the calling thread (group already
+  /// attached) and admit the result to the cache when eligible.
+  /// `tracer`/`parent_span` thread the job's trace into the engine options
+  /// (a request that already carries its own tracer keeps it).
+  Result<ResultTable> Execute(const JobPlan& job,
                               std::optional<GroupHandle> group,
-                              std::optional<uint64_t> fingerprint,
-                              uint64_t version, uint64_t dataset_fingerprint,
                               const std::atomic<bool>* cancel,
                               ProgressCounter* progress, RuntimeStats* stats,
                               Tracer* tracer = nullptr,
@@ -433,9 +433,6 @@ class Scheduler {
 
   void OnJobStarted(size_t queued_bytes);
   void OnJobFinished();
-  /// Rough extraction footprint of a request (dataset rows × unit count),
-  /// the unit of the queued-bytes quota.
-  size_t EstimateQueuedBytes(const InspectRequest& request) const;
 
   InspectionSession* session_;
   ResultCache result_cache_;

@@ -19,6 +19,8 @@
 //   7. The rendered admission verdict is what Submit() then does, over
 //      every combination of cache, quota slot, deadline and in-flight
 //      leader.
+//   8. A request that does not compile fails Explain() with the status
+//      Inspect() returns for it, and the dry run still moves nothing.
 
 #include <atomic>
 #include <chrono>
@@ -39,6 +41,7 @@
 #include "service/scheduler.h"
 #include "sql/sql_session.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace deepbase {
 namespace {
@@ -519,6 +522,53 @@ TEST(ExplainAdmissionTest, RenderedVerdictIsWhatSubmitDoes) {
     job.Wait();
     for (const JobHandle& q : queued) ASSERT_TRUE(q.Wait().ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The error path: requests that do not compile.
+// ---------------------------------------------------------------------------
+
+TEST(ExplainErrorTest, UncompilableRequestFailsLikeInspectAndMovesNothing) {
+  World world;
+  InspectRequest unknown_model = PearsonRequest(2);
+  unknown_model.models[0].name = "ghost";
+  InspectRequest unknown_filter = PearsonRequest(2);
+  unknown_filter.hypothesis_filter = {"no_such_hypothesis"};
+  Counter* submitted =
+      MetricsRegistry::Global().GetCounter("deepbase_jobs_submitted_total");
+  Counter* errors = MetricsRegistry::Global().GetCounter(
+      "deepbase_jobs_total{status=\"error\"}");
+
+  for (const InspectRequest& request : {unknown_model, unknown_filter}) {
+    SCOPED_TRACE(request.models[0].name);
+    const SchedulerStats before = world.session.scheduler().stats();
+    const uint64_t submitted_before = submitted->Value();
+    const uint64_t errors_before = errors->Value();
+
+    Result<InspectionPlan> plan = world.session.Explain(request);
+    ASSERT_FALSE(plan.ok());
+    const SchedulerStats after = world.session.scheduler().stats();
+#define DEEPBASE_EXPECT_UNCHANGED(type, name) \
+  EXPECT_EQ(after.name, before.name) << #name;
+    DEEPBASE_SCHEDULER_STATS_COUNTER_FIELDS(DEEPBASE_EXPECT_UNCHANGED)
+#undef DEEPBASE_EXPECT_UNCHANGED
+    EXPECT_EQ(after.snapshot.active_jobs, before.snapshot.active_jobs);
+    EXPECT_EQ(after.snapshot.inflight_jobs, before.snapshot.inflight_jobs);
+    EXPECT_EQ(after.snapshot.queued_bytes, before.snapshot.queued_bytes);
+    EXPECT_EQ(submitted->Value(), submitted_before);
+    EXPECT_EQ(errors->Value(), errors_before);
+    EXPECT_TRUE(world.session.Jobs().empty());
+
+    // Inspect fails with the same status and counts it once as an error.
+    Result<ResultTable> run = world.session.Inspect(request);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(plan.status().code(), run.status().code());
+    EXPECT_EQ(plan.status().message(), run.status().message());
+    EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(submitted->Value(), submitted_before + 1);
+    EXPECT_EQ(errors->Value(), errors_before + 1);
+  }
+  EXPECT_EQ(world.extractor.blocks_extracted(), 0u);
 }
 
 // ---------------------------------------------------------------------------

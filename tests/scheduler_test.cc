@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "core/behavior_store.h"
@@ -295,6 +296,252 @@ TEST(SchedulerTest, CancellingOneFusedJobLeavesTheOthersIntact) {
   doomed.Wait();
   EXPECT_EQ(doomed.Poll(), JobStatus::kCancelled);
   EXPECT_EQ(session.scheduler().active_groups(), 0u);
+}
+
+// Requests that partition a model's units differently (all units as one
+// group vs group_by_layer) read the same unit union, and SharedScan keys
+// blocks by that union: they form one group and extract every block once.
+TEST(SchedulerTest, SharedScanGroupsByTheResolvedUnitUnion) {
+  CountingExtractor extractor(4);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+
+  SessionConfig config;
+  config.options.block_size = 16;
+  config.options.early_stopping = false;  // every job reads every block
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  InspectionSession session(config);
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("ab", &dataset);
+
+  InspectRequest all_units = PlantedRequest();
+  InspectRequest layers = PlantedRequest();
+  layers.models[0].group_by_layer = 2;
+
+  // Isolated references: a separate session and extractor per request.
+  auto isolated = [&](const InspectRequest& request) {
+    CountingExtractor reference_extractor(4);
+    SessionConfig solo = config;
+    solo.enable_result_cache = false;
+    InspectionSession reference(solo);
+    reference.catalog().RegisterModel("planted", &reference_extractor);
+    reference.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+    reference.catalog().RegisterDataset("ab", &dataset);
+    Result<ResultTable> table = reference.Inspect(request);
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    return table.ok() ? table->SerializeToString() : std::string();
+  };
+  const std::string expected_all = isolated(all_units);
+  const std::string expected_layers = isolated(layers);
+  ASSERT_NE(expected_all, expected_layers);
+
+  std::atomic<bool> release{false};
+  auto blockers = BlockPool(session.thread_pool(), 2, &release);
+  JobHandle a = session.Submit(all_units);
+  JobHandle b = session.Submit(layers);
+  release.store(true, std::memory_order_release);
+
+  const Result<ResultTable>& ra = a.Wait();
+  const Result<ResultTable>& rb = b.Wait();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  EXPECT_EQ(ra->SerializeToString(), expected_all);
+  EXPECT_EQ(rb->SerializeToString(), expected_layers);
+  EXPECT_EQ(session.scheduler().stats().groups_formed, 1u);
+  EXPECT_EQ(extractor.block_calls(), kBlocks);
+}
+
+// ---------------------------------------------------------------------------
+// The job's plan pins the catalog version it was admitted under.
+// ---------------------------------------------------------------------------
+
+HypothesisPtr IsBHypothesis() {
+  return std::make_shared<FunctionHypothesis>(
+      "is_b", [](const Record& rec) {
+        std::vector<float> out(rec.size(), 0.0f);
+        for (size_t i = 0; i < rec.size(); ++i) {
+          if (rec.tokens[i] == "b") out[i] = 1.0f;
+        }
+        return out;
+      });
+}
+
+std::set<std::string> HypothesesOf(const ResultTable& table) {
+  std::set<std::string> names;
+  for (const ResultRow& row : table.rows()) names.insert(row.hypothesis);
+  return names;
+}
+
+// A job queued behind a busy pool runs the hypothesis set it was admitted
+// with, not whatever the set names when a worker picks it up.
+TEST(SchedulerSnapshotTest, QueuedJobRunsTheDefinitionsItWasAdmittedUnder) {
+  CountingExtractor extractor(4);
+  Dataset dataset = MakeAbDataset(120, 8);
+
+  SessionConfig config;
+  config.options.block_size = 32;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("ab", &dataset);
+
+  std::atomic<bool> release{false};
+  auto blockers = BlockPool(session.thread_pool(), 2, &release);
+  JobHandle job = session.Submit(PlantedRequest());
+  session.catalog().RegisterHypotheses("keywords", {IsBHypothesis()});
+  release.store(true, std::memory_order_release);
+
+  const Result<ResultTable>& result = job.Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(HypothesesOf(*result), std::set<std::string>{"is_a"});
+
+  // A request admitted after the registration runs the new definition.
+  Result<ResultTable> after = session.Inspect(PlantedRequest());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(HypothesesOf(*after), std::set<std::string>{"is_b"});
+}
+
+// A dedup waiter promoted after its leader is cancelled re-runs the
+// leader's plan: the definitions of the version both were keyed under.
+TEST(SchedulerSnapshotTest, PromotedWaiterRunsTheLeadersPlan) {
+  CountingExtractor extractor(4);
+  Dataset dataset = MakeAbDataset(120, 8);
+
+  SessionConfig config;
+  config.options.block_size = 32;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("ab", &dataset);
+
+  std::atomic<bool> release{false};
+  auto blockers = BlockPool(session.thread_pool(), 2, &release);
+  JobHandle leader = session.Submit(PlantedRequest());
+  JobHandle waiter = session.Submit(PlantedRequest());
+  ASSERT_EQ(session.scheduler().stats().dedup_followers, 1u);
+  leader.Cancel();  // before it runs: the waiter is promoted
+  session.catalog().RegisterHypotheses("keywords", {IsBHypothesis()});
+  release.store(true, std::memory_order_release);
+
+  leader.Wait();
+  EXPECT_EQ(leader.Poll(), JobStatus::kCancelled);
+  const Result<ResultTable>& promoted = waiter.Wait();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(HypothesesOf(*promoted), std::set<std::string>{"is_a"});
+  EXPECT_GT(waiter.Stats().blocks_processed, 0u);
+  EXPECT_EQ(session.scheduler().stats().dedup_promotions, 1u);
+  EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
+}
+
+// Update safety: one thread re-registers "keywords" back and forth while
+// submitters race it. Each submission brackets the catalog version around
+// Submit(); its table — engine run, cache hit or dedup serve alike — must
+// be byte-identical to the reference table of a definition that was
+// current at some version inside that bracket.
+TEST(SchedulerSnapshotTest, EveryTableMatchesADefinitionOfItsVersionBracket) {
+  // A per-block delay keeps jobs queued while the catalog moves.
+  CountingExtractor extractor(4, /*delay_us=*/100);
+  Dataset dataset = MakeAbDataset(64, 8);
+  const std::vector<HypothesisPtr> definitions[2] = {{IsAHypothesis()},
+                                                     {IsBHypothesis()}};
+
+  SessionConfig config;
+  config.options.block_size = 16;
+  config.options.early_stopping = false;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+
+  std::string reference[2];
+  for (int d = 0; d < 2; ++d) {
+    CountingExtractor reference_extractor(4);
+    InspectionSession solo(config);
+    solo.catalog().RegisterModel("planted", &reference_extractor);
+    solo.catalog().RegisterHypotheses("keywords", definitions[d]);
+    solo.catalog().RegisterDataset("ab", &dataset);
+    Result<ResultTable> table = solo.Inspect(PlantedRequest());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    reference[d] = table->SerializeToString();
+  }
+  ASSERT_NE(reference[0], reference[1]);
+
+  InspectionSession session(config);
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterDataset("ab", &dataset);
+  session.catalog().RegisterHypotheses("keywords", definitions[0]);
+
+  // Registration version → definition index. The toggler is the only
+  // writer once the submitters start, so the version it reads back right
+  // after a registration is the one that registration produced.
+  std::mutex history_mu;
+  std::map<uint64_t, int> history = {{session.catalog_version(), 0}};
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    for (int k = 1; !stop.load(std::memory_order_acquire); ++k) {
+      session.catalog().RegisterHypotheses("keywords", definitions[k % 2]);
+      {
+        std::lock_guard<std::mutex> lock(history_mu);
+        history[session.catalog_version()] = k % 2;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  struct Submission {
+    uint64_t before = 0;
+    uint64_t after = 0;
+    JobHandle job;
+  };
+  const int kThreads = 3, kPerThread = 16;
+  std::vector<std::vector<Submission>> submitted(kThreads);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Submission s;
+        s.before = session.catalog_version();
+        s.job = session.Submit(PlantedRequest());
+        s.after = session.catalog_version();
+        submitted[t].push_back(s);
+        if (i % 3 == 0) s.job.Wait();  // mix queued and idle admissions
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  for (const auto& list : submitted) {
+    for (const Submission& s : list) s.job.Wait();
+  }
+  stop.store(true, std::memory_order_release);
+  toggler.join();
+
+  auto definition_at = [&history](uint64_t version) {
+    auto it = history.upper_bound(version);
+    return it == history.begin() ? -1 : std::prev(it)->second;
+  };
+  size_t checked = 0;
+  for (const auto& list : submitted) {
+    for (const Submission& s : list) {
+      const Result<ResultTable>& result = s.job.Wait();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::set<int> allowed;
+      for (uint64_t v = s.before; v <= s.after; ++v) {
+        allowed.insert(definition_at(v));
+      }
+      const std::string bytes = result->SerializeToString();
+      bool matched = false;
+      for (int d : allowed) matched = matched || bytes == reference[d];
+      EXPECT_TRUE(matched) << "versions [" << s.before << "," << s.after
+                           << "] served hypotheses "
+                           << *HypothesesOf(*result).begin();
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, size_t{kThreads * kPerThread});
 }
 
 // ---------------------------------------------------------------------------
