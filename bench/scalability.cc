@@ -26,7 +26,7 @@ MeasureFactoryPtr MakeScore(MeasureKind kind) {
 
 CellResult RunEngineCell(const SqlWorld& world, MeasureKind kind,
                          const InspectOptions& options, const Scale& scale,
-                         HypothesisCache* cache) {
+                         BehaviorStore* hypothesis_store) {
   Dataset slice = world.dataset.Slice(
       0, std::min(scale.num_records, world.dataset.num_records()));
   LstmLmExtractor extractor("sql_lm", world.model.get());
@@ -40,7 +40,7 @@ CellResult RunEngineCell(const SqlWorld& world, MeasureKind kind,
   std::vector<MeasureFactoryPtr> scores = {MakeScore(kind)};
 
   InspectOptions opts = options;
-  opts.hypothesis_cache = cache;
+  opts.hypothesis_store = hypothesis_store;
   // Keep ~12 blocks per pass regardless of the slice size so that early
   // stopping and streaming have convergence checkpoints to act on (the
   // paper's 512-record blocks assume a 29k-record corpus).

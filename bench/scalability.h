@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cache.h"
+#include "core/behavior_store.h"
 
 namespace deepbase {
 namespace bench {
@@ -30,10 +30,11 @@ struct CellResult {
 };
 
 /// \brief Run the DeepBase engine with the given options over a slice of
-/// the SQL world. Hypotheses are cached per world via `cache` when non-null.
+/// the SQL world. Hypothesis behaviors are cached in the hyp: tier of
+/// `hypothesis_store` when non-null.
 CellResult RunEngineCell(const SqlWorld& world, MeasureKind kind,
                          const InspectOptions& options, const Scale& scale,
-                         HypothesisCache* cache = nullptr);
+                         BehaviorStore* hypothesis_store = nullptr);
 
 /// \brief Run the MADLib-style baseline over the same slice.
 CellResult RunMadlibCell(const SqlWorld& world, MeasureKind kind,

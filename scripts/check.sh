@@ -23,8 +23,9 @@
 # running jobs), and the seeded chaos harness driving every failpoint
 # site against a
 # mixed local+remote+cluster workload), a short fixed-seed chaos smoke
-# under TSan, an ASan+UBSan build-and-test pass of the full suite, and
-# smokes of the parallel-engine, scheduler, server, and cluster
+# under TSan, an ASan+UBSan build-and-test pass of the full suite, a
+# build of the paper-level benchmark (paperbench/) with its self-check,
+# and smokes of the parallel-engine, scheduler, server, and cluster
 # benches so regressions in the sharded, fused, served, and distributed
 # paths fail fast.
 #
@@ -271,6 +272,23 @@ ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DDEEPBASE_ASAN_UBSAN=ON >/dev/null
 cmake --build "$ASAN_DIR" -j "$JOBS"
 (cd "$ASAN_DIR" && ctest --output-on-failure -j 1)
+
+echo "== paperbench: build bench_paper + selfcheck =="
+# bench_paper compiles against the library's public API (SessionConfig,
+# RuntimeStats, BehaviorStore), so an API change that breaks it fails
+# here. The self-check runs every workload at smoke size, untraced and
+# traced, and requires byte-identical tables.
+PAPERBENCH_DIR="${BUILD_DIR}-paperbench"
+cmake -S paperbench -B "$PAPERBENCH_DIR" >/dev/null
+cmake --build "$PAPERBENCH_DIR" -j "$JOBS" --target bench_paper
+PAPERBENCH_WORK="$(mktemp -d)"
+"$PAPERBENCH_DIR/bench_paper" --selfcheck --workdir "$PAPERBENCH_WORK" \
+    >"$PAPERBENCH_WORK/selfcheck.log" 2>&1 || true
+grep -qx "selfcheck ok" "$PAPERBENCH_WORK/selfcheck.log" || {
+  echo "bench_paper --selfcheck did not print 'selfcheck ok'"
+  cat "$PAPERBENCH_WORK/selfcheck.log"; exit 1
+}
+rm -rf "$PAPERBENCH_WORK"
 
 echo "== smoke: 2-thread parallel bench =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_engine_parallel \

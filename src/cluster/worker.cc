@@ -186,10 +186,13 @@ wire::AssignResultWire InspectionWorker::RunSliced(
   // The coordinator pinned the score-affecting options into the request
   // (RestrictShards rejects a job that is not sliceable); pin the
   // assignment's partition and attach this process's substrate (pointers
-  // never travel).
+  // never travel). A slice reads no behavior tier: it extracts units and
+  // evaluates hypotheses live for the blocks it owns, where a tier would
+  // hold whole-dataset matrices this worker mostly never reads.
   plan.options.num_shards = assignment.total_shards;
   plan.options.shared_scan = nullptr;
   session_->AttachSubstrate(&plan.options);
+  plan.options.hypothesis_store = nullptr;
   plan.options.progress = progress;
   plan.options.cancel = &cancel_;
   plan.options.tracer = tracer;

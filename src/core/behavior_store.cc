@@ -105,6 +105,10 @@ Status BehaviorStore::Put(const std::string& key, const Matrix& behaviors,
                           double cost) {
   DB_FAILPOINT("store.write");
   std::lock_guard<std::mutex> lock(mu_);
+  if (memory_only()) {
+    AdmitLocked(key, std::make_shared<const Matrix>(behaviors), cost);
+    return Status::OK();
+  }
   std::error_code ec;
   std::filesystem::create_directories(root_dir_, ec);
   if (ec) {
@@ -170,8 +174,9 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
 
   DB_FAILPOINT("store.read");
   const std::string path = PathForKey(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream in;
+  if (!memory_only()) in.open(path, std::ios::binary);
+  if (!in.is_open()) {
     ++misses_;
     return Status::NotFound("no stored behaviors for key: " + key);
   }
@@ -252,6 +257,7 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
 BehaviorStore::Tier BehaviorStore::PeekTier(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (index_.count(key) > 0) return Tier::kMemory;
+  if (memory_only()) return Tier::kMiss;
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(PathForKey(key), ec);
   const size_t payload_offset = V2PayloadOffset(key.size());
@@ -279,7 +285,7 @@ bool BehaviorStore::Contains(const std::string& key) const {
     if (index_.count(key) > 0) return true;
   }
   std::error_code ec;
-  return std::filesystem::exists(PathForKey(key), ec);
+  return !memory_only() && std::filesystem::exists(PathForKey(key), ec);
 }
 
 void BehaviorStore::EvictFromMemory(const std::string& key) {
@@ -291,6 +297,7 @@ void BehaviorStore::EvictFromMemory(const std::string& key) {
 
 Status BehaviorStore::Remove(const std::string& key) {
   EvictFromMemory(key);
+  if (memory_only()) return Status::OK();
   std::error_code ec;
   std::filesystem::remove(PathForKey(key), ec);
   if (ec) return Status::IOError("cannot remove " + PathForKey(key));
@@ -490,6 +497,9 @@ void BehaviorStore::SetBlobNamespaceQuota(const std::string& ns,
 Status BehaviorStore::PutBlob(const std::string& key,
                               const std::string& bytes) {
   DB_FAILPOINT("store.blob.write");
+  if (memory_only()) {
+    return Status::Invalid("a memory-only store keeps no blobs");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   EnsureBlobManifestLocked();
   std::error_code ec;
@@ -532,8 +542,9 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
   DB_FAILPOINT("store.blob.read");
   std::lock_guard<std::mutex> lock(mu_);
   const std::string path = PathForBlob(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream in;
+  if (!memory_only()) in.open(path, std::ios::binary);
+  if (!in.is_open()) {
     ++blob_misses_;
     return Status::NotFound("no stored blob for key: " + key);
   }
@@ -580,10 +591,11 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
 
 bool BehaviorStore::ContainsBlob(const std::string& key) const {
   std::error_code ec;
-  return std::filesystem::exists(PathForBlob(key), ec);
+  return !memory_only() && std::filesystem::exists(PathForBlob(key), ec);
 }
 
 Status BehaviorStore::RemoveBlob(const std::string& key) {
+  if (memory_only()) return Status::OK();
   std::lock_guard<std::mutex> lock(mu_);
   EnsureBlobManifestLocked();
   DropBlobFromManifestLocked(key);
@@ -646,13 +658,16 @@ void BehaviorStore::EraseLocked(std::list<MemEntry>::iterator it,
 
 void BehaviorStore::EnforceBudgetLocked() {
   // Pick a victim among the kEvictScan least-recent entries satisfying
-  // `match`: the lowest materialization cost per byte goes first.
+  // `match`: the lowest materialization cost per byte goes first. The
+  // most-recent entry is the one being admitted or served right now and
+  // is never the victim, or a memory-only store could drop a matrix
+  // before its caller reads it.
   auto evict_one = [this](const std::function<bool(const MemEntry&)>& match) {
     if (lru_.empty()) return false;
     auto best = lru_.end();
     double best_score = std::numeric_limits<double>::infinity();
     size_t seen = 0;
-    for (auto it = std::prev(lru_.end());; --it) {
+    for (auto it = std::prev(lru_.end()); it != lru_.begin(); --it) {
       if (match(*it)) {
         const double score =
             it->cost / static_cast<double>(std::max<size_t>(it->bytes, 1));
@@ -662,7 +677,6 @@ void BehaviorStore::EnforceBudgetLocked() {
         }
         if (++seen >= kEvictScan) break;
       }
-      if (it == lru_.begin()) break;
     }
     if (best == lru_.end()) return false;
     EraseLocked(best, /*count_eviction=*/true);
@@ -734,6 +748,17 @@ Result<std::string> BehaviorStore::EnsureHypothesisBehaviors(
   std::lock_guard<std::mutex> materialize_lock(*MaterializeLockFor(key));
   if (Contains(key)) return key;
   const size_t ns = dataset.ns();
+  if (memory_only()) {
+    // Nothing over the tier's limit could be kept: decline before
+    // evaluating, so the caller evaluates the hypothesis live once.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (memory_budget_ == 0 ||
+        OutOfCoreLocked(key, dataset.num_records() * ns * sizeof(float))) {
+      return Status::ResourceExhausted(
+          "hypothesis behaviors for key '" + key + "' exceed the " +
+          std::to_string(memory_budget_) + "-byte memory-only store");
+    }
+  }
   Stopwatch watch;
   // One row per record, normalized to ns behaviors exactly like the live
   // extraction path (zero-pad / truncate), so stored and live scores are

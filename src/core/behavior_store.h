@@ -5,7 +5,9 @@
 // checksummed files, so re-inspecting a model after a restart skips
 // extraction entirely (the §6.3 workflow: "DeepBase extracts the
 // activations once and makes the subsequent passes on the cached
-// version").
+// version"). A store without a root directory keeps only the memory
+// tier: the paper's hypothesis-behavior cache (§5.1.2, Fig. 9), "simple
+// LRU to pin the matrix in memory", which storeless sessions use.
 
 #pragma once
 
@@ -45,7 +47,12 @@ class BehaviorStore {
   enum class Tier { kMemory, kDisk, kMmap, kMiss };
 
   /// \param root_dir directory for the persisted matrices (created on
-  ///        first Put if missing).
+  ///        first Put if missing). Empty = memory-only: the store touches
+  ///        no file, a memory miss is a miss (kNotFound / Tier::kMiss),
+  ///        evicted entries are gone, and EnsureHypothesisBehaviors
+  ///        declines (kResourceExhausted, before evaluating anything) a
+  ///        matrix the memory tier could not hold, so callers evaluate it
+  ///        live once instead of materializing it only to drop it.
   /// \param memory_budget_bytes LRU tier capacity; 0 disables the memory
   ///        tier (every Get reads from disk).
   explicit BehaviorStore(std::string root_dir,
@@ -197,6 +204,7 @@ class BehaviorStore {
     size_t bytes = 0;  // whole-file footprint incl. framing
   };
 
+  bool memory_only() const { return root_dir_.empty(); }
   std::string PathForKey(const std::string& key) const;
   std::string PathForBlob(const std::string& key) const;
   void AdmitLocked(const std::string& key,

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/behavior_store.h"
-#include "core/cache.h"
 #include "core/shared_scan.h"
 #include "util/logging.h"
 #include "util/trace.h"
@@ -211,26 +210,31 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
   // --- Hypothesis store tier: materialize/load each hypothesis's full
   // behaviors once per (hypothesis name, dataset fingerprint); blocks are
   // then served by row copies instead of HypothesisFn::Eval — reused
-  // across jobs sharing the store and across restarts, like the unit
-  // tier. Any store failure falls back to live evaluation.
-  if (options_.behavior_store != nullptr && options_.hypothesis_store_tier) {
+  // across jobs sharing the store and, for a disk-backed store, across
+  // restarts, like the unit tier. Any store failure falls back to live
+  // evaluation.
+  hyp_stored_.resize(hypotheses_.size());
+  BehaviorStore* const store = options_.hypothesis_store;
+  if (store != nullptr && options_.hypothesis_store_tier) {
     Stopwatch prelude_watch;
-    hyp_stored_.resize(hypotheses_.size());
     for (size_t h = 0; h < hypotheses_.size(); ++h) {
       if (CancelRequested() || DeadlinePassed()) break;
       bool materialized_now = false;
-      Result<std::string> key =
-          options_.behavior_store->EnsureHypothesisBehaviors(
-              *hypotheses_[h], dataset_, &materialized_now);
+      Result<std::string> key = store->EnsureHypothesisBehaviors(
+          *hypotheses_[h], dataset_, &materialized_now);
       if (!key.ok()) {
-        DB_LOG(Warn) << "hypothesis store tier unavailable for '"
-                     << hypotheses_[h]->name()
-                     << "', evaluating live: " << key.status().ToString();
+        // kResourceExhausted: a memory-only store declined a matrix its
+        // tier cannot hold; live evaluation is the designed path.
+        if (key.status().code() != StatusCode::kResourceExhausted) {
+          DB_LOG(Warn) << "hypothesis store tier unavailable for '"
+                       << hypotheses_[h]->name()
+                       << "', evaluating live: " << key.status().ToString();
+        }
         continue;
       }
       BehaviorStore::Tier tier = BehaviorStore::Tier::kMiss;
       Result<std::shared_ptr<const Matrix>> stored =
-          options_.behavior_store->GetShared(*key, &tier);
+          store->GetShared(*key, &tier);
       if (!stored.ok() || (*stored)->rows() != dataset_.num_records() ||
           (*stored)->cols() != dataset_.ns()) {
         DB_LOG(Warn) << "cannot serve stored hypothesis behaviors for '"
@@ -238,8 +242,10 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
         continue;
       }
       hyp_stored_[h] = std::move(*stored);
+      ++hyp_tier_served_;
       if (materialized_now) {
         ++store_hyp_misses_;
+        hyp_tier_evals_ += dataset_.num_records();
       } else if (tier == BehaviorStore::Tier::kMemory) {
         ++store_hyp_mem_hits_;
       } else if (tier == BehaviorStore::Tier::kDisk ||
@@ -346,9 +352,9 @@ BlockPipeline::LaneScratch BlockPipeline::MakeScratch() const {
 }
 
 // Extraction of one block: unit behaviors for every model, then hypothesis
-// behaviors in column-major layout (with optional caching). Output formats
-// are checked during execution (paper §4.1): a hypothesis emitting the
-// wrong number of behaviors is normalized (zero-pad / truncate) with a
+// behaviors in column-major layout (tier row copies or live Eval). Output
+// formats are checked during execution (paper §4.1): a hypothesis emitting
+// the wrong number of behaviors is normalized (zero-pad / truncate) with a
 // one-time warning, so a misbehaving user function cannot silently corrupt
 // neighboring rows. CheckHypothesisOutputFormat (core/catalog.h) rejects
 // such a hypothesis before every local or distributed run.
@@ -379,14 +385,10 @@ void BlockPipeline::ExtractInto(const std::vector<size_t>& block,
   data->unit_s = watch.Seconds();
   watch.Restart();
   data->hyp_cols.Resize(hypotheses_.size(), data->rows);
-  // Hoisted out of the loops so cache hits reuse its capacity instead of
-  // allocating per record.
-  std::vector<float> behaviors;
   for (size_t h = 0; h < hypotheses_.size(); ++h) {
     const HypothesisFn& hyp = *hypotheses_[h];
     float* const out = data->hyp_cols.row_data(h);
-    if (h < hyp_stored_.size() && hyp_stored_[h] != nullptr &&
-        !hyp_stored_[h]->empty()) {
+    if (hyp_stored_[h] != nullptr) {
       // Hypothesis store tier: row copies from the stored matrix (already
       // normalized to ns behaviors per record).
       const Matrix& stored = *hyp_stored_[h];
@@ -397,26 +399,14 @@ void BlockPipeline::ExtractInto(const std::vector<size_t>& block,
       continue;
     }
     for (size_t i = 0; i < block.size(); ++i) {
-      // Lookup copies out of the cache so concurrent jobs sharing one
-      // cache cannot observe an entry being evicted mid-read.
-      const bool cached =
-          options_.hypothesis_cache != nullptr &&
-          options_.hypothesis_cache->Lookup(hyp.name(), block[i], &behaviors);
-      if (!cached) {
-        behaviors = hyp.Eval(dataset_.record(block[i]));
-        if (behaviors.size() != ns) {
-          if (!warned_bad_size_[h].exchange(true,
-                                            std::memory_order_relaxed)) {
-            DB_LOG(Warn)
-                << "hypothesis '" << hyp.name() << "' emitted "
-                << behaviors.size() << " behaviors for a record of " << ns
-                << " symbols; normalizing (zero-pad/truncate)";
-          }
-          behaviors.resize(ns, 0.0f);
+      std::vector<float> behaviors = hyp.Eval(dataset_.record(block[i]));
+      if (behaviors.size() != ns) {
+        if (!warned_bad_size_[h].exchange(true, std::memory_order_relaxed)) {
+          DB_LOG(Warn) << "hypothesis '" << hyp.name() << "' emitted "
+                       << behaviors.size() << " behaviors for a record of "
+                       << ns << " symbols; normalizing (zero-pad/truncate)";
         }
-        if (options_.hypothesis_cache != nullptr) {
-          options_.hypothesis_cache->Put(hyp.name(), block[i], behaviors);
-        }
+        behaviors.resize(ns, 0.0f);
       }
       std::copy(behaviors.begin(), behaviors.end(), out + i * ns);
     }
@@ -587,6 +577,9 @@ void BlockPipeline::Extract(const std::vector<std::vector<size_t>>& idx,
     lanes_[shard].stats.unit_extraction_s += out[i].unit_s;
     lanes_[shard].stats.hyp_extraction_s += out[i].hyp_s;
     if (OwnsShard(shard)) totals->records_processed += out[i].records;
+    totals->cache_hits += out[i].records * hyp_tier_served_;
+    totals->cache_misses +=
+        out[i].records * (hypotheses_.size() - hyp_tier_served_);
   }
 }
 
@@ -667,6 +660,7 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   totals.store_hyp_mem_hits = store_hyp_mem_hits_;
   totals.store_hyp_disk_hits = store_hyp_disk_hits_;
   totals.store_hyp_misses = store_hyp_misses_;
+  totals.cache_misses = hyp_tier_evals_;
   lanes_.resize(num_shards_ == 1 ? 1
                                  : num_shards_ + (have_sequential_ ? 1 : 0));
   for (Lane& lane : lanes_) lane.scratch = MakeScratch();

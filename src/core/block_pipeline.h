@@ -164,11 +164,16 @@ class BlockPipeline {
     /// block loop stopped at the first boundary after the deadline, so
     /// the accumulated states cover only a prefix of the plan.
     bool deadline_exceeded = false;
-    /// Hypothesis-tier store counters (InspectOptions::hypothesis_store_tier)
+    /// Hypothesis-tier store counters (InspectOptions::hypothesis_store)
     /// for this run — how each hypothesis's stored behaviors were obtained.
     size_t store_hyp_mem_hits = 0;
     size_t store_hyp_disk_hits = 0;
     size_t store_hyp_misses = 0;
+    /// (hypothesis, record) rows this run copied from the hypothesis tier
+    /// / evaluated with HypothesisFn::Eval, during block extraction or
+    /// tier materialization (RuntimeStats::cache_hits / cache_misses).
+    size_t cache_hits = 0;
+    size_t cache_misses = 0;
   };
 
   BlockPipeline(const std::vector<ModelSpec>& models, const Dataset& dataset,
@@ -349,6 +354,8 @@ class BlockPipeline {
   // instead of holding per-job deep copies — then every block copies row
   // slices instead of calling HypothesisFn::Eval.
   std::vector<std::shared_ptr<const Matrix>> hyp_stored_;
+  size_t hyp_tier_served_ = 0;  // non-null entries of hyp_stored_
+  size_t hyp_tier_evals_ = 0;   // rows evaluated to materialize the tier
   size_t store_hyp_mem_hits_ = 0;
   size_t store_hyp_disk_hits_ = 0;
   size_t store_hyp_misses_ = 0;

@@ -127,16 +127,12 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
            options.cancel->load(std::memory_order_relaxed);
   };
 
-  // Caches/stores shared across calls (and across concurrent jobs) carry
-  // cumulative counters; snapshot them so this call's RuntimeStats report
-  // deltas. Under concurrency the attribution is approximate (another
-  // job's hits can land in this window) but bounded, instead of every job
-  // re-reporting the session-lifetime totals.
-  size_t cache_hits0 = 0, cache_misses0 = 0;
-  if (options.hypothesis_cache != nullptr) {
-    cache_hits0 = options.hypothesis_cache->hits();
-    cache_misses0 = options.hypothesis_cache->misses();
-  }
+  // The store is shared across calls (and across concurrent jobs) and
+  // carries cumulative counters; snapshot them so this call's
+  // RuntimeStats report deltas. Under concurrency the attribution is
+  // approximate (another job's evictions can land in this window) but
+  // bounded, instead of every job re-reporting the session-lifetime
+  // totals.
   size_t store_evictions0 = 0, store_bytes0 = 0, store_evicted_bytes0 = 0;
   if (options.behavior_store != nullptr) {
     store_evictions0 = options.behavior_store->evictions();
@@ -248,13 +244,8 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
     stats->all_converged = totals.stopped_early || pipeline.AllConverged();
     stats->cancelled = cancel_requested();
     stats->deadline_exceeded = totals.deadline_exceeded;
-    if (options.hypothesis_cache != nullptr) {
-      stats->cache_hits = options.hypothesis_cache->hits() - cache_hits0;
-      stats->cache_misses =
-          options.hypothesis_cache->misses() - cache_misses0;
-    } else {
-      stats->cache_misses = totals.blocks_processed * hypotheses.size();
-    }
+    stats->cache_hits = totals.cache_hits;
+    stats->cache_misses = totals.cache_misses;
     stats->store_mem_hits = store_mem_hits;
     stats->store_disk_hits = store_disk_hits;
     stats->store_mmap_hits = store_mmap_hits;

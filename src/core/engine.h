@@ -7,8 +7,9 @@
 //   streaming=false, model_merging=true,  early_stopping=true   -> +MM+ES
 //   streaming=true,  model_merging=true,  early_stopping=true   -> DeepBase
 //
-// plus the shared hypothesis-behavior cache (Figure 9) and thread-pool
-// batch extraction (the GPU substitute; Figures 5/7).
+// plus the hypothesis-behavior cache (Figure 9) — the hyp: tier of a
+// BehaviorStore, memory-only in storeless sessions — and thread-pool batch
+// extraction (the GPU substitute; Figures 5/7).
 
 #pragma once
 
@@ -19,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cache.h"
 #include "core/extractor.h"
 #include "core/result_table.h"
 #include "hypothesis/hypothesis.h"
@@ -98,14 +98,12 @@ struct InspectOptions {
   double logreg_epsilon = 0.01;
   double default_epsilon = 0.01;
 
-  /// Optional shared hypothesis-behavior cache (one per dataset).
-  HypothesisCache* hypothesis_cache = nullptr;
-
-  /// Optional disk-backed behavior store (the Mistique-style substrate,
-  /// §5.1.2/§6.3). When set, each model's unit behaviors are materialized
-  /// into the store on first inspection and served from it afterwards, so
-  /// re-inspection skips the forward passes entirely — including across
-  /// process restarts. Typically owned by an InspectionSession.
+  /// Optional disk-backed behavior store for the unit tier (the
+  /// Mistique-style substrate, §5.1.2/§6.3). When set, each model's unit
+  /// behaviors are materialized into the store on first inspection and
+  /// served from it afterwards, so re-inspection skips the forward passes
+  /// entirely — including across process restarts. Typically owned by an
+  /// InspectionSession.
   ///
   /// Caveats: entries are keyed by (model_id, dataset fingerprint), so a
   /// retrained model must get a fresh model_id or the store serves its
@@ -114,13 +112,19 @@ struct InspectOptions {
   /// cancellation is honored between models).
   BehaviorStore* behavior_store = nullptr;
 
-  /// When a behavior store is attached, also persist each hypothesis's
-  /// full behaviors under HypothesisBehaviorKey (keyed by hypothesis name
-  /// + dataset fingerprint) and serve block extraction from the stored
-  /// matrix — compiled hypothesis behaviors are reused across jobs and
-  /// across restarts, like the unit tier. The one-time materialization
-  /// evaluates the hypothesis over the whole dataset upfront (same §6.3
-  /// trade-off as unit materialization). Ignored without a store.
+  /// The hypothesis-behavior cache (§5.1.2, Figure 9): the store whose
+  /// hyp: tier serves hypothesis behaviors. Each hypothesis's full
+  /// behaviors are materialized once under HypothesisBehaviorKey (keyed
+  /// by hypothesis name + dataset fingerprint) and block extraction
+  /// copies rows from the stored matrix — reused across jobs and, when
+  /// the store is disk-backed, across restarts. A session points this at
+  /// its own store, or at a memory-only store when it has none. The
+  /// one-time materialization evaluates the hypothesis over the whole
+  /// dataset upfront (same §6.3 trade-off as unit materialization).
+  /// null = every block evaluates HypothesisFn::Eval live.
+  BehaviorStore* hypothesis_store = nullptr;
+
+  /// Per-request opt-out of hypothesis_store (false = evaluate live).
   ///
   /// Caveat (same contract as the unit tier's model_id): the hypothesis
   /// *name* is its store identity. A changed hypothesis function must be
@@ -292,6 +296,10 @@ struct RuntimeStats {
   /// Effective shard count of the run (resolved from
   /// InspectOptions::num_shards).
   size_t num_shards = 1;
+  /// Hypothesis-behavior counters of this job, in (hypothesis, record)
+  /// rows: rows copied from the hypothesis tier, and rows evaluated with
+  /// HypothesisFn::Eval (live during block extraction, or to materialize
+  /// the tier).
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   /// Behavior-store counters for this inspection (the unified view of the

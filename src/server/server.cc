@@ -289,6 +289,7 @@ void InspectionServer::WatchConnection(
       }
     }
     if (out.empty() && finished.empty()) continue;
+    if (!finished.empty()) ++conn->deliveries_in_progress;
     lock.unlock();
     for (const Outgoing& frame : out) {
       Send(conn, frame.type, frame.request_id, frame.payload);
@@ -306,6 +307,7 @@ void InspectionServer::WatchConnection(
       stats_.results_sent += finished.size();
     }
     lock.lock();
+    if (!finished.empty()) --conn->deliveries_in_progress;
     // Bounded retention: delivered jobs stay probeable (late Poll/Wait)
     // up to the configured cap; beyond it the oldest delivered entries
     // are dropped so a long-lived client cannot pin unbounded tables.
@@ -543,6 +545,7 @@ bool InspectionServer::HandleFrame(const std::shared_ptr<Connection>& conn,
             ready = true;
             ready_handle = it->second.handle;
             it->second.result_sent = true;
+            ++conn->deliveries_in_progress;
           } else {
             it->second.pending_waits.push_back(frame.request_id);
           }
@@ -557,6 +560,10 @@ bool InspectionServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         // dispatch).
         Send(conn, wire::MsgType::kResult, frame.request_id,
              ResultPayload(ready_handle));
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          --conn->deliveries_in_progress;
+        }
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.results_sent;
       }
@@ -785,8 +792,9 @@ void InspectionServer::Shutdown() {
   ::shutdown(listen_fd_, SHUT_RDWR);
 
   // Drain: every tracked job on every live connection must reach a
-  // terminal state and have its result pushed. Jobs on dead/broken
-  // connections are skipped (their cancellation is already in flight).
+  // terminal state and have its result written to the socket. Jobs on
+  // dead/broken connections are skipped (their cancellation is already in
+  // flight).
   while (true) {
     bool pending = false;
     {
@@ -794,7 +802,8 @@ void InspectionServer::Shutdown() {
       for (const auto& conn : conns_) {
         std::lock_guard<std::mutex> lock(conn->mu);
         if (conn->closing || conn->broken) continue;
-        if (conn->submits_in_progress > 0) {
+        if (conn->submits_in_progress > 0 ||
+            conn->deliveries_in_progress > 0) {
           pending = true;
           break;
         }

@@ -143,6 +143,11 @@ class InspectionServer {
     /// draining check but has not yet registered its job cannot be torn
     /// down mid-flight.
     size_t submits_in_progress = 0;
+    /// Result deliveries claimed (TrackedJob::result_sent) but not yet
+    /// written. The drain waits on these as well: a result is claimed
+    /// under mu and written outside it, and tearing the socket down in
+    /// between would drop a result the drain already counts as sent.
+    size_t deliveries_in_progress = 0;
     bool closing = false;
     bool broken = false;  ///< a send failed; stop pushing
   };

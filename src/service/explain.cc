@@ -331,35 +331,44 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "inputs";
-    if (store == nullptr) {
+    // The hypothesis tier AttachSubstrate hands the job, unless the
+    // request opts out of it.
+    BehaviorStore* const hyp_store = compiled.options.hypothesis_store_tier
+                                         ? session->hypothesis_store()
+                                         : nullptr;
+    if (store == nullptr && hyp_store == nullptr) {
       node.Add("", "no store (live extraction every run)");
     } else {
       const Dataset& dataset = *compiled.dataset;
       node.Add("records", std::to_string(dataset.num_records()));
       node.Add("ns", std::to_string(dataset.ns()));
-      for (const ModelSpec& model : compiled.models) {
-        PlanNode unit;
-        unit.name = "unit-behaviors";
-        unit.Add("model", model.extractor->model_id());
-        const std::string key =
-            UnitBehaviorKey(model.extractor->model_id(), dataset);
-        unit.Add("key", key);
-        unit.Add("tier", TierName(store->PeekTier(key)));
-        unit.Add("rows",
-                 std::to_string(dataset.num_records() * dataset.ns()));
-        const size_t cols = model.extractor->num_units();
-        unit.Add("cols", std::to_string(cols));
-        unit.Add("lda", std::to_string(PaddedLda(cols)));
-        node.children.push_back(std::move(unit));
+      if (store == nullptr) {
+        node.Add("units", "live (no store)");
+      } else {
+        for (const ModelSpec& model : compiled.models) {
+          PlanNode unit;
+          unit.name = "unit-behaviors";
+          unit.Add("model", model.extractor->model_id());
+          const std::string key =
+              UnitBehaviorKey(model.extractor->model_id(), dataset);
+          unit.Add("key", key);
+          unit.Add("tier", TierName(store->PeekTier(key)));
+          unit.Add("rows",
+                   std::to_string(dataset.num_records() * dataset.ns()));
+          const size_t cols = model.extractor->num_units();
+          unit.Add("cols", std::to_string(cols));
+          unit.Add("lda", std::to_string(PaddedLda(cols)));
+          node.children.push_back(std::move(unit));
+        }
       }
-      if (compiled.options.hypothesis_store_tier) {
+      if (hyp_store != nullptr) {
         for (const HypothesisPtr& hyp : compiled.hypotheses) {
           PlanNode hn;
           hn.name = "hyp-behaviors";
           hn.Add("hypothesis", hyp->name());
           const std::string key = HypothesisBehaviorKey(hyp->name(), dataset);
           hn.Add("key", key);
-          hn.Add("tier", TierName(store->PeekTier(key)));
+          hn.Add("tier", TierName(hyp_store->PeekTier(key)));
           hn.Add("rows", std::to_string(dataset.num_records()));
           hn.Add("cols", std::to_string(dataset.ns()));
           hn.Add("lda", std::to_string(PaddedLda(dataset.ns())));

@@ -126,9 +126,9 @@ InspectionSession::InspectionSession(SessionConfig config)
       store_->SetNamespaceQuota("hyp", config_.store_hyp_quota_bytes);
     }
   }
-  if (config_.hypothesis_cache_values > 0) {
-    hyp_cache_ =
-        std::make_unique<HypothesisCache>(config_.hypothesis_cache_values);
+  if (store_ == nullptr && config_.hypothesis_cache_values > 0) {
+    hyp_store_ = std::make_unique<BehaviorStore>(
+        "", config_.hypothesis_cache_values * sizeof(float));
   }
   scheduler_ = std::make_unique<Scheduler>(this);
   // Close the stale-admission window: every Register* raises the result
@@ -160,11 +160,11 @@ InspectionSession::~InspectionSession() {
 }
 
 void InspectionSession::AttachSubstrate(InspectOptions* options) {
-  if (options->hypothesis_cache == nullptr) {
-    options->hypothesis_cache = hyp_cache_.get();
-  }
   if (options->behavior_store == nullptr) {
     options->behavior_store = store_.get();
+  }
+  if (options->hypothesis_store == nullptr) {
+    options->hypothesis_store = hypothesis_store();
   }
   // Intra-job sharding runs on the session pool (num_shards == 0 resolves
   // to the pool size). num_shards == 1 keeps sync-only sessions

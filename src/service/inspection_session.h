@@ -1,7 +1,8 @@
 // InspectionSession: the single front door for Deep Neural Inspection.
 // A session owns the shared Catalog (models, hypothesis sets, datasets,
-// measures), an optional disk-backed BehaviorStore, a HypothesisCache, and
-// a ThreadPool, and exposes the one inspect() verb of the paper both
+// measures), a BehaviorStore — disk-backed with a store_dir, else a
+// memory-only one holding just the hypothesis-behavior tier — and a
+// ThreadPool, and exposes the one inspect() verb of the paper both
 // synchronously and as async jobs:
 //
 //   InspectionSession session({.store_dir = "/tmp/deepbase"});
@@ -20,9 +21,9 @@
 //   const Result<ResultTable>& rr = job.Wait();
 //
 // Every frontend (InspectQuery, the textual INSPECT parser, SqlSession)
-// compiles to an InspectRequest against the session's catalog, so results,
-// the behavior store, and the hypothesis cache are shared across all of
-// them — the prerequisite for multi-tenant serving (ROADMAP north star).
+// compiles to an InspectRequest against the session's catalog, so results
+// and the behavior store (with its hypothesis-behavior tier) are shared
+// across all of them — the prerequisite for multi-tenant serving.
 
 #pragma once
 
@@ -38,7 +39,6 @@
 
 #include "cluster/partition.h"
 #include "core/behavior_store.h"
-#include "core/cache.h"
 #include "core/catalog.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -64,7 +64,10 @@ struct SessionConfig {
   /// on disk.
   size_t store_unit_quota_bytes = 0;
   size_t store_hyp_quota_bytes = 0;
-  /// Shared hypothesis-behavior cache (Figure 9); 0 values disables it.
+  /// Storeless sessions only: budget, in floats, of the memory-only
+  /// store that holds the hypothesis-behavior tier (Figure 9); 0 = no
+  /// in-memory hypothesis cache (every job evaluates hypotheses live).
+  /// A session with a store_dir keeps that tier in its own store.
   size_t hypothesis_cache_values = size_t{1} << 26;
 
   // --- Multi-query scheduler (service/scheduler.h). ---
@@ -269,8 +272,8 @@ struct ClusterDispatch {
 };
 
 /// \brief The facade. Thread-safe: Submit/Inspect may be called
-/// concurrently; jobs share the catalog, store, hypothesis cache, result
-/// cache, and the multi-query scheduler's shared scans.
+/// concurrently; jobs share the catalog, the behavior store tiers, the
+/// result cache, and the multi-query scheduler's shared scans.
 class InspectionSession {
  public:
   explicit InspectionSession(SessionConfig config = {});
@@ -300,19 +303,25 @@ class InspectionSession {
   /// \brief The session's behavior store (nullptr when store_dir was
   /// empty).
   BehaviorStore* store() { return store_.get(); }
+  /// \brief The store whose hyp: tier caches hypothesis behaviors: store()
+  /// when there is one, else the memory-only store (nullptr when
+  /// hypothesis_cache_values is 0).
+  BehaviorStore* hypothesis_store() {
+    return store_ != nullptr ? store_.get() : hyp_store_.get();
+  }
   /// \brief The async worker pool, created lazily by the first Submit()
   /// (sync-only sessions never spawn threads).
   ThreadPool* thread_pool() { return EnsurePool(); }
 
   /// \brief Attach the session substrate to a job's options where unset:
-  /// the hypothesis cache, the behavior store and, for jobs that shard
+  /// the behavior store, the hypothesis store and, for jobs that shard
   /// their block loop (num_shards != 1, including the pool-sized 0), the
   /// session pool — shared fairly, as ParallelFor is cooperative. The
   /// scheduler and cluster workers both run jobs through it.
   void AttachSubstrate(InspectOptions* options);
 
   /// \brief Synchronous inspection: compile against the catalog, serve
-  /// behaviors through the session store/cache, run the engine.
+  /// behaviors through the session store tiers, run the engine.
   Result<ResultTable> Inspect(const InspectRequest& request,
                               RuntimeStats* stats = nullptr);
   /// \brief Convenience: run a fluent-builder query through the session.
@@ -367,7 +376,8 @@ class InspectionSession {
   SessionConfig config_;
   Catalog catalog_;
   std::unique_ptr<BehaviorStore> store_;
-  std::unique_ptr<HypothesisCache> hyp_cache_;
+  /// Storeless sessions' memory-only hypothesis tier.
+  std::unique_ptr<BehaviorStore> hyp_store_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Scheduler> scheduler_;
 

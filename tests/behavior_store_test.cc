@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
@@ -148,6 +149,91 @@ TEST_F(StoreFixture, CostAwareEvictionPrefersCheapBytes) {
   EXPECT_EQ(tier, BehaviorStore::Tier::kMemory);  // survived despite age
   ASSERT_TRUE(store.Get("cheap", &tier).ok());
   EXPECT_EQ(tier, BehaviorStore::Tier::kDisk);  // the one that was dropped
+}
+
+// An empty root_dir keeps only the memory tier: the hypothesis-behavior
+// cache of storeless sessions.
+TEST(MemoryOnlyStoreTest, ServesFromMemoryAndDeclinesWhatCannotFit) {
+  Dataset ds(Vocab::FromChars("ab"), 4);
+  for (const char* text : {"abab", "bbaa", "aaab", "baba"}) ds.AddText(text);
+  std::atomic<size_t> evals{0};
+  auto counted = [&evals](const std::string& name) {
+    return std::make_shared<FunctionHypothesis>(
+        name, [&evals](const Record& rec) {
+          evals.fetch_add(1, std::memory_order_relaxed);
+          std::vector<float> out(rec.size(), 0.0f);
+          for (size_t i = 0; i < rec.size(); ++i) {
+            out[i] = rec.tokens[i] == "a" ? 1.0f : 0.0f;
+          }
+          return out;
+        });
+  };
+  const size_t matrix_bytes = ds.num_records() * ds.ns() * sizeof(float);
+  // Room for exactly one hypothesis matrix.
+  BehaviorStore store(/*root_dir=*/"", /*memory_budget_bytes=*/matrix_bytes);
+
+  // Put creates no file; Get and PeekTier see memory or nothing.
+  const std::string key = "hyp:put:0";
+  ASSERT_TRUE(store.Put(key, TestMatrix(4, 4, 9)).ok());
+  EXPECT_EQ(store.bytes_written(), 0u);
+  EXPECT_TRUE(store.Keys().empty());
+  EXPECT_FALSE(std::filesystem::exists(
+      "/" + HexU64(Fnv1a(key.data(), key.size())) + ".behaviors"));
+  EXPECT_FALSE(std::filesystem::exists(
+      HexU64(Fnv1a(key.data(), key.size())) + ".behaviors"));
+  EXPECT_EQ(store.PeekTier(key), BehaviorStore::Tier::kMemory);
+  EXPECT_EQ(store.Get("hyp:absent:0").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.PeekTier("hyp:absent:0"), BehaviorStore::Tier::kMiss);
+  EXPECT_FALSE(store.Contains("hyp:absent:0"));
+
+  // EnsureHypothesisBehaviors materializes once.
+  const auto first = counted("first");
+  bool materialized = false;
+  Result<std::string> first_key =
+      store.EnsureHypothesisBehaviors(*first, ds, &materialized);
+  ASSERT_TRUE(first_key.ok()) << first_key.status().ToString();
+  EXPECT_TRUE(materialized);
+  EXPECT_EQ(evals.load(), ds.num_records());
+  ASSERT_TRUE(store.EnsureHypothesisBehaviors(*first, ds, &materialized).ok());
+  EXPECT_FALSE(materialized);
+  EXPECT_EQ(evals.load(), ds.num_records());
+  BehaviorStore::Tier tier = BehaviorStore::Tier::kMiss;
+  ASSERT_TRUE(store.GetShared(*first_key, &tier).ok());
+  EXPECT_EQ(tier, BehaviorStore::Tier::kMemory);
+  EXPECT_EQ(store.PeekTier(key), BehaviorStore::Tier::kMiss);  // evicted
+
+  // A second matrix evicts the first (LRU); the first re-materializes.
+  ASSERT_TRUE(store.EnsureHypothesisBehaviors(*counted("second"), ds).ok());
+  EXPECT_EQ(store.PeekTier(*first_key), BehaviorStore::Tier::kMiss);
+  EXPECT_EQ(store.Get(*first_key).status().code(), StatusCode::kNotFound);
+  evals = 0;
+  ASSERT_TRUE(store.EnsureHypothesisBehaviors(*first, ds, &materialized).ok());
+  EXPECT_TRUE(materialized);
+  EXPECT_EQ(evals.load(), ds.num_records());
+
+  // A matrix over the budget is declined before any evaluation, and a job
+  // evaluates it live exactly once.
+  BehaviorStore small(/*root_dir=*/"",
+                      /*memory_budget_bytes=*/matrix_bytes - 1);
+  const auto big = counted("big");
+  evals = 0;
+  EXPECT_EQ(small.EnsureHypothesisBehaviors(*big, ds).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(evals.load(), 0u);
+  LstmLm model(ds.vocab().size(), 6, 1, 23);
+  LstmLmExtractor extractor("lm", &model);
+  InspectOptions opts;
+  opts.block_size = 2;
+  opts.early_stopping = false;
+  opts.hypothesis_store = &small;
+  RuntimeStats stats;
+  Inspect({AllUnitsGroup(&extractor)}, ds,
+          {std::make_shared<CorrelationScore>("pearson")}, {big}, opts, &stats);
+  EXPECT_EQ(evals.load(), ds.num_records());
+  EXPECT_EQ(stats.cache_misses, ds.num_records());
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.store_hyp_misses, 0u);
+  EXPECT_EQ(small.memory_bytes(), 0u);
 }
 
 TEST_F(StoreFixture, EnsureHypothesisBehaviorsMaterializesOnce) {

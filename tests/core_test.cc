@@ -1,12 +1,12 @@
 // Unit tests for the core engine: extraction plumbing, the hypothesis
-// cache, result-table operations, optimization-mode score equivalence,
+// tier, result-table operations, optimization-mode score equivalence,
 // early stopping, the INSPECT query builder, and verification.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/cache.h"
+#include "core/behavior_store.h"
 #include "core/engine.h"
 #include "core/extractors.h"
 #include "core/inspect_query.h"
@@ -101,28 +101,6 @@ TEST(PrecomputedExtractorTest, ServesStoredBehaviors) {
   Matrix sub = pre.ExtractBlock(ds, {3, 1}, {2, 0});
   Matrix expect3 = real.ExtractRecord(ds.record(3), {2, 0});
   EXPECT_LT(MaxAbsDiff(sub.RowSlice(0, ds.ns()), expect3), 1e-6f);
-}
-
-TEST(HypothesisCacheTest, HitAfterPut) {
-  HypothesisCache cache;
-  EXPECT_EQ(cache.Get("h", 0), nullptr);
-  cache.Put("h", 0, {1.0f, 2.0f});
-  const auto* v = cache.Get("h", 0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ((*v)[1], 2.0f);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(HypothesisCacheTest, LruEvictsColdHypothesis) {
-  HypothesisCache cache(/*max_values=*/10);
-  cache.Put("cold", 0, std::vector<float>(4, 1.0f));
-  cache.Put("hot", 0, std::vector<float>(4, 1.0f));
-  cache.Get("hot", 0);
-  // Inserting more pushes total above budget; "cold" (LRU) is evicted.
-  cache.Put("hot", 1, std::vector<float>(4, 1.0f));
-  EXPECT_EQ(cache.Get("cold", 0), nullptr);
-  EXPECT_NE(cache.Get("hot", 0), nullptr);
 }
 
 TEST(ResultTableTest, FilterTopAndLookup) {
@@ -266,18 +244,19 @@ TEST_F(EngineFixture, CacheEliminatesSecondRunHypothesisWork) {
   std::vector<HypothesisPtr> hyps = {hyp};
   std::vector<MeasureFactoryPtr> scores = {
       std::make_shared<CorrelationScore>("pearson")};
-  HypothesisCache cache;
+  BehaviorStore store(/*root_dir=*/"");  // memory-only hypothesis tier
   InspectOptions opts;
   opts.block_size = 32;
   opts.early_stopping = false;
-  opts.hypothesis_cache = &cache;
+  opts.hypothesis_store = &store;
   Inspect({AllUnitsGroup(&extractor_)}, dataset_, scores, hyps, opts);
   const size_t calls_first = hyp->eval_calls;
   EXPECT_EQ(calls_first, dataset_.num_records());
   // Second run (e.g. on a retrained model): all hypothesis behaviors hit.
-  Inspect({AllUnitsGroup(&extractor_)}, dataset_, scores, hyps, opts);
+  RuntimeStats stats;
+  Inspect({AllUnitsGroup(&extractor_)}, dataset_, scores, hyps, opts, &stats);
   EXPECT_EQ(hyp->eval_calls, calls_first);
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(stats.cache_hits, 0u);
 }
 
 TEST_F(EngineFixture, GroupScopingProducesPerGroupRows) {

@@ -274,6 +274,45 @@ TEST(ExplainTest, DryRunExecutesNothingAndMutatesNothing) {
   EXPECT_EQ(store->misses(), store_misses_before);
 }
 
+TEST(ExplainTest, StorelessPlanRendersTheMemoryOnlyHypothesisTier) {
+  World world;  // no store_dir: hypotheses cache in a memory-only store
+  const InspectRequest request = PearsonRequest(2);
+  BehaviorStore* hyp_store = world.session.hypothesis_store();
+  ASSERT_NE(hyp_store, nullptr);
+  ASSERT_EQ(world.session.store(), nullptr);
+
+  Result<InspectionPlan> before = world.session.Explain(request);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  std::string text = before->ToText();
+  EXPECT_TRUE(Contains(text, "units=live (no store)")) << text;
+  EXPECT_FALSE(Contains(text, "unit-behaviors:")) << text;
+  EXPECT_TRUE(Contains(text, "hyp-behaviors: hypothesis=is_a")) << text;
+  EXPECT_TRUE(Contains(text, "tier=miss (will extract)")) << text;
+  EXPECT_EQ(hyp_store->mem_hits(), 0u);
+  EXPECT_EQ(hyp_store->misses(), 0u);
+
+  ASSERT_TRUE(world.session.Inspect(request).ok());
+  const size_t hits = hyp_store->mem_hits();
+  const size_t misses = hyp_store->misses();
+  Result<InspectionPlan> after = world.session.Explain(request);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  text = after->ToText();
+  EXPECT_TRUE(Contains(text, "tier=memory")) << text;
+  EXPECT_FALSE(Contains(text, "tier=miss")) << text;
+  // The dry run read residency without serving anything.
+  EXPECT_EQ(hyp_store->mem_hits(), hits);
+  EXPECT_EQ(hyp_store->misses(), misses);
+
+  // A request that opts out of the tier renders the storeless line.
+  InspectRequest live = request;
+  live.options->hypothesis_store_tier = false;
+  Result<InspectionPlan> live_plan = world.session.Explain(live);
+  ASSERT_TRUE(live_plan.ok()) << live_plan.status().ToString();
+  EXPECT_TRUE(Contains(live_plan->ToText(),
+                       "inputs: no store (live extraction every run)"))
+      << live_plan->ToText();
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE: plan-vs-actual reconciliation.
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // (hit/miss/invalidation on catalog version bumps, LRU-over-bytes
 // eviction), per-job cancellation detaching from a fused group without
 // disturbing the scan, the SharedScan block cache itself, and the
-// hypothesis-behavior store tier (reuse across jobs and restarts).
+// hypothesis-behavior store tier (reuse across jobs and restarts, keyed
+// by dataset, with exact per-job row counters).
 
 #include "service/scheduler.h"
 
@@ -91,9 +92,10 @@ HypothesisPtr IsAHypothesis() {
       });
 }
 
-Dataset MakeAbDataset(size_t records = 240, size_t ns = 8) {
+Dataset MakeAbDataset(size_t records = 240, size_t ns = 8,
+                      uint64_t seed = 3) {
   Dataset dataset(Vocab::FromChars("ab"), ns);
-  Rng rng(3);
+  Rng rng(seed);
   for (size_t i = 0; i < records; ++i) {
     std::string text;
     for (size_t t = 0; t < ns; ++t) text += rng.Bernoulli(0.4) ? 'a' : 'b';
@@ -1272,6 +1274,116 @@ TEST(SchedulerTest, HypothesisTierServesRestartsWithIdenticalScores) {
     EXPECT_EQ(ScoresOf(*again), first_scores);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// One storeless session, two datasets, one hypothesis set: the hypothesis
+// tier is keyed by dataset, so the second dataset is scored on its own
+// behaviors — byte-identical to a fresh session's table for it.
+// ---------------------------------------------------------------------------
+
+void ExpectSecondDatasetScoredLikeAFreshSession(const Dataset& first,
+                                                const Dataset& second) {
+  CountingExtractor extractor(4);
+  auto populate = [&](InspectionSession* session) {
+    session->catalog().RegisterModel("planted", &extractor);
+    session->catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+    session->catalog().RegisterDataset("first", &first);
+    session->catalog().RegisterDataset("second", &second);
+  };
+  auto request = [](const std::string& dataset) {
+    InspectRequest r = PlantedRequest();
+    r.dataset_name = dataset;
+    return r;
+  };
+
+  InspectionSession session;
+  populate(&session);
+  ASSERT_TRUE(session.Inspect(request("first")).ok());
+  Result<ResultTable> scored = session.Inspect(request("second"));
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+
+  InspectionSession fresh;
+  populate(&fresh);
+  Result<ResultTable> expected = fresh.Inspect(request("second"));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(scored->SerializeToString(), expected->SerializeToString());
+}
+
+TEST(HypothesisTierKeyTest, SameShapeDatasetsDoNotShareBehaviors) {
+  const Dataset first = MakeAbDataset(120, 8, /*seed=*/3);
+  const Dataset second = MakeAbDataset(120, 8, /*seed=*/4);
+  ExpectSecondDatasetScoredLikeAFreshSession(first, second);
+}
+
+TEST(HypothesisTierKeyTest, NarrowerSecondDatasetIsScoredOnItsOwnRows) {
+  const Dataset first = MakeAbDataset(120, 16, /*seed=*/3);
+  const Dataset second = MakeAbDataset(120, 8, /*seed=*/4);
+  ExpectSecondDatasetScoredLikeAFreshSession(first, second);
+}
+
+// ---------------------------------------------------------------------------
+// RuntimeStats::cache_hits / cache_misses count this job's own
+// (hypothesis, record) rows: copied from the tier / evaluated live. Every
+// job also evaluates record 0 once per hypothesis before it runs
+// (CheckHypothesisOutputFormat), outside the engine's counters.
+// ---------------------------------------------------------------------------
+
+struct CountedHypothesisWorld {
+  explicit CountedHypothesisWorld(size_t hypothesis_cache_values) {
+    SessionConfig config;
+    config.options.block_size = 32;
+    config.hypothesis_cache_values = hypothesis_cache_values;
+    config.enable_result_cache = false;
+    config.enable_inflight_dedup = false;
+    session = std::make_unique<InspectionSession>(std::move(config));
+    HypothesisPtr counted = std::make_shared<FunctionHypothesis>(
+        "is_a_counted", [this](const Record& rec) {
+          evals.fetch_add(1, std::memory_order_relaxed);
+          std::vector<float> out(rec.size(), 0.0f);
+          for (size_t i = 0; i < rec.size(); ++i) {
+            if (rec.tokens[i] == "a") out[i] = 1.0f;
+          }
+          return out;
+        });
+    session->catalog().RegisterModel("planted", &extractor);
+    session->catalog().RegisterHypotheses("keywords",
+                                          {IsAHypothesis(), counted});
+    session->catalog().RegisterDataset("ab", &dataset);
+  }
+
+  CountingExtractor extractor{4};
+  Dataset dataset = MakeAbDataset(200, 8);
+  std::atomic<size_t> evals{0};
+  std::unique_ptr<InspectionSession> session;
+};
+
+TEST(HypothesisCounterTest, LiveJobCountsEveryEvaluatedRow) {
+  CountedHypothesisWorld world(/*hypothesis_cache_values=*/0);
+  RuntimeStats stats;
+  ASSERT_TRUE(world.session->Inspect(PlantedRequest(), &stats).ok());
+  ASSERT_GT(stats.records_processed, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, stats.records_processed * 2);
+  EXPECT_EQ(world.evals.load(), stats.records_processed + 1);
+}
+
+TEST(HypothesisCounterTest, SecondJobIsServedFromTheTierWithoutEval) {
+  CountedHypothesisWorld world(/*hypothesis_cache_values=*/size_t{1} << 20);
+  RuntimeStats first;
+  ASSERT_TRUE(world.session->Inspect(PlantedRequest(), &first).ok());
+  // The first job materializes both hypotheses over the whole dataset.
+  EXPECT_EQ(first.cache_misses, world.dataset.num_records() * 2);
+  EXPECT_EQ(first.cache_hits, first.records_processed * 2);
+  EXPECT_EQ(world.evals.load(), world.dataset.num_records() + 1);
+
+  RuntimeStats second;
+  ASSERT_TRUE(world.session->Inspect(PlantedRequest(), &second).ok());
+  EXPECT_EQ(second.cache_misses, 0u);
+  EXPECT_EQ(second.cache_hits, second.records_processed * 2);
+  EXPECT_EQ(second.store_hyp_mem_hits, 2u);
+  // The engine evaluated nothing: the second job's only Eval is its probe.
+  EXPECT_EQ(world.evals.load(), world.dataset.num_records() + 2);
 }
 
 }  // namespace

@@ -657,6 +657,37 @@ TEST(InspectionServerTest, GracefulDrainFinishesInflightRejectsNew) {
   EXPECT_FALSE(world.server->running());
 }
 
+// The drain's teardown must wait for results that are claimed but not yet
+// written. Stalling every frame write widens the window between the
+// watcher claiming the result and writing it; tearing the socket down
+// inside that window drops the result, and the client's replay then
+// meets the closed listener.
+TEST(InspectionServerTest, DrainWaitsForClaimedResultsToBeWritten) {
+  ServerWorld world(/*delay_us=*/3000);
+  InspectionClient client(world.client_config());
+  ASSERT_TRUE(client.Connect().ok());
+  Result<RemoteJob> job = client.Submit(PlantedRequest(/*block_size=*/8));
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+
+  failpoint::Action stall;
+  stall.code = StatusCode::kOk;  // delay only: every write still succeeds
+  stall.delay_s = 0.2;
+  failpoint::Arm("wire.write_frame", stall);
+  world.server->Shutdown();
+  // The result was written under the stall, inside the drain.
+  const uint64_t stalled_writes = failpoint::Fires("wire.write_frame");
+  failpoint::DisarmAll();
+  EXPECT_GE(stalled_writes, 1u);
+  EXPECT_FALSE(world.server->running());
+
+  const Result<ResultTable>& result = job->Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  Result<ResultTable> local =
+      world.session->Inspect(PlantedRequest(/*block_size=*/8));
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(result->SerializeToString(), local->SerializeToString());
+}
+
 TEST(InspectionServerTest, ClientAutoReconnectsAfterServerRestart) {
   CountingExtractor extractor;
   Dataset dataset = MakeAbDataset(64);
