@@ -69,6 +69,35 @@ if ! awk -v owners="($LINT_OWNERS)\\(" '
        "the JobPlan's compiled plan (RunPlan executes it) instead."
   exit 1
 fi
+# One physical plan per job: a job's shard count is resolved once, at its
+# entry point — Scheduler::PlanJob, the engine's Inspect() or
+# ClusterCoordinator::DistributedRun — and pinned into the options that
+# PlanPipeline plans from; block_pipeline.{h,cc} define ResolveShardCount.
+# The lane rules are private to PlanPipeline (block_pipeline.cc): every
+# other file reads the job's PipelinePlan instead.
+SRC_FILES="$(find src -name '*.cc' -o -name '*.h' | sort)"
+SHARD_OWNERS='Scheduler::PlanJob|ClusterCoordinator::DistributedRun|^ResultTable Inspect'
+if ! awk -v owners="($SHARD_OWNERS)\\(" '
+      FNR == 1 { fn = "" }
+      /^[A-Za-z_].*\(/ { fn = $0 }
+      { code = $0; sub(/\/\/.*/, "", code) }
+      FILENAME !~ /core\/block_pipeline\.(h|cc)$/ &&
+      code ~ /(^|[^A-Za-z0-9_])ResolveShardCount\(/ && fn !~ owners {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' $SRC_FILES; then
+  echo "lint: the lines above resolve a shard count outside a job's entry" \
+       "point. Read the count pinned into the job's options, or its" \
+       "PipelinePlan::num_shards, instead."
+  exit 1
+fi
+LANE_RULES='Sliceable|NeedsSequentialLane|FusesIntoComposite|PairMergeExactness|PlannedBlockDispatches'
+if grep -nwE "$LANE_RULES" $(echo "$SRC_FILES" | grep -v '^src/core/block_pipeline\.cc$'); then
+  echo "lint: the lines above name a lane rule outside PlanPipeline" \
+       "(core/block_pipeline.cc). Read the job's PipelinePlan (pairs," \
+       "composites, sequential_lane, sliceable, blocks_planned) instead."
+  exit 1
+fi
 
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .

@@ -137,16 +137,12 @@ Status ClusterCoordinator::Start() {
   monitor_thread_ = std::thread([this] { MonitorLoop(); });
   if (config_.install_engine) {
     session_->scheduler().SetEngine(
-        [this](const InspectRequest& request, const InspectPlan& plan,
-               RuntimeStats* stats) {
-          return RunCompiled(request, plan, stats);
-        });
-    // Feed the session's EXPLAIN layer the decision DistributedRun would
-    // execute for a request right now.
-    session_->SetClusterProbe(
-        [this](const InspectRequest& request, const InspectPlan& plan) {
-          return PlanDispatch(request, plan);
-        });
+        {.default_shards = config_.total_shards,
+         .dispatch = [this](const JobPlan& job) { return PlanDispatch(job); },
+         .run = [this](const JobPlan& job, const InspectPlan& plan,
+                       RuntimeStats* stats) {
+           return RunCompiled(job, plan, stats);
+         }});
   }
   return Status::OK();
 }
@@ -399,8 +395,7 @@ void ClusterCoordinator::MonitorLoop() {
   }
 }
 
-ClusterDispatch ClusterCoordinator::PlanDispatch(
-    const InspectRequest& request, const InspectPlan& plan) const {
+ClusterDispatch ClusterCoordinator::PlanDispatch(const JobPlan& job) const {
   ClusterDispatch dispatch;
   dispatch.degrade_to_local = config_.degrade_to_local;
   dispatch.live_workers = worker_ids();
@@ -408,7 +403,7 @@ ClusterDispatch ClusterCoordinator::PlanDispatch(
   // measure objects) have no identity across the wire; they run on the
   // local engine instead of failing.
   wire::Writer probe;
-  if (!wire::EncodeInspectRequest(request, &probe).ok()) {
+  if (!wire::EncodeInspectRequest(job.request, &probe).ok()) {
     dispatch.mode = ClusterDispatch::Mode::kLocalFallback;
     return dispatch;
   }
@@ -416,20 +411,17 @@ ClusterDispatch ClusterCoordinator::PlanDispatch(
     dispatch.mode = ClusterDispatch::Mode::kNoWorkers;
     return dispatch;
   }
-  // Effective shard count: the job's own pin wins; otherwise the cluster
-  // default. Sliced jobs split it into ranges; the rest (streaming runs,
+  // A sliceable plan splits its S into ranges; the rest (streaming runs,
   // S < 2, sequential-lane measures) pin the whole job to one worker.
-  const uint32_t total_shards = static_cast<uint32_t>(
-      ResolveShardCount(plan.options.num_shards, config_.total_shards));
-  if (Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards)) {
+  if (job.pipeline.sliceable) {
     dispatch.mode = ClusterDispatch::Mode::kSliced;
-    dispatch.total_shards = total_shards;
     dispatch.ranges = MakeShardRanges(
-        total_shards, static_cast<uint32_t>(dispatch.live_workers.size()));
+        static_cast<uint32_t>(job.pipeline.num_shards),
+        static_cast<uint32_t>(dispatch.live_workers.size()));
   } else {
     dispatch.mode = ClusterDispatch::Mode::kWhole;
     dispatch.ranges = {ShardRange{0, 1}};
-    dispatch.worker = WholeJobOwner(request, dispatch.live_workers);
+    dispatch.worker = WholeJobOwner(job.request, dispatch.live_workers);
   }
   return dispatch;
 }
@@ -437,14 +429,22 @@ ClusterDispatch ClusterCoordinator::PlanDispatch(
 Result<ResultTable> ClusterCoordinator::DistributedRun(
     const InspectRequest& request, const InspectOptions& default_options,
     RuntimeStats* stats) {
-  DB_ASSIGN_OR_RETURN(InspectPlan plan,
+  JobPlan job;
+  job.request = request;
+  DB_ASSIGN_OR_RETURN(job.compiled,
                       session_->catalog().Compile(request, default_options));
-  return RunCompiled(request, plan, stats);
+  InspectOptions& options = job.compiled.options;
+  options.num_shards =
+      ResolveShardCount(options.num_shards, config_.total_shards);
+  job.pipeline = PlanPipeline(job.compiled.models, *job.compiled.dataset,
+                              job.compiled.measures, job.compiled.hypotheses,
+                              options);
+  return RunCompiled(job, job.compiled, stats);
 }
 
-Result<ResultTable> ClusterCoordinator::RunCompiled(
-    const InspectRequest& request, const InspectPlan& plan,
-    RuntimeStats* stats) {
+Result<ResultTable> ClusterCoordinator::RunCompiled(const JobPlan& job,
+                                                    const InspectPlan& plan,
+                                                    RuntimeStats* stats) {
   Stopwatch watch;
   // Same pre-flight as a local run, before any work is dispatched: sliced
   // workers drive the pipeline directly and would only normalize.
@@ -457,13 +457,13 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
   TraceContext trace{tracer, plan.options.trace_parent_span};
   DB_SPAN_NAMED(run_span, trace, "coord.run");
 
-  const ClusterDispatch dispatch = PlanDispatch(request, plan);
+  const ClusterDispatch dispatch = PlanDispatch(job);
   if (dispatch.mode == ClusterDispatch::Mode::kLocalFallback) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.jobs_local_fallback;
     }
-    return RunPlan(plan, stats);
+    return RunPlan(plan, stats, &job.pipeline);
   }
 
   // Availability rescue: a kUnavailable outcome (quorum loss, attempts
@@ -479,7 +479,7 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.jobs_degraded_local;
       }
-      return RunPlan(plan, stats);
+      return RunPlan(plan, stats, &job.pipeline);
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.jobs_failed;
@@ -491,17 +491,13 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
     if (!fp.ok()) return fail_or_degrade(fp);
   }
 
-  // The request that travels: pin every score-affecting option so the
-  // scores depend only on (seed, total_shards), never on worker count or
-  // which worker ran which range.
+  // The request that travels carries the job's options, S pinned, so the
+  // scores depend only on (seed, S), never on worker count or which worker
+  // ran which range.
   const bool sliceable = dispatch.mode == ClusterDispatch::Mode::kSliced;
-  InspectRequest wire_request = request;
-  InspectOptions pinned = plan.options;
-  if (sliceable) {
-    pinned.num_shards = dispatch.total_shards;
-    pinned.model_merging = false;  // keeps worker pair order == merge order
-  }
-  wire_request.options = pinned;
+  const size_t num_shards = job.pipeline.num_shards;
+  InspectRequest wire_request = job.request;
+  wire_request.options = plan.options;
 
   // Plan the assignments.
   auto run = std::make_shared<RunState>();
@@ -524,7 +520,7 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
       aw.assignment_id = next_assignment_id_++;
       aw.mode = sliceable ? wire::AssignmentWire::Mode::kSliced
                           : wire::AssignmentWire::Mode::kWhole;
-      aw.total_shards = dispatch.total_shards;
+      aw.total_shards = static_cast<uint32_t>(num_shards);
       aw.shard_lo = range.lo;
       aw.shard_hi = range.hi;
       // Pre-allocate the dispatch span: its id is baked into the cached
@@ -561,9 +557,8 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
   if (progress != nullptr) {
     progress->blocks_done.store(0, std::memory_order_relaxed);
     progress->records_done.store(0, std::memory_order_relaxed);
-    progress->blocks_total.store(
-        PlannedBlockDispatches(pinned, plan.dataset->num_records()),
-        std::memory_order_relaxed);
+    progress->blocks_total.store(job.pipeline.blocks_planned,
+                                 std::memory_order_relaxed);
   }
   bool cancelled = false;
   Status failure = Status::OK();
@@ -785,7 +780,7 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
   Stopwatch merge_watch;
   Result<ResultTable> table = [&]() -> Result<ResultTable> {
     DB_SPAN(trace, "coord.merge");
-    return sliceable ? MergeSliced(plan, *run)
+    return sliceable ? MergeSliced(job, *run)
                      : ResultTable::DeserializeFromString(
                            run->assignments[0].result.table_bytes);
   }();
@@ -802,7 +797,8 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
       stats->records_processed += a.result.records_processed;
       all_converged = all_converged && a.result.all_converged != 0;
     }
-    stats->num_shards = dispatch.total_shards;
+    stats->blocks_total_planned = job.pipeline.blocks_planned;
+    stats->num_shards = num_shards;
     stats->all_converged = all_converged;
     stats->merge_s = merge_watch.Seconds();
     stats->worker_hop_s = worker_hop_s;
@@ -811,7 +807,7 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(
   return table;
 }
 
-Result<ResultTable> ClusterCoordinator::MergeSliced(const InspectPlan& plan,
+Result<ResultTable> ClusterCoordinator::MergeSliced(const JobPlan& job,
                                                     const RunState& run) {
   // Ascending shard_lo = ascending shard id: each worker pre-merged its
   // contiguous range in ascending order, so this fold visits shards
@@ -822,63 +818,50 @@ Result<ResultTable> ClusterCoordinator::MergeSliced(const InspectPlan& plan,
     return run.assignments[a].shard_lo < run.assignments[b].shard_lo;
   });
 
-  // Workers return one state per BlockPipeline::pairs() entry. A sliced
-  // run has no merged composites, so that list runs model → group →
-  // measure → hypothesis.
+  // Workers return one state per pair of the same PipelinePlan (a
+  // sliceable plan has no composites), in its order.
+  const InspectPlan& plan = job.compiled;
   ResultTable table;
-  size_t pair_idx = 0;
-  for (size_t m = 0; m < plan.models.size(); ++m) {
-    for (size_t g = 0; g < plan.models[m].groups.size(); ++g) {
-      const UnitGroupSpec& group = plan.models[m].groups[g];
-      const size_t num_units = group.unit_ids.size();
-      for (size_t s = 0; s < plan.measures.size(); ++s) {
-        for (size_t h = 0; h < plan.hypotheses.size(); ++h) {
-          const int num_classes = plan.hypotheses[h]->num_classes();
-          std::unique_ptr<Measure> state;
-          for (size_t r : order) {
-            const wire::AssignResultWire& result =
-                run.assignments[r].result;
-            if (pair_idx >= result.pair_states.size()) {
-              return Status::DataLoss(
-                  "worker returned too few partial measure states");
-            }
-            std::unique_ptr<Measure> partial =
-                plan.measures[s]->Create(num_units, num_classes);
-            codec::Reader reader(result.pair_states[pair_idx]);
-            if (partial == nullptr ||
-                !partial->DeserializeState(&reader) || !reader.exhausted()) {
-              return Status::DataLoss(
-                  "partial state for measure '" + plan.measures[s]->name() +
-                  "' / hypothesis '" + plan.hypotheses[h]->name() +
-                  "' failed to decode");
-            }
-            if (state == nullptr) {
-              state = std::move(partial);
-            } else {
-              state->MergeFrom(*partial);
-            }
-          }
-          if (state == nullptr) {
-            return Status::Internal("sliced run produced no partial states");
-          }
-          AppendScoreRows(plan.models[m].extractor->model_id(), group,
-                          plan.measures[s]->name(),
-                          plan.hypotheses[h]->name(), state->Scores(),
-                          &table);
-          ++pair_idx;
-        }
+  for (size_t i = 0; i < job.pipeline.pairs.size(); ++i) {
+    const PlannedPair& pair = job.pipeline.pairs[i];
+    const UnitGroupSpec& group = plan.models[pair.model_i].groups[pair.group_i];
+    const MeasureFactory& measure = *plan.measures[pair.score_i];
+    const HypothesisFn& hypothesis = *plan.hypotheses[pair.hyp_i];
+    std::unique_ptr<Measure> state;
+    for (size_t r : order) {
+      const wire::AssignResultWire& result = run.assignments[r].result;
+      if (i >= result.pair_states.size()) {
+        return Status::DataLoss(
+            "worker returned too few partial measure states");
+      }
+      std::unique_ptr<Measure> partial =
+          measure.Create(group.unit_ids.size(), hypothesis.num_classes());
+      codec::Reader reader(result.pair_states[i]);
+      if (partial == nullptr || !partial->DeserializeState(&reader) ||
+          !reader.exhausted()) {
+        return Status::DataLoss("partial state for measure '" +
+                                measure.name() + "' / hypothesis '" +
+                                hypothesis.name() + "' failed to decode");
+      }
+      if (state == nullptr) {
+        state = std::move(partial);
+      } else {
+        state->MergeFrom(*partial);
       }
     }
+    if (state == nullptr) {
+      return Status::Internal("sliced run produced no partial states");
+    }
+    AppendScoreRows(plan.models[pair.model_i].extractor->model_id(), group,
+                    measure.name(), hypothesis.name(), state->Scores(),
+                    &table);
   }
   return ApplyHaving(plan, std::move(table));
 }
 
 void ClusterCoordinator::Shutdown() {
   if (!running_.load(std::memory_order_acquire)) return;
-  if (config_.install_engine) {
-    session_->scheduler().SetEngine(nullptr);
-    session_->SetClusterProbe(nullptr);
-  }
+  if (config_.install_engine) session_->scheduler().SetEngine({});
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = true;

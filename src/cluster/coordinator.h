@@ -1,32 +1,37 @@
 // ClusterCoordinator: the coordinator half of the distributed inspection
 // cluster. It accepts worker registrations over the wire protocol,
-// installs itself as the session scheduler's engine (Scheduler::SetEngine)
-// — so every existing front door (InspectionSession::Submit/Inspect, the
+// installs itself as the session scheduler's engine (Scheduler::SetEngine
+// with one EngineHook: run, dispatch decision, default shard count) — so
+// every existing front door (InspectionSession::Submit/Inspect, the
 // network InspectionServer, the SQL layer) transparently executes on the
 // cluster while result caching, in-flight dedup, and admission control
 // keep working — and runs each job as PlanDispatch decides (the same
-// decision EXPLAIN renders through the session's cluster probe):
+// decision EXPLAIN renders through Scheduler::Probe):
 //
 //   local — requests with inline definitions cannot cross the wire and
 //     run on the local engine.
-//   sliced — jobs that are Sliceable (core/block_pipeline.h: every
-//     measure merges, no sequential-lane work) are split into
-//     min(total_shards, workers) contiguous shard ranges (partition.h),
+//   sliced — jobs whose PipelinePlan is sliceable (core/block_pipeline.h:
+//     materialized, every measure merges, no sequential-lane work) are
+//     split into min(S, workers) contiguous shard ranges (partition.h),
 //     one assignment per range. Workers return serialized partial measure
 //     states; the coordinator deserializes and folds them in ascending
-//     shard order, which equals the in-process merge order, then builds
-//     the table with the engine's row assembly (AppendScoreRows,
-//     ApplyHaving). Every mergeable measure merges exactly (integer
-//     counts) or bit-exactly (pairwise-tree moment sums), so tables are
-//     byte-identical at any worker count.
+//     shard order, which equals the in-process merge order, pair by pair
+//     in the plan's order, then builds the table with the engine's row
+//     assembly (AppendScoreRows, ApplyHaving). Every mergeable measure
+//     merges exactly (integer counts) or bit-exactly (pairwise-tree moment
+//     sums), so tables are byte-identical at any worker count.
 //   whole — jobs with sequential-lane work (SGD-trained measures, model
 //     merging, streaming runs) are pinned to their rendezvous worker,
 //     which runs the full request and returns the serialized ResultTable.
 //
-// Determinism: the shard partition depends only on (total_shards, live
-// worker count); scores depend only on (shuffle seed, total_shards) —
-// the coordinator pins num_shards into every assignment, so the *same
-// table* comes back however many workers share the work.
+// Determinism: a job's shard count S is resolved once, when the job is
+// planned (Scheduler::PlanJob: the request's num_shards, else
+// total_shards), and travels pinned in every assignment's options — sliced
+// and whole alike — so scores depend only on (shuffle seed, S), never on
+// the worker count or a worker's thread count, and the shard partition
+// only on (S, live worker count). The *same table* comes back however
+// many workers share the work, and after a degrade to the local engine,
+// which runs the same pinned S.
 //
 // Failure semantics: workers heartbeat; a missed-heartbeat or dead-socket
 // worker has its in-flight assignments reassigned to live workers with
@@ -75,9 +80,10 @@ struct CoordinatorConfig {
   /// 0 = ephemeral; the bound port is reported by port().
   uint16_t port = 0;
   int listen_backlog = 16;
-  /// Shard count pinned into jobs that did not pin their own
-  /// (InspectOptions::num_shards 0/1). This is the determinism key: a
-  /// job's scores depend on (seed, total_shards), never on worker count.
+  /// Shard count of session jobs that do not pin their own
+  /// (InspectOptions::num_shards 0), pinned when they are planned. This is
+  /// the determinism key: a job's scores depend on (seed, S), never on
+  /// worker count.
   uint32_t total_shards = 8;
   /// A worker this long without a heartbeat is declared dead and its
   /// assignments are reassigned.
@@ -151,16 +157,16 @@ class ClusterCoordinator {
 
   CoordinatorStats stats() const;
 
-  /// \brief The dispatch decision for `request` (compiled as `plan`) over
-  /// the workers live now: local fallback, no workers, sliced ranges, or
-  /// the whole job's rendezvous worker. DistributedRun executes it; the
-  /// session's cluster probe returns it to EXPLAIN.
-  ClusterDispatch PlanDispatch(const InspectRequest& request,
-                               const InspectPlan& plan) const;
+  /// \brief The dispatch decision for a planned job over the workers live
+  /// now: local fallback, no workers, sliced ranges of its plan's S, or
+  /// the whole job's rendezvous worker. RunCompiled executes it; the
+  /// engine hook returns it to EXPLAIN.
+  ClusterDispatch PlanDispatch(const JobPlan& job) const;
 
-  /// \brief Compile one request against the session catalog and execute
-  /// it on the cluster (RunCompiled). Lets tests and benches drive the
-  /// cluster without a session round-trip.
+  /// \brief Compile and plan one request against the session catalog (S:
+  /// its num_shards, else total_shards) and execute it on the cluster
+  /// (RunCompiled). Lets tests and benches drive the cluster without a
+  /// session round-trip.
   Result<ResultTable> DistributedRun(const InspectRequest& request,
                                      const InspectOptions& default_options,
                                      RuntimeStats* stats);
@@ -223,16 +229,15 @@ class ClusterCoordinator {
   /// push it to every live worker. Called on membership changes.
   void PushStoreKeymap();
 
-  /// The EngineFn the scheduler calls with a job's compiled plan: run it as
-  /// PlanDispatch decides (local fallback and degradation RunPlan it).
-  Result<ResultTable> RunCompiled(const InspectRequest& request,
-                                  const InspectPlan& plan,
+  /// The engine hook's run: execute a planned job as PlanDispatch decides
+  /// (local fallback and degradation RunPlan its pipeline). `plan` is
+  /// job.compiled with the run's substrate, cancel, progress and tracer.
+  Result<ResultTable> RunCompiled(const JobPlan& job, const InspectPlan& plan,
                                   RuntimeStats* stats);
 
   /// Merge a completed sliced run into the final table (ascending
   /// shard_lo = ascending shard id = the in-process merge order).
-  Result<ResultTable> MergeSliced(const InspectPlan& plan,
-                                  const RunState& run);
+  Result<ResultTable> MergeSliced(const JobPlan& job, const RunState& run);
 
   InspectionSession* session_;
   CoordinatorConfig config_;

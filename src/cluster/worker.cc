@@ -183,13 +183,17 @@ wire::AssignResultWire InspectionWorker::RunSliced(
     return out;
   }
   InspectPlan plan = std::move(plan_or).ValueOrDie();
-  // The coordinator pinned the score-affecting options into the request
-  // (RestrictShards rejects a job that is not sliceable); pin the
-  // assignment's partition and attach this process's substrate (pointers
-  // never travel). A slice reads no behavior tier: it extracts units and
-  // evaluates hypotheses live for the blocks it owns, where a tier would
-  // hold whole-dataset matrices this worker mostly never reads.
+  // The coordinator pinned the score-affecting options into the request;
+  // pin the assignment's partition, plan the same pipeline the coordinator
+  // folds (RestrictShards rejects one that is not sliceable), and attach
+  // this process's substrate (pointers never travel). A slice reads no
+  // behavior tier: it extracts units and evaluates hypotheses live for
+  // the blocks it owns, where a tier would hold whole-dataset matrices
+  // this worker mostly never reads.
   plan.options.num_shards = assignment.total_shards;
+  const PipelinePlan pipeline =
+      PlanPipeline(plan.models, *plan.dataset, plan.measures,
+                   plan.hypotheses, plan.options);
   plan.options.shared_scan = nullptr;
   session_->AttachSubstrate(&plan.options);
   plan.options.hypothesis_store = nullptr;
@@ -199,15 +203,15 @@ wire::AssignResultWire InspectionWorker::RunSliced(
   plan.options.trace_parent_span = parent_span;
 
   Stopwatch watch;
-  BlockPipeline pipeline(plan.models, *plan.dataset, plan.measures,
-                         plan.hypotheses, plan.options);
+  BlockPipeline block_loop(pipeline, plan.models, *plan.dataset,
+                           plan.measures, plan.hypotheses, plan.options);
   const Status st =
-      pipeline.RestrictShards(assignment.shard_lo, assignment.shard_hi);
+      block_loop.RestrictShards(assignment.shard_lo, assignment.shard_hi);
   if (!st.ok()) {
     out.status = st;
     return out;
   }
-  BlockPipeline::Totals totals = pipeline.Run(watch);
+  BlockPipeline::Totals totals = block_loop.Run(watch);
   if (cancel_.load(std::memory_order_acquire)) {
     out.status = Status::Cancelled("worker shutting down");
     return out;
@@ -220,7 +224,7 @@ wire::AssignResultWire InspectionWorker::RunSliced(
         config_.worker_id);
     return out;
   }
-  std::vector<std::unique_ptr<Measure>> states = pipeline.TakeShardStates();
+  std::vector<std::unique_ptr<Measure>> states = block_loop.TakeShardStates();
   for (const std::unique_ptr<Measure>& state : states) {
     codec::Writer w;
     if (state == nullptr || !state->SerializeState(&w)) {
@@ -233,7 +237,7 @@ wire::AssignResultWire InspectionWorker::RunSliced(
   }
   out.blocks_processed = totals.blocks_processed;
   out.records_processed = totals.records_processed;
-  out.all_converged = pipeline.AllConverged() ? 1 : 0;
+  out.all_converged = block_loop.AllConverged() ? 1 : 0;
   out.status = Status::OK();
   return out;
 }

@@ -16,9 +16,10 @@
 //
 // Determinism contract: the worker's catalog must be equivalent to the
 // coordinator's (same names → same models/datasets/hypotheses). The
-// coordinator pins num_shards into every assignment, so scores depend
-// only on (shuffle seed, total_shards) — never on worker count, arrival
-// order, or which worker ran which range.
+// coordinator pins the job's shard count S into every assignment, sliced
+// and whole, so scores depend only on (shuffle seed, S) — never on worker
+// count, arrival order, which worker ran which range, or the worker's own
+// thread count.
 //
 // Threads: a reader (decodes coordinator frames; unknown frame types get
 // a typed kNotImplemented error and the connection stays alive — same

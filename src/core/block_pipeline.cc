@@ -27,14 +27,16 @@ double EpsilonFor(const MeasureFactory& factory, const InspectOptions& opts) {
   return opts.default_epsilon;
 }
 
-}  // namespace
-
+// Model merging (§5.2.1): the pair is fused into the composite model of a
+// mergeable joint measure over binary hypotheses.
 bool FusesIntoComposite(const MeasureFactory& factory,
                         const HypothesisFn& hypothesis, bool model_merging) {
   return model_merging && factory.mergeable() &&
          hypothesis.num_classes() == 2;
 }
 
+// How the pair's per-shard states combine; kNone when the measure builds
+// no state for the hypothesis.
 MergeExactness PairMergeExactness(const MeasureFactory& factory,
                                   const HypothesisFn& hypothesis) {
   const std::unique_ptr<Measure> probe =
@@ -42,41 +44,7 @@ MergeExactness PairMergeExactness(const MeasureFactory& factory,
   return probe == nullptr ? MergeExactness::kNone : probe->merge_exactness();
 }
 
-std::vector<int> UnitUnion(const ModelSpec& model) {
-  std::vector<int> units;
-  for (const UnitGroupSpec& group : model.groups) {
-    units.insert(units.end(), group.unit_ids.begin(), group.unit_ids.end());
-  }
-  std::sort(units.begin(), units.end());
-  units.erase(std::unique(units.begin(), units.end()), units.end());
-  return units;
-}
-
-size_t ResolveShardCount(size_t requested, size_t fallback) {
-  return std::clamp<size_t>(requested != 0 ? requested : fallback, 1,
-                            kMaxShards);
-}
-
-bool NeedsSequentialLane(const MeasureFactory& factory,
-                         const HypothesisFn& hypothesis, bool model_merging) {
-  return FusesIntoComposite(factory, hypothesis, model_merging) ||
-         PairMergeExactness(factory, hypothesis) == MergeExactness::kNone;
-}
-
-bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
-               const std::vector<HypothesisPtr>& hypotheses,
-               const InspectOptions& options, size_t num_shards) {
-  if (options.streaming || num_shards < 2) return false;
-  for (const MeasureFactoryPtr& factory : measures) {
-    for (const HypothesisPtr& hypothesis : hypotheses) {
-      if (NeedsSequentialLane(*factory, *hypothesis, options.model_merging)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
+// Block dispatches of a full run over `num_records` records.
 size_t PlannedBlockDispatches(const InspectOptions& options,
                               size_t num_records) {
   constexpr size_t kMax = std::numeric_limits<size_t>::max();
@@ -94,26 +62,102 @@ size_t PlannedBlockDispatches(const InspectOptions& options,
   return resident * passes;
 }
 
-BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
+}  // namespace
+
+std::vector<int> UnitUnion(const ModelSpec& model) {
+  std::vector<int> units;
+  for (const UnitGroupSpec& group : model.groups) {
+    units.insert(units.end(), group.unit_ids.begin(), group.unit_ids.end());
+  }
+  std::sort(units.begin(), units.end());
+  units.erase(std::unique(units.begin(), units.end()), units.end());
+  return units;
+}
+
+size_t ResolveShardCount(size_t requested, size_t fallback) {
+  const size_t shards =
+      std::clamp<size_t>(requested != 0 ? requested : fallback, 1, kMaxShards);
+  if (requested > shards) {
+    // Clamping changes the effective shard count and therefore the
+    // (seed, shards)-keyed determinism contract — say so out loud.
+    DB_LOG(Warn) << "num_shards " << requested << " clamped to " << shards
+                 << " (see InspectOptions::num_shards); scores follow the "
+                 << "clamped count";
+  }
+  return shards;
+}
+
+PipelinePlan PlanPipeline(const std::vector<ModelSpec>& models,
+                          const Dataset& dataset,
+                          const std::vector<MeasureFactoryPtr>& measures,
+                          const std::vector<HypothesisPtr>& hypotheses,
+                          const InspectOptions& options) {
+  DB_DCHECK(options.num_shards >= 1 && options.num_shards <= kMaxShards);
+  PipelinePlan plan;
+  plan.num_shards = options.num_shards;
+  plan.blocks_planned =
+      PlannedBlockDispatches(options, dataset.num_records());
+
+  // The lane rule, probed once per (measure, hypothesis): fused into a
+  // composite, or — at S > 1, where shard-lane states merge — how its
+  // states merge. One lane never merges, so S == 1 probes nothing.
+  const size_t num_h = hypotheses.size();
+  std::vector<char> fused(measures.size() * num_h);
+  std::vector<MergeExactness> merge(fused.size(), MergeExactness::kNone);
+  for (size_t s = 0; s < measures.size(); ++s) {
+    for (size_t h = 0; h < num_h; ++h) {
+      const size_t i = s * num_h + h;
+      fused[i] = FusesIntoComposite(*measures[s], *hypotheses[h],
+                                    options.model_merging);
+      if (!fused[i] && plan.num_shards > 1) {
+        merge[i] = PairMergeExactness(*measures[s], *hypotheses[h]);
+      }
+    }
+  }
+
+  // Pairs in emit order; a group's fused hypotheses form one composite
+  // per measure, emitted after every pair.
+  for (size_t m = 0; m < models.size(); ++m) {
+    for (size_t g = 0; g < models[m].groups.size(); ++g) {
+      for (size_t s = 0; s < measures.size(); ++s) {
+        PlannedComposite composite{m, g, s, {}};
+        for (size_t h = 0; h < num_h; ++h) {
+          const size_t i = s * num_h + h;
+          if (fused[i]) {
+            composite.hyp_indices.push_back(h);
+          } else {
+            plan.pairs.push_back(
+                {m, g, s, h, merge[i] != MergeExactness::kNone, merge[i]});
+          }
+        }
+        if (!composite.hyp_indices.empty()) {
+          plan.composites.push_back(std::move(composite));
+        }
+      }
+    }
+  }
+  const bool sequential_work =
+      !plan.composites.empty() ||
+      std::any_of(plan.pairs.begin(), plan.pairs.end(),
+                  [](const PlannedPair& pair) { return !pair.shard_lane; });
+  plan.sequential_lane = plan.num_shards > 1 && sequential_work;
+  plan.sliceable =
+      plan.num_shards > 1 && !options.streaming && !sequential_work;
+  return plan;
+}
+
+BlockPipeline::BlockPipeline(const PipelinePlan& plan,
+                             const std::vector<ModelSpec>& models,
                              const Dataset& dataset,
                              const std::vector<MeasureFactoryPtr>& scores,
                              const std::vector<HypothesisPtr>& hypotheses,
                              const InspectOptions& options)
-    : models_(models),
+    : plan_(plan),
+      models_(models),
       dataset_(dataset),
-      scores_(scores),
       hypotheses_(hypotheses),
-      options_(options) {
-  num_shards_ = ResolveShardCount(
-      options.num_shards,
-      options.pool != nullptr ? options.pool->num_threads() : 1);
-  if (options.num_shards > num_shards_) {
-    // Clamping changes the effective shard count and therefore the
-    // (seed, shards)-keyed determinism contract — say so out loud.
-    DB_LOG(Warn) << "num_shards " << options.num_shards << " clamped to "
-                 << num_shards_ << " (see InspectOptions::num_shards); "
-                 << "scores follow the clamped count";
-  }
+      options_(options),
+      num_shards_(plan.num_shards) {
   // One lane runs inline; S lanes fan out over the pool.
   if (num_shards_ > 1) {
     pool_ = options.pool;
@@ -124,7 +168,7 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
     }
   }
 
-  // --- Plan extraction: per model, the union of its groups' units, and per
+  // --- Extraction: per model, the union of its groups' units, and per
   // group the column indices into that union. Groups that cover the whole
   // extracted union in order are flagged for the zero-copy fast path (no
   // per-block gather at all — the block matrix is used directly).
@@ -151,56 +195,32 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
     }
   }
 
-  // --- Plan measures: merged states for mergeable joint measures over
-  // binary hypotheses (when model merging is on), individual Measure
-  // instances for everything else. At S > 1, pairs that pass the lane
-  // test ride the shard lanes; everything else (SGD-trained pairs, merged
-  // composites) runs on the sequential lane.
-  for (size_t m = 0; m < models_.size(); ++m) {
-    for (size_t g = 0; g < models_[m].groups.size(); ++g) {
-      const size_t nu = models_[m].groups[g].unit_ids.size();
-      for (size_t s = 0; s < scores.size(); ++s) {
-        const MeasureFactory& factory = *scores[s];
-        const double eps = EpsilonFor(factory, options_);
-        std::vector<size_t> mergeable_hyps;
-        for (size_t h = 0; h < hypotheses_.size(); ++h) {
-          const HypothesisFn& hyp = *hypotheses_[h];
-          if (FusesIntoComposite(factory, hyp, options_.model_merging)) {
-            mergeable_hyps.push_back(h);
-          } else {
-            PipelinePair pair;
-            pair.model_i = m;
-            pair.group_i = g;
-            pair.score_i = s;
-            pair.hyp_i = h;
-            pair.measure = factory.Create(nu, hyp.num_classes());
-            pair.epsilon = eps;
-            pair.shardable =
-                num_shards_ > 1 &&
-                !NeedsSequentialLane(factory, hyp, options_.model_merging);
-            if (pair.shardable) {
-              pair.shard_converged.assign(num_shards_, 0);
-            } else {
-              have_sequential_ = true;
-            }
-            pairs_.push_back(std::move(pair));
-          }
-        }
-        if (!mergeable_hyps.empty()) {
-          PipelineMerged ms;
-          ms.model_i = m;
-          ms.group_i = g;
-          ms.score_i = s;
-          ms.merged = factory.CreateMerged(nu, mergeable_hyps.size());
-          DB_DCHECK(ms.merged != nullptr);
-          ms.hyp_indices = std::move(mergeable_hyps);
-          ms.head_converged.assign(ms.hyp_indices.size(), false);
-          ms.epsilon = eps;
-          merged_.push_back(std::move(ms));
-          have_sequential_ = true;
-        }
-      }
-    }
+  // --- Measure states, one per planned pair and composite.
+  auto group_units = [&](size_t m, size_t g) {
+    return models_[m].groups[g].unit_ids.size();
+  };
+  pairs_.reserve(plan.pairs.size());
+  for (const PlannedPair& planned : plan.pairs) {
+    const MeasureFactory& factory = *scores[planned.score_i];
+    PipelinePair pair{planned};
+    pair.measure =
+        factory.Create(group_units(planned.model_i, planned.group_i),
+                       hypotheses_[planned.hyp_i]->num_classes());
+    pair.epsilon = EpsilonFor(factory, options_);
+    if (pair.shard_lane) pair.shard_converged.assign(num_shards_, 0);
+    pairs_.push_back(std::move(pair));
+  }
+  merged_.reserve(plan.composites.size());
+  for (const PlannedComposite& planned : plan.composites) {
+    const MeasureFactory& factory = *scores[planned.score_i];
+    PipelineMerged ms{planned};
+    ms.merged =
+        factory.CreateMerged(group_units(planned.model_i, planned.group_i),
+                             planned.hyp_indices.size());
+    DB_DCHECK(ms.merged != nullptr);
+    ms.head_converged.assign(planned.hyp_indices.size(), false);
+    ms.epsilon = EpsilonFor(factory, options_);
+    merged_.push_back(std::move(ms));
   }
 
   seq_lane_ = num_shards_ == 1 ? 0 : num_shards_;
@@ -262,7 +282,7 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
 BlockPipeline::~BlockPipeline() = default;
 
 Status BlockPipeline::RestrictShards(size_t shard_lo, size_t shard_hi) {
-  if (!Sliceable(scores_, hypotheses_, options_, num_shards_)) {
+  if (!plan_.sliceable) {
     return Status::Invalid(
         "slice mode requires a materialized run over num_shards > 1 with "
         "no sequential-lane measures; run the job whole on a single worker "
@@ -440,7 +460,7 @@ std::span<const float> BlockPipeline::HypSpan(const BlockData& data,
 void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
                                       LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (!pair.shardable || pair.shard_converged[shard]) continue;
+    if (!pair.shard_lane || pair.shard_converged[shard]) continue;
     Measure* measure = (shard == 0 || pair.replicas.empty())
                            ? pair.measure.get()
                            : pair.replicas[shard].get();
@@ -461,7 +481,7 @@ void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
 void BlockPipeline::InspectSequentialBlock(const BlockData& data,
                                            LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (pair.shardable || pair.converged) continue;
+    if (pair.shard_lane || pair.converged) continue;
     const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i,
                                       scratch);
     pair.measure->BeginBlock(data.serial);
@@ -501,7 +521,7 @@ void BlockPipeline::InspectSequentialBlock(const BlockData& data,
 
 bool BlockPipeline::SequentialLaneConverged() const {
   for (const auto& pair : pairs_) {
-    if (!pair.shardable && !pair.converged) return false;
+    if (!pair.shard_lane && !pair.converged) return false;
   }
   for (const auto& ms : merged_) {
     if (!ms.all_converged) return false;
@@ -511,7 +531,7 @@ bool BlockPipeline::SequentialLaneConverged() const {
 
 bool BlockPipeline::ShardLaneConverged(size_t shard) const {
   for (const auto& pair : pairs_) {
-    if (pair.shardable && !pair.shard_converged[shard]) return false;
+    if (pair.shard_lane && !pair.shard_converged[shard]) return false;
   }
   return true;
 }
@@ -528,7 +548,7 @@ bool BlockPipeline::AllConverged() const {
 
 void BlockPipeline::EnsureReplicas() {
   for (auto& pair : pairs_) {
-    if (!pair.shardable || !pair.replicas.empty()) continue;
+    if (!pair.shard_lane || !pair.replicas.empty()) continue;
     pair.replicas.resize(num_shards_);  // [0] stays null: primary stands in
     for (size_t s = 1; s < num_shards_; ++s) {
       if (!OwnsShard(s)) continue;  // slice mode: clone only owned shards
@@ -646,15 +666,12 @@ void BlockPipeline::RunWave(const Wave& wave, const Stopwatch& watch,
 
 BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   Totals totals;
-  totals.num_shards = num_shards_;
-  totals.blocks_planned =
-      PlannedBlockDispatches(options_, dataset_.num_records());
   if (options_.progress != nullptr) {
     // Set before any block runs, so pollers see the denominator while the
     // loop is in flight.
     options_.progress->blocks_done.store(0, std::memory_order_relaxed);
     options_.progress->records_done.store(0, std::memory_order_relaxed);
-    options_.progress->blocks_total.store(totals.blocks_planned,
+    options_.progress->blocks_total.store(plan_.blocks_planned,
                                           std::memory_order_relaxed);
   }
   totals.store_hyp_mem_hits = store_hyp_mem_hits_;
@@ -662,7 +679,7 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   totals.store_hyp_misses = store_hyp_misses_;
   totals.cache_misses = hyp_tier_evals_;
   lanes_.resize(num_shards_ == 1 ? 1
-                                 : num_shards_ + (have_sequential_ ? 1 : 0));
+                                 : num_shards_ + (plan_.sequential_lane ? 1 : 0));
   for (Lane& lane : lanes_) lane.scratch = MakeScratch();
   lanes_[0].stats.hyp_extraction_s += hyp_tier_prelude_s_;
 

@@ -48,10 +48,12 @@
 namespace deepbase {
 
 /// \brief The pipeline's shard count: `requested` when nonzero, else
-/// `fallback`, clamped to [1, 64]. The clamped count keys the determinism
-/// contract, so every layer that predicts or pins a job's shard count
-/// (scheduler fingerprints, the cluster coordinator, EXPLAIN) resolves it
-/// here.
+/// `fallback`, clamped to [1, 64] (with a warning when a request is
+/// clamped). The clamped count keys the determinism contract. Each job
+/// resolves it once, at its entry point — Scheduler::PlanJob for session
+/// jobs, the engine's Inspect() for direct calls,
+/// ClusterCoordinator::DistributedRun — and pins it into
+/// InspectOptions::num_shards before PlanPipeline.
 size_t ResolveShardCount(size_t requested, size_t fallback);
 
 /// \brief The units one block extraction of `model` reads: the sorted,
@@ -60,56 +62,74 @@ size_t ResolveShardCount(size_t requested, size_t fallback);
 /// jobs by it too.
 std::vector<int> UnitUnion(const ModelSpec& model);
 
-/// \brief Model merging (§5.2.1): true when the pair is fused into the
-/// composite model of a mergeable joint measure over binary hypotheses.
-bool FusesIntoComposite(const MeasureFactory& factory,
-                        const HypothesisFn& hypothesis, bool model_merging);
-
-/// \brief How the pair's per-shard measure states combine
-/// (Measure::merge_exactness); kNone when the measure builds no state for
-/// the hypothesis.
-MergeExactness PairMergeExactness(const MeasureFactory& factory,
-                                  const HypothesisFn& hypothesis);
-
-/// \brief The lane test: true when the (measure, hypothesis) pair needs
-/// the sequential lane at S > 1 — it is fused into a merged composite
-/// (model merging over a mergeable measure and a binary hypothesis), or
-/// its measure state cannot merge (MergeExactness::kNone).
-bool NeedsSequentialLane(const MeasureFactory& factory,
-                         const HypothesisFn& hypothesis, bool model_merging);
-
-/// \brief True when a job can run in slice mode
-/// (BlockPipeline::RestrictShards): materialized, at least two shards,
-/// and no (measure, hypothesis) pair needs the sequential lane.
-bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
-               const std::vector<HypothesisPtr>& hypotheses,
-               const InspectOptions& options, size_t num_shards);
-
-/// \brief Planned block dispatches of a full run over `num_records`
-/// records: blocks per pass × passes, capped by max_blocks (streaming runs
-/// cap the whole run, materialized runs the resident set). The progress
-/// denominator of local and distributed runs alike.
-size_t PlannedBlockDispatches(const InspectOptions& options,
-                              size_t num_records);
-
-/// \brief Incremental state for one (model, group, measure, hypothesis)
-/// pair. `measure` is the primary (shard-0) state; `replicas[s]` (s >= 1)
-/// are the shard clones of a sharded run, merged back into `measure` when
-/// the pipeline finishes.
-struct PipelinePair {
+/// \brief One (model, group, measure, hypothesis) pair of a PipelinePlan.
+struct PlannedPair {
   size_t model_i = 0, group_i = 0, score_i = 0, hyp_i = 0;
+  /// S > 1 only: the pair rides the shard lanes, because its measure state
+  /// merges. false = the sequential lane (at S == 1, the one lane).
+  bool shard_lane = false;
+  /// How the pair's per-shard states combine (Measure::merge_exactness;
+  /// kNone when they cannot). Probed only at S > 1: one lane never merges.
+  MergeExactness merge = MergeExactness::kNone;
+};
+
+/// \brief One merged composite (model merging, §5.2.1): a mergeable joint
+/// measure trained over several binary hypotheses of one unit group. It
+/// always runs on the sequential lane: merged training is SGD-ordered.
+struct PlannedComposite {
+  size_t model_i = 0, group_i = 0, score_i = 0;
+  std::vector<size_t> hyp_indices;  // indices into the hypothesis list
+};
+
+/// \brief The physical plan of one inspection at one shard count. Built
+/// once per job by PlanPipeline; BlockPipeline executes it, the cluster
+/// slices it, the coordinator folds worker states in its pair order, and
+/// EXPLAIN renders it.
+struct PipelinePlan {
+  size_t num_shards = 1;
+  /// The pairs not fused into a composite, in emit order (model → group →
+  /// measure → hypothesis). A sliced worker returns one state per entry.
+  std::vector<PlannedPair> pairs;
+  /// Emitted after the pairs.
+  std::vector<PlannedComposite> composites;
+  /// S > 1 and some pair or composite needs the sequential lane, which
+  /// then runs beside the S shard lanes.
+  bool sequential_lane = false;
+  /// Slice mode (BlockPipeline::RestrictShards) applies: materialized,
+  /// S >= 2, and no (measure, hypothesis) pair needs the sequential lane.
+  bool sliceable = false;
+  /// Block dispatches of a full run: blocks per pass × passes, capped by
+  /// max_blocks (streaming runs cap the whole run, materialized runs the
+  /// resident set). The progress denominator of every execution path.
+  size_t blocks_planned = 0;
+};
+
+/// \brief Plan the block loop of one inspection at `options.num_shards`,
+/// already resolved (ResolveShardCount). The one owner of the lane rules:
+/// model merging fuses a mergeable joint measure over binary hypotheses
+/// into a composite, and at S > 1 a pair whose state cannot merge runs on
+/// the sequential lane.
+PipelinePlan PlanPipeline(const std::vector<ModelSpec>& models,
+                          const Dataset& dataset,
+                          const std::vector<MeasureFactoryPtr>& measures,
+                          const std::vector<HypothesisPtr>& hypotheses,
+                          const InspectOptions& options);
+
+/// \brief Incremental state for one planned pair. `measure` is the primary
+/// (shard-0) state; `replicas[s]` (s >= 1) are the shard clones of a
+/// sharded run, merged back into `measure` when the pipeline finishes.
+struct PipelinePair : PlannedPair {
   std::unique_ptr<Measure> measure;
   std::vector<std::unique_ptr<Measure>> replicas;  // [0] unused (= primary)
   double epsilon = 0;
-  bool shardable = false;
-  /// Sequential-lane convergence flag (unshardable pairs).
+  /// Sequential-lane convergence flag.
   bool converged = false;
-  /// Per-shard convergence flags of a shardable pair (bytes, not
+  /// Per-shard convergence flags of a shard-lane pair (bytes, not
   /// vector<bool>: shards write their own element concurrently).
   std::vector<unsigned char> shard_converged;
 
   bool FullyConverged() const {
-    if (!shardable) return converged;
+    if (!shard_lane) return converged;
     for (unsigned char c : shard_converged) {
       if (!c) return false;
     }
@@ -117,24 +137,20 @@ struct PipelinePair {
   }
 };
 
-/// \brief Incremental state for one merged (composite-model) measure over
-/// several binary hypotheses. Always runs on the sequential lane: merged
-/// training is SGD-ordered. `hyp_sub_buf` is the reused per-block gather
-/// of the heads' hypothesis columns (no per-block allocation).
-struct PipelineMerged {
-  size_t model_i = 0, group_i = 0, score_i = 0;
+/// \brief Incremental state for one planned composite. `hyp_sub_buf` is
+/// the reused per-block gather of the heads' hypothesis columns (no
+/// per-block allocation).
+struct PipelineMerged : PlannedComposite {
   std::unique_ptr<MergedMeasure> merged;
-  std::vector<size_t> hyp_indices;  // indices into the hypothesis list
   std::vector<bool> head_converged;
   double epsilon = 0;
   bool all_converged = false;
   Matrix hyp_sub_buf;
 };
 
-/// \brief Executes the block loop of one inspection (streaming or
-/// materialized) across extraction and lanes. Owns the measure states;
-/// the engine assembles the result relation from pairs()/merged_states()
-/// after Run().
+/// \brief Executes a PipelinePlan (streaming or materialized) across
+/// extraction and lanes. Owns the measure states; the engine assembles
+/// the result relation from pairs()/merged_states() after Run().
 class BlockPipeline {
  public:
   /// \brief Per-lane runtime totals, plus overall flags.
@@ -144,17 +160,12 @@ class BlockPipeline {
     /// carries it. With S == 1 there is exactly one entry. Each lane
     /// counts every block it inspected.
     std::vector<RuntimeStats::Shard> lanes;
-    size_t num_shards = 1;
     /// Blocks inspected, each counted once per pass (see the accounting
     /// rule above).
     size_t blocks_processed = 0;
     /// Records extracted; in slice mode block 0's count only on the
     /// owner of shard 0.
     size_t records_processed = 0;
-    /// Planned dispatches of a full run (per-pass blocks × passes, capped
-    /// by max_blocks) — the progress denominator; set before any block
-    /// runs, so pollers see it while the loop is in flight.
-    size_t blocks_planned = 0;
     /// Wall time of the final replica merge (S > 1 full runs). Kept out
     /// of the lanes' inspection_s: merging is a distinct phase of the
     /// critical path, not block inspection.
@@ -176,7 +187,10 @@ class BlockPipeline {
     size_t cache_misses = 0;
   };
 
-  BlockPipeline(const std::vector<ModelSpec>& models, const Dataset& dataset,
+  /// `plan` (PlanPipeline over the same inputs and options) must outlive
+  /// the pipeline.
+  BlockPipeline(const PipelinePlan& plan, const std::vector<ModelSpec>& models,
+                const Dataset& dataset,
                 const std::vector<MeasureFactoryPtr>& scores,
                 const std::vector<HypothesisPtr>& hypotheses,
                 const InspectOptions& options);
@@ -185,24 +199,20 @@ class BlockPipeline {
   BlockPipeline(const BlockPipeline&) = delete;
   BlockPipeline& operator=(const BlockPipeline&) = delete;
 
-  /// \brief Effective shard count (options.num_shards resolved against the
-  /// pool; see InspectOptions::num_shards).
-  size_t num_shards() const { return num_shards_; }
-
   /// \brief Run the full block loop. `total_watch` is the job's wall clock
   /// (shared with the engine's time-budget enforcement).
   Totals Run(const Stopwatch& total_watch);
 
   /// \brief Slice mode (distributed workers): restrict this run to shards
-  /// [shard_lo, shard_hi) of num_shards(). Block 0 is still extracted and
+  /// [shard_lo, shard_hi) of the plan's S. Block 0 is still extracted and
   /// inspected (it calibrates the primary states exactly as in a full
   /// run), but only the owned shards' blocks are extracted and consumed,
   /// and Run() skips the final replica merge — the partial states are
   /// handed out through TakeShardStates() instead. Because the block→shard
   /// map and per-shard consumption order are unchanged, a worker's shard-s
   /// state is bit-identical to the in-process shard-s replica for the same
-  /// (seed, num_shards). Must be called before Run(). Fails unless the job
-  /// is Sliceable() (the cluster pins other jobs to a single worker as a
+  /// (seed, num_shards). Must be called before Run(). Fails unless the plan
+  /// is sliceable (the cluster pins other jobs to a single worker as a
   /// whole job instead).
   Status RestrictShards(size_t shard_lo, size_t shard_hi);
 
@@ -312,9 +322,9 @@ class BlockPipeline {
   void EnsureReplicas();
   void MergeReplicas();
 
+  const PipelinePlan& plan_;
   const std::vector<ModelSpec>& models_;
   const Dataset& dataset_;
-  const std::vector<MeasureFactoryPtr>& scores_;
   const std::vector<HypothesisPtr>& hypotheses_;
   const InspectOptions& options_;
 
@@ -327,7 +337,6 @@ class BlockPipeline {
 
   std::vector<PipelinePair> pairs_;
   std::vector<PipelineMerged> merged_;
-  bool have_sequential_ = false;
 
   /// Slice-mode ownership tests (full runs own everything).
   bool OwnsShard(size_t shard) const {
@@ -337,9 +346,9 @@ class BlockPipeline {
     return block == 0 || OwnsShard(ShardOf(block));
   }
 
-  size_t num_shards_ = 1;
+  const size_t num_shards_;  // plan_.num_shards
   /// Index of the sequential lane: lane 0 at S == 1, else lane S (present
-  /// only when have_sequential_).
+  /// only when plan_.sequential_lane).
   size_t seq_lane_ = 0;
   std::vector<Lane> lanes_;
   bool sliced_ = false;

@@ -312,7 +312,7 @@ void HashOptions(const InspectOptions& o, uint64_t* h) {
   // serves every shard count. Early stopping breaks the invariance (each
   // shard lane truncates at its own convergence point, so the set of
   // processed blocks depends on the dealing), hence those runs stay
-  // keyed by the resolved count.
+  // keyed by the count their plan pinned (Scheduler::PlanJob).
   if (o.early_stopping) HashPod(o.num_shards, h);
   HashPod(o.time_budget_s, h);
   HashPod(o.max_blocks, h);
@@ -379,7 +379,8 @@ Status CheckHypothesisOutputFormat(const InspectPlan& plan) {
   return Status::OK();
 }
 
-Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats) {
+Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats,
+                            const PipelinePlan* pipeline) {
   DB_RETURN_NOT_OK(CheckHypothesisOutputFormat(plan));
   // A deadline that already passed never reaches the engine: callers get
   // the typed error without paying for planning-stage extraction.
@@ -391,8 +392,12 @@ Result<ResultTable> RunPlan(const InspectPlan& plan, RuntimeStats* stats) {
   }
   RuntimeStats local_stats;
   RuntimeStats* run_stats = stats != nullptr ? stats : &local_stats;
-  ResultTable results = Inspect(plan.models, *plan.dataset, plan.measures,
-                                plan.hypotheses, plan.options, run_stats);
+  ResultTable results =
+      pipeline != nullptr
+          ? Inspect(*pipeline, plan.models, *plan.dataset, plan.measures,
+                    plan.hypotheses, plan.options, run_stats)
+          : Inspect(plan.models, *plan.dataset, plan.measures,
+                    plan.hypotheses, plan.options, run_stats);
   // Deadline truncation is an error, not a silently partial table: the
   // pipeline stopped at the first block boundary past the deadline, so
   // the scores cover only a prefix of the plan. (Cancellation keeps its

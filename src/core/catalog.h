@@ -197,9 +197,12 @@ ResultTable ApplyHaving(const InspectPlan& plan, ResultTable results);
 
 /// \brief Execute a compiled plan: pre-flight hypothesis output formats,
 /// run the engine, and apply the HAVING filter. Every frontend runs a
-/// request as Catalog::Compile then RunPlan; session jobs compile once,
-/// in Scheduler::PlanJob.
+/// request as Catalog::Compile then RunPlan; session jobs compile and
+/// plan once, in Scheduler::PlanJob, and pass their `pipeline` (planned
+/// over this plan at its pinned num_shards). Without one, the engine
+/// resolves the shard count and plans the pipeline itself.
 Result<ResultTable> RunPlan(const InspectPlan& plan,
-                            RuntimeStats* stats = nullptr);
+                            RuntimeStats* stats = nullptr,
+                            const PipelinePlan* pipeline = nullptr);
 
 }  // namespace deepbase

@@ -113,7 +113,22 @@ void AppendScoreRows(const std::string& model_id, const UnitGroupSpec& group,
   }
 }
 
-ResultTable Inspect(const std::vector<ModelSpec>& models_in,
+ResultTable Inspect(const std::vector<ModelSpec>& models,
+                    const Dataset& dataset,
+                    const std::vector<MeasureFactoryPtr>& scores,
+                    const std::vector<HypothesisPtr>& hypotheses,
+                    const InspectOptions& options, RuntimeStats* stats) {
+  InspectOptions pinned = options;
+  pinned.num_shards = ResolveShardCount(
+      options.num_shards,
+      options.pool != nullptr ? options.pool->num_threads() : 1);
+  const PipelinePlan pipeline =
+      PlanPipeline(models, dataset, scores, hypotheses, pinned);
+  return Inspect(pipeline, models, dataset, scores, hypotheses, pinned, stats);
+}
+
+ResultTable Inspect(const PipelinePlan& pipeline,
+                    const std::vector<ModelSpec>& models_in,
                     const Dataset& dataset,
                     const std::vector<MeasureFactoryPtr>& scores,
                     const std::vector<HypothesisPtr>& hypotheses,
@@ -196,14 +211,15 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
   }
   const std::vector<ModelSpec>& models = *models_ptr;
 
-  // --- The block loop: planning, extraction fan-out, shard lanes, and
-  // partial-state merging all live in the pipeline (see block_pipeline.h
-  // for the determinism contract). The pipeline's spans nest under
-  // engine.inspect via the rebased parent in run_options.
+  // --- The block loop: extraction fan-out, shard lanes, and partial-state
+  // merging all live in the pipeline (see block_pipeline.h for the
+  // determinism contract). The pipeline's spans nest under engine.inspect
+  // via the rebased parent in run_options.
   InspectOptions run_options = options;
   run_options.trace_parent_span = trace.parent_span;
-  BlockPipeline pipeline(models, dataset, scores, hypotheses, run_options);
-  BlockPipeline::Totals totals = pipeline.Run(total_watch);
+  BlockPipeline block_loop(pipeline, models, dataset, scores, hypotheses,
+                           run_options);
+  BlockPipeline::Totals totals = block_loop.Run(total_watch);
 
   // --- Assemble the result relation.
   ResultTable results;
@@ -212,11 +228,11 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
     AppendScoreRows(models[m].extractor->model_id(), models[m].groups[g],
                     scores[s]->name(), hypotheses[h]->name(), ms, &results);
   };
-  for (const auto& pair : pipeline.pairs()) {
+  for (const auto& pair : block_loop.pairs()) {
     emit(pair.model_i, pair.group_i, pair.score_i, pair.hyp_i,
          pair.measure->Scores());
   }
-  for (const auto& ms : pipeline.merged_states()) {
+  for (const auto& ms : block_loop.merged_states()) {
     for (size_t j = 0; j < ms.hyp_indices.size(); ++j) {
       emit(ms.model_i, ms.group_i, ms.score_i, ms.hyp_indices[j],
            ms.merged->ScoresFor(j));
@@ -225,7 +241,7 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
 
   if (stats != nullptr) {
     stats->shards = totals.lanes;
-    stats->num_shards = totals.num_shards;
+    stats->num_shards = pipeline.num_shards;
     // Phase totals are per-lane accumulator sums (CPU-seconds under
     // sharding); the store prelude counts as unit extraction, as before.
     stats->unit_extraction_s = store_prelude_s;
@@ -240,8 +256,8 @@ ResultTable Inspect(const std::vector<ModelSpec>& models_in,
     stats->total_s = total_watch.Seconds();
     stats->blocks_processed = totals.blocks_processed;
     stats->records_processed = totals.records_processed;
-    stats->blocks_total_planned = totals.blocks_planned;
-    stats->all_converged = totals.stopped_early || pipeline.AllConverged();
+    stats->blocks_total_planned = pipeline.blocks_planned;
+    stats->all_converged = totals.stopped_early || block_loop.AllConverged();
     stats->cancelled = cancel_requested();
     stats->deadline_exceeded = totals.deadline_exceeded;
     stats->cache_hits = totals.cache_hits;

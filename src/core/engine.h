@@ -28,6 +28,7 @@
 namespace deepbase {
 
 class BehaviorStore;
+struct PipelinePlan;
 class SharedScanClient;
 class ThreadPool;
 class Tracer;
@@ -143,9 +144,13 @@ struct InspectOptions {
 
   /// Intra-job parallelism: shard this job's block loop into this many
   /// deterministic lanes (block b > 0 belongs to shard (b-1) % num_shards;
-  /// block 0 calibrates the primary state). 0 = one shard per pool thread
-  /// (sequential when no pool is attached); 1 = the classic sequential
-  /// engine. Scores depend only on (shuffle seed, num_shards), never on
+  /// block 0 calibrates the primary state). 1 = the classic sequential
+  /// engine. 0 = the default of the engine that runs the job, resolved
+  /// once when the job is planned and pinned here: for a session job,
+  /// one shard per session pool thread, or the coordinator's total_shards
+  /// when a cluster is installed (Scheduler::PlanJob); for a direct
+  /// Inspect() call, one per options.pool thread (sequential without a
+  /// pool). Scores depend only on (shuffle seed, num_shards), never on
   /// the thread count: mergeable measures recombine shard partials via
   /// Measure::MergeFrom in shard order (exact for integer counts,
   /// bit-exact for moment sums through their pairwise tree, so full
@@ -352,11 +357,23 @@ struct RuntimeStats {
 
 /// \brief Run Deep Neural Inspection (paper Def. 2 / deepbase.inspect()):
 /// returns scores for every (unit group, hypothesis, measure) triple.
+/// Resolves options.num_shards (against options.pool), plans the pipeline
+/// (PlanPipeline, core/block_pipeline.h) and executes it.
 ResultTable Inspect(const std::vector<ModelSpec>& models,
                     const Dataset& dataset,
                     const std::vector<MeasureFactoryPtr>& scores,
                     const std::vector<HypothesisPtr>& hypotheses,
                     const InspectOptions& options = {},
                     RuntimeStats* stats = nullptr);
+
+/// \brief Execute `pipeline`, planned by PlanPipeline over the same inputs
+/// and `options` (whose num_shards is the plan's). Session jobs plan once,
+/// in Scheduler::PlanJob, and run here.
+ResultTable Inspect(const PipelinePlan& pipeline,
+                    const std::vector<ModelSpec>& models,
+                    const Dataset& dataset,
+                    const std::vector<MeasureFactoryPtr>& scores,
+                    const std::vector<HypothesisPtr>& hypotheses,
+                    const InspectOptions& options, RuntimeStats* stats);
 
 }  // namespace deepbase

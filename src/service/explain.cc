@@ -1,11 +1,11 @@
 // EXPLAIN / EXPLAIN ANALYZE implementation (see explain.h for the
 // contract). The plan renders decisions made elsewhere, each by the
 // function that makes it at run time: Scheduler::Probe (the job's
-// JobPlan — its one Catalog::Compile and everything derived from it — and
-// the admission verdict), BehaviorStore::PeekTier (store residency), the
-// pipeline's lane rules (FusesIntoComposite, PairMergeExactness) and
-// InspectionSession::ProbeCluster (the coordinator's dispatch decision).
-// None of them moves a counter, so a dry run executes zero blocks.
+// JobPlan — its one Catalog::Compile, its pinned shard count and its
+// PipelinePlan — the admission verdict and the installed engine's
+// dispatch decision) and BehaviorStore::PeekTier (store residency). None
+// of them moves a counter, so a dry run executes zero blocks, and
+// ExplainAnalyze runs the very JobPlan it rendered.
 
 #include "service/explain.h"
 
@@ -14,11 +14,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <utility>
 
 #include "core/behavior_store.h"
-#include "core/block_pipeline.h"
 #include "core/inspect_parser.h"
 #include "service/scheduler.h"
 #include "tensor/matrix_store.h"
@@ -53,35 +53,14 @@ const char* TierName(BehaviorStore::Tier tier) {
   return "unknown";
 }
 
-// Quality rank for picking the weakest merge guarantee across a measure's
-// hypotheses (enum declaration order is not quality order).
-int ExactnessRank(MergeExactness e) {
-  switch (e) {
-    case MergeExactness::kNone:
-      return 0;
-    case MergeExactness::kReassociated:
-      return 1;
-    case MergeExactness::kExact:
-      return 2;
-    case MergeExactness::kBitExact:
-      return 3;
-  }
-  return 0;
-}
-
-const char* ExactnessLabel(int rank) {
-  switch (rank) {
-    case 0:
-      return "none (sequential lane)";
-    case 1:
-      return "reassociated";
-    case 2:
-      return "exact";
-    case 3:
-      return "bit-exact";
-  }
-  return "unknown";
-}
+// Merge guarantees, weakest first (enum declaration order is not quality
+// order), and their labels: a measure renders its pairs' weakest.
+constexpr MergeExactness kWeakestFirst[] = {
+    MergeExactness::kNone, MergeExactness::kReassociated,
+    MergeExactness::kExact, MergeExactness::kBitExact};
+constexpr const char* kExactnessLabels[] = {"none (sequential lane)",
+                                            "reassociated", "exact",
+                                            "bit-exact"};
 
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
@@ -92,52 +71,28 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
-void JsonEscapeTo(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 std::string JsonStr(const std::string& s) {
   std::string out = "\"";
-  JsonEscapeTo(s, &out);
-  out += "\"";
-  return out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
 }
 
 void RenderFields(
     const std::vector<std::pair<std::string, std::string>>& fields,
     std::string* out) {
-  bool first = true;
   for (const auto& [key, value] : fields) {
-    *out += first ? " " : " ";
-    first = false;
-    if (key.empty()) {
-      *out += value;
-    } else {
-      *out += key + "=" + value;
-    }
+    *out += " " + (key.empty() ? value : key + "=" + value);
   }
 }
 
@@ -160,22 +115,20 @@ void RenderNode(const PlanNode& node, int indent, std::string* out) {
 }
 
 void NodeJson(const PlanNode& node, std::string* out) {
-  *out += "{\"name\":" + JsonStr(node.name) + ",\"fields\":[";
-  for (size_t i = 0; i < node.fields.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += "[" + JsonStr(node.fields[i].first) + "," +
-            JsonStr(node.fields[i].second) + "]";
-  }
-  *out += "],\"actuals\":[";
-  for (size_t i = 0; i < node.actuals.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += "[" + JsonStr(node.actuals[i].first) + "," +
-            JsonStr(node.actuals[i].second) + "]";
-  }
-  *out += "],\"divergences\":[";
+  auto pairs = [out](const char* key, const auto& list) {
+    *out += std::string(",\"") + key + "\":[";
+    for (size_t i = 0; i < list.size(); ++i) {
+      *out += (i > 0 ? ",[" : "[") + JsonStr(list[i].first) + "," +
+              JsonStr(list[i].second) + "]";
+    }
+    *out += "]";
+  };
+  *out += "{\"name\":" + JsonStr(node.name);
+  pairs("fields", node.fields);
+  pairs("actuals", node.actuals);
+  *out += ",\"divergences\":[";
   for (size_t i = 0; i < node.divergences.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += JsonStr(node.divergences[i]);
+    *out += (i > 0 ? "," : "") + JsonStr(node.divergences[i]);
   }
   *out += "],\"children\":[";
   for (size_t i = 0; i < node.children.size(); ++i) {
@@ -194,14 +147,6 @@ void CollectDivergences(const PlanNode& node, std::vector<std::string>* out) {
 // Plan assembly (the dry-run half of EXPLAIN).
 // ---------------------------------------------------------------------------
 
-// A rendered plan plus the decisions it renders, which ANALYZE compares
-// against what the job did.
-struct PlannedJob {
-  InspectionPlan plan;
-  SchedulerProbe scheduler;
-  ClusterDispatch cluster;
-};
-
 std::string AdmissionVerdict(const Admission& admission) {
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
@@ -216,16 +161,39 @@ std::string AdmissionVerdict(const Admission& admission) {
   return "unknown";
 }
 
-Result<PlannedJob> BuildPlan(InspectionSession* session,
-                             const InspectRequest& request) {
-  PlannedJob planned;
-  planned.scheduler = session->scheduler().Probe(request);
-  const SchedulerProbe& probe = planned.scheduler;
+// The measure's merge verdict: its composites, then the weakest
+// cross-shard guarantee of its pairs. One lane (S == 1) never merges.
+std::string MergeLabel(const PipelinePlan& pipeline, size_t score) {
+  bool composite = false;
+  for (const PlannedComposite& c : pipeline.composites) {
+    composite = composite || c.score_i == score;
+  }
+  size_t worst = std::size(kWeakestFirst);
+  for (const PlannedPair& pair : pipeline.pairs) {
+    if (pair.score_i != score) continue;
+    worst = std::min<size_t>(
+        worst, std::find(std::begin(kWeakestFirst), std::end(kWeakestFirst),
+                         pair.merge) -
+                   std::begin(kWeakestFirst));
+  }
+  const bool any = worst < std::size(kWeakestFirst);
+  const std::string pairs = pipeline.num_shards == 1
+                                ? "one lane (no shard merge)"
+                                : any ? kExactnessLabels[worst] : "";
+  if (!composite) return any ? pairs : "no hypotheses";
+  return any ? "merged composite (sequential) + " + pairs
+             : "merged composite (sequential)";
+}
+
+// The plan tree of a probed job; fails when the request did not compile.
+Result<InspectionPlan> BuildPlan(InspectionSession* session,
+                                 const SchedulerProbe& probe) {
+  InspectionPlan plan;
   const JobPlan& job = *probe.plan;
+  const InspectRequest& request = job.request;
   // A request that does not compile fails as Inspect would.
   DB_RETURN_NOT_OK(job.status);
   const InspectPlan& compiled = job.compiled;
-  planned.cluster = session->ProbeCluster(request, compiled);
   const Admission::Outcome outcome = probe.admission.outcome;
   // The admission rule stops at its first deciding stage; the probe never
   // evaluates failpoints, so a probed deadline verdict is the only
@@ -233,9 +201,8 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
   const bool rejected_at_deadline =
       outcome == Admission::Outcome::kRejected &&
       probe.admission.status.code() == StatusCode::kDeadlineExceeded;
-  BehaviorStore* store = session->store();
 
-  PlanNode& root = planned.plan.root;
+  PlanNode& root = plan.root;
   root.name = "inspect";
   {
     std::vector<std::string> model_names;
@@ -261,19 +228,16 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
 
   // --- admission ---
   {
-    PlanNode node;
-    node.name = "admission";
+    PlanNode& node = root.AddChild("admission");
     node.Add("", AdmissionVerdict(probe.admission));
     node.Add("est_queued_bytes", std::to_string(job.queued_bytes));
     node.Add("active_jobs", std::to_string(probe.active_jobs));
     node.Add("queued_bytes", std::to_string(probe.queued_bytes));
-    root.children.push_back(std::move(node));
   }
 
   // --- result cache / dedup ---
   {
-    PlanNode node;
-    node.name = "cache";
+    PlanNode& node = root.AddChild("cache");
     if (!job.fingerprint.has_value()) {
       node.Add("", "not cacheable (inline definitions have no fingerprint)");
     } else if (!job.cacheable) {
@@ -291,11 +255,9 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
       node.Add("fingerprint", HexU64(*job.fingerprint));
       node.Add("catalog_version", std::to_string(compiled.catalog_version));
     }
-    root.children.push_back(std::move(node));
   }
   {
-    PlanNode node;
-    node.name = "dedup";
+    PlanNode& node = root.AddChild("dedup");
     if (!job.fingerprint.has_value()) {
       node.Add("", "not dedupable (inline definitions have no fingerprint)");
     } else if (!job.deterministic) {
@@ -311,118 +273,90 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
     } else {
       node.Add("", "leader (no identical job in flight)");
     }
-    root.children.push_back(std::move(node));
   }
 
   // --- shared scan ---
   {
-    PlanNode node;
-    node.name = "shared-scan";
+    PlanNode& node = root.AddChild("shared-scan");
     if (!probe.shared_scan_enabled) {
       node.Add("", "disabled");
     } else {
       node.Add("", probe.group_exists ? "join existing group" : "new group");
       node.Add("group", job.group_key);
     }
-    root.children.push_back(std::move(node));
   }
 
-  // --- input residency (behavior store tiers) ---
+  // --- inputs: what the run reads — the session's tiers locally (the
+  // hypothesis tier unless the request opts out), no tier in a sliced
+  // assignment, the worker's for a whole job.
+  const ClusterDispatch& cluster = probe.cluster;
+  const bool sliced = cluster.mode == ClusterDispatch::Mode::kSliced;
+  const bool whole = cluster.mode == ClusterDispatch::Mode::kWhole;
   {
-    PlanNode node;
-    node.name = "inputs";
-    // The hypothesis tier AttachSubstrate hands the job, unless the
-    // request opts out of it.
-    BehaviorStore* const hyp_store = compiled.options.hypothesis_store_tier
-                                         ? session->hypothesis_store()
-                                         : nullptr;
-    if (store == nullptr && hyp_store == nullptr) {
+    PlanNode& node = root.AddChild("inputs");
+    const bool hyp_tier = compiled.options.hypothesis_store_tier;
+    BehaviorStore* const store = session->store();
+    BehaviorStore* const hyp_store =
+        hyp_tier ? session->hypothesis_store() : nullptr;
+    const bool units = sliced || whole || store != nullptr;
+    const bool hyps = sliced || (whole ? hyp_tier : hyp_store != nullptr);
+    const Dataset& dataset = *compiled.dataset;
+    auto add_input = [&](const char* name, const char* subject,
+                         const std::string& id, const std::string& key,
+                         BehaviorStore* local_store, size_t rows,
+                         size_t cols) {
+      PlanNode& input = node.AddChild(name);
+      input.Add(subject, id);
+      input.Add("key", key);
+      input.Add("tier", sliced ? "live (sliced assignments read no tier)"
+                        : whole ? "worker " + cluster.worker + "'s store"
+                                : TierName(local_store->PeekTier(key)));
+      input.Add("rows", std::to_string(rows));
+      input.Add("cols", std::to_string(cols));
+      input.Add("lda", std::to_string(PaddedLda(cols)));
+    };
+    if (!units && !hyps) {
       node.Add("", "no store (live extraction every run)");
     } else {
-      const Dataset& dataset = *compiled.dataset;
       node.Add("records", std::to_string(dataset.num_records()));
       node.Add("ns", std::to_string(dataset.ns()));
-      if (store == nullptr) {
-        node.Add("units", "live (no store)");
-      } else {
-        for (const ModelSpec& model : compiled.models) {
-          PlanNode unit;
-          unit.name = "unit-behaviors";
-          unit.Add("model", model.extractor->model_id());
-          const std::string key =
-              UnitBehaviorKey(model.extractor->model_id(), dataset);
-          unit.Add("key", key);
-          unit.Add("tier", TierName(store->PeekTier(key)));
-          unit.Add("rows",
-                   std::to_string(dataset.num_records() * dataset.ns()));
-          const size_t cols = model.extractor->num_units();
-          unit.Add("cols", std::to_string(cols));
-          unit.Add("lda", std::to_string(PaddedLda(cols)));
-          node.children.push_back(std::move(unit));
-        }
+      if (!units) node.Add("units", "live (no store)");
+      for (size_t m = 0; units && m < compiled.models.size(); ++m) {
+        const Extractor& extractor = *compiled.models[m].extractor;
+        add_input("unit-behaviors", "model", extractor.model_id(),
+                  UnitBehaviorKey(extractor.model_id(), dataset), store,
+                  dataset.num_records() * dataset.ns(),
+                  extractor.num_units());
       }
-      if (hyp_store != nullptr) {
-        for (const HypothesisPtr& hyp : compiled.hypotheses) {
-          PlanNode hn;
-          hn.name = "hyp-behaviors";
-          hn.Add("hypothesis", hyp->name());
-          const std::string key = HypothesisBehaviorKey(hyp->name(), dataset);
-          hn.Add("key", key);
-          hn.Add("tier", TierName(hyp_store->PeekTier(key)));
-          hn.Add("rows", std::to_string(dataset.num_records()));
-          hn.Add("cols", std::to_string(dataset.ns()));
-          hn.Add("lda", std::to_string(PaddedLda(dataset.ns())));
-          node.children.push_back(std::move(hn));
-        }
+      for (size_t h = 0; hyps && h < compiled.hypotheses.size(); ++h) {
+        const std::string& name = compiled.hypotheses[h]->name();
+        add_input("hyp-behaviors", "hypothesis", name,
+                  HypothesisBehaviorKey(name, dataset), hyp_store,
+                  dataset.num_records(), dataset.ns());
       }
     }
-    root.children.push_back(std::move(node));
   }
 
-  // --- shard partition + per-measure merge lanes ---
+  // --- shard partition + per-measure merge lanes: the job's PipelinePlan
   {
     const InspectOptions& options = compiled.options;
-    PlanNode node;
-    node.name = "partition";
-    node.Add("shards", std::to_string(job.resolved_shard_count));
+    PlanNode& node = root.AddChild("partition");
+    node.Add("shards", std::to_string(job.pipeline.num_shards));
     node.Add("block_size", std::to_string(options.block_size));
     node.Add("passes", std::to_string(options.passes));
     node.Add("streaming", options.streaming ? "on" : "off");
     node.Add("early_stopping", options.early_stopping ? "on" : "off");
     node.Add("model_merging", options.model_merging ? "on" : "off");
-    for (const MeasureFactoryPtr& factory : compiled.measures) {
-      PlanNode m;
-      m.name = "measure";
-      m.Add("", factory->name());
-      bool merged_composite = false;
-      int worst = 3;
-      bool any = false;
-      for (const HypothesisPtr& hyp : compiled.hypotheses) {
-        if (FusesIntoComposite(*factory, *hyp, options.model_merging)) {
-          merged_composite = true;
-          continue;
-        }
-        worst = std::min(worst,
-                         ExactnessRank(PairMergeExactness(*factory, *hyp)));
-        any = true;
-      }
-      if (merged_composite) {
-        m.Add("merge", any ? std::string("merged composite (sequential) + ") +
-                                 ExactnessLabel(worst)
-                           : "merged composite (sequential)");
-      } else {
-        m.Add("merge", any ? ExactnessLabel(worst) : "no hypotheses");
-      }
-      node.children.push_back(std::move(m));
+    for (size_t s = 0; s < compiled.measures.size(); ++s) {
+      PlanNode& m = node.AddChild("measure");
+      m.Add("", compiled.measures[s]->name());
+      m.Add("merge", MergeLabel(job.pipeline, s));
     }
-    root.children.push_back(std::move(node));
   }
 
   // --- cluster placement ---
   {
-    const ClusterDispatch& cluster = planned.cluster;
-    PlanNode node;
-    node.name = "cluster";
+    PlanNode& node = root.AddChild("cluster");
     switch (cluster.mode) {
       case ClusterDispatch::Mode::kNone:
         node.Add("", "none (local engine)");
@@ -438,31 +372,26 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
         break;
       case ClusterDispatch::Mode::kSliced:
       case ClusterDispatch::Mode::kWhole: {
-        const bool sliced = cluster.mode == ClusterDispatch::Mode::kSliced;
         node.Add("", sliced ? "dispatch (sliced)" : "dispatch (whole job)");
         node.Add("workers", JoinNames(cluster.live_workers));
-        node.Add("total_shards", std::to_string(cluster.total_shards));
+        node.Add("total_shards", std::to_string(job.pipeline.num_shards));
         node.Add("degrade_to_local", cluster.degrade_to_local ? "on" : "off");
         for (const cluster::ShardRange& range : cluster.ranges) {
-          PlanNode a;
-          a.name = sliced ? "range" : "assignment";
+          PlanNode& a = node.AddChild(sliced ? "range" : "assignment");
           a.Add("shards", "[" + std::to_string(range.lo) + "," +
                               std::to_string(range.hi) + ")");
           // Sliced ranges spread round-robin over the sorted live set,
           // keyed by a global assignment id the plan cannot predict.
           a.Add("worker", sliced ? "(round-robin)" : cluster.worker);
-          node.children.push_back(std::move(a));
         }
         break;
       }
     }
-    root.children.push_back(std::move(node));
   }
 
   // --- kernel build ---
   {
-    PlanNode node;
-    node.name = "kernel";
+    PlanNode& node = root.AddChild("kernel");
 #if DEEPBASE_SIMD_ENABLED
     node.Add("", "simd");
 #else
@@ -470,13 +399,11 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
 #endif
     node.Add("float_lanes", std::to_string(vec::kFloatLanes));
     node.Add("lda_floats", std::to_string(vec::kLdaFloats));
-    root.children.push_back(std::move(node));
   }
 
   // --- cost estimate from recent job history ---
   {
-    PlanNode node;
-    node.name = "cost";
+    PlanNode& node = root.AddChild("cost");
     Histogram* latency = MetricsRegistry::Global().GetHistogram(
         "deepbase_job_latency_seconds", DefaultLatencyBounds());
     const Histogram::Snapshot snap = latency->Snap();
@@ -491,10 +418,9 @@ Result<PlannedJob> BuildPlan(InspectionSession* session,
       node.Add("history_jobs", std::to_string(snap.count));
       node.Add("est_total_s", FmtSeconds(snap.sum / snap.count));
     }
-    root.children.push_back(std::move(node));
   }
 
-  return planned;
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -507,32 +433,20 @@ struct DispatchSpan {
   double seconds = 0;
 };
 
+// The coordinator's coord.dispatch spans, tagged
+// "assignment=<id>,worker=<id>", in assignment order.
 std::vector<DispatchSpan> ParseDispatchSpans(
     const std::vector<TraceSpan>& spans) {
   std::vector<DispatchSpan> out;
   for (const TraceSpan& span : spans) {
-    if (span.name != "coord.dispatch") continue;
-    DispatchSpan d;
-    d.seconds = static_cast<double>(span.duration_ns) * 1e-9;
-    size_t pos = 0;
-    const std::string& tags = span.tags;
-    while (pos < tags.size()) {
-      size_t comma = tags.find(',', pos);
-      if (comma == std::string::npos) comma = tags.size();
-      const std::string kv = tags.substr(pos, comma - pos);
-      const size_t eq = kv.find('=');
-      if (eq != std::string::npos) {
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
-        if (key == "assignment") {
-          d.assignment = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "worker") {
-          d.worker = value;
-        }
-      }
-      pos = comma + 1;
+    const size_t worker = span.tags.find(",worker=");
+    if (span.name != "coord.dispatch" || worker == std::string::npos) {
+      continue;
     }
-    out.push_back(std::move(d));
+    out.push_back({std::strtoull(span.tags.c_str() + span.tags.find('=') + 1,
+                                 nullptr, 10),
+                   span.tags.substr(worker + 8),
+                   static_cast<double>(span.duration_ns) * 1e-9});
   }
   std::sort(out.begin(), out.end(),
             [](const DispatchSpan& a, const DispatchSpan& b) {
@@ -541,11 +455,13 @@ std::vector<DispatchSpan> ParseDispatchSpans(
   return out;
 }
 
-void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
-                  const RuntimeStats& stats, const JobSummary& summary,
+void AnnotatePlan(InspectionPlan* plan, const SchedulerProbe& probe,
+                  const Result<ResultTable>& result, const RuntimeStats& stats,
+                  const JobSummary& summary,
                   const std::vector<TraceSpan>& spans) {
-  PlanNode& root = planned->plan.root;
-  const Admission::Outcome outcome = planned->scheduler.admission.outcome;
+  plan->analyzed = true;
+  PlanNode& root = plan->root;
+  const Admission::Outcome outcome = probe.admission.outcome;
   root.AddActual("status", result.ok()
                                ? (stats.cancelled ? "cancelled" : "ok")
                                : result.status().ToString());
@@ -562,8 +478,7 @@ void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
   if (PlanNode* cache = root.Child("cache")) {
     cache->AddActual("hit", actual_cache_hit ? "yes" : "no");
     const bool predicted_hit = outcome == Admission::Outcome::kCacheHit;
-    const bool predicted_miss =
-        planned->scheduler.plan->cacheable && !predicted_hit;
+    const bool predicted_miss = probe.plan->cacheable && !predicted_hit;
     if (predicted_hit && !actual_cache_hit) {
       cache->divergences.push_back(
           "predicted cache hit was not served from the cache");
@@ -598,6 +513,13 @@ void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
   }
   if (PlanNode* partition = root.Child("partition")) {
     partition->AddActual("num_shards", std::to_string(stats.num_shards));
+    const size_t planned = probe.plan->pipeline.num_shards;
+    if (result.ok() && !actual_cache_hit && stats.dedup_hits == 0 &&
+        stats.num_shards != planned) {
+      partition->divergences.push_back(
+          "planned shards=" + std::to_string(planned) + " but the run used " +
+          std::to_string(stats.num_shards));
+    }
     partition->AddActual("inspection_s", FmtSeconds(stats.inspection_s));
     partition->AddActual("merge_s", FmtSeconds(stats.merge_s));
     partition->AddActual("all_converged",
@@ -605,7 +527,7 @@ void AnnotatePlan(PlannedJob* planned, const Result<ResultTable>& result,
   }
 
   if (PlanNode* cluster_node = root.Child("cluster")) {
-    const ClusterDispatch& cluster = planned->cluster;
+    const ClusterDispatch& cluster = probe.cluster;
     const bool predicted_dispatch =
         cluster.mode == ClusterDispatch::Mode::kSliced ||
         cluster.mode == ClusterDispatch::Mode::kWhole;
@@ -670,6 +592,11 @@ PlanNode* PlanNode::Child(const std::string& child_name) {
   return nullptr;
 }
 
+PlanNode& PlanNode::AddChild(std::string child_name) {
+  children.emplace_back().name = std::move(child_name);
+  return children.back();
+}
+
 std::string InspectionPlan::ToText() const {
   std::string out;
   RenderNode(root, 0, &out);
@@ -697,36 +624,21 @@ std::vector<std::string> InspectionPlan::AllDivergences() const {
 
 Result<InspectionPlan> InspectionSession::Explain(
     const InspectRequest& request) {
-  DB_ASSIGN_OR_RETURN(PlannedJob planned, BuildPlan(this, request));
-  return std::move(planned.plan);
+  return BuildPlan(this, scheduler_->Probe(request));
 }
 
 Result<InspectionPlan> InspectionSession::ExplainAnalyze(
     const InspectRequest& request) {
   // Probe BEFORE running: the plan must reflect the decisions the
-  // scheduler is about to make, not the state the job leaves behind.
-  DB_ASSIGN_OR_RETURN(PlannedJob planned, BuildPlan(this, request));
-  JobHandle job = Submit(request);
+  // scheduler is about to make, not the state the job leaves behind. The
+  // job then runs the probed JobPlan itself.
+  const SchedulerProbe probe = scheduler_->Probe(request);
+  DB_ASSIGN_OR_RETURN(InspectionPlan plan, BuildPlan(this, probe));
+  JobHandle job = scheduler_->Submit(probe.plan);
   const Result<ResultTable>& result = job.Wait();
-  planned.plan.analyzed = true;
-  AnnotatePlan(&planned, result, job.Stats(), job.Summary(),
+  AnnotatePlan(&plan, probe, result, job.Stats(), job.Summary(),
                job.TraceSpans());
-  return std::move(planned.plan);
-}
-
-void InspectionSession::SetClusterProbe(ClusterProbe probe) {
-  std::lock_guard<std::mutex> lock(cluster_probe_mu_);
-  cluster_probe_ = std::move(probe);
-}
-
-ClusterDispatch InspectionSession::ProbeCluster(
-    const InspectRequest& request, const InspectPlan& plan) const {
-  ClusterProbe probe;
-  {
-    std::lock_guard<std::mutex> lock(cluster_probe_mu_);
-    probe = cluster_probe_;
-  }
-  return probe ? probe(request, plan) : ClusterDispatch{};
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -826,116 +738,72 @@ const char* JobStatusName(JobStatus status) {
 
 std::string RenderStatusz(InspectionSession* session, bool json) {
   PublishStoreMetrics(session);
-  const std::vector<JobHandle> jobs = session->Jobs();
   const SchedulerStats sched = session->scheduler().stats();
   BehaviorStore* store = session->store();
-  // Membership only: the probe's live workers do not depend on the request.
-  const ClusterDispatch cluster = session->ProbeCluster({}, {});
-  const bool cluster_active = cluster.mode != ClusterDispatch::Mode::kNone;
+  // Membership only: the engine's live workers do not depend on the job.
+  const ClusterDispatch cluster = session->scheduler().Dispatch(JobPlan{});
   const std::vector<std::string> armed = failpoint::ArmedSites();
 
-  if (json) {
-    std::string out = "{\"jobs\":[";
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      JobProgress progress;
-      const JobStatus status = jobs[i].Poll(&progress);
-      if (i > 0) out += ",";
-      out += "{\"id\":" + std::to_string(jobs[i].id()) + ",\"status\":" +
-             JsonStr(JobStatusName(status)) +
-             ",\"blocks_completed\":" + std::to_string(progress.blocks_completed) +
-             ",\"blocks_total\":" + std::to_string(progress.blocks_total) +
-             ",\"records\":" + std::to_string(progress.records_processed) + "}";
-    }
-    out += "],\"scheduler\":{";
-    out += "\"jobs_scheduled\":" + std::to_string(sched.jobs_scheduled);
-    out += ",\"active_jobs\":" + std::to_string(sched.snapshot.active_jobs);
-    out += ",\"queued_bytes\":" + std::to_string(sched.snapshot.queued_bytes);
-    out += ",\"inflight_jobs\":" + std::to_string(sched.snapshot.inflight_jobs);
-    out += ",\"dedup_followers\":" + std::to_string(sched.dedup_followers);
-    out += ",\"admission_rejections\":" +
-           std::to_string(sched.admission_rejections);
-    out += "},\"result_cache\":{";
-    out += "\"hits\":" + std::to_string(sched.result_cache_hits);
-    out += ",\"misses\":" + std::to_string(sched.result_cache_misses);
-    out += ",\"bytes\":" + std::to_string(sched.snapshot.result_cache_bytes);
-    out += ",\"entries\":" +
-           std::to_string(sched.snapshot.result_cache_entries);
-    out += ",\"persistent_hits\":" +
-           std::to_string(sched.result_cache_persistent_hits);
-    out += "},\"store\":";
-    if (store == nullptr) {
-      out += "null";
-    } else {
-      out += "{\"memory_bytes\":" + std::to_string(store->memory_bytes());
-      out += ",\"unit_bytes\":" + std::to_string(store->namespace_bytes("unit"));
-      out += ",\"hyp_bytes\":" + std::to_string(store->namespace_bytes("hyp"));
-      out += ",\"cache_blob_bytes\":" +
-             std::to_string(store->blob_namespace_bytes("cache"));
-      out += ",\"mem_hits\":" + std::to_string(store->mem_hits());
-      out += ",\"disk_hits\":" + std::to_string(store->disk_hits());
-      out += ",\"mmap_hits\":" + std::to_string(store->mmap_hits());
-      out += ",\"misses\":" + std::to_string(store->misses());
-      out += "}";
-    }
-    out += ",\"cluster\":{\"active\":";
-    out += cluster_active ? "true" : "false";
-    out += ",\"workers\":[";
-    for (size_t i = 0; i < cluster.live_workers.size(); ++i) {
-      if (i > 0) out += ",";
-      out += JsonStr(cluster.live_workers[i]);
-    }
-    out += "]},\"failpoints\":[";
-    for (size_t i = 0; i < armed.size(); ++i) {
-      if (i > 0) out += ",";
-      out += JsonStr(armed[i]);
-    }
-    out += "]}";
-    return out;
-  }
-
-  std::string out = "statusz\n";
-  out += "  jobs: " + std::to_string(jobs.size()) + "\n";
+  PlanNode root;
+  root.name = "statusz";
+  const std::vector<JobHandle> jobs = session->Jobs();
+  PlanNode& job_list = root.AddChild("jobs");
+  job_list.Add("", std::to_string(jobs.size()));
   for (const JobHandle& job : jobs) {
     JobProgress progress;
     const JobStatus status = job.Poll(&progress);
-    out += "    job id=" + std::to_string(job.id()) + " status=" +
-           JobStatusName(status) + " blocks=" +
-           std::to_string(progress.blocks_completed) + "/" +
-           std::to_string(progress.blocks_total) + " records=" +
-           std::to_string(progress.records_processed) + "\n";
+    PlanNode& entry = job_list.AddChild("job");
+    entry.Add("id", std::to_string(job.id()));
+    entry.Add("status", JobStatusName(status));
+    entry.Add("blocks", std::to_string(progress.blocks_completed) + "/" +
+                            std::to_string(progress.blocks_total));
+    entry.Add("records", std::to_string(progress.records_processed));
   }
-  out += "  scheduler: jobs_scheduled=" + std::to_string(sched.jobs_scheduled) +
-         " active_jobs=" + std::to_string(sched.snapshot.active_jobs) +
-         " queued_bytes=" + std::to_string(sched.snapshot.queued_bytes) +
-         " inflight_jobs=" + std::to_string(sched.snapshot.inflight_jobs) +
-         " dedup_followers=" + std::to_string(sched.dedup_followers) +
-         " admission_rejections=" +
-         std::to_string(sched.admission_rejections) + "\n";
-  out += "  result-cache: hits=" + std::to_string(sched.result_cache_hits) +
-         " misses=" + std::to_string(sched.result_cache_misses) +
-         " bytes=" + std::to_string(sched.snapshot.result_cache_bytes) +
-         " entries=" + std::to_string(sched.snapshot.result_cache_entries) +
-         " persistent_hits=" +
-         std::to_string(sched.result_cache_persistent_hits) + "\n";
+  PlanNode& scheduler = root.AddChild("scheduler");
+  scheduler.Add("jobs_scheduled", std::to_string(sched.jobs_scheduled));
+  scheduler.Add("active_jobs", std::to_string(sched.snapshot.active_jobs));
+  scheduler.Add("queued_bytes", std::to_string(sched.snapshot.queued_bytes));
+  scheduler.Add("inflight_jobs", std::to_string(sched.snapshot.inflight_jobs));
+  scheduler.Add("dedup_followers", std::to_string(sched.dedup_followers));
+  scheduler.Add("admission_rejections",
+                std::to_string(sched.admission_rejections));
+  PlanNode& cache = root.AddChild("result-cache");
+  cache.Add("hits", std::to_string(sched.result_cache_hits));
+  cache.Add("misses", std::to_string(sched.result_cache_misses));
+  cache.Add("bytes", std::to_string(sched.snapshot.result_cache_bytes));
+  cache.Add("entries", std::to_string(sched.snapshot.result_cache_entries));
+  cache.Add("persistent_hits",
+            std::to_string(sched.result_cache_persistent_hits));
+  PlanNode& store_node = root.AddChild("store");
   if (store == nullptr) {
-    out += "  store: none\n";
+    store_node.Add("", "none");
   } else {
-    out += "  store: memory_bytes=" + std::to_string(store->memory_bytes()) +
-           " unit_bytes=" + std::to_string(store->namespace_bytes("unit")) +
-           " hyp_bytes=" + std::to_string(store->namespace_bytes("hyp")) +
-           " cache_blob_bytes=" +
-           std::to_string(store->blob_namespace_bytes("cache")) +
-           " mem_hits=" + std::to_string(store->mem_hits()) +
-           " disk_hits=" + std::to_string(store->disk_hits()) +
-           " mmap_hits=" + std::to_string(store->mmap_hits()) +
-           " misses=" + std::to_string(store->misses()) + "\n";
+    store_node.Add("memory_bytes", std::to_string(store->memory_bytes()));
+    store_node.Add("unit_bytes",
+                   std::to_string(store->namespace_bytes("unit")));
+    store_node.Add("hyp_bytes", std::to_string(store->namespace_bytes("hyp")));
+    store_node.Add("cache_blob_bytes",
+                   std::to_string(store->blob_namespace_bytes("cache")));
+    store_node.Add("mem_hits", std::to_string(store->mem_hits()));
+    store_node.Add("disk_hits", std::to_string(store->disk_hits()));
+    store_node.Add("mmap_hits", std::to_string(store->mmap_hits()));
+    store_node.Add("misses", std::to_string(store->misses()));
   }
-  out += "  cluster: active=" + std::string(cluster_active ? "yes" : "no");
+  PlanNode& cluster_node = root.AddChild("cluster");
+  const bool cluster_active = cluster.mode != ClusterDispatch::Mode::kNone;
+  cluster_node.Add("active", cluster_active ? "yes" : "no");
   if (cluster_active) {
-    out += " workers=" + JoinNames(cluster.live_workers);
+    cluster_node.Add("workers", JoinNames(cluster.live_workers));
   }
-  out += "\n";
-  out += "  failpoints: " + (armed.empty() ? "none" : JoinNames(armed)) + "\n";
+  root.AddChild("failpoints")
+      .Add("", armed.empty() ? "none" : JoinNames(armed));
+
+  std::string out;
+  if (json) {
+    NodeJson(root, &out);
+  } else {
+    RenderNode(root, 0, &out);
+  }
   return out;
 }
 

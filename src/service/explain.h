@@ -5,11 +5,12 @@
 // happened after).
 //
 // An InspectionPlan is a tree of PlanNodes assembled from strictly
-// non-mutating probes (Scheduler::Probe, ResultCache::PeekTier,
-// BehaviorStore::PeekTier, InspectionSession::ProbeCluster): a dry-run
-// Explain() executes zero blocks and leaves every cache, counter, and
-// LRU byte-identical. ExplainAnalyze() runs the job through the normal
-// Submit path and annotates each node with actual phase seconds and
+// non-mutating probes (Scheduler::Probe — the job's JobPlan and the
+// installed engine's dispatch decision — ResultCache::PeekTier,
+// BehaviorStore::PeekTier): a dry-run Explain() executes zero blocks and
+// leaves every cache, counter, and LRU byte-identical. ExplainAnalyze()
+// submits the probed JobPlan through the normal Submit path and
+// annotates each node with actual phase seconds and
 // counters from RuntimeStats + the job's trace spans, flagging
 // plan-vs-actual divergences (a predicted cache hit that missed, a
 // cluster dispatch that degraded to local, reassigned shard ranges).
@@ -54,6 +55,9 @@ struct PlanNode {
   }
   /// First direct child with this name; nullptr when absent.
   PlanNode* Child(const std::string& child_name);
+  /// Append a child named `child_name`; the reference lives until the next
+  /// child is appended.
+  PlanNode& AddChild(std::string child_name);
 };
 
 /// \brief A full inspection plan (dry run) or reconciled plan (analyze).
@@ -86,7 +90,8 @@ Result<InspectionPlan> ExplainInspectStatement(InspectionSession* session,
 /// \brief Live system introspection (the statusz dump): live jobs with
 /// current phase + progress, scheduler counters, result-cache and
 /// store occupancy per namespace, cluster worker liveness, and armed
-/// failpoints. Text (json=false) or a JSON object.
+/// failpoints. One PlanNode tree, rendered like a plan: text
+/// (json=false) or the PlanNode JSON object.
 std::string RenderStatusz(InspectionSession* session, bool json);
 
 /// \brief Push the session store's occupancy gauges and mmap-hit counter

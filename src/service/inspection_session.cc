@@ -166,9 +166,8 @@ void InspectionSession::AttachSubstrate(InspectOptions* options) {
   if (options->hypothesis_store == nullptr) {
     options->hypothesis_store = hypothesis_store();
   }
-  // Intra-job sharding runs on the session pool (num_shards == 0 resolves
-  // to the pool size). num_shards == 1 keeps sync-only sessions
-  // thread-free.
+  // Intra-job sharding runs on the session pool; num_shards == 1 keeps
+  // sync-only sessions thread-free.
   if (options->pool == nullptr && options->num_shards != 1) {
     options->pool = EnsurePool();
   }

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/partition.h"
 #include "core/behavior_store.h"
 #include "core/catalog.h"
 #include "util/thread_pool.h"
@@ -247,30 +246,6 @@ class InspectQuery;
 class Scheduler;
 struct InspectionPlan;
 
-/// \brief How the attached cluster coordinator dispatches one request:
-/// the verdict of ClusterCoordinator::PlanDispatch, which DistributedRun
-/// executes and EXPLAIN renders. It reaches the service layer through the
-/// probe ClusterCoordinator::Start installs with
-/// InspectionSession::SetClusterProbe (cleared on Shutdown), so there is
-/// no layering cycle onto src/cluster.
-struct ClusterDispatch {
-  enum class Mode {
-    kNone,           ///< no coordinator installed: the local engine runs it
-    kLocalFallback,  ///< inline definitions cannot cross the wire: local
-    kNoWorkers,      ///< degrades to local, or fails kUnavailable
-    kSliced,         ///< one assignment per contiguous shard range
-    kWhole,          ///< one assignment on the rendezvous worker
-  };
-  Mode mode = Mode::kNone;
-  bool degrade_to_local = false;
-  std::vector<std::string> live_workers;  ///< sorted live worker ids
-  uint32_t total_shards = 1;  ///< kSliced: the pinned shard count
-  /// One shard range per assignment, ascending: kSliced's split of
-  /// [0, total_shards), or kWhole's single [0, 1).
-  std::vector<cluster::ShardRange> ranges;
-  std::string worker;  ///< kWhole: the planned worker
-};
-
 /// \brief The facade. Thread-safe: Submit/Inspect may be called
 /// concurrently; jobs share the catalog, the behavior store tiers, the
 /// result cache, and the multi-query scheduler's shared scans.
@@ -315,9 +290,9 @@ class InspectionSession {
 
   /// \brief Attach the session substrate to a job's options where unset:
   /// the behavior store, the hypothesis store and, for jobs that shard
-  /// their block loop (num_shards != 1, including the pool-sized 0), the
-  /// session pool — shared fairly, as ParallelFor is cooperative. The
-  /// scheduler and cluster workers both run jobs through it.
+  /// their block loop (num_shards != 1), the session pool — shared
+  /// fairly, as ParallelFor is cooperative. The scheduler and cluster
+  /// workers both run jobs through it.
   void AttachSubstrate(InspectOptions* options);
 
   /// \brief Synchronous inspection: compile against the catalog, serve
@@ -346,24 +321,11 @@ class InspectionSession {
   // --- EXPLAIN / EXPLAIN ANALYZE (service/explain.h; defined in
   // explain.cc). Explain() is a pure dry run: it renders the plan the
   // scheduler/cluster/store would execute without running a single block
-  // or mutating any cache/counter. ExplainAnalyze() submits the job,
-  // waits, and annotates every plan node with actual phase seconds and
-  // counters, flagging plan-vs-actual divergences.
+  // or mutating any cache/counter. ExplainAnalyze() submits the JobPlan it
+  // rendered, waits, and annotates every plan node with actual phase
+  // seconds and counters, flagging plan-vs-actual divergences.
   Result<InspectionPlan> Explain(const InspectRequest& request);
   Result<InspectionPlan> ExplainAnalyze(const InspectRequest& request);
-
-  /// \brief Install (or clear, with nullptr) the cluster-coordinator
-  /// probe feeding EXPLAIN's placement plan. Called by
-  /// ClusterCoordinator::Start/Shutdown.
-  using ClusterProbe = std::function<ClusterDispatch(const InspectRequest&,
-                                                     const InspectPlan&)>;
-  void SetClusterProbe(ClusterProbe probe);
-  /// \brief The attached coordinator's dispatch decision for `request`
-  /// (compiled as `plan`); mode kNone when no coordinator is installed.
-  /// Its membership fields (live_workers, degrade_to_local) do not depend
-  /// on the request.
-  ClusterDispatch ProbeCluster(const InspectRequest& request,
-                               const InspectPlan& plan) const;
 
  private:
   friend class Scheduler;
@@ -384,9 +346,6 @@ class InspectionSession {
   mutable std::mutex jobs_mu_;
   uint64_t next_job_id_ = 1;
   std::vector<std::shared_ptr<internal::JobState>> jobs_;
-
-  mutable std::mutex cluster_probe_mu_;
-  ClusterProbe cluster_probe_;  // guarded by ^
 };
 
 }  // namespace deepbase

@@ -128,22 +128,6 @@ bool DeterministicOptions(const InspectOptions& options) {
          options.deadline == std::chrono::steady_clock::time_point::max();
 }
 
-// Fingerprints hash this resolved value for early-stopping requests —
-// never the raw option: a raw 0 resolves per-session, so a persisted
-// result must not be served to a session whose engine would deal (and
-// therefore truncate) blocks differently.
-size_t ResolvedShardCountFor(const InspectOptions& options,
-                             const SessionConfig& config) {
-  // Without a pool on the request, the session pool the scheduler would
-  // attach (ThreadPool's own 0 = hardware-concurrency rule).
-  size_t pool_threads =
-      config.num_threads != 0
-          ? config.num_threads
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (options.pool != nullptr) pool_threads = options.pool->num_threads();
-  return ResolveShardCount(options.num_shards, pool_threads);
-}
-
 // Batching key for shared-scan grouping: per model its id and resolved
 // unit union — SharedScan keys blocks by it, so jobs share blocks however
 // their groups partition the union, and a layer-0 job's blocks are never
@@ -485,6 +469,7 @@ void Scheduler::DeliverToWaiter(
   state->on_cancel = nullptr;
   RuntimeStats waiter_stats;
   waiter_stats.dedup_hits = 1;
+  waiter_stats.num_shards = stats.num_shards;
   waiter_stats.total_s = stats.total_s;  // the leader's wall clock
   state->stats = waiter_stats;
   state->status = JobStatus::kDone;
@@ -633,9 +618,22 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
   }
 }
 
-void Scheduler::SetEngine(EngineFn fn) {
+void Scheduler::SetEngine(EngineHook hook) {
+  std::shared_ptr<const EngineHook> engine;
+  if (hook.run) engine = std::make_shared<const EngineHook>(std::move(hook));
   std::lock_guard<std::mutex> lock(mu_);
-  engine_fn_ = std::move(fn);
+  engine_ = std::move(engine);
+}
+
+std::shared_ptr<const EngineHook> Scheduler::Engine() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return engine_;
+}
+
+ClusterDispatch Scheduler::Dispatch(const JobPlan& job) const {
+  const std::shared_ptr<const EngineHook> engine = Engine();
+  return engine != nullptr && engine->dispatch ? engine->dispatch(job)
+                                               : ClusterDispatch{};
 }
 
 void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
@@ -704,13 +702,10 @@ Result<ResultTable> Scheduler::Execute(const JobPlan& job,
     options.trace_parent_span = parent_span;
   }
   RuntimeStats local;
-  EngineFn engine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    engine = engine_fn_;
-  }
-  Result<ResultTable> result =
-      engine ? engine(job.request, plan, &local) : RunPlan(plan, &local);
+  const std::shared_ptr<const EngineHook> engine = Engine();
+  Result<ResultTable> result = engine != nullptr
+                                   ? engine->run(job, plan, &local)
+                                   : RunPlan(plan, &local, &job.pipeline);
   if (group) ReleaseGroup(&*group);
   if (job.cacheable) {
     local.result_cache_misses = 1;
@@ -743,20 +738,30 @@ std::shared_ptr<const JobPlan> Scheduler::PlanJob(
     return plan;
   }
   plan->compiled = std::move(compiled).ValueOrDie();
-  const InspectOptions& options = plan->compiled.options;
-  plan->resolved_shard_count = ResolvedShardCountFor(options, config);
+  InspectOptions& options = plan->compiled.options;
+  // The job's one shard count: the request's, else the default of the
+  // engine that will run it — the installed engine's, or one shard per
+  // thread of the pool the session attaches (ThreadPool's own 0 =
+  // hardware-concurrency rule).
+  const std::shared_ptr<const EngineHook> engine = Engine();
+  size_t default_shards =
+      config.num_threads != 0
+          ? config.num_threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  if (options.pool != nullptr) default_shards = options.pool->num_threads();
+  if (engine != nullptr) default_shards = engine->default_shards;
+  options.num_shards = ResolveShardCount(options.num_shards, default_shards);
+  plan->pipeline =
+      PlanPipeline(plan->compiled.models, *plan->compiled.dataset,
+                   plan->compiled.measures, plan->compiled.hypotheses, options);
   plan->deterministic = DeterministicOptions(options);
   // The fingerprint keys both the result cache and the dedup registry;
   // either feature alone needs it. Bit-exact shard merges make full
-  // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see HashOptions in core/catalog.cc).
+  // sweeps shard-count-invariant, so only early-stopping requests hash
+  // the pinned shard count (see HashOptions in core/catalog.cc).
   if (config.enable_result_cache || config.enable_inflight_dedup) {
-    InspectOptions fp_options = options;
-    if (fp_options.early_stopping) {
-      fp_options.num_shards = plan->resolved_shard_count;
-    }
     plan->fingerprint = InspectRequestFingerprint(
-        plan->request, plan->compiled.dataset_fingerprint, fp_options);
+        plan->request, plan->compiled.dataset_fingerprint, options);
   }
   plan->cacheable = plan->fingerprint.has_value() && config.enable_result_cache;
   plan->dedupable = plan->fingerprint.has_value() &&
@@ -910,6 +915,7 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
       if (stats != nullptr) {
         *stats = RuntimeStats{};
         stats->result_cache_hits = 1;
+        stats->num_shards = plan->pipeline.num_shards;
       }
       FinalizeJob(state, "ok");
       return std::move(*commit.table);
@@ -944,7 +950,18 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
 }
 
 JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
+  // Submission time precedes the compile, so the admit span covers it.
   const int64_t submit_ns = TraceNowNs();
+  return Enqueue(PlanJob(std::move(request)), trace_id, submit_ns);
+}
+
+JobHandle Scheduler::Submit(std::shared_ptr<const JobPlan> plan,
+                            uint64_t trace_id) {
+  return Enqueue(std::move(plan), trace_id, TraceNowNs());
+}
+
+JobHandle Scheduler::Enqueue(std::shared_ptr<const JobPlan> plan,
+                             uint64_t trace_id, int64_t submit_ns) {
   Commit commit;
   commit.state = session_->NewJobState();
   const std::shared_ptr<internal::JobState>& state = commit.state;
@@ -964,7 +981,6 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     state->root_span = root_span;
     state->submit_ns = submit_ns;
   }
-  const std::shared_ptr<const JobPlan> plan = PlanJob(std::move(request));
   const Admission admission = Admit(plan, /*queued=*/true, &commit);
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
@@ -975,6 +991,8 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
         std::lock_guard<std::mutex> lock(state->mu);
         state->status = JobStatus::kDone;
         state->stats.result_cache_hits = hit ? 1 : 0;
+        // The served table is the one this plan's S computes.
+        if (hit) state->stats.num_shards = plan->pipeline.num_shards;
         state->result = hit ? Result<ResultTable>(std::move(*commit.table))
                             : Result<ResultTable>(admission.status);
         state->cv.notify_all();
@@ -1106,6 +1124,7 @@ SchedulerProbe Scheduler::Probe(const InspectRequest& request) {
   SchedulerProbe probe;
   probe.plan = PlanJob(request);
   probe.admission = Admit(probe.plan, /*queued=*/true, /*commit=*/nullptr);
+  if (probe.plan->status.ok()) probe.cluster = Dispatch(*probe.plan);
   probe.shared_scan_enabled = session_->config_.enable_shared_scan;
   std::lock_guard<std::mutex> lock(mu_);
   probe.group_exists = groups_.count(probe.plan->group_key) > 0;

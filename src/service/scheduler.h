@@ -77,6 +77,8 @@
 // deepbase_jobs_total{status=...}, whichever stage decided it. Probe()
 // applies the same rule for EXPLAIN against ResultCache::PeekTier and the
 // live counters, and commits nothing.
+// PlanJob also pins the job's shard count S into its options and plans
+// its pipeline at S, so every reader of the JobPlan agrees on S.
 
 #pragma once
 
@@ -91,6 +93,8 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/partition.h"
+#include "core/block_pipeline.h"
 #include "core/shared_scan.h"
 #include "service/inspection_session.h"
 
@@ -249,25 +253,65 @@ struct SchedulerStats {
   void Accumulate(const SchedulerStats& other);
 };
 
-/// \brief One job's request, compiled once (Scheduler::PlanJob), and what
-/// the scheduler derives from it. Shared and immutable: admission, the
-/// engine, a promoted dedup waiter and EXPLAIN all read this instance.
+/// \brief One job's request, compiled and planned once (Scheduler::PlanJob),
+/// and what the scheduler derives from it. Shared and immutable:
+/// admission, the engine, a promoted dedup waiter and EXPLAIN all read it.
 struct JobPlan {
   InspectRequest request;  ///< as submitted (the cluster ships it by name)
   /// Catalog::Compile's status; the fields below are set only when OK.
   Status status;
-  InspectPlan compiled;  ///< options: the request's, else the defaults
-  /// Cache and dedup key (InspectRequestFingerprint; early-stopping runs
-  /// pin resolved_shard_count). nullopt for inline definitions, or when
-  /// the result cache and dedup are both off.
+  /// options: the request's, else the defaults; num_shards pinned to S,
+  /// the request's, else the default of the engine that runs the job.
+  InspectPlan compiled;
+  PipelinePlan pipeline;  ///< PlanPipeline at S
+  /// Cache and dedup key (InspectRequestFingerprint of the pinned options,
+  /// so early-stopping runs are keyed by S). nullopt for inline
+  /// definitions, or when the result cache and dedup are both off.
   std::optional<uint64_t> fingerprint;
-  size_t resolved_shard_count = 0;  ///< ResolvedShardCountFor
   bool deterministic = false;  ///< DeterministicOptions(options)
   bool cacheable = false;      ///< fingerprint && result cache enabled
   bool dedupable = false;      ///< fingerprint && dedup on && deterministic
   std::string group_key;       ///< BatchKeyFor (shared scan)
   /// Extraction footprint estimate, the unit of the queued-bytes quota.
   size_t queued_bytes = 0;
+};
+
+/// \brief How the installed engine dispatches one job: the verdict of
+/// ClusterCoordinator::PlanDispatch, which its run executes and EXPLAIN
+/// renders.
+struct ClusterDispatch {
+  enum class Mode {
+    kNone,           ///< no coordinator installed: the local engine runs it
+    kLocalFallback,  ///< inline definitions cannot cross the wire: local
+    kNoWorkers,      ///< degrades to local, or fails kUnavailable
+    kSliced,         ///< one assignment per contiguous shard range
+    kWhole,          ///< one assignment on the rendezvous worker
+  };
+  Mode mode = Mode::kNone;
+  bool degrade_to_local = false;
+  std::vector<std::string> live_workers;  ///< sorted live worker ids
+  /// One shard range per assignment, ascending: kSliced's split of the
+  /// plan's [0, S), or kWhole's single [0, 1).
+  std::vector<cluster::ShardRange> ranges;
+  std::string worker;  ///< kWhole: the planned worker
+};
+
+/// \brief A replacement for the local engine: how the cluster coordinator
+/// slots in — "a scheduler whose engine is remote". Result caching,
+/// in-flight dedup, admission control and progress plumbing all keep
+/// working around it.
+struct EngineHook {
+  /// S for jobs that pin none.
+  size_t default_shards = 1;
+  /// The dispatch decision for a planned job over the workers live now;
+  /// its membership fields do not depend on the job.
+  std::function<ClusterDispatch(const JobPlan& job)> dispatch;
+  /// Run a planned job. `plan` is job.compiled with the session substrate,
+  /// cancel, progress, shared scan and tracer attached to its options.
+  std::function<Result<ResultTable>(const JobPlan& job,
+                                    const InspectPlan& plan,
+                                    RuntimeStats* stats)>
+      run;
 };
 
 /// \brief The admission rule's verdict (see "Admission" above).
@@ -285,12 +329,13 @@ struct Admission {
 
 /// \brief What Submit() would do with a request right now — the scheduler
 /// half of an EXPLAIN plan (Scheduler::Probe): the request's JobPlan, the
-/// admission verdict, and the counters it was judged against. Computing
-/// it moves no counter, reorders no LRU, reads no blob and registers no
-/// job.
+/// admission verdict, the counters it was judged against, and the
+/// installed engine's dispatch decision. Computing it moves no counter,
+/// reorders no LRU, reads no blob and registers no job.
 struct SchedulerProbe {
   std::shared_ptr<const JobPlan> plan;
   Admission admission;
+  ClusterDispatch cluster;
   bool shared_scan_enabled = false;
   bool group_exists = false;  ///< a live group already has plan->group_key
   size_t active_jobs = 0;
@@ -309,6 +354,9 @@ class Scheduler {
   /// externally minted trace id (the serving layer's Submit frame) into
   /// the job's Tracer; 0 mints a fresh id.
   JobHandle Submit(InspectRequest request, uint64_t trace_id = 0);
+  /// \brief Submit a job already planned by Probe(): EXPLAIN ANALYZE runs
+  /// the JobPlan it rendered instead of planning a second time.
+  JobHandle Submit(std::shared_ptr<const JobPlan> plan, uint64_t trace_id = 0);
   /// \brief Sync path: the same admission, with the leader run on the
   /// caller's thread (a waiter parks the caller until the leader's result
   /// is ready). Sync jobs are untraced and not listed in Jobs().
@@ -319,18 +367,15 @@ class Scheduler {
   /// the result cache's admission floor to `version` synchronously.
   void OnCatalogMutation(uint64_t version);
 
-  /// \brief Pluggable engine: when set, Execute() calls `fn` instead of
-  /// RunPlan. This is how the cluster coordinator slots in — it is "a
-  /// scheduler whose engine is remote": result caching, in-flight dedup,
-  /// admission control, and progress plumbing all keep working around the
-  /// replacement, which receives the job's request and its compiled plan
-  /// (session substrate, cancel and progress already in plan.options).
-  /// Pass nullptr to restore the local engine. Takes effect for jobs that
-  /// start after the call; in-flight jobs keep the engine they started on.
-  using EngineFn = std::function<Result<ResultTable>(
-      const InspectRequest& request, const InspectPlan& plan,
-      RuntimeStats* stats)>;
-  void SetEngine(EngineFn fn);
+  /// \brief Install `hook` as the session's engine (ClusterCoordinator::
+  /// Start); a hook without `run` restores the local engine. Jobs planned
+  /// after the call take their default S from it, jobs that start after
+  /// it run on it; every job keeps the S it was planned with.
+  void SetEngine(EngineHook hook);
+
+  /// \brief The installed engine's dispatch decision for `job` (mode kNone
+  /// with the local engine).
+  ClusterDispatch Dispatch(const JobPlan& job) const;
 
   /// \brief EXPLAIN's dry run of Submit(): the same plan and admission
   /// rule, committing nothing (see SchedulerProbe).
@@ -375,9 +420,15 @@ class Scheduler {
     size_t queued_bytes = 0;  ///< kLeader: bytes charged to the queue
   };
 
-  /// Compile the request (the job's one Catalog::Compile) and derive its
-  /// JobPlan. Read-only.
+  /// Compile the request (the job's one Catalog::Compile), pin its shard
+  /// count, plan its pipeline and derive the rest of its JobPlan.
+  /// Read-only.
   std::shared_ptr<const JobPlan> PlanJob(InspectRequest request) const;
+  /// The installed engine (null = the local engine).
+  std::shared_ptr<const EngineHook> Engine() const;
+  /// Submit()'s body: admit a planned job submitted at `submit_ns`.
+  JobHandle Enqueue(std::shared_ptr<const JobPlan> plan, uint64_t trace_id,
+                    int64_t submit_ns);
   /// The admission rule, in its one order (see "Admission" above). With
   /// `commit`, the verdict takes effect atomically: counters move, the
   /// cache lookup is counted, a waiter or leader is registered. Without
@@ -437,7 +488,7 @@ class Scheduler {
   InspectionSession* session_;
   ResultCache result_cache_;
   mutable std::mutex mu_;
-  EngineFn engine_fn_;  // guarded by mu_; copied per Execute
+  std::shared_ptr<const EngineHook> engine_;  // guarded by mu_
   std::map<std::string, std::shared_ptr<SharedScan>> groups_;
   std::map<std::pair<uint64_t, uint64_t>, std::shared_ptr<InflightJob>>
       inflight_;

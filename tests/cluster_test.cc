@@ -853,6 +853,45 @@ TEST(ClusterEndToEndTest, SlicedCountsAndFinalProgressMatchLocalRun) {
   }
 }
 
+// A cluster run reports its plan's block count and the S that ran, in
+// both dispatch modes — the numbers a local run of the same request
+// reports.
+TEST(ClusterEndToEndTest, RunsReportThePlannedBlockCountAndShardCount) {
+  InspectRequest whole = ExactRequest();
+  whole.measure_names = {"spearman"};  // sequential lane: a whole job
+
+  World coord_world;
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  World worker_world(/*delay_us=*/0, /*num_threads=*/1);
+  cluster::InspectionWorker worker(&worker_world.session,
+                                   {.worker_id = "w-0",
+                                    .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  for (const InspectRequest& request : {ExactRequest(), whole}) {
+    SCOPED_TRACE(request.measure_names.front());
+    World local;
+    RuntimeStats local_stats;
+    ASSERT_TRUE(local.session.Inspect(request, &local_stats).ok());
+    ASSERT_EQ(local_stats.blocks_total_planned, 12u);
+    RuntimeStats stats;
+    Result<ResultTable> result = coord_world.session.Inspect(request, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(stats.blocks_total_planned, local_stats.blocks_total_planned);
+    EXPECT_EQ(stats.num_shards, local_stats.num_shards);
+    EXPECT_EQ(stats.blocks_processed, local_stats.blocks_processed);
+  }
+  EXPECT_EQ(coordinator.stats().jobs_sliced, 1u);
+  EXPECT_EQ(coordinator.stats().jobs_whole, 1u);
+
+  worker.Shutdown();
+  coordinator.Shutdown();
+}
+
 TEST(ClusterEndToEndTest, HypothesisOutputFormatIsCheckedBeforeDispatch) {
   // Emits one behavior too many per record: the local run rejects it in
   // the pre-flight, and so must a sliced cluster run — before any worker

@@ -21,6 +21,9 @@
 //      leader.
 //   8. A request that does not compile fails Explain() with the status
 //      Inspect() returns for it, and the dry run still moves nothing.
+//   9. Every execution path — local, sliced, whole, degraded and
+//      cache-served — runs the shard count the plan rendered, and the
+//      inputs node renders what a cluster dispatch reads.
 
 #include <atomic>
 #include <chrono>
@@ -144,8 +147,9 @@ struct World {
   Dataset dataset;
   InspectionSession session;
 
-  explicit World(SessionConfig config = {.num_threads = 2})
-      : dataset(MakeAbDataset()), session(std::move(config)) {
+  explicit World(SessionConfig config = {.num_threads = 2},
+                 size_t records = 96)
+      : dataset(MakeAbDataset(records)), session(std::move(config)) {
     session.catalog().RegisterModel("planted", &extractor);
     session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
     session.catalog().RegisterDataset("ab", &dataset);
@@ -608,6 +612,152 @@ TEST(ExplainErrorTest, UncompilableRequestFailsLikeInspectAndMovesNothing) {
     EXPECT_EQ(errors->Value(), errors_before + 1);
   }
   EXPECT_EQ(world.extractor.blocks_extracted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One shard count per job: EXPLAIN renders the S every path runs.
+// ---------------------------------------------------------------------------
+
+std::string FieldOf(
+    const std::vector<std::pair<std::string, std::string>>& fields,
+    const std::string& key) {
+  for (const auto& [k, v] : fields) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+// Early stopping over 128 blocks: the one request whose table depends on
+// S, with num_shards left to the engine that runs it.
+InspectRequest EarlyStoppingRequest(bool streaming) {
+  InspectRequest request = PearsonRequest();
+  request.options->num_shards = 0;
+  request.options->early_stopping = true;
+  request.options->streaming = streaming;  // streaming: a whole cluster job
+  return request;
+}
+
+// The request's table from a fresh local session, pinned to `shards`.
+std::string LocalTable(InspectRequest request, size_t shards) {
+  World local(SessionConfig{.num_threads = 2}, 2048);
+  request.options->num_shards = shards;
+  Result<ResultTable> table = local.session.Inspect(request);
+  return table.ok() ? table->SerializeToString() : table.status().ToString();
+}
+
+// EXPLAIN ANALYZE `request`, then check that the run used the S the plan
+// rendered and that its table — served back from the result cache — is a
+// local run's at that S.
+void ExpectRunsTheRenderedShardCount(World* world,
+                                     const InspectRequest& request,
+                                     const std::string& path) {
+  SCOPED_TRACE(path);
+  Result<InspectionPlan> plan = world->session.ExplainAnalyze(request);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const PlanNode* partition = plan->root.Child("partition");
+  ASSERT_NE(partition, nullptr);
+  const std::string planned = FieldOf(partition->fields, "shards");
+  ASSERT_FALSE(planned.empty()) << plan->ToText();
+  EXPECT_EQ(FieldOf(partition->actuals, "num_shards"), planned)
+      << plan->ToText();
+  EXPECT_TRUE(partition->divergences.empty()) << plan->ToText();
+
+  RuntimeStats stats;
+  Result<ResultTable> table = world->session.Inspect(request, &stats);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(stats.result_cache_hits, 1u);
+  EXPECT_EQ(table->SerializeToString(),
+            LocalTable(request, std::stoul(planned)))
+      << plan->ToText();
+}
+
+TEST(ExplainShardCountTest, EveryPathRunsTheShardCountThePlanRendered) {
+  const InspectRequest sliced = EarlyStoppingRequest(/*streaming=*/false);
+  const InspectRequest whole = EarlyStoppingRequest(/*streaming=*/true);
+  InspectRequest degraded = sliced;
+  degraded.options->shuffle_seed += 1;  // its own cache entry
+  // The counts differ, and so do the tables: each shard lane stops on its
+  // own convergence.
+  ASSERT_NE(LocalTable(sliced, 2), LocalTable(sliced, 4));
+
+  World coord_world(SessionConfig{.num_threads = 2}, 2048);
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  config.degrade_to_local = true;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  World worker_world(SessionConfig{.num_threads = 1}, 2048);
+  cluster::InspectionWorker worker(
+      &worker_world.session,
+      {.worker_id = "w-0", .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  ExpectRunsTheRenderedShardCount(&coord_world, sliced, "sliced");
+  ExpectRunsTheRenderedShardCount(&coord_world, whole,
+                                  "whole job on a 1-thread worker");
+  failpoint::Arm("cluster.dispatch",
+                 failpoint::Action{.code = StatusCode::kUnavailable});
+  ExpectRunsTheRenderedShardCount(&coord_world, degraded,
+                                  "degraded to the local engine");
+  failpoint::DisarmAll();
+  const cluster::CoordinatorStats cstats = coordinator.stats();
+  EXPECT_EQ(cstats.jobs_sliced, 1u);
+  EXPECT_EQ(cstats.jobs_whole, 1u);
+  EXPECT_EQ(cstats.jobs_degraded_local, 1u);
+
+  // Without the coordinator the session's own engine runs the request at
+  // its pool's S, then serves that table from the cache — never the one
+  // the cluster computed at total_shards.
+  worker.Shutdown();
+  coordinator.Shutdown();
+  ExpectRunsTheRenderedShardCount(&coord_world, sliced, "local after shutdown");
+  ExpectRunsTheRenderedShardCount(&coord_world, sliced, "cache hit");
+}
+
+TEST(ExplainShardCountTest, InputsRenderWhatAClusterDispatchReads) {
+  World coord_world(SessionConfig{
+      .num_threads = 2, .store_dir = FreshStoreDir("explain_inputs_store")});
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  World worker_world;
+  cluster::InspectionWorker worker(
+      &worker_world.session,
+      {.worker_id = "w-0", .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  // A sliced assignment reads no tier: every input is extracted live.
+  Result<InspectionPlan> sliced = coord_world.session.ExplainAnalyze(
+      PearsonRequest(4));
+  ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+  std::string text = sliced->ToText();
+  EXPECT_TRUE(Contains(text, "cluster: dispatch (sliced)")) << text;
+  EXPECT_EQ(CountOf(text, "tier=live (sliced assignments read no tier)"), 2u)
+      << text;
+  EXPECT_FALSE(Contains(text, "tier=miss")) << text;
+  EXPECT_TRUE(sliced->AllDivergences().empty()) << text;
+
+  // A whole job reads its worker's store, which the coordinator never
+  // peeks.
+  InspectRequest whole = PearsonRequest(4);
+  whole.options->streaming = true;
+  Result<InspectionPlan> whole_plan = coord_world.session.Explain(whole);
+  ASSERT_TRUE(whole_plan.ok()) << whole_plan.status().ToString();
+  text = whole_plan->ToText();
+  EXPECT_TRUE(Contains(text, "cluster: dispatch (whole job)")) << text;
+  EXPECT_EQ(CountOf(text, "tier=worker w-0's store"), 2u) << text;
+  EXPECT_FALSE(Contains(text, "tier=miss")) << text;
+
+  // Without a coordinator the local tiers are peeked, as before.
+  worker.Shutdown();
+  coordinator.Shutdown();
+  Result<InspectionPlan> local = coord_world.session.Explain(whole);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_TRUE(Contains(local->ToText(), "tier=miss (will extract)"))
+      << local->ToText();
 }
 
 // ---------------------------------------------------------------------------
