@@ -119,10 +119,9 @@ int main(int argc, char** argv) {
   worker.Shutdown();
   const cluster::WorkerStats stats = worker.stats();
   std::printf(
-      "worker %s: %zu assignments received, %zu completed, %zu failed, "
-      "%zu keymap updates\nclean shutdown\n",
+      "worker %s: %zu assignments received, %zu completed, %zu failed\n"
+      "clean shutdown\n",
       worker.id().c_str(), stats.assignments_received,
-      stats.assignments_completed, stats.assignments_failed,
-      stats.keymap_updates);
+      stats.assignments_completed, stats.assignments_failed);
   return 0;
 }

@@ -99,6 +99,25 @@ if grep -nwE "$LANE_RULES" $(echo "$SRC_FILES" | grep -v '^src/core/block_pipeli
   exit 1
 fi
 
+# One plain Matrix: a Matrix holds its rows, cols, lda and base pointer
+# and owns element access, over an owned aligned buffer or a shared
+# read-only payload (BehaviorStore's mmap handout). No storage class
+# hierarchy sits behind it and no view tier beside it: src/tensor declares
+# nothing virtual, and the deleted store and view names stay deleted.
+if grep -rnw virtual src/tensor; then
+  echo "lint: the lines above put a virtual call under src/tensor. Matrix" \
+       "owns element access through its own base pointer; keep it a plain" \
+       "load."
+  exit 1
+fi
+DELETED_TENSOR_NAMES='MatrixStore|MemMatrixStore|MmapMatrixStore|VirtualMatrixStore|matrix_store|RowSliceView|GatherColsView|Materialized|shared_store'
+if grep -rnwE "$DELETED_TENSOR_NAMES" src; then
+  echo "lint: the lines above name a deleted matrix store class or view." \
+       "Matrix owns element access (its owned buffer or shared read-only" \
+       "payload); copy rows with RowSlice/GatherCols instead of a view."
+  exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 

@@ -214,32 +214,6 @@ ClusterCoordinator::LiveWorkersLocked() const {
   return live;
 }
 
-void ClusterCoordinator::PushStoreKeymap() {
-  wire::StoreKeymapWire keymap;
-  std::vector<std::shared_ptr<Worker>> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    live = LiveWorkersLocked();
-    std::vector<std::string> ids;
-    ids.reserve(live.size());
-    for (const auto& worker : live) ids.push_back(worker->id);
-    for (const std::string& model : session_->catalog().ModelNames()) {
-      keymap.placements.emplace_back("unit:" + model, PlaceKey("unit:" + model, ids));
-    }
-    for (const std::string& set : session_->catalog().HypothesisSetNames()) {
-      keymap.placements.emplace_back("hyp:" + set, PlaceKey("hyp:" + set, ids));
-    }
-    keymap_ = keymap.placements;
-    ++stats_.keymap_pushes;
-  }
-  wire::Writer w;
-  wire::EncodeStoreKeymap(keymap, &w);
-  const std::string payload = w.Take();
-  for (const auto& worker : live) {
-    SendToWorker(worker, wire::MsgType::kStoreKeymap, 0, payload);
-  }
-}
-
 void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
   // Handshake: the first frame must be kWorkerHello with our protocol
   // version; anything else gets a typed error and the connection closes
@@ -278,7 +252,6 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
                        frame.request_id, w.bytes())) {
         registered = true;
         cv_.notify_all();
-        PushStoreKeymap();  // membership changed
       }
     }
   }
@@ -350,6 +323,9 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
         cv_.notify_all();
         break;
       }
+      case wire::MsgType::kError:
+        // Never answered: a reply would be answered in turn, forever.
+        break;
       default: {
         // Forward compatibility: unknown frame types are answered with a
         // typed error and the connection stays alive (same rule as the
@@ -371,26 +347,21 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
     std::lock_guard<std::mutex> lock(mu_);
     MarkWorkerDeadLocked(worker);
   }
-  PushStoreKeymap();  // membership changed
   ::shutdown(worker->fd, SHUT_RDWR);
 }
 
 void ClusterCoordinator::MonitorLoop() {
   while (!closing_.load(std::memory_order_acquire)) {
-    bool membership_changed = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const auto now = Clock::now();
       const auto timeout = Seconds(config_.heartbeat_timeout_s);
       for (const auto& worker : workers_) {
-        if (!worker->alive) continue;
-        if (now - worker->last_heartbeat > timeout) {
+        if (worker->alive && now - worker->last_heartbeat > timeout) {
           MarkWorkerDeadLocked(worker);
-          membership_changed = true;
         }
       }
     }
-    if (membership_changed) PushStoreKeymap();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
@@ -903,13 +874,6 @@ std::vector<std::string> ClusterCoordinator::worker_ids() const {
 size_t ClusterCoordinator::num_workers() const {
   std::lock_guard<std::mutex> lock(mu_);
   return LiveWorkersLocked().size();
-}
-
-std::string ClusterCoordinator::PlaceStoreKey(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> ids;
-  for (const auto& worker : LiveWorkersLocked()) ids.push_back(worker->id);
-  return PlaceKey(key, ids);
 }
 
 CoordinatorStats ClusterCoordinator::stats() const {

@@ -120,7 +120,6 @@ struct CoordinatorStats {
   size_t jobs_local_fallback = 0;  ///< inline-pointer requests run locally
   size_t jobs_degraded_local = 0;  ///< kUnavailable rescued by local engine
   size_t jobs_failed = 0;
-  size_t keymap_pushes = 0;
 };
 
 /// \brief The coordinator. The session is not owned and must outlive it;
@@ -149,11 +148,6 @@ class ClusterCoordinator {
   /// \brief Live (heartbeating) workers, sorted by id.
   std::vector<std::string> worker_ids() const;
   size_t num_workers() const;
-
-  /// \brief Rendezvous owner of a behavior-store key among live workers
-  /// (empty when none). The same map is pushed to workers as kStoreKeymap
-  /// on every membership change.
-  std::string PlaceStoreKey(const std::string& key) const;
 
   CoordinatorStats stats() const;
 
@@ -225,10 +219,6 @@ class ClusterCoordinator {
   std::shared_ptr<Worker> FindWorkerLocked(const std::string& id) const;
   std::vector<std::shared_ptr<Worker>> LiveWorkersLocked() const;
 
-  /// Recompute the store key → worker placement over live workers and
-  /// push it to every live worker. Called on membership changes.
-  void PushStoreKeymap();
-
   /// The engine hook's run: execute a planned job as PlanDispatch decides
   /// (local fallback and degradation RunPlan its pipeline). `plan` is
   /// job.compiled with the run's substrate, cancel, progress and tracer.
@@ -259,7 +249,6 @@ class ClusterCoordinator {
   /// assignment id → (owning run, index into its assignments).
   std::map<uint64_t, std::pair<std::shared_ptr<RunState>, size_t>>
       assignment_index_;
-  std::vector<std::pair<std::string, std::string>> keymap_;
   CoordinatorStats stats_;
 };
 

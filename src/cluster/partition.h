@@ -1,8 +1,8 @@
 // Deterministic partitioning primitives for the inspection cluster:
 // contiguous shard-range assignment (the unit of distributed work) and
-// rendezvous (highest-random-weight) key placement for the behavior
-// store's key -> worker map. Both are pure functions of their inputs, so
-// every process in the cluster computes the same answers.
+// rendezvous (highest-random-weight) key placement, which pins a whole
+// job to one worker (`job:<dataset>`). Both are pure functions of their
+// inputs, so every process in the cluster computes the same answers.
 
 #pragma once
 

@@ -143,16 +143,9 @@ void InspectionWorker::ReaderLoop() {
         cv_.notify_all();
         break;
       }
-      case wire::MsgType::kStoreKeymap: {
-        wire::Reader r(frame.payload);
-        wire::StoreKeymapWire keymap;
-        if (wire::DecodeStoreKeymap(&r, &keymap) && r.exhausted()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          keymap_ = std::move(keymap.placements);
-          ++stats_.keymap_updates;
-        }
+      case wire::MsgType::kError:
+        // Never answered: a reply would be answered in turn, forever.
         break;
-      }
       default: {
         // Forward compatibility (the wire protocol's rule for every peer):
         // an unknown frame type is answered with a typed error and the
@@ -423,12 +416,6 @@ bool InspectionWorker::connected() const {
   return running_.load(std::memory_order_acquire) &&
          !broken_.load(std::memory_order_acquire) &&
          !closing_.load(std::memory_order_acquire);
-}
-
-std::vector<std::pair<std::string, std::string>> InspectionWorker::keymap()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return keymap_;
 }
 
 WorkerStats InspectionWorker::stats() const {

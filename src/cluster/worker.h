@@ -49,7 +49,7 @@ namespace cluster {
 /// \brief Worker construction knobs.
 struct WorkerConfig {
   /// Cluster-wide identity; empty = "worker-<pid>". Also the rendezvous
-  /// name the coordinator's store keymap places keys on.
+  /// name the coordinator places whole jobs on.
   std::string worker_id;
   std::string coordinator_host = "127.0.0.1";
   uint16_t coordinator_port = 0;
@@ -66,7 +66,6 @@ struct WorkerStats {
   size_t assignments_received = 0;
   size_t assignments_completed = 0;  ///< result sent with OK status
   size_t assignments_failed = 0;     ///< result sent with error status
-  size_t keymap_updates = 0;
 };
 
 /// \brief One worker process's cluster client. The session is not owned
@@ -99,9 +98,6 @@ class InspectionWorker {
 
   const std::string& id() const { return config_.worker_id; }
   bool connected() const;
-
-  /// \brief The last kStoreKeymap push received (key → owning worker id).
-  std::vector<std::pair<std::string, std::string>> keymap() const;
 
   WorkerStats stats() const;
 
@@ -148,7 +144,6 @@ class InspectionWorker {
   /// heartbeat thread under mu_ so id and counters stay coherent.
   uint64_t active_assignment_ = 0;
   ProgressCounter progress_;
-  std::vector<std::pair<std::string, std::string>> keymap_;
   WorkerStats stats_;
 };
 

@@ -1,5 +1,10 @@
 #include "core/behavior_store.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -32,10 +37,10 @@ constexpr uint32_t kBlobMagic = 0x44425342;     // "DBSB"
 
 // The v2 behavior-file layout places the raw float payload (packed
 // logical rows×cols, row-major) at the first 64-byte boundary after the
-// header, so MmapMatrixStore can serve it in place: mapped pages are
-// cache-line aligned like MemMatrixStore allocations. It is the only
-// layout: a file with any other magic fails validation and is
-// quarantined like any corrupt file.
+// header, so MapPayload can serve it in place: mapped pages are cache-line
+// aligned like owned Matrix buffers. It is the only layout: a file with
+// any other magic fails validation and is quarantined like any corrupt
+// file.
 constexpr size_t kPayloadAlign = 64;
 
 size_t AlignUp(size_t n, size_t align) {
@@ -48,6 +53,32 @@ size_t AlignUp(size_t n, size_t align) {
 size_t V2PayloadOffset(size_t key_len) {
   return AlignUp(sizeof(uint32_t) + 4 * sizeof(uint64_t) + key_len,
                  kPayloadAlign);
+}
+
+// Map the packed `rows`×`cols` float payload at byte `payload_offset` of
+// `path` read-only, as a Matrix that shares the mapping (unmapped with its
+// last copy); the page cache streams it. Null on I/O failure or when the
+// opened file is too short.
+std::shared_ptr<const Matrix> MapPayload(const std::string& path,
+                                         size_t payload_offset, size_t rows,
+                                         size_t cols) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return nullptr;
+  const size_t len = payload_offset + rows * cols * sizeof(float);
+  struct stat st;
+  void* base = MAP_FAILED;
+  if (fstat(fd, &st) == 0 && static_cast<size_t>(st.st_size) >= len) {
+    base = mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+  }
+  ::close(fd);  // the mapping keeps its own reference
+  if (base == MAP_FAILED) return nullptr;
+  std::shared_ptr<const void> mapping(
+      base, [len](const void* p) { munmap(const_cast<void*>(p), len); });
+  return std::make_shared<const Matrix>(
+      std::move(mapping),
+      reinterpret_cast<const float*>(static_cast<const char*>(base) +
+                                     payload_offset),
+      rows, cols);
 }
 
 uint64_t MatrixChecksum(const Matrix& m) {
@@ -131,7 +162,7 @@ Status BehaviorStore::Put(const std::string& key, const Matrix& behaviors,
     out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
     out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
     // Zero-pad the header so the payload starts 64-byte-aligned — the
-    // precondition for serving the file through MmapMatrixStore.
+    // precondition for serving the file through MapPayload.
     const size_t header_end = sizeof(magic) + 4 * sizeof(uint64_t) + key.size();
     const size_t payload_offset = V2PayloadOffset(key.size());
     const std::string pad(payload_offset - header_end, '\0');
@@ -227,12 +258,11 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
   // Out-of-core handout: map the aligned payload read-only and let the
   // page cache stream it.
   if (OutOfCoreLocked(key, payload_bytes)) {
-    std::shared_ptr<MmapMatrixStore> mapped =
-        MmapMatrixStore::Map(path, payload_offset, rows, cols);
-    if (mapped != nullptr) {
+    if (std::shared_ptr<const Matrix> mapped =
+            MapPayload(path, payload_offset, rows, cols)) {
       ++mmap_hits_;
       if (served_from != nullptr) *served_from = Tier::kMmap;
-      return std::make_shared<const Matrix>(Matrix(std::move(mapped)));
+      return mapped;
     }
     // Map failure degrades to the deserializing path below.
   }

@@ -683,8 +683,8 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   for (Lane& lane : lanes_) lane.scratch = MakeScratch();
   lanes_[0].stats.hyp_extraction_s += hyp_tier_prelude_s_;
 
-  // Materialized: every owned block is extracted once, in parallel, and
-  // stays resident for every pass.
+  // A materialized run extracts every owned block once, in parallel, and
+  // keeps it resident for every pass.
   TraceContext trace{options_.tracer, options_.trace_parent_span};
   std::vector<std::vector<size_t>> resident_idx;
   if (!options_.streaming) {

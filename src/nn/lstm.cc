@@ -192,4 +192,22 @@ void LstmLayer::ZeroGrads() {
   db_.Fill(0);
 }
 
+Result<std::vector<Matrix>> ReadWeights(
+    std::istream* in, const std::vector<std::pair<size_t, size_t>>& shapes) {
+  std::vector<Matrix> weights;
+  weights.reserve(shapes.size());
+  for (const auto& [rows, cols] : shapes) {
+    DB_ASSIGN_OR_RETURN(Matrix w, ReadMatrix(in));
+    if (w.rows() != rows || w.cols() != cols) {
+      return Status::Invalid(
+          "weight " + std::to_string(weights.size()) + " is " +
+          std::to_string(w.rows()) + "x" + std::to_string(w.cols()) +
+          ", the architecture needs " + std::to_string(rows) + "x" +
+          std::to_string(cols));
+    }
+    weights.push_back(std::move(w));
+  }
+  return weights;
+}
+
 }  // namespace deepbase

@@ -4,6 +4,8 @@
 
 #pragma once
 
+#include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -80,5 +82,12 @@ class LstmLayer {
   size_t input_dim_, hidden_dim_;
   mutable Matrix dwx_, dwh_, db_;
 };
+
+/// \brief Read a model file's weights: one WriteMatrix record per entry of
+/// `shapes` (rows, cols), in order, each required to have that shape
+/// (Invalid otherwise). Model Load reads every weight before it builds the
+/// model, so it never allocates from header sizes the file does not hold.
+Result<std::vector<Matrix>> ReadWeights(
+    std::istream* in, const std::vector<std::pair<size_t, size_t>>& shapes);
 
 }  // namespace deepbase

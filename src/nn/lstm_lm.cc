@@ -233,17 +233,26 @@ Result<LstmLm> LstmLm::Load(const std::string& path) {
   if (!in || magic != kLstmLmMagic) {
     return Status::Invalid("not a DeepBase LstmLm file: " + path);
   }
-  if (vocab == 0 || hidden == 0 || layers == 0 || layers > 64) {
+  if (vocab == 0 || hidden == 0 || hidden > (1u << 16) || layers == 0 ||
+      layers > 64) {
     return Status::Invalid("implausible model header in " + path);
   }
-  LstmLm model(vocab, hidden, layers, /*seed=*/0);
-  for (LstmLayer& layer : model.layers_) {
-    DB_ASSIGN_OR_RETURN(layer.wx, ReadMatrix(&in));
-    DB_ASSIGN_OR_RETURN(layer.wh, ReadMatrix(&in));
-    DB_ASSIGN_OR_RETURN(layer.b, ReadMatrix(&in));
+  // Save's order: each layer's wx, wh and b, then wo and bo.
+  const size_t g = 4 * hidden;
+  std::vector<std::pair<size_t, size_t>> shapes;
+  for (uint64_t l = 0; l < layers; ++l) {
+    shapes.insert(shapes.end(),
+                  {{l == 0 ? vocab : hidden, g}, {hidden, g}, {1, g}});
   }
-  DB_ASSIGN_OR_RETURN(model.wo_, ReadMatrix(&in));
-  DB_ASSIGN_OR_RETURN(model.bo_, ReadMatrix(&in));
+  shapes.insert(shapes.end(), {{hidden, vocab}, {1, vocab}});
+  DB_ASSIGN_OR_RETURN(std::vector<Matrix> weights, ReadWeights(&in, shapes));
+  LstmLm model(vocab, hidden, layers, /*seed=*/0);
+  auto w = weights.begin();
+  for (LstmLayer& layer : model.layers_) {
+    for (Matrix* param : layer.Params()) *param = std::move(*w++);
+  }
+  model.wo_ = std::move(*w++);
+  model.bo_ = std::move(*w);
   // Note: specialization callbacks are runtime-only state and not saved.
   return model;
 }

@@ -262,14 +262,21 @@ Result<Seq2Seq> Seq2Seq::Load(const std::string& path) {
   if (src == 0 || tgt == 0 || hidden == 0 || hidden > (1u << 16)) {
     return Status::Invalid("implausible model header in " + path);
   }
+  // Save's order: enc0, enc1 and dec (wx, wh, b each), then wo and bo.
+  const size_t g = 4 * hidden;
+  DB_ASSIGN_OR_RETURN(
+      std::vector<Matrix> weights,
+      ReadWeights(&in, {{src, g}, {hidden, g}, {1, g},
+                        {hidden, g}, {hidden, g}, {1, g},
+                        {tgt, g}, {hidden, g}, {1, g},
+                        {2 * hidden, tgt}, {1, tgt}}));
   Seq2Seq model(src, tgt, hidden, /*seed=*/0);
+  auto w = weights.begin();
   for (LstmLayer* layer : {&model.enc0_, &model.enc1_, &model.dec_}) {
-    DB_ASSIGN_OR_RETURN(layer->wx, ReadMatrix(&in));
-    DB_ASSIGN_OR_RETURN(layer->wh, ReadMatrix(&in));
-    DB_ASSIGN_OR_RETURN(layer->b, ReadMatrix(&in));
+    for (Matrix* param : layer->Params()) *param = std::move(*w++);
   }
-  DB_ASSIGN_OR_RETURN(model.wo_, ReadMatrix(&in));
-  DB_ASSIGN_OR_RETURN(model.bo_, ReadMatrix(&in));
+  model.wo_ = std::move(*w++);
+  model.bo_ = std::move(*w);
   return model;
 }
 

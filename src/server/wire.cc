@@ -618,24 +618,5 @@ bool DecodeWorkerProgress(Reader* r, WorkerProgressWire* progress) {
   return r->ok();
 }
 
-void EncodeStoreKeymap(const StoreKeymapWire& keymap, Writer* w) {
-  w->U32(static_cast<uint32_t>(keymap.placements.size()));
-  for (const auto& [key, owner] : keymap.placements) {
-    w->Str(key);
-    w->Str(owner);
-  }
-}
-
-bool DecodeStoreKeymap(Reader* r, StoreKeymapWire* keymap) {
-  const uint32_t n = r->U32();
-  keymap->placements.clear();
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    std::string key = r->Str();
-    std::string owner = r->Str();
-    keymap->placements.emplace_back(std::move(key), std::move(owner));
-  }
-  return r->ok();
-}
-
 }  // namespace wire
 }  // namespace deepbase

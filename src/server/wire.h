@@ -60,11 +60,11 @@ enum class MsgType : uint16_t {
   kMetrics = 9,  ///< metrics-registry scrape (payload: one format byte)
 
   // Cluster requests (worker -> coordinator, and coordinator -> worker
-  // for kAssign / kStoreKeymap; same framing, same band).
+  // for kAssign; same framing, same band). 19 is retired (it carried a
+  // store keymap no peer read); never reuse it.
   kWorkerHello = 16,      ///< worker registration (id + catalog version)
   kWorkerHeartbeat = 17,  ///< liveness tick (worker -> coordinator)
   kAssign = 18,           ///< block-range assignment (coordinator -> worker)
-  kStoreKeymap = 19,      ///< behavior-store key->worker placement map
 
   // Introspection requests (client -> server).
   kExplain = 20,  ///< EXPLAIN [ANALYZE]: flags byte + encoded InspectRequest
@@ -318,16 +318,6 @@ struct WorkerProgressWire {
 
 void EncodeWorkerProgress(const WorkerProgressWire& progress, Writer* w);
 bool DecodeWorkerProgress(Reader* r, WorkerProgressWire* progress);
-
-/// \brief kStoreKeymap payload: behavior-store key -> owning worker id,
-/// pushed by the coordinator so each worker knows where a unit's stored
-/// behaviors live (parameter-server key placement).
-struct StoreKeymapWire {
-  std::vector<std::pair<std::string, std::string>> placements;
-};
-
-void EncodeStoreKeymap(const StoreKeymapWire& keymap, Writer* w);
-bool DecodeStoreKeymap(Reader* r, StoreKeymapWire* keymap);
 
 }  // namespace wire
 }  // namespace deepbase

@@ -21,7 +21,7 @@
 #include "core/behavior_store.h"
 #include "core/inspect_parser.h"
 #include "service/scheduler.h"
-#include "tensor/matrix_store.h"
+#include "tensor/matrix.h"
 #include "tensor/simd.h"
 #include "util/failpoint.h"
 #include "util/fnv.h"

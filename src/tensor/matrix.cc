@@ -5,6 +5,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <new>
 #include <ostream>
 #include <sstream>
 
@@ -199,58 +200,79 @@ inline void ForEachMutSpan(Matrix* m, F f) {
 
 }  // namespace
 
-Matrix::Matrix(size_t rows, size_t cols, float fill) {
+size_t PaddedLda(size_t cols) {
+  if (cols <= 1) return cols;
+  return (cols + vec::kLdaFloats - 1) / vec::kLdaFloats * vec::kLdaFloats;
+}
+
+void Matrix::AlignedDelete::operator()(float* p) const {
+  ::operator delete(p, std::align_val_t(vec::kByteAlign));
+}
+
+void Matrix::Allocate(size_t rows, size_t cols) {
+  const size_t lda = rows * cols > 0 ? PaddedLda(cols) : cols;
+  size_t floats = 0;
+  if (__builtin_mul_overflow(rows, lda, &floats) ||
+      floats > std::numeric_limits<size_t>::max() / sizeof(float)) {
+    throw std::bad_alloc();
+  }
+  float* fresh = nullptr;
+  if (floats > 0) {
+    fresh = static_cast<float*>(::operator new(
+        floats * sizeof(float), std::align_val_t(vec::kByteAlign)));
+    std::memset(fresh, 0, floats * sizeof(float));
+  }
+  buf_.reset(fresh);
+  payload_.reset();
+  base_ = fresh;
+  capacity_ = floats;
   rows_ = rows;
   cols_ = cols;
-  if (size() > 0) {
-    auto store = std::make_shared<MemMatrixStore>(rows, cols);
-    lda_ = store->lda();
-    store_ = std::move(store);
-    if (fill != 0.0f) Fill(fill);
-  } else {
-    lda_ = cols;
-  }
+  lda_ = lda;
+}
+
+Matrix::Matrix(size_t rows, size_t cols, float fill) {
+  Allocate(rows, cols);
+  if (fill != 0.0f) Fill(fill);
 }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<float>> init) {
-  rows_ = init.size();
-  cols_ = rows_ ? init.begin()->size() : 0;
-  if (size() == 0) {
-    lda_ = cols_;
-    return;
-  }
-  auto store = std::make_shared<MemMatrixStore>(rows_, cols_);
-  lda_ = store->lda();
-  float* dst = store->mutable_data();
+  Allocate(init.size(), init.size() ? init.begin()->size() : 0);
   size_t r = 0;
   for (const auto& row : init) {
     DB_DCHECK(row.size() == cols_);
-    std::copy(row.begin(), row.end(), dst + r * lda_);
+    std::copy(row.begin(), row.end(), base_ + r * lda_);
     ++r;
   }
-  store_ = std::move(store);
 }
 
-Matrix::Matrix(std::shared_ptr<MatrixStore> store) {
-  DB_DCHECK(store != nullptr);
-  rows_ = store->rows();
-  cols_ = store->cols();
-  lda_ = store->lda();
-  store_ = std::move(store);
+Matrix::Matrix(std::shared_ptr<const void> owner, const float* data,
+               size_t rows, size_t cols)
+    : rows_(rows),
+      cols_(cols),
+      lda_(cols),
+      // Never written through: every non-const accessor detaches first.
+      base_(const_cast<float*>(data)),
+      payload_(std::move(owner)) {
+  DB_DCHECK(payload_ != nullptr && data != nullptr);
 }
 
-Matrix::Matrix(const Matrix& o) : rows_(o.rows_), cols_(o.cols_), lda_(o.lda_) {
-  if (o.store_ == nullptr) return;
-  if (o.store_->mutable_data() != nullptr) {
-    // Writable mem store: deep copy — plain value semantics, and the two
-    // handles never alias.
-    auto copy = o.store_->Materialize();
-    lda_ = copy->lda();
-    store_ = std::move(copy);
-  } else {
-    // Read-only tier (mmap, view): share the store; any mutating access on
-    // either handle detaches a private copy first.
-    store_ = o.store_;
+Matrix::Matrix(const Matrix& o) {
+  if (o.payload_ != nullptr) {
+    // Shared read-only payload: share it; a mutating access on either
+    // handle detaches a private copy first.
+    rows_ = o.rows_;
+    cols_ = o.cols_;
+    lda_ = o.lda_;
+    base_ = o.base_;
+    payload_ = o.payload_;
+    return;
+  }
+  // Owned buffer: deep copy (plain value semantics; the handles never
+  // alias). Both sides pad to PaddedLda(cols), so the rows copy as one span.
+  Allocate(o.rows_, o.cols_);
+  if (capacity_ > 0) {
+    std::memcpy(base_, o.base_, rows_ * lda_ * sizeof(float));
   }
 }
 
@@ -262,11 +284,26 @@ Matrix& Matrix::operator=(const Matrix& o) {
   return *this;
 }
 
-void Matrix::DetachToMem() {
-  DB_DCHECK(store_ != nullptr);
-  auto copy = store_->Materialize();
-  lda_ = copy->lda();
-  store_ = std::move(copy);
+Matrix::Matrix(Matrix&& o) noexcept { *this = std::move(o); }
+
+Matrix& Matrix::operator=(Matrix&& o) noexcept {
+  buf_ = std::move(o.buf_);
+  payload_ = std::move(o.payload_);
+  base_ = std::exchange(o.base_, nullptr);
+  capacity_ = std::exchange(o.capacity_, 0);
+  rows_ = std::exchange(o.rows_, 0);
+  cols_ = std::exchange(o.cols_, 0);
+  lda_ = std::exchange(o.lda_, 0);
+  return *this;
+}
+
+void Matrix::Detach() {
+  Matrix copy(rows_, cols_);
+  for (size_t r = 0; r < rows_ && !empty(); ++r) {
+    std::memcpy(copy.base_ + r * copy.lda_, base_ + r * lda_,
+                cols_ * sizeof(float));
+  }
+  *this = std::move(copy);
 }
 
 Matrix Matrix::Identity(size_t n) {
@@ -340,21 +377,6 @@ Matrix Matrix::GatherCols(const std::vector<size_t>& cols) const {
     }
   }
   return out;
-}
-
-Matrix Matrix::RowSliceView(size_t begin, size_t end) const {
-  DB_DCHECK(store_ != nullptr && begin <= end && end <= rows_);
-  return Matrix(VirtualMatrixStore::RowSlice(store_, begin, end));
-}
-
-Matrix Matrix::GatherColsView(std::vector<size_t> cols) const {
-  DB_DCHECK(store_ != nullptr);
-  return Matrix(VirtualMatrixStore::GatherCols(store_, std::move(cols)));
-}
-
-Matrix Matrix::Materialized() const {
-  if (store_ == nullptr) return *this;
-  return Matrix(store_->Materialize());
 }
 
 void Matrix::SetRow(size_t r, const Matrix& src) {
@@ -509,25 +531,18 @@ void Matrix::Fill(float v) {
 }
 
 void Matrix::Resize(size_t rows, size_t cols) {
-  if (rows * cols == 0) {
-    rows_ = rows;
-    cols_ = cols;
-    lda_ = cols;
-    store_.reset();
+  const size_t lda = PaddedLda(cols);
+  size_t floats = 0;
+  if (rows * cols == 0 || payload_ != nullptr ||
+      __builtin_mul_overflow(rows, lda, &floats) || floats > capacity_) {
+    // Empty, read-only or too small: values are unspecified after Resize,
+    // so a fresh buffer (none when empty) is equivalent.
+    Allocate(rows, cols);
     return;
-  }
-  auto* mem = dynamic_cast<MemMatrixStore*>(store_.get());
-  if (mem != nullptr && mem->mutable_data() != nullptr) {
-    mem->Resize(rows, cols);
-  } else {
-    // Read-only or absent backing: element values are unspecified after
-    // Resize, so a fresh store is equivalent (and detaches any view).
-    auto fresh = std::make_shared<MemMatrixStore>(rows, cols);
-    store_ = std::move(fresh);
   }
   rows_ = rows;
   cols_ = cols;
-  lda_ = store_->lda();
+  lda_ = lda;
 }
 
 std::string Matrix::ToString(int precision) const {
@@ -696,8 +711,19 @@ Result<Matrix> ReadMatrix(std::istream* in) {
   in->read(reinterpret_cast<char*>(&rows), sizeof(rows));
   in->read(reinterpret_cast<char*>(&cols), sizeof(cols));
   if (!*in) return Status::Invalid("truncated matrix header");
-  if (rows * cols > (uint64_t{1} << 32)) {
-    return Status::Invalid("implausible matrix dimensions");
+  // The payload must be in the stream before the matrix is allocated from
+  // the header's sizes.
+  const std::streampos payload = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::streampos end = in->tellg();
+  in->seekg(payload);
+  if (payload < 0 || end < payload || !*in) {
+    return Status::Invalid("matrix stream is not seekable");
+  }
+  uint64_t floats = 0;
+  if (__builtin_mul_overflow(rows, cols, &floats) ||
+      floats > static_cast<uint64_t>(end - payload) / sizeof(float)) {
+    return Status::Invalid("matrix dimensions exceed the stream");
   }
   Matrix m(rows, cols);
   for (uint64_t r = 0; r < rows && cols > 0; ++r) {

@@ -1,21 +1,27 @@
 // Dense row-major float32 matrix — the numeric substrate for the NN library
 // and for behavior matrices ("skinny and tall" symbol × unit blocks).
 //
-// Matrix is a value-semantics handle over a polymorphic MatrixStore tier
-// (tensor/matrix_store.h): in-RAM stores carry an alignment-padded leading
-// dimension (lda — rows start on 64-byte boundaries so kernels vectorize),
-// mmap stores serve out-of-core behaviors straight from BehaviorStore
-// files, and virtual stores are zero-copy/lazy views. Copying a writable
-// matrix deep-copies (exactly the old std::vector semantics); copying a
-// read-only tier (mmap, view) shares the store, and any mutating access
-// first materializes a private padded copy.
+// A Matrix holds its shape, leading dimension (lda) and base pointer
+// itself — the havok (pointer, rows, cols, lda) layout — over one of two
+// backings:
+//   - an owned buffer: 64-byte-aligned and zero-initialized, with lda
+//     padded by PaddedLda so every row starts on a cache-line boundary and
+//     kernels vectorize. Copies deep-copy; Resize reuses the capacity.
+//   - a shared read-only payload: packed rows×cols floats (lda == cols)
+//     kept alive by an owner handle — BehaviorStore's mmap handout of a
+//     store file. Copies share it; the first non-const access detaches a
+//     private owned, padded copy.
+// Element access is a plain load from the base pointer, with no dispatch.
 //
 // Addressing contract: element (r, c) lives at row_data(r)[c] with
 // row_data(r) = base + r*lda(); the bytes between cols() and lda() of each
 // row are padding that no kernel reads for logical values. There is no
 // whole-matrix data() accessor — anything walking raw memory must go
 // through row_data()/lda() (or check contiguous() first and treat row 0 as
-// a flat span of size() floats).
+// a flat span of size() floats). Serialization never pads: WriteMatrix,
+// ReadMatrix and the BehaviorStore file layout carry logical rows×cols, so
+// blobs round-trip bit-identically across builds with different vector
+// widths.
 
 #pragma once
 
@@ -27,14 +33,20 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/matrix_store.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace deepbase {
 
-/// \brief Dense row-major matrix of floats over a tiered MatrixStore.
+/// \brief Leading dimension for a padded in-memory row: cols rounded up to
+/// a multiple of vec::kLdaFloats (16 floats = one cache line). Matrices of
+/// at most one column stay packed — a single column is already a
+/// contiguous, fully vectorizable array, and padding would multiply the
+/// footprint of tall n×1 behavior vectors by 16.
+size_t PaddedLda(size_t cols);
+
+/// \brief Dense row-major matrix of floats (owned or shared read-only).
 ///
 /// Rows×cols with per-row contiguous storage; behaviors, weights, and
 /// activations in the rest of the library are all Matrix. A Vector is a
@@ -48,14 +60,17 @@ class Matrix {
   /// \brief Construct from nested initializer lists (row-major).
   Matrix(std::initializer_list<std::initializer_list<float>> init);
 
-  /// \brief Adopt an existing store (e.g. an mmap tier handed out by
-  /// BehaviorStore, or a virtual view).
-  explicit Matrix(std::shared_ptr<MatrixStore> store);
+  /// \brief Read-only matrix over `rows`×`cols` packed floats (lda ==
+  /// cols) at `data`, which `owner` keeps alive (BehaviorStore's mmap
+  /// handout holds the file mapping).
+  Matrix(std::shared_ptr<const void> owner, const float* data, size_t rows,
+         size_t cols);
 
   Matrix(const Matrix& o);
   Matrix& operator=(const Matrix& o);
-  Matrix(Matrix&&) noexcept = default;
-  Matrix& operator=(Matrix&&) noexcept = default;
+  /// \brief Moves leave the source an empty 0×0 matrix.
+  Matrix(Matrix&& o) noexcept;
+  Matrix& operator=(Matrix&& o) noexcept;
 
   static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
   static Matrix Ones(size_t rows, size_t cols) {
@@ -78,7 +93,7 @@ class Matrix {
   bool empty() const { return size() == 0; }
 
   /// \brief Leading dimension: the float stride between consecutive rows.
-  /// lda() >= cols(); in-RAM stores pad it to a cache-line multiple.
+  /// lda() >= cols(); owned buffers pad it to a cache-line multiple.
   size_t lda() const { return lda_; }
   /// \brief True when rows are adjacent in memory (lda == cols), so the
   /// whole matrix may be walked as one flat span of size() floats.
@@ -102,9 +117,9 @@ class Matrix {
     return wbase() + r * lda_;
   }
 
-  /// \brief The backing tier ("mem", "mmap", "view") — diagnostics/tests.
-  const char* tier() const { return store_ ? store_->tier() : "mem"; }
-  std::shared_ptr<const MatrixStore> shared_store() const { return store_; }
+  /// \brief The backing — "mem" (owned buffer) or "mmap" (shared
+  /// read-only payload) — for diagnostics and tests.
+  const char* tier() const { return payload_ ? "mmap" : "mem"; }
 
   /// \brief Copy of row r as a 1×cols matrix.
   Matrix Row(size_t r) const;
@@ -114,17 +129,6 @@ class Matrix {
   Matrix RowSlice(size_t begin, size_t end) const;
   /// \brief Copy columns from `cols` (in order) into a new matrix.
   Matrix GatherCols(const std::vector<size_t>& cols) const;
-
-  /// \brief Zero-copy view of rows [begin, end): aliases this matrix's
-  /// storage (writes through the parent stay visible; parent Resize
-  /// invalidates the view). The view itself is read-only — mutating it
-  /// detaches a private copy first.
-  Matrix RowSliceView(size_t begin, size_t end) const;
-  /// \brief Lazy column gather: a zero-copy descriptor that materializes a
-  /// padded copy only when an accessor first needs addressable data.
-  Matrix GatherColsView(std::vector<size_t> cols) const;
-  /// \brief Padded, writable in-memory deep copy (collapses views/mmap).
-  Matrix Materialized() const;
 
   /// \brief Overwrite row r with the first cols() values of src (src must
   /// be contiguous — a row or column vector, or an unpadded matrix).
@@ -187,8 +191,9 @@ class Matrix {
   void Fill(float v);
 
   /// \brief Reshape in place to rows×cols. Element values are unspecified
-  /// afterwards; the backing capacity is reused across calls, so per-block
-  /// scratch buffers (engine gather/hypothesis buffers) avoid reallocating.
+  /// afterwards; an owned buffer's capacity is reused across calls, so
+  /// per-block scratch buffers (engine gather/hypothesis buffers) avoid
+  /// reallocating.
   void Resize(size_t rows, size_t cols);
 
   std::string ToString(int precision = 3) const;
@@ -198,22 +203,29 @@ class Matrix {
   }
 
  private:
-  const float* base() const {
-    DB_DCHECK(store_ != nullptr);
-    return store_->data();
-  }
+  /// Frees the owned buffer (64-byte-aligned operator new).
+  struct AlignedDelete {
+    void operator()(float* p) const;
+  };
+
+  const float* base() const { return base_; }
   float* wbase() {
-    DB_DCHECK(store_ != nullptr);
-    float* w = store_->mutable_data();
-    if (w != nullptr) return w;
-    DetachToMem();
-    return store_->mutable_data();
+    if (payload_ != nullptr) Detach();
+    return base_;
   }
-  /// \brief Replace a read-only store with a private padded copy.
-  void DetachToMem();
+  /// \brief Become an owned rows×cols matrix over a fresh zeroed buffer,
+  /// dropping the previous backing.
+  void Allocate(size_t rows, size_t cols);
+  /// \brief Replace a shared read-only payload with an owned padded copy.
+  void Detach();
 
   size_t rows_ = 0, cols_ = 0, lda_ = 0;
-  std::shared_ptr<MatrixStore> store_;
+  float* base_ = nullptr;
+  /// Owned backing: rows_*lda_ <= capacity_ floats.
+  std::unique_ptr<float[], AlignedDelete> buf_;
+  size_t capacity_ = 0;
+  /// Shared read-only backing's owner (null for an owned matrix).
+  std::shared_ptr<const void> payload_;
 };
 
 /// \brief Matrix product a×b (cache-friendly i-k-j order, vectorized over
@@ -247,7 +259,9 @@ float MaxAbsDiff(const Matrix& a, const Matrix& b);
 /// written by any build round-trip bit-identically with pre-padding blobs
 /// and across builds with different vector widths.
 void WriteMatrix(const Matrix& m, std::ostream* out);
-/// \brief Inverse of WriteMatrix; Invalid on malformed input.
+/// \brief Inverse of WriteMatrix; Invalid on malformed input. Sizes are
+/// overflow-checked, and nothing is allocated before the (seekable) stream
+/// is known to hold the whole payload.
 Result<Matrix> ReadMatrix(std::istream* in);
 
 }  // namespace deepbase

@@ -32,8 +32,8 @@
 namespace deepbase {
 namespace vec {
 
-/// Allocation alignment of every MemMatrixStore buffer (one cache line;
-/// also the widest vector register on current x86).
+/// Alignment of every owned Matrix buffer (one cache line; also the
+/// widest vector register on current x86).
 inline constexpr size_t kByteAlign = 64;
 
 /// Leading-dimension padding unit in floats: rows start on 64-byte

@@ -9,10 +9,14 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <utility>
 
 #include "core/engine.h"
 #include "measures/scores.h"
 #include "nn/lstm_lm.h"
+#include "tensor/simd.h"
 #include "util/fnv.h"
 #include "util/rng.h"
 
@@ -603,6 +607,62 @@ TEST_F(StoreFixture, MmapHandoutSurvivesStoreDeletion) {
   EXPECT_FALSE(store.Contains("doomed"));
   // POSIX keeps mapped pages alive after unlink; the data stays readable.
   EXPECT_EQ((**shared)(63, 39), m(63, 39));
+}
+
+TEST_F(StoreFixture, MmapHandoutCopiesShareThePayloadUntilTheFirstWrite) {
+  // The shared read-only backing's contract: copies share the mapping; the
+  // first non-const access detaches an owned, padded copy; the handout
+  // and the file never change.
+  BehaviorStore store(dir_.string(), /*memory_budget_bytes=*/4096);
+  const Matrix m = TestMatrix(64, 40, 6);
+  ASSERT_TRUE(store.Put("shared", m).ok());
+  auto store_files = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().string()].assign(
+          std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+  };
+  const auto files_before = store_files();
+  Result<std::shared_ptr<const Matrix>> shared = store.GetShared("shared");
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  const Matrix& handout = **shared;
+  ASSERT_STREQ(handout.tier(), "mmap");
+
+  Matrix copy = handout;
+  EXPECT_STREQ(copy.tier(), "mmap");
+  EXPECT_EQ(std::as_const(copy).row_data(0), handout.row_data(0));
+
+  // The first non-const access: an owned buffer, rows on 64-byte
+  // boundaries, zero padding, the same logical values.
+  const float* detached = copy.row_data(0);
+  EXPECT_STREQ(copy.tier(), "mem");
+  EXPECT_NE(detached, handout.row_data(0));
+  EXPECT_EQ(copy.lda(), PaddedLda(copy.cols()));
+  for (size_t r = 0; r < copy.rows(); ++r) {
+    const float* row = std::as_const(copy).row_data(r);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(row) % vec::kByteAlign, 0u);
+    for (size_t c = 0; c < copy.cols(); ++c) ASSERT_EQ(row[c], m(r, c));
+    for (size_t c = copy.cols(); c < copy.lda(); ++c) {
+      ASSERT_EQ(row[c], 0.0f);
+    }
+  }
+  copy(0, 0) = m(0, 0) + 1.0f;
+  EXPECT_EQ(handout(0, 0), m(0, 0));
+  EXPECT_STREQ(handout.tier(), "mmap");
+  EXPECT_EQ(store_files(), files_before);
+
+  // Resize within the capacity keeps the buffer; past it, it reallocates,
+  // still aligned.
+  copy.Resize(10, 20);
+  EXPECT_EQ(std::as_const(copy).row_data(0), detached);
+  copy.Resize(128, 64);
+  EXPECT_NE(std::as_const(copy).row_data(0), detached);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(std::as_const(copy).row_data(0)) %
+                vec::kByteAlign,
+            0u);
 }
 
 TEST_F(StoreFixture, PeekTierPredictsTheTierGetSharedServes) {

@@ -9,9 +9,15 @@
 // mid-job — with the same block counts and final progress as the local
 // run. Failure semantics (no workers → kUnavailable, inline-pointer
 // requests → local fallback, the hypothesis output-format pre-flight) and
-// sequential-lane pinning (whole-mode jobs) ride along.
+// sequential-lane pinning (whole-mode jobs) ride along, as does the peer
+// protocol rule that neither side answers a kError frame.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,7 +342,7 @@ TEST(ClusterWireTest, AssignResultRoundTripsStatesAndStatus) {
   EXPECT_EQ(decoded.status.message(), "worker overloaded");
 }
 
-TEST(ClusterWireTest, HelloProgressAndKeymapRoundTrip) {
+TEST(ClusterWireTest, HelloAndProgressRoundTrip) {
   wire::WorkerHelloWire hello;
   hello.worker_id = "w-7";
   hello.catalog_version = 12;
@@ -361,15 +368,6 @@ TEST(ClusterWireTest, HelloProgressAndKeymapRoundTrip) {
   EXPECT_EQ(progress2.assignment_id, 3u);
   EXPECT_EQ(progress2.blocks_processed, 17u);
   EXPECT_EQ(progress2.records_processed, 272u);
-
-  wire::StoreKeymapWire keymap;
-  keymap.placements = {{"unit:lm", "w-1"}, {"hyp:is_a", "w-2"}};
-  wire::Writer w3;
-  wire::EncodeStoreKeymap(keymap, &w3);
-  wire::Reader r3(w3.bytes());
-  wire::StoreKeymapWire keymap2;
-  ASSERT_TRUE(wire::DecodeStoreKeymap(&r3, &keymap2));
-  EXPECT_EQ(keymap2.placements, keymap.placements);
 }
 
 // ---------------------------------------------------------------------------
@@ -932,49 +930,6 @@ TEST(ClusterEndToEndTest, HypothesisOutputFormatIsCheckedBeforeDispatch) {
   coordinator.Shutdown();
 }
 
-TEST(ClusterEndToEndTest, StoreKeymapReachesEveryWorker) {
-  World coord_world;
-  cluster::ClusterCoordinator coordinator(&coord_world.session,
-                                          {.install_engine = false});
-  ASSERT_TRUE(coordinator.Start().ok());
-
-  World w1, w2;
-  cluster::InspectionWorker worker1(&w1.session,
-                                    {.worker_id = "w-1",
-                                     .coordinator_port = coordinator.port()});
-  cluster::InspectionWorker worker2(&w2.session,
-                                    {.worker_id = "w-2",
-                                     .coordinator_port = coordinator.port()});
-  ASSERT_TRUE(worker1.Connect().ok());
-  ASSERT_TRUE(worker2.Connect().ok());
-  ASSERT_TRUE(WaitForWorkers(coordinator, 2));
-
-  // Both workers eventually hold the membership-complete placement map.
-  auto find_placement = [](const cluster::InspectionWorker& worker,
-                           const std::string& key) -> std::string {
-    for (const auto& [k, owner] : worker.keymap()) {
-      if (k == key) return owner;
-    }
-    return "";
-  };
-  std::string owner1, owner2;
-  for (int i = 0; i < 5000; ++i) {
-    owner1 = find_placement(worker1, "unit:planted");
-    owner2 = find_placement(worker2, "unit:planted");
-    const std::string expected = coordinator.PlaceStoreKey("unit:planted");
-    if (!owner1.empty() && owner1 == owner2 && owner1 == expected) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_FALSE(owner1.empty());
-  EXPECT_EQ(owner1, owner2);
-  EXPECT_EQ(owner1, coordinator.PlaceStoreKey("unit:planted"));
-  EXPECT_TRUE(owner1 == "w-1" || owner1 == "w-2");
-
-  worker1.Shutdown();
-  worker2.Shutdown();
-  coordinator.Shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Graceful degradation: availability over scale-out.
 // ---------------------------------------------------------------------------
@@ -1080,6 +1035,128 @@ TEST(ClusterDegradationTest, InjectedDispatchFaultDegradesButDeadlineNever) {
   EXPECT_EQ(coordinator.stats().jobs_degraded_local, 1u);
   EXPECT_EQ(coordinator.stats().jobs_failed, 1u);
   coordinator.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Peer protocol: an error frame is never answered, so one kError cannot
+// start an exchange that never ends. A raw socket plays the other peer.
+// ---------------------------------------------------------------------------
+
+// The first kError frame `fd` delivers within `timeout_ms` (other frames,
+// such as heartbeats, are skipped); nullopt when none arrives.
+std::optional<wire::Frame> NextErrorFrame(int fd, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    pollfd pfd{fd, POLLIN, 0};
+    if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) {
+      return std::nullopt;
+    }
+    wire::Frame frame;
+    const Status st = wire::ReadFrame(fd, &frame);
+    if (!st.ok()) {
+      ADD_FAILURE() << "peer connection broke: " << st.ToString();
+      return std::nullopt;
+    }
+    if (frame.type == wire::MsgType::kError) return frame;
+  }
+}
+
+// Send one kError, expect no answer, then show the connection still
+// works: an unknown frame type is answered with a kError for its id.
+void ExpectErrorIsNeverAnswered(int fd) {
+  wire::Writer error;
+  wire::EncodeStatus(Status::DataLoss("injected"), &error);
+  ASSERT_TRUE(
+      wire::WriteFrame(fd, wire::MsgType::kError, 41, error.bytes()).ok());
+  std::optional<wire::Frame> reply = NextErrorFrame(fd, 300);
+  EXPECT_FALSE(reply.has_value())
+      << "kError answered with kError for request " << reply->request_id;
+
+  ASSERT_TRUE(
+      wire::WriteFrame(fd, static_cast<wire::MsgType>(250), 42, "").ok());
+  reply = NextErrorFrame(fd, 5000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->request_id, 42u);
+}
+
+TEST(ClusterProtocolTest, CoordinatorNeverAnswersAnErrorFrame) {
+  World world;
+  cluster::ClusterCoordinator coordinator(
+      &world.session, {.heartbeat_timeout_s = 30, .install_engine = false});
+  ASSERT_TRUE(coordinator.Start().ok());
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(coordinator.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // Register as a worker.
+  wire::WorkerHelloWire hello;
+  hello.worker_id = "raw";
+  wire::Writer w;
+  wire::EncodeWorkerHello(hello, &w);
+  ASSERT_TRUE(
+      wire::WriteFrame(fd, wire::MsgType::kWorkerHello, 1, w.bytes()).ok());
+  wire::Frame ack;
+  ASSERT_TRUE(wire::ReadFrame(fd, &ack).ok());
+  ASSERT_EQ(ack.type, wire::MsgType::kWorkerHelloOk);
+
+  ExpectErrorIsNeverAnswered(fd);
+  EXPECT_EQ(coordinator.worker_ids(), std::vector<std::string>{"raw"});
+  ::close(fd);
+  coordinator.Shutdown();
+}
+
+TEST(ClusterProtocolTest, WorkerNeverAnswersAnErrorFrame) {
+  // Play the coordinator: a loopback listener the real worker dials.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  World world;
+  cluster::InspectionWorker worker(
+      &world.session,
+      {.worker_id = "w-raw", .coordinator_port = ntohs(addr.sin_port)});
+  // Connect() blocks on the handshake ack, so the coordinator side of the
+  // handshake runs beside it.
+  int fd = -1;
+  std::thread coordinator_side([&] {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+    wire::Frame hello;
+    wire::Writer ack;
+    ack.U64(0);  // catalog version
+    ack.U32(1);  // live workers
+    if (fd < 0 || !wire::ReadFrame(fd, &hello).ok() ||
+        hello.type != wire::MsgType::kWorkerHello ||
+        !wire::WriteFrame(fd, wire::MsgType::kWorkerHelloOk,
+                          hello.request_id, ack.bytes())
+             .ok()) {
+      if (fd >= 0) ::close(fd);
+      fd = -1;
+    }
+  });
+  const Status connected = worker.Connect();
+  coordinator_side.join();
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  ASSERT_GE(fd, 0);
+
+  ExpectErrorIsNeverAnswered(fd);
+  EXPECT_TRUE(worker.connected());
+  worker.Shutdown();
+  ::close(fd);
+  ::close(listen_fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <utility>
 
 #include "core/extractors.h"
 #include "data/translation_corpus.h"
@@ -174,6 +178,94 @@ TEST(MatrixSerializationTest, RoundTrip) {
 TEST(MatrixSerializationTest, TruncatedInputFails) {
   std::stringstream buf("short");
   EXPECT_FALSE(ReadMatrix(&buf).ok());
+}
+
+TEST(MatrixSerializationTest, HeaderTheStreamDoesNotHoldIsInvalid) {
+  // Each header is followed by 8 payload bytes. Sizes are overflow-checked
+  // and compared with what the stream still holds before anything is
+  // allocated. The wrapping header comes first: it dies on a null store
+  // where sizes are not checked, before the large allocations below it.
+  const std::vector<std::pair<uint64_t, uint64_t>> headers = {
+      {uint64_t{1} << 33, uint64_t{1} << 31},  // rows*cols wraps to 0
+      {uint64_t{1} << 31, 2},  // 16 GiB of payload, 128 GiB padded
+      {uint64_t{1} << 32, 1},  // 16 GiB
+      {3, 4}};                 // 48 bytes
+  const float payload[2] = {1.5f, -2.0f};
+  auto stream = [&](uint64_t rows, uint64_t cols) {
+    std::stringstream buf;
+    buf.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+    buf.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+    buf.write(reinterpret_cast<const char*>(payload), sizeof(payload));
+    return buf;
+  };
+  for (const auto& [rows, cols] : headers) {
+    std::stringstream buf = stream(rows, cols);
+    Result<Matrix> m = ReadMatrix(&buf);
+    ASSERT_FALSE(m.ok()) << rows << "x" << cols;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The bound is exact: a 1×2 header is held by the same 8 bytes.
+  std::stringstream exact_buf = stream(1, 2);
+  Result<Matrix> exact = ReadMatrix(&exact_buf);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ((*exact)(0, 1), -2.0f);
+}
+
+// A model file: magic, u64 header fields, then one WriteMatrix per weight.
+void WriteModelFile(const std::string& path, uint32_t magic,
+                    const std::vector<uint64_t>& header,
+                    const std::vector<Matrix>& weights) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  for (const uint64_t field : header) {
+    out.write(reinterpret_cast<const char*>(&field), sizeof(field));
+  }
+  for (const Matrix& w : weights) WriteMatrix(w, &out);
+}
+
+TEST(LstmLmSerializationTest, RejectsWeightsTheHeaderDoesNotDescribe) {
+  const std::string path = "/tmp/deepbase_lm_shapes.bin";
+  constexpr uint32_t kMagic = 0x44424C4D;  // "DBLM"
+  // vocab 5, hidden 4, one layer: wx is 5×16, wh 4×16, b 1×16, wo 4×5,
+  // bo 1×5.
+  WriteModelFile(path, kMagic, {5, 4, 1},
+                 {Matrix(5, 16), Matrix(4, 16), Matrix(1, 16), Matrix(4, 5),
+                  Matrix(1, 5)});
+  EXPECT_TRUE(LstmLm::Load(path).ok());
+  // A 1×1 wx would load and abort the first HiddenStates call.
+  WriteModelFile(path, kMagic, {5, 4, 1},
+                 {Matrix(1, 1), Matrix(4, 16), Matrix(1, 16), Matrix(4, 5),
+                  Matrix(1, 5)});
+  Result<LstmLm> loaded = LstmLm::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  // A 2^40-symbol vocabulary with no weights behind it: rejected before
+  // the model is built from the header.
+  WriteModelFile(path, kMagic, {uint64_t{1} << 40, 4, 1}, {});
+  EXPECT_EQ(LstmLm::Load(path).status().code(),
+            StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
+TEST(Seq2SeqSerializationTest, RejectsWeightsTheHeaderDoesNotDescribe) {
+  const std::string path = "/tmp/deepbase_s2s_shapes.bin";
+  constexpr uint32_t kMagic = 0x44425332;  // "DBS2"
+  // src 3, tgt 4, hidden 2 (8 gate columns): enc0, enc1, dec, wo, bo.
+  std::vector<Matrix> weights = {
+      Matrix(3, 8), Matrix(2, 8), Matrix(1, 8), Matrix(2, 8), Matrix(2, 8),
+      Matrix(1, 8), Matrix(4, 8), Matrix(2, 8), Matrix(1, 8), Matrix(4, 4),
+      Matrix(1, 4)};
+  WriteModelFile(path, kMagic, {3, 4, 2}, weights);
+  EXPECT_TRUE(Seq2Seq::Load(path).ok());
+  weights[9] = Matrix(2, 4);  // wo must be 2h × tgt
+  WriteModelFile(path, kMagic, {3, 4, 2}, weights);
+  Result<Seq2Seq> loaded = Seq2Seq::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  WriteModelFile(path, kMagic, {uint64_t{1} << 40, 4, 2}, {});
+  EXPECT_EQ(Seq2Seq::Load(path).status().code(),
+            StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
 }
 
 TEST(LstmLmSerializationTest, SaveLoadPreservesBehavior) {

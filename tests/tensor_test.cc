@@ -1,6 +1,8 @@
 // Unit tests for src/tensor: shapes, ops, GEMM variants, activations,
-// the tiered-store layout invariants (lda padding, alignment, view and
-// mmap tiers), and the logical-shape serialization contract.
+// the layout invariants (lda padding, alignment, zero padding), and the
+// logical-shape serialization contract. The shared read-only (mmap)
+// backing is covered with the store that hands it out
+// (behavior_store_test).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +11,6 @@
 #include <sstream>
 
 #include "tensor/matrix.h"
-#include "tensor/matrix_store.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
 
@@ -242,50 +243,6 @@ TEST(LayoutTest, SizeCountsLogicalElementsNeverPadding) {
   EXPECT_GT(m.lda(), m.cols());
 }
 
-TEST(LayoutTest, RowSliceViewAliasesParent) {
-  Matrix m(6, 5);
-  for (size_t r = 0; r < 6; ++r) {
-    for (size_t c = 0; c < 5; ++c) m(r, c) = static_cast<float>(r * 5 + c);
-  }
-  const Matrix view = m.RowSliceView(2, 5);
-  EXPECT_STREQ(view.tier(), "view");
-  EXPECT_EQ(view.rows(), 3u);
-  EXPECT_EQ(view(0, 0), m(2, 0));
-  // Writes through the parent stay visible (zero-copy alias). The view
-  // must stay const here: a non-const accessor would detach it first.
-  m(2, 0) = -99.0f;
-  EXPECT_EQ(view(0, 0), -99.0f);
-  // Mutating a view detaches a private copy; the parent is untouched.
-  Matrix writable = m.RowSliceView(2, 5);
-  writable(0, 0) = 7.0f;
-  EXPECT_EQ(m(2, 0), -99.0f);
-  EXPECT_EQ(writable(0, 0), 7.0f);
-  EXPECT_STREQ(writable.tier(), "mem");
-}
-
-TEST(LayoutTest, GatherColsViewMatchesEagerGather) {
-  Rng rng(5);
-  Matrix m = Matrix::RandomNormal(9, 20, &rng);
-  const std::vector<size_t> cols = {19, 0, 7, 7, 3};
-  const Matrix eager = m.GatherCols(cols);
-  const Matrix lazy = m.GatherColsView(cols);
-  ASSERT_TRUE(eager.SameShape(lazy));
-  for (size_t r = 0; r < eager.rows(); ++r) {
-    for (size_t c = 0; c < eager.cols(); ++c) {
-      EXPECT_EQ(eager(r, c), lazy(r, c));
-    }
-  }
-}
-
-TEST(LayoutTest, MaterializedCollapsesViewsToWritableMem) {
-  Matrix m(4, 6, 2.0f);
-  Matrix view = m.RowSliceView(1, 3);
-  Matrix solid = view.Materialized();
-  EXPECT_STREQ(solid.tier(), "mem");
-  EXPECT_EQ(solid.rows(), 2u);
-  EXPECT_EQ(solid(0, 0), 2.0f);
-}
-
 // --------------------------------------------------------- serialization
 
 TEST(SerializationTest, WriteMatrixEmitsLogicalShapeNeverLda) {
@@ -300,12 +257,11 @@ TEST(SerializationTest, WriteMatrixEmitsLogicalShapeNeverLda) {
 
 TEST(SerializationTest, RoundTripsAcrossLayouts) {
   Rng rng(13);
-  // Padded matrix, packed column vector, and a read-only view: all must
-  // round-trip to bit-identical logical contents.
+  // Padded matrix and packed column vector: both must round-trip to
+  // bit-identical logical contents.
   Matrix padded = Matrix::RandomNormal(5, 18, &rng);
   Matrix packed = Matrix::RandomNormal(40, 1, &rng);
-  Matrix view = padded.RowSliceView(1, 4);
-  for (const Matrix* m : {&padded, &packed, &view}) {
+  for (const Matrix* m : {&padded, &packed}) {
     std::ostringstream out(std::ios::binary);
     WriteMatrix(*m, &out);
     std::istringstream in(out.str(), std::ios::binary);
