@@ -99,6 +99,25 @@ if grep -nwE "$LANE_RULES" $(echo "$SRC_FILES" | grep -v '^src/core/block_pipeli
   exit 1
 fi
 
+# One TCP peer layer: src/server/net.{h,cc} is the only code in src/ that
+# touches a socket. The server, client, coordinator and worker listen,
+# accept, dial and send through net::Listener, net::Dial and net::Conn; a
+# raw call anywhere else is a second copy of that code, and the copies
+# drifted apart before (accept-loop backoff, connection reclaim and the
+# shut-down-on-failed-write rule each reached only some peers).
+if ! awk '
+      { code = $0; sub(/\/\/.*/, "", code) }
+      FILENAME !~ /^src\/server\/net\.(h|cc)$/ &&
+      code ~ /(^|[^A-Za-z0-9_])::(socket|bind|listen|accept|connect)\(|setsockopt\(/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' $SRC_FILES; then
+  echo "lint: the lines above make a raw socket call outside the peer" \
+       "layer. src/server/net.{h,cc} owns listen, accept, dial and send:" \
+       "use net::Listener, net::Dial and net::Conn instead."
+  exit 1
+fi
+
 # One plain Matrix: a Matrix holds its rows, cols, lda and base pointer
 # and owns element access, over an owned aligned buffer or a shared
 # read-only payload (BehaviorStore's mmap handout). No storage class

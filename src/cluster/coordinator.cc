@@ -1,14 +1,6 @@
 #include "cluster/coordinator.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -93,47 +85,15 @@ Status ClusterCoordinator::Start() {
     return Status::Invalid("CoordinatorConfig.max_attempts must be at least "
                            "1, got " + std::to_string(config_.max_attempts));
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Invalid("bad bind address: " + config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, config_.listen_backlog) < 0) {
-    const Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = false;
   }
   closing_.store(false, std::memory_order_release);
+  DB_RETURN_NOT_OK(listener_.Start(
+      config_.bind_address, config_.port,
+      [this](const std::shared_ptr<net::Conn>& peer) { ServeWorker(peer); }));
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   monitor_thread_ = std::thread([this] { MonitorLoop(); });
   if (config_.install_engine) {
     session_->scheduler().SetEngine(
@@ -147,39 +107,6 @@ Status ClusterCoordinator::Start() {
   return Status::OK();
 }
 
-void ClusterCoordinator::AcceptLoop() {
-  while (!closing_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
-        continue;
-      }
-      break;  // listener shut down (or fatal error)
-    }
-    if (closing_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto worker = std::make_shared<Worker>();
-    worker->fd = fd;
-    worker->alive = false;  // not live until the kWorkerHello handshake
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      workers_.push_back(worker);
-    }
-    worker->reader = std::thread([this, worker] { ServeWorker(worker); });
-  }
-}
-
-bool ClusterCoordinator::SendToWorker(const std::shared_ptr<Worker>& worker,
-                                      wire::MsgType type, uint64_t request_id,
-                                      const std::string& payload) {
-  std::lock_guard<std::mutex> lock(worker->write_mu);
-  return wire::WriteFrame(worker->fd, type, request_id, payload).ok();
-}
-
 void ClusterCoordinator::MarkWorkerDeadLocked(
     const std::shared_ptr<Worker>& worker) {
   if (!worker->alive) return;
@@ -188,7 +115,7 @@ void ClusterCoordinator::MarkWorkerDeadLocked(
   Metrics().workers->Sub(1);
   // Unblock a reader parked on the dead connection and wake every run
   // waiting on cv_ so its reassignment scan sees the death promptly.
-  ::shutdown(worker->fd, SHUT_RDWR);
+  worker->conn->Shutdown();
   cv_.notify_all();
 }
 
@@ -214,12 +141,14 @@ ClusterCoordinator::LiveWorkersLocked() const {
   return live;
 }
 
-void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
+void ClusterCoordinator::ServeWorker(const std::shared_ptr<net::Conn>& peer) {
+  auto worker = std::make_shared<Worker>();
+  worker->conn = peer;
   // Handshake: the first frame must be kWorkerHello with our protocol
   // version; anything else gets a typed error and the connection closes
   // (there is no stream to keep in sync with an unregistered peer).
   wire::Frame frame;
-  Status st = wire::ReadFrame(worker->fd, &frame, config_.max_frame_bytes);
+  Status st = peer->Read(&frame, config_.max_frame_bytes);
   bool registered = false;
   if (st.ok() && frame.type == wire::MsgType::kWorkerHello) {
     wire::WorkerHelloWire hello;
@@ -231,16 +160,13 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
         std::lock_guard<std::mutex> lock(mu_);
         // A same-id reconnect replaces the previous connection: the old
         // socket is dead weight (its assignments reassign to the new one).
-        std::shared_ptr<Worker> old = hello.worker_id.empty()
-                                          ? nullptr
-                                          : FindWorkerLocked(hello.worker_id);
+        std::shared_ptr<Worker> old = FindWorkerLocked(hello.worker_id);
         if (old != nullptr && old->alive) MarkWorkerDeadLocked(old);
-        worker->id = hello.worker_id.empty()
-                         ? "worker-fd" + std::to_string(worker->fd)
-                         : hello.worker_id;
+        worker->id = hello.worker_id;
         worker->num_threads = hello.num_threads;
-        worker->alive = true;
         worker->last_heartbeat = Clock::now();
+        worker->alive = true;
+        workers_.push_back(worker);
         ++stats_.workers_registered;
         Metrics().workers->Add(1);
         live_count = LiveWorkersLocked().size();
@@ -248,26 +174,23 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
       wire::Writer w;
       w.U64(session_->catalog_version());
       w.U32(static_cast<uint32_t>(live_count));
-      if (SendToWorker(worker, wire::MsgType::kWorkerHelloOk,
-                       frame.request_id, w.bytes())) {
+      if (peer->Send(wire::MsgType::kWorkerHelloOk, frame.request_id,
+                     w.bytes())
+              .ok()) {
         registered = true;
         cv_.notify_all();
       }
     }
   }
   if (!registered) {
-    wire::Writer w;
-    wire::EncodeStatus(
-        Status::Invalid("worker registration requires a protocol-matched "
-                        "WorkerHello as the first frame"),
-        &w);
-    SendToWorker(worker, wire::MsgType::kError, frame.request_id, w.bytes());
-    ::shutdown(worker->fd, SHUT_RDWR);
-    return;
+    peer->SendError(frame.request_id,
+                    Status::Invalid("worker registration requires a "
+                                    "protocol-matched WorkerHello as the "
+                                    "first frame"));
   }
 
-  while (!closing_.load(std::memory_order_acquire)) {
-    st = wire::ReadFrame(worker->fd, &frame, config_.max_frame_bytes);
+  while (registered && !closing_.load(std::memory_order_acquire)) {
+    st = peer->Read(&frame, config_.max_frame_bytes);
     if (!st.ok()) break;
     switch (frame.type) {
       case wire::MsgType::kWorkerHeartbeat: {
@@ -299,11 +222,8 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
         wire::Reader r(frame.payload);
         wire::AssignResultWire result;
         if (!wire::DecodeAssignResult(&r, &result) || !r.exhausted()) {
-          wire::Writer w;
-          wire::EncodeStatus(
-              Status::DataLoss("malformed AssignResult payload"), &w);
-          SendToWorker(worker, wire::MsgType::kError, frame.request_id,
-                       w.bytes());
+          peer->SendError(frame.request_id,
+                          Status::DataLoss("malformed AssignResult payload"));
           break;
         }
         std::lock_guard<std::mutex> lock(mu_);
@@ -323,31 +243,19 @@ void ClusterCoordinator::ServeWorker(const std::shared_ptr<Worker>& worker) {
         cv_.notify_all();
         break;
       }
-      case wire::MsgType::kError:
-        // Never answered: a reply would be answered in turn, forever.
+      default:
+        net::AnswerUnexpected(peer.get(), frame);
         break;
-      default: {
-        // Forward compatibility: unknown frame types are answered with a
-        // typed error and the connection stays alive (same rule as the
-        // client-facing server).
-        wire::Writer w;
-        wire::EncodeStatus(
-            Status::NotImplemented(
-                "unknown message type " +
-                std::to_string(static_cast<int>(frame.type))),
-            &w);
-        SendToWorker(worker, wire::MsgType::kError, frame.request_id,
-                     w.bytes());
-        break;
-      }
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MarkWorkerDeadLocked(worker);
-  }
-  ::shutdown(worker->fd, SHUT_RDWR);
+  // Reclaim: the worker leaves the registry (a run whose assignment it
+  // owned finds no owner and reassigns), and the peer layer closes the
+  // connection once this reader returns.
+  std::lock_guard<std::mutex> lock(mu_);
+  MarkWorkerDeadLocked(worker);
+  auto it = std::find(workers_.begin(), workers_.end(), worker);
+  if (it != workers_.end()) workers_.erase(it);
 }
 
 void ClusterCoordinator::MonitorLoop() {
@@ -665,8 +573,9 @@ Result<ResultTable> ClusterCoordinator::RunCompiled(const JobPlan& job,
         lock.unlock();
         std::vector<std::shared_ptr<Worker>> broken;
         for (size_t i = 0; i < frames.size(); ++i) {
-          if (!SendToWorker(frames[i].first, wire::MsgType::kAssign, ids[i],
-                            frames[i].second)) {
+          if (!frames[i].first->conn
+                   ->Send(wire::MsgType::kAssign, ids[i], frames[i].second)
+                   .ok()) {
             broken.push_back(frames[i].first);
           }
         }
@@ -845,22 +754,8 @@ void ClusterCoordinator::Shutdown() {
     cv_.wait(lock, [this] { return active_runs_.empty(); });
   }
   closing_.store(true, std::memory_order_release);
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Stop();  // every worker reader runs its teardown and is joined
   if (monitor_thread_.joinable()) monitor_thread_.join();
-  std::vector<std::shared_ptr<Worker>> workers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    workers = workers_;
-  }
-  for (const auto& worker : workers) {
-    ::shutdown(worker->fd, SHUT_RDWR);
-    if (worker->reader.joinable()) worker->reader.join();
-    ::close(worker->fd);
-    worker->fd = -1;
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 

@@ -1,12 +1,15 @@
 // ClusterCoordinator: the coordinator half of the distributed inspection
-// cluster. It accepts worker registrations over the wire protocol,
-// installs itself as the session scheduler's engine (Scheduler::SetEngine
-// with one EngineHook: run, dispatch decision, default shard count) — so
-// every existing front door (InspectionSession::Submit/Inspect, the
-// network InspectionServer, the SQL layer) transparently executes on the
-// cluster while result caching, in-flight dedup, and admission control
-// keep working — and runs each job as PlanDispatch decides (the same
-// decision EXPLAIN renders through Scheduler::Probe):
+// cluster. It accepts worker registrations over the wire protocol
+// through the peer layer's listener (server/net.h: it backs off on
+// descriptor exhaustion and closes a worker's connection as soon as the
+// worker leaves), installs itself as the session scheduler's engine
+// (Scheduler::SetEngine with one EngineHook: run, dispatch decision,
+// default shard count) — so every existing front door
+// (InspectionSession::Submit/Inspect, the network InspectionServer, the
+// SQL layer) transparently executes on the cluster while result caching,
+// in-flight dedup, and admission control keep working — and runs each job
+// as PlanDispatch decides (the same decision EXPLAIN renders through
+// Scheduler::Probe):
 //
 //   local — requests with inline definitions cannot cross the wire and
 //     run on the local engine.
@@ -34,15 +37,15 @@
 // which runs the same pinned S.
 //
 // Failure semantics: workers heartbeat; a missed-heartbeat or dead-socket
-// worker has its in-flight assignments reassigned to live workers with
-// bounded attempts and doubling backoff. Duplicate results (a slow worker
-// answering after its range was reassigned) are ignored — first result
-// wins, and determinism makes both byte-identical anyway. When no live
-// worker remains, or an assignment exhausts its attempts, the job fails
-// with a typed kUnavailable status — unless degrade_to_local is set, in
-// which case the coordinator falls back to the local engine (counted in
-// stats().jobs_degraded_local); determinism makes the degraded table
-// identical to the distributed one.
+// worker leaves the registry and has its in-flight assignments reassigned
+// to live workers with bounded attempts and doubling backoff. Duplicate
+// results (a slow worker answering after its range was reassigned) are
+// ignored — first result wins, and determinism makes both byte-identical
+// anyway. When no live worker remains, or an assignment exhausts its
+// attempts, the job fails with a typed kUnavailable status — unless
+// degrade_to_local is set, in which case the coordinator falls back to the
+// local engine (counted in stats().jobs_degraded_local); determinism makes
+// the degraded table identical to the distributed one.
 //
 // Deadlines: a job's InspectOptions::deadline travels inside every
 // assignment (encoded as a relative remaining budget, re-anchored on the
@@ -67,6 +70,7 @@
 #include <vector>
 
 #include "cluster/partition.h"
+#include "server/net.h"
 #include "server/wire.h"
 #include "service/inspection_session.h"
 #include "service/scheduler.h"
@@ -79,7 +83,6 @@ struct CoordinatorConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the bound port is reported by port().
   uint16_t port = 0;
-  int listen_backlog = 16;
   /// Shard count of session jobs that do not pin their own
   /// (InspectOptions::num_shards 0), pinned when they are planned. This is
   /// the determinism key: a job's scores depend on (seed, S), never on
@@ -142,7 +145,7 @@ class ClusterCoordinator {
   /// Idempotent.
   void Shutdown();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// \brief Live (heartbeating) workers, sorted by id.
@@ -166,13 +169,13 @@ class ClusterCoordinator {
                                      RuntimeStats* stats);
 
  private:
+  /// One registered worker, listed in workers_ from its kWorkerHelloOk
+  /// until its reader exits.
   struct Worker {
-    int fd = -1;
+    std::shared_ptr<net::Conn> conn;
     std::string id;
     uint32_t num_threads = 0;
-    std::thread reader;
-    std::mutex write_mu;
-    bool alive = true;  ///< guarded by coordinator mu_
+    bool alive = false;  ///< guarded by coordinator mu_
     std::chrono::steady_clock::time_point last_heartbeat;  ///< mu_
   };
 
@@ -207,13 +210,10 @@ class ClusterCoordinator {
     Status fail_status;
   };
 
-  void AcceptLoop();
-  void ServeWorker(const std::shared_ptr<Worker>& worker);
+  /// The reader of one accepted connection: the kWorkerHello handshake,
+  /// then the worker's frames until it disconnects.
+  void ServeWorker(const std::shared_ptr<net::Conn>& peer);
   void MonitorLoop();
-
-  bool SendToWorker(const std::shared_ptr<Worker>& worker,
-                    wire::MsgType type, uint64_t request_id,
-                    const std::string& payload);
   /// Mark dead under mu_ (idempotent) and wake waiting runs.
   void MarkWorkerDeadLocked(const std::shared_ptr<Worker>& worker);
   std::shared_ptr<Worker> FindWorkerLocked(const std::string& id) const;
@@ -232,9 +232,6 @@ class ClusterCoordinator {
   InspectionSession* session_;
   CoordinatorConfig config_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::thread monitor_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> closing_{false};
@@ -250,6 +247,9 @@ class ClusterCoordinator {
   std::map<uint64_t, std::pair<std::shared_ptr<RunState>, size_t>>
       assignment_index_;
   CoordinatorStats stats_;
+
+  /// Last: its reader threads use every member above.
+  net::Listener listener_;
 };
 
 }  // namespace cluster

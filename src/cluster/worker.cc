@@ -1,14 +1,8 @@
 #include "cluster/worker.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -47,53 +41,19 @@ Status InspectionWorker::Connect() {
                            "non-negative, got " +
                            std::to_string(config_.assignment_delay_s));
   }
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.coordinator_port);
-  if (::inet_pton(AF_INET, config_.coordinator_host.c_str(),
-                  &addr.sin_addr) != 1) {
-    ::close(fd_);
-    fd_ = -1;
-    return Status::Invalid("bad coordinator host: " +
-                           config_.coordinator_host);
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status st =
-        Status::IOError(std::string("connect: ") + std::strerror(errno));
-    ::close(fd_);
-    fd_ = -1;
-    return st;
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  // Handshake: announce ourselves, wait for the coordinator's ack before
-  // any thread starts (so a version rejection surfaces synchronously).
+  // Handshake: announce ourselves and wait for the coordinator's ack
+  // before any thread starts, so a rejection surfaces synchronously.
   wire::WorkerHelloWire hello;
   hello.worker_id = config_.worker_id;
   hello.catalog_version = session_->catalog_version();
   hello.num_threads = 0;
   wire::Writer w;
   wire::EncodeWorkerHello(hello, &w);
-  Status st = wire::WriteFrame(fd_, wire::MsgType::kWorkerHello, 0, w.bytes());
-  wire::Frame ack;
-  if (st.ok()) st = wire::ReadFrame(fd_, &ack);
-  if (st.ok() && ack.type == wire::MsgType::kError) {
-    wire::Reader r(ack.payload);
-    st = wire::DecodeStatus(&r);
-    if (st.ok()) st = Status::Invalid("coordinator rejected registration");
-  } else if (st.ok() && ack.type != wire::MsgType::kWorkerHelloOk) {
-    st = Status::Invalid("unexpected handshake reply from coordinator");
-  }
-  if (!st.ok()) {
-    ::close(fd_);
-    fd_ = -1;
-    return st;
-  }
+  std::string ack;
+  DB_ASSIGN_OR_RETURN(
+      conn_, net::Dial(config_.coordinator_host, config_.coordinator_port,
+                       wire::MsgType::kWorkerHello, w.bytes(),
+                       wire::MsgType::kWorkerHelloOk, &ack));
 
   closing_.store(false, std::memory_order_release);
   broken_.store(false, std::memory_order_release);
@@ -105,22 +65,11 @@ Status InspectionWorker::Connect() {
   return Status::OK();
 }
 
-void InspectionWorker::Send(wire::MsgType type, uint64_t request_id,
-                            const std::string& payload) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ < 0) return;
-  const Status st = wire::WriteFrame(fd_, type, request_id, payload);
-  if (!st.ok()) {
-    broken_.store(true, std::memory_order_release);
-    cv_.notify_all();
-  }
-}
-
 void InspectionWorker::ReaderLoop() {
   while (!closing_.load(std::memory_order_acquire) &&
          !broken_.load(std::memory_order_acquire)) {
     wire::Frame frame;
-    const Status st = wire::ReadFrame(fd_, &frame);
+    const Status st = conn_->Read(&frame);
     if (!st.ok()) {
       broken_.store(true, std::memory_order_release);
       cv_.notify_all();
@@ -131,10 +80,8 @@ void InspectionWorker::ReaderLoop() {
         wire::Reader r(frame.payload);
         wire::AssignmentWire assignment;
         if (!wire::DecodeAssignment(&r, &assignment) || !r.exhausted()) {
-          wire::Writer w;
-          wire::EncodeStatus(Status::DataLoss("malformed Assign payload"),
-                             &w);
-          Send(wire::MsgType::kError, frame.request_id, w.bytes());
+          conn_->SendError(frame.request_id,
+                           Status::DataLoss("malformed Assign payload"));
           break;
         }
         std::lock_guard<std::mutex> lock(mu_);
@@ -143,22 +90,9 @@ void InspectionWorker::ReaderLoop() {
         cv_.notify_all();
         break;
       }
-      case wire::MsgType::kError:
-        // Never answered: a reply would be answered in turn, forever.
+      default:
+        net::AnswerUnexpected(conn_.get(), frame);
         break;
-      default: {
-        // Forward compatibility (the wire protocol's rule for every peer):
-        // an unknown frame type is answered with a typed error and the
-        // connection stays alive.
-        wire::Writer w;
-        wire::EncodeStatus(
-            Status::NotImplemented(
-                "unknown message type " +
-                std::to_string(static_cast<int>(frame.type))),
-            &w);
-        Send(wire::MsgType::kError, frame.request_id, w.bytes());
-        break;
-      }
     }
   }
 }
@@ -350,7 +284,8 @@ void InspectionWorker::ExecutorLoop() {
     }
     wire::Writer w;
     wire::EncodeAssignResult(result, &w);
-    Send(wire::MsgType::kAssignResult, assignment.assignment_id, w.Take());
+    conn_->Send(wire::MsgType::kAssignResult, assignment.assignment_id,
+                w.Take());
   }
 }
 
@@ -362,7 +297,7 @@ void InspectionWorker::HeartbeatLoop() {
     {
       wire::Writer w;
       w.Str(config_.worker_id);
-      Send(wire::MsgType::kWorkerHeartbeat, 0, w.bytes());
+      conn_->Send(wire::MsgType::kWorkerHeartbeat, 0, w.bytes());
     }
     uint64_t active = 0;
     wire::WorkerProgressWire progress;
@@ -382,7 +317,7 @@ void InspectionWorker::HeartbeatLoop() {
       // coordinator's aggregate (it keeps per-assignment maxima).
       wire::Writer w;
       wire::EncodeWorkerProgress(progress, &w);
-      Send(wire::MsgType::kEventWorkerProgress, active, w.bytes());
+      conn_->Send(wire::MsgType::kEventWorkerProgress, active, w.bytes());
     }
     std::this_thread::sleep_for(interval);
   }
@@ -394,7 +329,7 @@ void InspectionWorker::Kill() {
   broken_.store(true, std::memory_order_release);
   // No farewell, no drain: the coordinator sees exactly what a SIGKILLed
   // process would leave behind — a dead socket mid-assignment.
-  ::shutdown(fd_, SHUT_RDWR);
+  conn_->Shutdown();
   cv_.notify_all();
 }
 
@@ -403,12 +338,11 @@ void InspectionWorker::Shutdown() {
   closing_.store(true, std::memory_order_release);
   cancel_.store(true, std::memory_order_release);
   cv_.notify_all();
-  ::shutdown(fd_, SHUT_RDWR);
+  conn_->Shutdown();
   if (reader_.joinable()) reader_.join();
   if (executor_.joinable()) executor_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
-  ::close(fd_);
-  fd_ = -1;
+  conn_->Close();
   running_.store(false, std::memory_order_release);
 }
 

@@ -21,11 +21,12 @@
 // count, arrival order, which worker ran which range, or the worker's own
 // thread count.
 //
-// Threads: a reader (decodes coordinator frames; unknown frame types get
-// a typed kNotImplemented error and the connection stays alive — same
-// forward-compatibility rule as the client protocol), an executor (runs
-// one assignment at a time), and a heartbeat thread (liveness ticks plus
-// absolute progress counters for the active assignment).
+// Threads: a reader (decodes coordinator frames; a frame type it does not
+// handle follows the peer layer's one rule, net::AnswerUnexpected), an
+// executor (runs one assignment at a time), and a heartbeat thread
+// (liveness ticks plus absolute progress counters for the active
+// assignment). All three write through one net::Conn, whose failed write
+// shuts the socket down, so the reader sees EOF and stops the worker.
 
 #pragma once
 
@@ -33,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "server/net.h"
 #include "server/wire.h"
 #include "service/inspection_session.h"
 
@@ -119,15 +122,10 @@ class InspectionWorker {
                                   ProgressCounter* progress, Tracer* tracer,
                                   uint64_t parent_span);
 
-  /// Send one frame (write-mutex serialized); marks the connection broken
-  /// on failure.
-  void Send(wire::MsgType type, uint64_t request_id,
-            const std::string& payload);
-
   InspectionSession* session_;
   WorkerConfig config_;
 
-  int fd_ = -1;
+  std::shared_ptr<net::Conn> conn_;  ///< the coordinator connection
   std::thread reader_;
   std::thread executor_;
   std::thread heartbeat_;
@@ -135,7 +133,6 @@ class InspectionWorker {
   std::atomic<bool> closing_{false};
   std::atomic<bool> broken_{false};
   std::atomic<bool> cancel_{false};  ///< stops the active pipeline run
-  std::mutex write_mu_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -186,9 +186,16 @@ bool ReadU64(std::istream* in, uint64_t* v) {
 bool ReadString(std::istream* in, std::string* s) {
   uint64_t len = 0;
   if (!ReadU64(in, &len) || len > kMaxSerializedString) return false;
-  s->resize(len);
-  in->read(s->data(), static_cast<std::streamsize>(len));
-  return !in->fail();
+  // Grow with the bytes actually read, so a corrupt length allocates no
+  // more than the stream holds.
+  s->clear();
+  char chunk[4096];
+  while (s->size() < len) {
+    const size_t n = std::min<uint64_t>(sizeof(chunk), len - s->size());
+    if (!in->read(chunk, static_cast<std::streamsize>(n))) return false;
+    s->append(chunk, n);
+  }
+  return true;
 }
 
 bool ReadFloatBits(std::istream* in, float* f) {

@@ -236,7 +236,9 @@ bool PearsonMeasure::DeserializeState(codec::Reader* r) {
   sy_ = r->F64();
   syy_ = r->F64();
   const uint32_t count = r->U32();
-  if (!r->ok()) return false;
+  // An entry is 5 scalars and 3 length-prefixed vectors of num_units_.
+  const size_t entry_bytes = 5 * 8 + 3 * (4 + 8 * num_units_);
+  if (!r->ok() || r->remaining() / entry_bytes < count) return false;
   entries_.clear();
   entries_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -491,7 +493,9 @@ bool DiffMeansMeasure::DeserializeState(codec::Reader* r) {
   if (!ReadVec(r, num_units_, &s0_)) return false;
   if (!ReadVec(r, num_units_, &ss0_)) return false;
   const uint32_t count = r->U32();
-  if (!r->ok()) return false;
+  // An entry is 4 scalars and 4 length-prefixed vectors of num_units_.
+  const size_t entry_bytes = 4 * 8 + 4 * (4 + 8 * num_units_);
+  if (!r->ok() || r->remaining() / entry_bytes < count) return false;
   entries_.clear();
   entries_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -76,40 +77,40 @@ enum class StateKind : uint8_t {
   kNaiveBaseline = 6,
 };
 
-// Length-prefixed vector helpers for SerializeState/DeserializeState.
+// Length-prefixed vector helpers for SerializeState/DeserializeState,
+// over float, double and size_t elements (F32, F64 and U64 on the wire).
 // Floats travel bit-cast (codec F32/F64), so NaN payloads round-trip
 // exactly and integer-count merges stay bit-identical across processes.
-inline void WriteVec(codec::Writer* w, const std::vector<double>& v) {
+template <typename T>
+void WriteVec(codec::Writer* w, const std::vector<T>& v) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
   w->U32(static_cast<uint32_t>(v.size()));
-  for (double x : v) w->F64(x);
+  for (T x : v) {
+    if constexpr (std::is_same_v<T, float>) {
+      w->F32(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w->F64(x);
+    } else {
+      w->U64(x);
+    }
+  }
 }
-inline void WriteVec(codec::Writer* w, const std::vector<float>& v) {
-  w->U32(static_cast<uint32_t>(v.size()));
-  for (float x : v) w->F32(x);
-}
-inline void WriteVec(codec::Writer* w, const std::vector<size_t>& v) {
-  w->U32(static_cast<uint32_t>(v.size()));
-  for (size_t x : v) w->U64(x);
-}
-inline bool ReadVec(codec::Reader* r, size_t expected_size,
-                    std::vector<double>* v) {
-  if (r->U32() != expected_size) return false;
+// Checks that the remaining bytes hold the elements before sizing.
+template <typename T>
+bool ReadVec(codec::Reader* r, size_t expected_size, std::vector<T>* v) {
+  if (r->U32() != expected_size || r->remaining() / sizeof(T) < expected_size) {
+    return false;
+  }
   v->resize(expected_size);
-  for (double& x : *v) x = r->F64();
-  return r->ok();
-}
-inline bool ReadVec(codec::Reader* r, size_t expected_size,
-                    std::vector<float>* v) {
-  if (r->U32() != expected_size) return false;
-  v->resize(expected_size);
-  for (float& x : *v) x = r->F32();
-  return r->ok();
-}
-inline bool ReadVec(codec::Reader* r, size_t expected_size,
-                    std::vector<size_t>* v) {
-  if (r->U32() != expected_size) return false;
-  v->resize(expected_size);
-  for (size_t& x : *v) x = r->U64();
+  for (T& x : *v) {
+    if constexpr (std::is_same_v<T, float>) {
+      x = r->F32();
+    } else if constexpr (std::is_same_v<T, double>) {
+      x = r->F64();
+    } else {
+      x = r->U64();
+    }
+  }
   return r->ok();
 }
 }  // namespace measure_internal

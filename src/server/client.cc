@@ -1,15 +1,7 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -152,56 +144,24 @@ uint64_t InspectionClient::server_catalog_version() const {
 }
 
 Status InspectionClient::ConnectLocked() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::Invalid("bad host address: " + config_.host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status st =
-        Status::IOError(std::string("connect: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // Handshake happens synchronously, before the reader thread exists, so
-  // the reply can be read directly off the socket.
   wire::Writer hello;
   hello.U16(wire::kProtocolVersion);
-  Status st = wire::WriteFrame(fd, wire::MsgType::kHello, 0, hello.bytes());
-  wire::Frame reply;
-  if (st.ok()) st = wire::ReadFrame(fd, &reply, config_.max_frame_bytes);
-  if (st.ok() && reply.type == wire::MsgType::kError) {
-    wire::Reader r(reply.payload);
-    st = wire::DecodeStatus(&r);
-    if (st.ok()) st = Status::DataLoss("handshake rejected");
-  } else if (st.ok() && reply.type != wire::MsgType::kHelloOk) {
-    st = Status::DataLoss("unexpected handshake response");
+  std::string ack;
+  DB_ASSIGN_OR_RETURN(
+      std::shared_ptr<net::Conn> conn,
+      net::Dial(config_.host, config_.port, wire::MsgType::kHello,
+                hello.bytes(), wire::MsgType::kHelloOk, &ack,
+                config_.max_frame_bytes));
+  wire::Reader r(ack);
+  const uint16_t server_version = r.U16();
+  const uint64_t catalog_version = r.U64();
+  if (!r.ok() || server_version != wire::kProtocolVersion) {
+    return Status::DataLoss("unsupported server protocol version");
   }
-  if (st.ok()) {
-    wire::Reader r(reply.payload);
-    const uint16_t server_version = r.U16();
-    const uint64_t catalog_version = r.U64();
-    if (!r.ok() || server_version != wire::kProtocolVersion) {
-      st = Status::DataLoss("unsupported server protocol version");
-    } else {
-      server_catalog_version_ = catalog_version;
-    }
-  }
-  if (!st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  fd_ = fd;
+  server_catalog_version_ = catalog_version;
+  conn_ = conn;
   connected_ = true;
-  reader_ = std::thread([this, fd] { ReaderLoop(fd); });
+  reader_ = std::thread([this, conn] { ReaderLoop(conn); });
   return Status::OK();
 }
 
@@ -230,7 +190,7 @@ Status InspectionClient::ConnectInternal(bool reset_closing) {
   // Join a reader left over from a dead connection before reconnecting
   // (it cannot join itself when it detects EOF).
   std::thread stale;
-  int stale_fd = -1;
+  std::shared_ptr<net::Conn> stale_conn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A user-initiated Connect() reopens a Close()d client (and resumes
@@ -242,25 +202,20 @@ Status InspectionClient::ConnectInternal(bool reset_closing) {
     if (connected_) return Status::OK();
     if (reader_.joinable()) {
       stale = std::move(reader_);
-      stale_fd = fd_;
+      stale_conn = conn_;
     }
   }
-  if (stale_fd >= 0) {
-    // The old reader may still be parked in ReadFrame on a socket whose
-    // write side failed (half-broken peer, or an injected write fault):
-    // shut the socket down first so the join below cannot wait on a read
-    // that will never return. fd_ is left pointing at the stale socket so
-    // the woken reader recognizes the loss as its own connection and runs
-    // the full teardown (fail pending RPCs, orphan replayable jobs).
-    ::shutdown(stale_fd, SHUT_RDWR);
+  if (stale_conn != nullptr) {
+    // The old reader may still be parked in Read (a send that lost a race
+    // with an earlier reconnect marked this connection lost): shut the
+    // socket down first so the join below cannot wait on a read that will
+    // never return. conn_ is left pointing at the stale connection so the
+    // woken reader recognizes the loss as its own and runs the full
+    // teardown (fail pending RPCs, orphan replayable jobs).
+    stale_conn->Shutdown();
   }
   if (stale.joinable()) stale.join();
-  if (stale_fd >= 0) {
-    // Exclude concurrent writers before the descriptor number can be
-    // recycled by the reconnect's socket().
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    ::close(stale_fd);
-  }
+  if (stale_conn != nullptr) stale_conn->Close();
 
   Status st = Status::IOError("no connection attempts configured");
   for (size_t attempt = 0; attempt <= config_.reconnect_attempts;
@@ -296,7 +251,7 @@ void InspectionClient::FailAllLocked(const Status& reason) {
 }
 
 void InspectionClient::CloseLocked(const Status& reason) {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  if (conn_ != nullptr) conn_->Shutdown();
   connected_ = false;
   FailAllLocked(reason);
 }
@@ -304,7 +259,7 @@ void InspectionClient::CloseLocked(const Status& reason) {
 void InspectionClient::Close() {
   std::thread reader;
   std::thread resubmitter;
-  int fd = -1;
+  std::shared_ptr<net::Conn> conn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     closing_ = true;
@@ -318,17 +273,11 @@ void InspectionClient::Close() {
     CloseLocked(Status::IOError("client closed"));
     reader = std::move(reader_);
     resubmitter = std::move(resubmit_);
-    fd = fd_;
-    fd_ = -1;
+    conn = std::move(conn_);
   }
   if (reader.joinable()) reader.join();
   if (resubmitter.joinable()) resubmitter.join();
-  if (fd >= 0) {
-    // Same descriptor-recycling guard as Connect(): no concurrent
-    // WriteFrame may straddle the close.
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    ::close(fd);
-  }
+  if (conn != nullptr) conn->Close();
 }
 
 void InspectionClient::ResolveJob(
@@ -346,7 +295,7 @@ void InspectionClient::ResolveJob(
 // Reader: demultiplex responses and pushed events.
 // ---------------------------------------------------------------------------
 
-void InspectionClient::ReaderLoop(int fd) {
+void InspectionClient::ReaderLoop(const std::shared_ptr<net::Conn>& conn) {
   while (true) {
     wire::Frame frame;
     Status st = Status::OK();
@@ -357,13 +306,14 @@ void InspectionClient::ReaderLoop(int fd) {
       // "wire.read_frame" fault would also hit server/worker readers.)
       st = failpoint::Evaluate("client.read_frame");
     }
-    if (st.ok()) st = wire::ReadFrame(fd, &frame, config_.max_frame_bytes);
+    if (st.ok()) st = conn->Read(&frame, config_.max_frame_bytes);
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (fd == fd_) {
+      if (conn == conn_) {
         // The live connection died under us: every parked caller learns
         // now instead of hanging (server-side, the disconnect cancels our
-        // jobs). A stale fd means Close()/reconnect already cleaned up.
+        // jobs). A stale connection means Close()/reconnect already
+        // cleaned up.
         connected_ = false;
         // Acked submissions are replayable: pull them out of jobs_ before
         // FailAllLocked so their handles survive the loss and resolve
@@ -553,7 +503,7 @@ void InspectionClient::ResubmitJob(
     // cached) incarnation of the job is joined, not duplicated.
     std::shared_ptr<PendingRpc> rpc;
     uint64_t request_id = 0;
-    int fd = -1;
+    std::shared_ptr<net::Conn> conn;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!connected_ || closing_) {
@@ -565,14 +515,10 @@ void InspectionClient::ResubmitJob(
       rpc = std::make_shared<PendingRpc>();
       pending_[request_id] = rpc;
       jobs_[request_id] = job;
-      fd = fd_;
+      conn = conn_;
     }
-    Status sent;
-    {
-      std::lock_guard<std::mutex> write_lock(write_mu_);
-      sent =
-          wire::WriteFrame(fd, wire::MsgType::kSubmit, request_id, payload);
-    }
+    const Status sent =
+        conn->Send(wire::MsgType::kSubmit, request_id, payload);
     if (!sent.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(request_id);
@@ -657,7 +603,7 @@ Result<wire::Frame> InspectionClient::CallOnce(
   *transport_failure = false;
   std::shared_ptr<PendingRpc> rpc;
   uint64_t request_id = 0;
-  int fd = -1;
+  std::shared_ptr<net::Conn> conn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!connected_) {
@@ -668,13 +614,9 @@ Result<wire::Frame> InspectionClient::CallOnce(
     rpc = std::make_shared<PendingRpc>();
     rpc->job = std::move(link_job);
     pending_[request_id] = rpc;
-    fd = fd_;
+    conn = conn_;
   }
-  Status sent;
-  {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    sent = wire::WriteFrame(fd, type, request_id, payload);
-  }
+  const Status sent = conn->Send(type, request_id, payload);
   if (!sent.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     pending_.erase(request_id);
@@ -753,7 +695,7 @@ Result<RemoteJob> InspectionClient::Submit(
     // an early progress event cannot be dropped.
     std::shared_ptr<PendingRpc> rpc;
     uint64_t request_id = 0;
-    int fd = -1;
+    std::shared_ptr<net::Conn> conn;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!connected_) {
@@ -765,14 +707,10 @@ Result<RemoteJob> InspectionClient::Submit(
       rpc = std::make_shared<PendingRpc>();
       pending_[request_id] = rpc;
       jobs_[request_id] = state;
-      fd = fd_;
+      conn = conn_;
     }
-    Status sent;
-    {
-      std::lock_guard<std::mutex> write_lock(write_mu_);
-      sent = wire::WriteFrame(fd, wire::MsgType::kSubmit, request_id,
-                              payload);
-    }
+    const Status sent =
+        conn->Send(wire::MsgType::kSubmit, request_id, payload);
     bool transport_failure = !sent.ok();
     Status failure = sent;
     if (sent.ok()) {

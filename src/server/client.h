@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/result_table.h"
+#include "server/net.h"
 #include "server/wire.h"
 #include "service/inspection_session.h"
 
@@ -236,7 +237,7 @@ class InspectionClient {
   /// worker; only the former clears an in-progress Close.
   Status ConnectInternal(bool reset_closing);
   void CloseLocked(const Status& reason);
-  void ReaderLoop(int fd);
+  void ReaderLoop(const std::shared_ptr<net::Conn>& conn);
   /// Resolve every pending RPC and live job with `reason`.
   void FailAllLocked(const Status& reason);
   /// Background worker: drains orphans_, replaying each job on the
@@ -249,12 +250,11 @@ class InspectionClient {
 
   ClientConfig config_;
   mutable std::mutex mu_;
-  /// Serializes whole frames onto the socket (concurrent RPCs must not
-  /// interleave partial writes). Taken without mu_ held; Connect() takes
-  /// it before closing a stale fd so no in-flight write can land on a
-  /// recycled descriptor.
-  std::mutex write_mu_;
-  int fd_ = -1;
+  /// The current connection (guarded by mu_). Senders copy it under mu_
+  /// and send without mu_ held; net::Conn serializes whole frames and
+  /// closes under its write mutex, so a reconnect never lets an in-flight
+  /// write land on a recycled descriptor.
+  std::shared_ptr<net::Conn> conn_;
   bool connected_ = false;
   uint64_t next_request_id_ = 1;
   uint64_t server_catalog_version_ = 0;

@@ -1,15 +1,7 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "service/explain.h"
@@ -65,133 +57,35 @@ Status InspectionServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::AlreadyExists("server already running");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Invalid("bad bind address: " + config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, config_.listen_backlog) < 0) {
-    const Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  running_.store(true, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
-  closing_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  DB_RETURN_NOT_OK(listener_.Start(
+      config_.bind_address, config_.port,
+      [this](const std::shared_ptr<net::Conn>& peer) {
+        ServeConnection(peer);
+      }));
+  running_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-void InspectionServer::AcceptLoop() {
-  while (!closing_.load(std::memory_order_acquire)) {
-    // Reclaim connections whose clients already hung up, so dead fds and
-    // thread handles never accumulate across a long-lived server.
-    ReapZombies();
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // Transient conditions must not kill the listener: a client that
-      // aborted between SYN and accept, or momentary fd exhaustion.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
-        continue;
-      }
-      if (errno == EMFILE || errno == ENFILE) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;  // listener shut down (or fatal error): stop accepting
-    }
-    if (closing_.load(std::memory_order_acquire) ||
-        draining_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      continue;
-    }
-    size_t active;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      active = stats_.connections_active;
-    }
-    if (active >= config_.max_connections) {
-      // Best-effort refusal notice; the client may also just see EOF.
-      wire::Writer w;
-      wire::EncodeStatus(
-          Status::ResourceExhausted("connection limit reached"), &w);
-      const std::string frame =
-          wire::EncodeFrame(wire::MsgType::kError, 0, w.bytes());
-      (void)!::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_refused;
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_accepted;
-      ++stats_.connections_active;
-    }
-    Metrics().connections->Inc();
-    Metrics().connections_active->Add(1);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
-    // Watcher first: the reader's teardown path joins conn->watcher, so
-    // the member must be fully assigned before the reader can run (an
-    // instant client hangup otherwise races the assignment).
-    conn->watcher = std::thread([this, conn] { WatchConnection(conn); });
-    conn->reader = std::thread([this, conn] { ServeConnection(conn); });
-  }
 }
 
 void InspectionServer::Send(const std::shared_ptr<Connection>& conn,
                             wire::MsgType type, uint64_t request_id,
                             const std::string& payload) {
-  std::lock_guard<std::mutex> write_lock(conn->write_mu);
-  const Status st = wire::WriteFrame(conn->fd, type, request_id, payload);
-  if (!st.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->broken = true;
-    }
-    // A connection that cannot be written to is dead to the client even
-    // when the socket is only half-broken (or the failure was injected):
-    // letting the reader keep serving would strand clients waiting for
-    // pushes that will never come. Shut the socket down so the reader
-    // unblocks and runs the normal teardown; the client sees a
-    // connection loss and its reconnect/resubmit machinery takes over.
-    ::shutdown(conn->fd, SHUT_RDWR);
-  } else {
-    Metrics().frames_sent->Inc();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_sent;
-  }
+  // A failed write shuts the socket down (net::Conn::Send): the reader
+  // unblocks and runs the normal teardown, and the client sees a
+  // connection loss that its reconnect/resubmit machinery takes over.
+  if (conn->peer->Send(type, request_id, payload).ok()) CountSent();
+}
+
+void InspectionServer::CountSent() {
+  Metrics().frames_sent->Inc();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.frames_sent;
+}
+
+void InspectionServer::CountProtocolError() {
+  Metrics().protocol_errors->Inc();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.protocol_errors;
 }
 
 void InspectionServer::SendError(const std::shared_ptr<Connection>& conn,
@@ -234,8 +128,9 @@ std::string InspectionServer::ResultPayload(const JobHandle& handle) const {
 
 void InspectionServer::WatchConnection(
     const std::shared_ptr<Connection>& conn) {
-  const auto interval = std::chrono::duration<double>(
-      config_.progress_poll_s > 0 ? config_.progress_poll_s : 0.002);
+  // Events go out only when the block counter advanced, so a short poll
+  // costs little.
+  constexpr auto kPollInterval = std::chrono::milliseconds(2);
   struct Outgoing {
     wire::MsgType type;
     uint64_t request_id;
@@ -248,9 +143,8 @@ void InspectionServer::WatchConnection(
   };
   std::unique_lock<std::mutex> lock(conn->mu);
   while (!conn->closing) {
-    conn->cv.wait_for(lock, interval);
+    conn->cv.wait_for(lock, kPollInterval);
     if (conn->closing) break;
-    if (conn->broken) continue;  // keep draining poll wakeups, send nothing
     std::vector<Outgoing> out;
     std::vector<FinishedJob> finished;
     size_t progress_events = 0;
@@ -678,40 +572,51 @@ bool InspectionServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       Send(conn, wire::MsgType::kStatuszOk, frame.request_id, w.bytes());
       return true;
     }
-    default: {
-      Metrics().protocol_errors->Inc();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.protocol_errors;
-      }
-      SendError(conn, frame.request_id,
-                Status::NotImplemented(
-                    "unknown message type " +
-                    std::to_string(static_cast<int>(frame.type))));
+    default:
+      CountProtocolError();
+      if (net::AnswerUnexpected(conn->peer.get(), frame)) CountSent();
       return true;
-    }
   }
 }
 
 void InspectionServer::ServeConnection(
-    const std::shared_ptr<Connection>& conn) {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closing || conn->broken) break;
+    const std::shared_ptr<net::Conn>& peer) {
+  // A connection accepted as the drain began closes unserved.
+  if (draining_.load(std::memory_order_acquire)) return;
+  bool refused;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    refused = stats_.connections_active >= config_.max_connections;
+    if (refused) {
+      ++stats_.connections_refused;
+    } else {
+      ++stats_.connections_accepted;
+      ++stats_.connections_active;
     }
+  }
+  if (refused) {
+    // Best-effort refusal notice; the client may also just see EOF.
+    peer->SendError(0, Status::ResourceExhausted("connection limit reached"));
+    return;
+  }
+  Metrics().connections->Inc();
+  Metrics().connections_active->Add(1);
+  auto conn = std::make_shared<Connection>();
+  conn->peer = peer;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.push_back(conn);
+  }
+  conn->watcher = std::thread([this, conn] { WatchConnection(conn); });
+
+  while (true) {
     wire::Frame frame;
-    const Status st =
-        wire::ReadFrame(conn->fd, &frame, config_.max_frame_bytes);
+    const Status st = peer->Read(&frame, config_.max_frame_bytes);
     if (!st.ok()) {
       if (st.code() == StatusCode::kDataLoss) {
         // Malformed input: tell the client why (best effort) and close —
         // stream framing can no longer be trusted.
-        Metrics().protocol_errors->Inc();
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.protocol_errors;
-        }
+        CountProtocolError();
         SendError(conn, 0, st);
       }
       break;
@@ -741,67 +646,39 @@ void InspectionServer::ServeConnection(
   }
   conn->cv.notify_all();
   for (JobHandle& handle : to_cancel) handle.Cancel();
-  // Half-close first: the watcher may still be mid-send on this fd;
-  // the real close() below happens only after the watcher is joined.
-  ::shutdown(conn->fd, SHUT_RDWR);
+  // Unblock a watcher stuck sending to a client that stopped reading.
+  peer->Shutdown();
+  conn->watcher.join();
   Metrics().connections_active->Sub(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     if (stats_.connections_active > 0) --stats_.connections_active;
   }
-  // Reclaim the connection here if Shutdown() has not already taken
-  // ownership (presence in conns_, under the mutex, decides): join the
-  // watcher, close the fd, free the jobs map (it pins ResultTables), and
-  // park this thread's own handle in zombies_ for the accept loop or
-  // Shutdown to join.
-  bool owns = false;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = std::find(conns_.begin(), conns_.end(), conn);
-    if (it != conns_.end()) {
-      conns_.erase(it);
-      zombies_.push_back(conn);
-      owns = true;
-    }
+    conns_.erase(std::find(conns_.begin(), conns_.end(), conn));
   }
-  if (owns) {
-    if (conn->watcher.joinable()) conn->watcher.join();
-    ::close(conn->fd);
-    conn->fd = -1;
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->jobs.clear();
-  }
-}
-
-void InspectionServer::ReapZombies() {
-  std::vector<std::shared_ptr<Connection>> zombies;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    zombies.swap(zombies_);
-  }
-  for (const auto& conn : zombies) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->watcher.joinable()) conn->watcher.join();
-  }
+  // The jobs map pins ResultTables; free it with the connection.
+  std::lock_guard<std::mutex> lock(conn->mu);
+  conn->jobs.clear();
 }
 
 void InspectionServer::Shutdown() {
   if (!running_.load(std::memory_order_acquire)) return;
   draining_.store(true, std::memory_order_release);
-  // Stop the listener; accept() unblocks with an error.
-  ::shutdown(listen_fd_, SHUT_RDWR);
+  listener_.StopAccepting();
 
   // Drain: every tracked job on every live connection must reach a
   // terminal state and have its result written to the socket. Jobs on
-  // dead/broken connections are skipped (their cancellation is already in
-  // flight).
+  // connections already tearing down are skipped (their cancellation is
+  // already in flight).
   while (true) {
     bool pending = false;
     {
       std::lock_guard<std::mutex> conns_lock(conns_mu_);
       for (const auto& conn : conns_) {
         std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->closing || conn->broken) continue;
+        if (conn->closing) continue;
         if (conn->submits_in_progress > 0 ||
             conn->deliveries_in_progress > 0) {
           pending = true;
@@ -820,29 +697,17 @@ void InspectionServer::Shutdown() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Now tear everything down.
-  closing_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::shared_ptr<Connection>> conns;
+  // Mark every connection server-closed (its reader then cancels
+  // nothing), then shut each socket down and join each reader.
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns.swap(conns_);
-  }
-  for (const auto& conn : conns) {
-    {
+    std::lock_guard<std::mutex> conns_lock(conns_mu_);
+    for (const auto& conn : conns_) {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->closing = true;
+      conn->cv.notify_all();
     }
-    conn->cv.notify_all();
-    ::shutdown(conn->fd, SHUT_RDWR);
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->watcher.joinable()) conn->watcher.join();
-    ::close(conn->fd);
   }
-  // Connections their own readers already tore down (client hangups).
-  ReapZombies();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  listener_.Stop();
   running_.store(false, std::memory_order_release);
 }
 

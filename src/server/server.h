@@ -8,13 +8,19 @@
 // multi-tenant scenario, paper §1/§5).
 //
 // Threading model (one session, many sockets):
-//   - one accept thread
+//   - the peer layer's accept thread (net::Listener, server/net.h), which
+//     also reclaims finished connections and rides out descriptor
+//     exhaustion
 //   - per connection: a reader thread (decodes frames, dispatches
 //     requests, sends the direct responses) and a watcher thread (polls
-//     the connection's jobs, pushes kEventProgress frames as blocks
-//     complete and the final kResult frame exactly once per job)
-//   - all frames on one socket are serialized by a per-connection write
-//     mutex; per-connection job state by a per-connection state mutex
+//     the connection's jobs every 2 ms, pushes kEventProgress frames as
+//     blocks complete and the final kResult frame exactly once per job)
+//   - all frames on one socket are serialized by the connection's write
+//     mutex (net::Conn); per-connection job state by a per-connection
+//     state mutex
+//   - a frame type the server does not handle follows the peer layer's
+//     one rule (net::AnswerUnexpected): a kError is dropped, anything
+//     else is answered with kNotImplemented
 //
 // Backpressure & lifecycle:
 //   - session admission quotas (SessionConfig::max_concurrent_jobs /
@@ -39,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "server/net.h"
 #include "server/wire.h"
 #include "service/inspection_session.h"
 
@@ -51,14 +58,10 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the bound port is reported by port().
   uint16_t port = 0;
-  int listen_backlog = 64;
   /// Connections above this are refused with RESOURCE_EXHAUSTED.
   size_t max_connections = 256;
   /// Frames above this are rejected as malformed.
   size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-  /// Watcher poll cadence for progress events; events are sent only when
-  /// the block counter advanced, so a small interval costs little.
-  double progress_poll_s = 0.002;
   /// Completed jobs retained per connection for late Poll/Wait
   /// re-delivery; beyond this the oldest delivered entries (and their
   /// pinned ResultTables) are dropped and late probes get NotFound.
@@ -109,7 +112,7 @@ class InspectionServer {
   void Shutdown();
 
   /// \brief The bound TCP port (valid after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
   bool running() const { return running_.load(std::memory_order_acquire); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
@@ -131,11 +134,9 @@ class InspectionServer {
   };
 
   struct Connection {
-    int fd = -1;
-    std::thread reader;
+    std::shared_ptr<net::Conn> peer;
     std::thread watcher;
-    std::mutex write_mu;  ///< serializes frames onto the socket
-    std::mutex mu;        ///< guards jobs / closing / broken
+    std::mutex mu;  ///< guards jobs / closing
     std::condition_variable cv;
     std::map<uint64_t, TrackedJob> jobs;  ///< by session job id
     /// Submit frames currently being dispatched on the reader thread.
@@ -149,16 +150,12 @@ class InspectionServer {
     /// between would drop a result the drain already counts as sent.
     size_t deliveries_in_progress = 0;
     bool closing = false;
-    bool broken = false;  ///< a send failed; stop pushing
   };
 
-  void AcceptLoop();
-  void ServeConnection(const std::shared_ptr<Connection>& conn);
+  /// The reader of one accepted connection: registers it, runs its
+  /// watcher and its frame loop, and tears both down when it ends.
+  void ServeConnection(const std::shared_ptr<net::Conn>& peer);
   void WatchConnection(const std::shared_ptr<Connection>& conn);
-  /// Join the reader threads of connections already torn down by their
-  /// own reader (client-initiated hangups). Called from the accept loop
-  /// and Shutdown so dead connections don't accumulate thread handles.
-  void ReapZombies();
   /// Dispatch one decoded frame; returns false when the connection must
   /// close (protocol violation that loses stream sync).
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -173,12 +170,14 @@ class InspectionServer {
   void HandleRegisterHypotheses(const std::shared_ptr<Connection>& conn,
                                 const wire::Frame& frame);
 
-  /// Send one frame on the connection (write-mutex serialized); marks the
-  /// connection broken on failure.
+  /// Send one frame through the peer layer and count it when it went
+  /// out.
   void Send(const std::shared_ptr<Connection>& conn, wire::MsgType type,
             uint64_t request_id, const std::string& payload);
   void SendError(const std::shared_ptr<Connection>& conn,
                  uint64_t request_id, const Status& status);
+  void CountSent();
+  void CountProtocolError();
 
   /// Serialized kResult payload for a finished job's handle. Callers
   /// must not hold conn->mu: result tables can be large, and request
@@ -188,25 +187,19 @@ class InspectionServer {
   InspectionSession* session_;
   ServerConfig config_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> closing_{false};
 
   mutable std::mutex conns_mu_;
-  /// Live connections. Cleanup ownership is decided by presence here
-  /// (under conns_mu_): a reader that finds its connection in the list
-  /// removes it and reclaims watcher/fd/jobs itself (moving into
-  /// zombies_ for its own thread handle); Shutdown swaps the list out
-  /// and reclaims whatever is left.
+  /// Live connections, for the drain and Shutdown. Each reader adds its
+  /// own and removes it when it tears down.
   std::vector<std::shared_ptr<Connection>> conns_;
-  /// Torn-down connections whose reader threads still need joining.
-  std::vector<std::shared_ptr<Connection>> zombies_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
+
+  /// Last: its reader threads use every member above.
+  net::Listener listener_;
 };
 
 }  // namespace deepbase

@@ -89,10 +89,18 @@ Status ReadFrame(int fd, Frame* frame, size_t max_frame_bytes) {
                             " bytes exceeds the frame limit");
   }
   frame->type = static_cast<MsgType>(type);
-  frame->payload.resize(payload_len);
-  if (payload_len > 0 &&
-      !ReadFully(fd, frame->payload.data(), payload_len, nullptr)) {
-    return Status::IOError("truncated frame payload");
+  // Grow the payload as its bytes arrive (doubling from 64 KiB), so a
+  // header that lies about its length costs at most twice what the peer
+  // actually sent, never the full claim up front.
+  frame->payload.clear();
+  while (frame->payload.size() < payload_len) {
+    const size_t have = frame->payload.size();
+    const size_t chunk =
+        std::min<size_t>(payload_len - have, std::max<size_t>(have, 64 << 10));
+    frame->payload.resize(have + chunk);
+    if (!ReadFully(fd, frame->payload.data() + have, chunk, nullptr)) {
+      return Status::IOError("truncated frame payload");
+    }
   }
   return Status::OK();
 }
@@ -326,10 +334,14 @@ bool DecodeDataset(Reader* r, Dataset* dataset) {
   const uint64_t ns = r->U64();
   if (!r->ok() || ns == 0 || ns > (1u << 20)) return false;
   *dataset = Dataset(Vocab(), ns);
+  // Every encoded record and annotation track holds exactly ns symbols
+  // (Dataset::Add pads them), so anything else is malformed — and
+  // rejecting it keeps Add from padding a few payload bytes out to ns.
   const uint32_t n_records = r->U32();
   for (uint32_t i = 0; i < n_records && r->ok(); ++i) {
     Record rec;
     rec.tokens = r->StrList();
+    if (rec.tokens.size() != ns) return false;
     rec.ids.reserve(rec.tokens.size());
     for (const std::string& tok : rec.tokens) {
       rec.ids.push_back(dataset->mutable_vocab()->Add(tok));
@@ -337,7 +349,9 @@ bool DecodeDataset(Reader* r, Dataset* dataset) {
     const uint32_t n_tracks = r->U32();
     for (uint32_t t = 0; t < n_tracks && r->ok(); ++t) {
       std::string track = r->Str();
-      rec.annotations[std::move(track)] = r->StrList();
+      std::vector<std::string> values = r->StrList();
+      if (r->ok() && values.size() != ns) return false;
+      rec.annotations[std::move(track)] = std::move(values);
     }
     if (r->ok()) dataset->Add(std::move(rec));
   }

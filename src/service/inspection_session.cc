@@ -34,21 +34,25 @@ JobStatus JobHandle::Poll() const {
 JobStatus JobHandle::Poll(JobProgress* progress) const {
   internal::JobState& state = state_ != nullptr ? *state_ : InvalidJobState();
   JobStatus status;
+  std::shared_ptr<const ProgressCounter> counter;
   {
+    // The scheduler may still be pointing a listed job at its dedup
+    // leader's counter: copy the pointer under the lock it is swapped
+    // under, so the counter read below stays alive.
     std::lock_guard<std::mutex> lock(state.mu);
     status = state.status;
+    counter = state.progress;
   }
   if (progress != nullptr) {
     // The counter is updated with relaxed atomics by whichever engine
     // lane dispatches a block; a snapshot needs no lock.
-    const ProgressCounter& counter = *state.progress;
     progress->status = status;
     progress->blocks_completed =
-        counter.blocks_done.load(std::memory_order_relaxed);
+        counter->blocks_done.load(std::memory_order_relaxed);
     progress->blocks_total =
-        counter.blocks_total.load(std::memory_order_relaxed);
+        counter->blocks_total.load(std::memory_order_relaxed);
     progress->records_processed =
-        counter.records_done.load(std::memory_order_relaxed);
+        counter->records_done.load(std::memory_order_relaxed);
   }
   return status;
 }

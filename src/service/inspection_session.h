@@ -158,7 +158,9 @@ struct JobState {
   RuntimeStats stats;
   /// Live engine progress, shared with the scheduler (and, for dedup
   /// waiters, with the leader's run — a waiter's Poll reports the
-  /// leader's live counters). Never null.
+  /// leader's live counters). Never null. The pointer is guarded by mu:
+  /// the scheduler swaps in the leader's counter after the job is listed
+  /// in InspectionSession::Jobs().
   std::shared_ptr<ProgressCounter> progress =
       std::make_shared<ProgressCounter>();
   /// Invoked by JobHandle::Cancel() after the cancel flag is set (read

@@ -854,12 +854,12 @@ Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
       if (commit != nullptr) {
         std::shared_ptr<InflightJob> job = it->second;
         const std::shared_ptr<internal::JobState>& state = commit->state;
-        state->progress = job->progress;  // poll the leader's run
         job->waiters.push_back(state);
         ++dedup_followers_;
         Metrics().dedup_followers->Inc();
-        // Cancel on a waiter resolves the waiter, never the leader.
         std::lock_guard<std::mutex> state_lock(state->mu);
+        state->progress = job->progress;  // poll the leader's run
+        // Cancel on a waiter resolves the waiter, never the leader.
         std::weak_ptr<internal::JobState> weak_state = state;
         state->on_cancel = [this, job, weak_state] {
           if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
@@ -1024,7 +1024,10 @@ JobHandle Scheduler::Enqueue(std::shared_ptr<const JobPlan> plan,
   // The leader's handle and the in-flight registry share one progress
   // counter, so waiters attached later poll this run's live counters.
   std::shared_ptr<InflightJob> inflight = std::move(commit.inflight);
-  if (inflight) state->progress = inflight->progress;
+  if (inflight) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->progress = inflight->progress;
+  }
   // Group membership is claimed at submit time (not when the worker picks
   // the job up), so every job queued in one burst lands in one group.
   std::optional<GroupHandle> group = AttachToGroup(plan->group_key);

@@ -79,9 +79,10 @@ std::string Reader::Str() {
 std::vector<std::string> Reader::StrList() {
   const uint32_t n = U32();
   std::vector<std::string> out;
-  // Cap the reserve by what could physically fit, so a corrupt count
-  // cannot force a huge allocation before the bounds check trips.
-  out.reserve(std::min<size_t>(n, data_.size() / 4 + 1));
+  // Cap the reserve by what the remaining bytes can hold (every string
+  // carries a 4-byte length), so a corrupt count cannot force a huge
+  // allocation before the bounds check trips.
+  out.reserve(std::min<size_t>(n, remaining() / 4));
   for (uint32_t i = 0; i < n && ok(); ++i) out.push_back(Str());
   return out;
 }

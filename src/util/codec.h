@@ -54,6 +54,9 @@ class Reader {
   std::vector<std::string> StrList();
 
   bool ok() const { return ok_; }
+  /// Bytes left to read (0 once a read has failed). Decoders check it
+  /// before allocating for a count read off the wire.
+  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
   /// True when the whole payload was consumed (trailing garbage is a
   /// protocol error for fixed-shape messages).
   bool exhausted() const { return ok_ && pos_ == data_.size(); }

@@ -207,7 +207,6 @@ TEST(ChaosTest, MixedWorkloadSurvivesSeededFaultSchedule) {
 
   World server_world(/*delay_us=*/500);
   ServerConfig server_config;
-  server_config.progress_poll_s = 0.001;
   InspectionServer server(server_world.session.get(), server_config);
   ASSERT_TRUE(server.Start().ok());
 

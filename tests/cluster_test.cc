@@ -9,19 +9,25 @@
 // mid-job — with the same block counts and final progress as the local
 // run. Failure semantics (no workers → kUnavailable, inline-pointer
 // requests → local fallback, the hypothesis output-format pre-flight) and
-// sequential-lane pinning (whole-mode jobs) ride along, as does the peer
-// protocol rule that neither side answers a kError frame.
+// sequential-lane pinning (whole-mode jobs) ride along, as do the peer
+// protocol rule that no peer (coordinator, worker, server) answers a kError
+// frame and the coordinator listener's connection lifecycle: reclaiming
+// closed worker connections and surviving descriptor exhaustion.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,6 +41,7 @@
 #include "cluster/worker.h"
 #include "measures/multivariate_mi.h"
 #include "measures/scores.h"
+#include "server/server.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -1065,6 +1072,36 @@ std::optional<wire::Frame> NextErrorFrame(int fd, int timeout_ms) {
   }
 }
 
+// A raw loopback TCP connection to `port` (-1 on failure).
+int ConnectLoopback(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Register `fd` as a worker; true when kWorkerHelloOk arrives within 2 s.
+bool RegisterRawWorker(int fd, const std::string& id) {
+  wire::WorkerHelloWire hello;
+  hello.worker_id = id;
+  wire::Writer w;
+  wire::EncodeWorkerHello(hello, &w);
+  if (!wire::WriteFrame(fd, wire::MsgType::kWorkerHello, 1, w.bytes()).ok()) {
+    return false;
+  }
+  pollfd pfd{fd, POLLIN, 0};
+  wire::Frame ack;
+  return ::poll(&pfd, 1, 2000) == 1 && wire::ReadFrame(fd, &ack).ok() &&
+         ack.type == wire::MsgType::kWorkerHelloOk;
+}
+
 // Send one kError, expect no answer, then show the connection still
 // works: an unknown frame type is answered with a kError for its id.
 void ExpectErrorIsNeverAnswered(int fd) {
@@ -1157,6 +1194,113 @@ TEST(ClusterProtocolTest, WorkerNeverAnswersAnErrorFrame) {
   worker.Shutdown();
   ::close(fd);
   ::close(listen_fd);
+}
+
+TEST(ClusterProtocolTest, ServerNeverAnswersAnErrorFrame) {
+  // The client-facing server follows the same rule as the cluster peers.
+  World world;
+  InspectionServer server(&world.session);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  wire::Writer hello;
+  hello.U16(wire::kProtocolVersion);
+  ASSERT_TRUE(
+      wire::WriteFrame(fd, wire::MsgType::kHello, 1, hello.bytes()).ok());
+  wire::Frame ack;
+  ASSERT_TRUE(wire::ReadFrame(fd, &ack).ok());
+  ASSERT_EQ(ack.type, wire::MsgType::kHelloOk);
+
+  ExpectErrorIsNeverAnswered(fd);
+  ::close(fd);
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Connection lifecycle: the coordinator's listener reclaims what finished
+// and survives descriptor exhaustion.
+// ---------------------------------------------------------------------------
+
+size_t OpenDescriptors() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ClusterLifecycleTest, ClosedWorkerConnectionsAreReclaimed) {
+  World world;
+  cluster::ClusterCoordinator coordinator(
+      &world.session, {.heartbeat_timeout_s = 30, .install_engine = false});
+  ASSERT_TRUE(coordinator.Start().ok());
+  const size_t baseline = OpenDescriptors();
+  for (int i = 0; i < 20; ++i) {
+    const int fd = ConnectLoopback(coordinator.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(RegisterRawWorker(fd, "raw-" + std::to_string(i)));
+    ::close(fd);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t open = OpenDescriptors();
+  while ((coordinator.num_workers() > 0 || open > baseline + 2) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = OpenDescriptors();
+  }
+  EXPECT_EQ(coordinator.num_workers(), 0u);
+  EXPECT_LE(open, baseline + 2)
+      << "the coordinator still holds the descriptors of closed workers";
+  EXPECT_TRUE(coordinator.running());
+  coordinator.Shutdown();
+}
+
+TEST(ClusterLifecycleTest, AcceptLoopSurvivesDescriptorExhaustion) {
+  World world;
+  cluster::ClusterCoordinator coordinator(
+      &world.session, {.heartbeat_timeout_s = 30, .install_engine = false});
+  ASSERT_TRUE(coordinator.Start().ok());
+  // The socket that wakes the accept already in flight exists before the
+  // descriptor table fills.
+  const int wake = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(wake, 0);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur =
+      std::min<rlim_t>(saved.rlim_cur, OpenDescriptors() + 64);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+    fillers.push_back(fd);
+  }
+  const int fill_errno = errno;
+  // The accept in flight returns the descriptor it reserved; the loop's
+  // next accept finds the table full and fails with EMFILE.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(coordinator.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int woke =
+      ::connect(wake, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(fill_errno, EMFILE);
+  ASSERT_EQ(woke, 0);
+
+  const int fd = ConnectLoopback(coordinator.port());
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(RegisterRawWorker(fd, "after-exhaustion"))
+      << "no kWorkerHelloOk: the accept loop died on EMFILE";
+  EXPECT_EQ(coordinator.worker_ids(),
+            std::vector<std::string>{"after-exhaustion"});
+  ::close(fd);
+  ::close(wake);
+  coordinator.Shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -720,6 +720,60 @@ TEST(SchedulerDedupTest, ConcurrentIdenticalSubmitsRunTheEngineOnce) {
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);  // registry retired
 }
 
+// A statusz scrape polls every listed job. A dedupable Submit lists its
+// job first and only then points it at its leader's progress counter (or,
+// as the leader, at the counter its waiters share), so a poll racing that
+// swap must not read a counter the swap frees. Run under TSan by check.sh.
+TEST(SchedulerDedupTest, PollingListedJobsDuringIdenticalSubmitsIsSafe) {
+  CountingExtractor extractor(4, /*delay_us=*/200);
+  Dataset dataset = MakeAbDataset(240, 8);
+
+  SessionConfig config;
+  config.options.block_size = 16;
+  config.options.early_stopping = false;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("planted", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("ab", &dataset);
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> polls{0};
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const JobHandle& job : session.Jobs()) {
+        JobProgress progress;
+        job.Poll(&progress);
+        EXPECT_LE(progress.blocks_completed, 240u / 16);
+        polls.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Four bursts of 16 identical submits; each burst's seed makes it a
+  // new fingerprint, so it forms a fresh leader and waiters.
+  std::vector<JobHandle> jobs;
+  for (uint64_t burst = 0; burst < 4; ++burst) {
+    InspectRequest request = PlantedRequest();
+    request.options = session.default_options();
+    request.options->shuffle_seed = burst + 1;
+    for (size_t j = 0; j < 16; ++j) jobs.push_back(session.Submit(request));
+    for (JobHandle& job : jobs) {
+      const Result<ResultTable>& result = job.Wait();
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  poller.join();
+  EXPECT_GT(polls.load(), 0u);
+  // Every job, leader or waiter, reports its run's final counters.
+  for (const JobHandle& job : jobs) {
+    JobProgress progress;
+    job.Poll(&progress);
+    EXPECT_EQ(progress.blocks_completed, 240u / 16);
+  }
+}
+
 TEST(SchedulerDedupTest, DedupWorksWithResultCacheDisabled) {
   CountingExtractor extractor(4);
   Dataset dataset = MakeAbDataset(240, 8);

@@ -131,7 +131,6 @@ struct ServerWorld {
     session->catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
     session->catalog().RegisterDataset("ab", &dataset);
     ServerConfig server_config;
-    server_config.progress_poll_s = 0.001;
     server = std::make_unique<InspectionServer>(session.get(),
                                                 server_config);
     DB_CHECK_OK(server->Start());
@@ -347,7 +346,7 @@ TEST(InspectionServerTest, ProgressEventsStrictlyIncreaseToCompletion) {
   {
     std::lock_guard<std::mutex> lock(mu);
     ASSERT_GE(events.size(), 2u)
-        << "a 20-block run at 2ms/block with a 1ms watcher should stream "
+        << "a 20-block run at 2ms/block with the 2ms watcher should stream "
            "several events";
     uint64_t prev = 0;
     for (const RemoteProgress& p : events) {
