@@ -6,20 +6,18 @@ namespace deepbase {
 
 namespace {
 
-// Stack per-record behavior matrices for a block, optionally in parallel.
-template <typename ExtractFn>
-Matrix BlockFromRecords(const Dataset& dataset,
-                        const std::vector<size_t>& record_idx,
-                        size_t num_cols, ThreadPool* pool,
-                        const ExtractFn& extract) {
+// A block's behaviors, (|record_idx| * ns) × num_cols: `write(ids, out,
+// row0)` fills record i's rows [i * ns, (i + 1) * ns) of the block itself,
+// over the pool's threads when there is a pool.
+template <typename WriteFn>
+Matrix FillBlock(const Dataset& dataset, const std::vector<size_t>& record_idx,
+                 size_t num_cols, ThreadPool* pool, const WriteFn& write) {
   const size_t ns = dataset.ns();
   Matrix out(record_idx.size() * ns, num_cols);
   auto fill = [&](size_t i) {
-    Matrix rec_m = extract(dataset.record(record_idx[i]));
-    DB_DCHECK(rec_m.rows() == ns && rec_m.cols() == num_cols);
-    for (size_t t = 0; t < ns; ++t) {
-      out.SetRow(i * ns + t, rec_m.Row(t));
-    }
+    const Record& rec = dataset.record(record_idx[i]);
+    DB_DCHECK(rec.size() == ns);
+    write(rec.ids, &out, i * ns);
   };
   if (pool) {
     pool->ParallelFor(record_idx.size(), fill);
@@ -33,47 +31,50 @@ Matrix BlockFromRecords(const Dataset& dataset,
 
 Matrix LstmLmExtractor::ExtractRecord(
     const Record& rec, const std::vector<int>& unit_ids) const {
-  std::vector<size_t> cols(unit_ids.begin(), unit_ids.end());
-  return model_->HiddenStates(rec.ids).GatherCols(cols);
+  Matrix out(rec.size(), unit_ids.size());
+  model_->HiddenStatesInto(rec.ids, unit_ids, &out, 0);
+  return out;
 }
 
 Matrix LstmLmExtractor::ExtractBlock(const Dataset& dataset,
                                      const std::vector<size_t>& record_idx,
                                      const std::vector<int>& unit_ids) const {
-  return BlockFromRecords(dataset, record_idx, unit_ids.size(), pool_,
-                          [&](const Record& rec) {
-                            return ExtractRecord(rec, unit_ids);
-                          });
+  return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
+                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
+                     model_->HiddenStatesInto(ids, unit_ids, out, row0);
+                   });
 }
 
 Matrix LstmLmGradientExtractor::ExtractRecord(
     const Record& rec, const std::vector<int>& unit_ids) const {
-  std::vector<size_t> cols(unit_ids.begin(), unit_ids.end());
-  return model_->HiddenGradients(rec.ids).GatherCols(cols);
+  Matrix out(rec.size(), unit_ids.size());
+  model_->HiddenGradientsInto(rec.ids, unit_ids, &out, 0);
+  return out;
 }
 
 Matrix LstmLmGradientExtractor::ExtractBlock(
     const Dataset& dataset, const std::vector<size_t>& record_idx,
     const std::vector<int>& unit_ids) const {
-  return BlockFromRecords(dataset, record_idx, unit_ids.size(), pool_,
-                          [&](const Record& rec) {
-                            return ExtractRecord(rec, unit_ids);
-                          });
+  return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
+                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
+                     model_->HiddenGradientsInto(ids, unit_ids, out, row0);
+                   });
 }
 
 Matrix Seq2SeqEncoderExtractor::ExtractRecord(
     const Record& rec, const std::vector<int>& unit_ids) const {
-  std::vector<size_t> cols(unit_ids.begin(), unit_ids.end());
-  return model_->EncoderStates(rec.ids).GatherCols(cols);
+  Matrix out(rec.size(), unit_ids.size());
+  model_->EncoderStatesInto(rec.ids, unit_ids, &out, 0);
+  return out;
 }
 
 Matrix Seq2SeqEncoderExtractor::ExtractBlock(
     const Dataset& dataset, const std::vector<size_t>& record_idx,
     const std::vector<int>& unit_ids) const {
-  return BlockFromRecords(dataset, record_idx, unit_ids.size(), pool_,
-                          [&](const Record& rec) {
-                            return ExtractRecord(rec, unit_ids);
-                          });
+  return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
+                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
+                     model_->EncoderStatesInto(ids, unit_ids, out, row0);
+                   });
 }
 
 Matrix PrecomputedExtractor::ExtractRecord(

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/simd.h"
 #include "util/logging.h"
 
 namespace deepbase {
@@ -35,8 +36,7 @@ Matrix LstmLayer::RunGates(size_t T, Matrix preact, LstmCache* cache) const {
       for (size_t k = 0; k < h; ++k) {
         const float hv = hp[k];
         if (hv == 0.0f) continue;
-        const float* wrow = wh.row_data(k);
-        for (size_t j = 0; j < 4 * h; ++j) z[j] += hv * wrow[j];
+        vec::AddScaledSpan(z, wh.row_data(k), hv, 4 * h);
       }
     }
     float* crow = cells.row_data(t);
@@ -190,6 +190,26 @@ void LstmLayer::ZeroGrads() {
   dwx_.Fill(0);
   dwh_.Fill(0);
   db_.Fill(0);
+}
+
+void WriteUnits(const std::vector<Matrix>& layers,
+                const std::vector<int>& units, Matrix* out, size_t row0) {
+  DB_DCHECK(!layers.empty() && units.size() == out->cols());
+  const size_t T = layers.front().rows(), h = layers.front().cols();
+  DB_DCHECK(row0 + T <= out->rows());
+  // Each unit's layer and column, resolved once per call, not per row.
+  std::vector<std::pair<const Matrix*, size_t>> src(units.size());
+  for (size_t j = 0; j < units.size(); ++j) {
+    const size_t u = static_cast<size_t>(units[j]);
+    DB_DCHECK(u / h < layers.size());
+    src[j] = {&layers[u / h], u % h};
+  }
+  for (size_t t = 0; t < T; ++t) {
+    float* dst = out->row_data(row0 + t);
+    for (size_t j = 0; j < src.size(); ++j) {
+      dst[j] = src[j].first->row_data(t)[src[j].second];
+    }
+  }
 }
 
 Result<std::vector<Matrix>> ReadWeights(

@@ -83,6 +83,14 @@ class LstmLayer {
   mutable Matrix dwx_, dwh_, db_;
 };
 
+/// \brief Copy the states of `units` out of per-layer T×h state matrices
+/// (unit u is column u % h of layers[u / h]) into rows [row0, row0 + T) of
+/// `out`, whose column j receives unit units[j]. The models hand a record's
+/// selected units to an extractor's block this way, with no per-record
+/// matrix in between.
+void WriteUnits(const std::vector<Matrix>& layers,
+                const std::vector<int>& units, Matrix* out, size_t row0);
+
 /// \brief Read a model file's weights: one WriteMatrix record per entry of
 /// `shapes` (rows, cols), in order, each required to have that shape
 /// (Invalid otherwise). Model Load reads every weight before it builds the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <numeric>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -32,17 +33,18 @@ void LstmLm::SetSpecialization(
   spec_target_fn_ = std::move(target_fn);
 }
 
-Matrix LstmLm::ForwardAll(const std::vector<int>& ids,
-                          std::vector<LstmCache>* caches,
-                          std::vector<Matrix>* hiddens) const {
+std::vector<Matrix> LstmLm::ForwardAll(const std::vector<int>& ids,
+                                       std::vector<LstmCache>* caches) const {
   if (caches) caches->resize(layers_.size());
-  Matrix h = layers_[0].ForwardIds(ids, caches ? &(*caches)[0] : nullptr);
-  if (hiddens) hiddens->push_back(h);
+  std::vector<Matrix> hiddens;
+  hiddens.reserve(layers_.size());
+  hiddens.push_back(
+      layers_[0].ForwardIds(ids, caches ? &(*caches)[0] : nullptr));
   for (size_t l = 1; l < layers_.size(); ++l) {
-    h = layers_[l].Forward(h, caches ? &(*caches)[l] : nullptr);
-    if (hiddens) hiddens->push_back(h);
+    hiddens.push_back(layers_[l].Forward(
+        hiddens.back(), caches ? &(*caches)[l] : nullptr));
   }
-  return h;
+  return hiddens;
 }
 
 std::pair<float, size_t> LstmLm::AccumulateRecord(const Record& rec) {
@@ -51,8 +53,8 @@ std::pair<float, size_t> LstmLm::AccumulateRecord(const Record& rec) {
   if (T < 2) return {0.0f, 0};
 
   std::vector<LstmCache> caches;
-  std::vector<Matrix> hiddens;
-  Matrix top = ForwardAll(ids, &caches, &hiddens);
+  const std::vector<Matrix> hiddens = ForwardAll(ids, &caches);
+  const Matrix& top = hiddens.back();
 
   Matrix logits = MatMul(top, wo_);
   logits.AddRowBroadcast(bo_);
@@ -257,21 +259,38 @@ Result<LstmLm> LstmLm::Load(const std::string& path) {
   return model;
 }
 
+namespace {
+std::vector<int> AllUnits(size_t n) {
+  std::vector<int> units(n);
+  std::iota(units.begin(), units.end(), 0);
+  return units;
+}
+}  // namespace
+
 Matrix LstmLm::HiddenStates(const std::vector<int>& ids) const {
-  std::vector<Matrix> hiddens;
-  ForwardAll(ids, nullptr, &hiddens);
-  Matrix out = hiddens[0];
-  for (size_t l = 1; l < hiddens.size(); ++l) {
-    out = Matrix::HStack(out, hiddens[l]);
-  }
+  Matrix out(ids.size(), num_units());
+  HiddenStatesInto(ids, AllUnits(num_units()), &out, 0);
   return out;
 }
 
+void LstmLm::HiddenStatesInto(const std::vector<int>& ids,
+                              const std::vector<int>& units, Matrix* out,
+                              size_t row0) const {
+  WriteUnits(ForwardAll(ids, nullptr), units, out, row0);
+}
+
 Matrix LstmLm::HiddenGradients(const std::vector<int>& ids) const {
+  Matrix out(ids.size(), num_units());
+  HiddenGradientsInto(ids, AllUnits(num_units()), &out, 0);
+  return out;
+}
+
+void LstmLm::HiddenGradientsInto(const std::vector<int>& ids,
+                                 const std::vector<int>& units, Matrix* out,
+                                 size_t row0) const {
   const size_t T = ids.size();
   std::vector<LstmCache> caches;
-  std::vector<Matrix> hiddens;
-  Matrix top = ForwardAll(ids, &caches, &hiddens);
+  const Matrix top = std::move(ForwardAll(ids, &caches).back());
 
   Matrix logits = MatMul(top, wo_);
   logits.AddRowBroadcast(bo_);
@@ -289,23 +308,18 @@ Matrix LstmLm::HiddenGradients(const std::vector<int>& ids) const {
   }
   Matrix dh = MatMulTransB(dlogits, wo_);
 
-  Matrix out(T, num_units());
+  std::vector<Matrix> grads(layers_.size());
   for (size_t l = layers_.size(); l-- > 0;) {
     Matrix dinputs;
-    Matrix grads = layers_[l].HiddenGradients(caches[l], dh,
-                                              l > 0 ? &dinputs : nullptr);
-    for (size_t t = 0; t < T; ++t) {
-      const float* src = grads.row_data(t);
-      float* dst = out.row_data(t) + l * hidden_dim_;
-      for (size_t j = 0; j < hidden_dim_; ++j) dst[j] = src[j];
-    }
+    grads[l] = layers_[l].HiddenGradients(caches[l], dh,
+                                          l > 0 ? &dinputs : nullptr);
     if (l > 0) dh = std::move(dinputs);
   }
-  return out;
+  WriteUnits(grads, units, out, row0);
 }
 
 Matrix LstmLm::Logits(const std::vector<int>& ids) const {
-  Matrix top = ForwardAll(ids, nullptr, nullptr);
+  const Matrix top = std::move(ForwardAll(ids, nullptr).back());
   Matrix logits = MatMul(top, wo_);
   logits.AddRowBroadcast(bo_);
   return logits;

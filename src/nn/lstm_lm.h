@@ -67,6 +67,12 @@ class LstmLm {
   /// \brief Hidden-state behaviors for one record: T × num_units(), layers
   /// concatenated left to right.
   Matrix HiddenStates(const std::vector<int>& ids) const;
+  /// \brief The hidden states of `units` for one record, written into rows
+  /// [row0, row0 + T) of `out` (column j holds unit units[j]): how the
+  /// extractors fill a block without a per-record matrix.
+  void HiddenStatesInto(const std::vector<int>& ids,
+                        const std::vector<int>& units, Matrix* out,
+                        size_t row0) const;
 
   /// \brief Gradient behaviors for one record: dL/dh per unit and symbol
   /// (T × num_units()), where L is the mean next-symbol cross-entropy of
@@ -75,15 +81,19 @@ class LstmLm {
   /// the basis of gradient saliency. Layer columns are concatenated left
   /// to right, matching HiddenStates().
   Matrix HiddenGradients(const std::vector<int>& ids) const;
+  /// \brief HiddenGradients of `units`, written like HiddenStatesInto.
+  void HiddenGradientsInto(const std::vector<int>& ids,
+                           const std::vector<int>& units, Matrix* out,
+                           size_t row0) const;
 
   /// \brief Logits (T × vocab) for one record; position t predicts t+1.
   Matrix Logits(const std::vector<int>& ids) const;
 
  private:
-  // Forward through all layers; hiddens[l] is the T×h states of layer l.
-  Matrix ForwardAll(const std::vector<int>& ids,
-                    std::vector<LstmCache>* caches,
-                    std::vector<Matrix>* hiddens) const;
+  // Forward through all layers; returns the T×h states of each layer,
+  // the top layer last.
+  std::vector<Matrix> ForwardAll(const std::vector<int>& ids,
+                                 std::vector<LstmCache>* caches) const;
   // Accumulates gradients for one record; returns its summed CE loss and
   // the number of predicted positions.
   std::pair<float, size_t> AccumulateRecord(const Record& rec);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <numeric>
 
 #include "util/logging.h"
 
@@ -217,10 +218,21 @@ double Seq2Seq::Accuracy(const Dataset& source,
 }
 
 Matrix Seq2Seq::EncoderStates(const std::vector<int>& src_ids) const {
-  LstmCache c0, c1;
-  Matrix h0 = enc0_.ForwardIds(src_ids, &c0);
-  Matrix h1 = enc1_.Forward(h0, &c1);
-  return Matrix::HStack(h0, h1);
+  std::vector<int> units(num_encoder_units());
+  std::iota(units.begin(), units.end(), 0);
+  Matrix out(src_ids.size(), units.size());
+  EncoderStatesInto(src_ids, units, &out, 0);
+  return out;
+}
+
+void Seq2Seq::EncoderStatesInto(const std::vector<int>& src_ids,
+                                const std::vector<int>& units, Matrix* out,
+                                size_t row0) const {
+  std::vector<Matrix> layers;
+  layers.reserve(2);
+  layers.push_back(enc0_.ForwardIds(src_ids, nullptr));
+  layers.push_back(enc1_.Forward(layers.front(), nullptr));
+  WriteUnits(layers, units, out, row0);
 }
 
 namespace {

@@ -41,6 +41,11 @@ class Seq2Seq {
   /// \brief Encoder behaviors for a source record: T × (2*hidden), layer 0
   /// in columns [0, hidden), layer 1 in [hidden, 2*hidden).
   Matrix EncoderStates(const std::vector<int>& src_ids) const;
+  /// \brief The encoder states of `units` for a source record, written into
+  /// rows [row0, row0 + T) of `out` (column j holds unit units[j]).
+  void EncoderStatesInto(const std::vector<int>& src_ids,
+                         const std::vector<int>& units, Matrix* out,
+                         size_t row0) const;
 
   /// \brief Serialize all parameters to a binary file (the "public model
   /// available online" workflow of §6.3 — train once, inspect anywhere).

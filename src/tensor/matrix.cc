@@ -75,19 +75,7 @@ inline void ScaleSpan(float* d, float s, size_t n) {
   for (; i < n; ++i) d[i] *= s;
 }
 
-// d[i] += a * s[i] — the GEMM inner row update.
-inline void AddScaledSpan(float* d, const float* s, float a, size_t n) {
-  size_t i = 0;
-#if DEEPBASE_SIMD_ENABLED
-  const FloatV av(a);
-  for (; i + FloatV::size() <= n; i += FloatV::size()) {
-    FloatV dv(d + i, stdx::element_aligned);
-    FloatV sv(s + i, stdx::element_aligned);
-    (dv + av * sv).copy_to(d + i, stdx::element_aligned);
-  }
-#endif
-  for (; i < n; ++i) d[i] += a * s[i];
-}
+using vec::AddScaledSpan;
 
 inline double SumSpan(const float* s, size_t n) {
   double acc = 0;

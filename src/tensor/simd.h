@@ -76,5 +76,21 @@ inline constexpr size_t kCountLanes = 1;
 
 #endif  // DEEPBASE_SIMD_ENABLED
 
+/// d[i] += a * s[i] for i in [0, n): the row update of MatMul and of the
+/// LSTM's recurrent product. Each element gets one multiply-add per call,
+/// so a product built from it sums every element in its k order.
+inline void AddScaledSpan(float* d, const float* s, float a, size_t n) {
+  size_t i = 0;
+#if DEEPBASE_SIMD_ENABLED
+  const FloatV av(a);
+  for (; i + FloatV::size() <= n; i += FloatV::size()) {
+    FloatV dv(d + i, stdx::element_aligned);
+    FloatV sv(s + i, stdx::element_aligned);
+    (dv + av * sv).copy_to(d + i, stdx::element_aligned);
+  }
+#endif
+  for (; i < n; ++i) d[i] += a * s[i];
+}
+
 }  // namespace vec
 }  // namespace deepbase
