@@ -1,6 +1,9 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/simd.h"
 #include "util/logging.h"
@@ -21,13 +24,146 @@ LstmLayer::LstmLayer(size_t input_dim, size_t hidden_dim, Rng* rng)
 }
 
 namespace {
-inline float SigmoidScalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+// ------------------------------------------------------------------------
+// The gate step: sigmoid and tanh from one deterministic polynomial source,
+// evaluated one vector lane per unit (FloatV in the SIMD build, float in
+// the scalar build). Training and extraction both run it. Every lane runs
+// the same instructions, and a tail shorter than a vector is padded into a
+// full one, so a unit's outputs depend only on its own inputs: equal
+// pre-activations and previous cell give equal bits in every lane and at
+// every hidden size. A NaN input yields NaN.
+// ------------------------------------------------------------------------
+
+#if DEEPBASE_SIMD_ENABLED
+using GateV = vec::FloatV;
+using GateI = vec::stdx::rebind_simd_t<int32_t, GateV>;
+
+inline GateV Load(const float* p) {
+  return GateV(p, vec::stdx::element_aligned);
+}
+inline void Store(const GateV& v, float* p) {
+  v.copy_to(p, vec::stdx::element_aligned);
+}
+inline GateV Select(const GateV::mask_type& m, const GateV& a,
+                    const GateV& b) {
+  GateV out = b;
+  where(m, out) = a;
+  return out;
+}
+inline GateV Floor(const GateV& x) { return vec::stdx::floor(x); }
+// 2^n for integral n in the normal exponent range, from its bit pattern.
+inline GateV Pow2(const GateV& n) {
+  return std::bit_cast<GateV>(
+      (vec::stdx::static_simd_cast<GateI>(n) + 127) << 23);
+}
+#else
+using GateV = float;
+
+inline GateV Load(const float* p) { return *p; }
+inline void Store(GateV v, float* p) { *p = v; }
+inline GateV Select(bool m, GateV a, GateV b) { return m ? a : b; }
+inline GateV Floor(GateV x) { return std::floor(x); }
+inline GateV Pow2(GateV n) {
+  return std::bit_cast<float>((static_cast<int32_t>(n) + 127) << 23);
+}
+#endif
+constexpr size_t kGateLanes = vec::kFloatLanes;
+
+// Exponent arguments saturate at ±80: e^80 is finite, and the gates have
+// reached 1 (or fallen below 2e-35) long before. NaN maps to 80 here; the
+// callers restore it.
+constexpr float kExpLimit = 80.0f;
+inline GateV ClampExpArg(GateV x) {
+  x = Select(x < kExpLimit, x, GateV(kExpLimit));
+  return Select(x > -kExpLimit, x, GateV(-kExpLimit));
+}
+
+// e^x for x in [-kExpLimit, kExpLimit] (Cephes' single-precision
+// exponential): x = n·ln2 + r with |r| <= ln2/2 (ln2 split in two so
+// n·ln2 is exact), a degree-5 polynomial for e^r, and 2^n from its bits.
+inline GateV ExpClamped(GateV x) {
+  const GateV n = Floor(x * 1.44269504088896341f + 0.5f);
+  x = x - n * 0.693359375f;
+  x = x + n * 2.12194440e-4f;
+  GateV p = GateV(1.9875691500e-4f);
+  p = p * x + 1.3981999507e-3f;
+  p = p * x + 8.3334519073e-3f;
+  p = p * x + 4.1665795894e-2f;
+  p = p * x + 1.6666665459e-1f;
+  p = p * x + 5.0000001201e-1f;
+  p = p * (x * x) + x + 1.0f;
+  return p * Pow2(n);
+}
+
+inline GateV Sigmoid(GateV x) {
+  const GateV s = 1.0f / (1.0f + ExpClamped(ClampExpArg(-x)));
+  return Select(x == x, s, x);
+}
+
+// Cephes' single-precision tanh: an odd polynomial below |x| = 0.625,
+// 1 - 2 / (e^2|x| + 1) with x's sign above.
+inline GateV Tanh(GateV x) {
+  const GateV ax = Select(x < 0.0f, -x, x);
+  const GateV z = x * x;
+  GateV p = GateV(-5.70498872745e-3f);
+  p = p * z + 2.06390887954e-2f;
+  p = p * z - 5.37397155531e-2f;
+  p = p * z + 1.33314422036e-1f;
+  p = p * z - 3.33332819422e-1f;
+  const GateV small = p * z * x + x;
+  const GateV large = 1.0f - 2.0f / (ExpClamped(ClampExpArg(ax + ax)) + 1.0f);
+  const GateV t = Select(ax < 0.625f, small, Select(x < 0.0f, -large, large));
+  return Select(x == x, t, x);
+}
+
+// One vector of units: i, f, o, g point at their pre-activations and
+// receive the gates; writes c = f·c_prev + i·g, tanh(c) and h = o·tanh(c).
+inline void GateLanes(float* i, float* f, float* o, float* g,
+                      const float* cprev, float* c, float* tc, float* h) {
+  const GateV ig = Sigmoid(Load(i));
+  const GateV fg = Sigmoid(Load(f));
+  const GateV og = Sigmoid(Load(o));
+  const GateV gg = Tanh(Load(g));
+  const GateV cv = fg * Load(cprev) + ig * gg;
+  const GateV tv = Tanh(cv);
+  Store(ig, i);
+  Store(fg, f);
+  Store(og, o);
+  Store(gg, g);
+  Store(cv, c);
+  Store(tv, tc);
+  Store(og * tv, h);
+}
+
+// One timestep of units [0, h): z holds the 4h pre-activations [i f o g]
+// and receives the gates; cprev is c[t-1]; writes c[t], tanh(c[t]), h[t].
+void GateStep(float* z, const float* cprev, float* c, float* tc, float* h,
+              size_t hidden) {
+  size_t j = 0;
+  for (; j + kGateLanes <= hidden; j += kGateLanes) {
+    GateLanes(z + j, z + hidden + j, z + 2 * hidden + j, z + 3 * hidden + j,
+              cprev + j, c + j, tc + j, h + j);
+  }
+  if (j == hidden) return;
+  // The tail, padded into one full vector (zeros in the unused lanes).
+  const size_t m = hidden - j;
+  alignas(vec::kByteAlign) float pad[8][kGateLanes] = {};
+  for (size_t q = 0; q < 4; ++q) std::copy_n(z + q * hidden + j, m, pad[q]);
+  std::copy_n(cprev + j, m, pad[4]);
+  GateLanes(pad[0], pad[1], pad[2], pad[3], pad[4], pad[5], pad[6], pad[7]);
+  for (size_t q = 0; q < 4; ++q) std::copy_n(pad[q], m, z + q * hidden + j);
+  std::copy_n(pad[5], m, c + j);
+  std::copy_n(pad[6], m, tc + j);
+  std::copy_n(pad[7], m, h + j);
+}
+
 }  // namespace
 
 Matrix LstmLayer::RunGates(size_t T, Matrix preact, LstmCache* cache) const {
   const size_t h = hidden_dim_;
   Matrix hiddens(T, h), cells(T, h), tanh_c(T, h);
-  Matrix h_prev(1, h), c_prev(1, h);
+  const Matrix c_zero(1, h);
   for (size_t t = 0; t < T; ++t) {
     float* z = preact.row_data(t);
     // Add recurrent contribution h_{t-1} * Wh.
@@ -39,23 +175,8 @@ Matrix LstmLayer::RunGates(size_t T, Matrix preact, LstmCache* cache) const {
         vec::AddScaledSpan(z, wh.row_data(k), hv, 4 * h);
       }
     }
-    float* crow = cells.row_data(t);
-    float* hrow = hiddens.row_data(t);
-    float* trow = tanh_c.row_data(t);
-    const float* cprev = t > 0 ? cells.row_data(t - 1) : c_prev.row_data(0);
-    for (size_t j = 0; j < h; ++j) {
-      const float ig = SigmoidScalar(z[j]);
-      const float fg = SigmoidScalar(z[h + j]);
-      const float og = SigmoidScalar(z[2 * h + j]);
-      const float gg = std::tanh(z[3 * h + j]);
-      z[j] = ig;
-      z[h + j] = fg;
-      z[2 * h + j] = og;
-      z[3 * h + j] = gg;
-      crow[j] = fg * cprev[j] + ig * gg;
-      trow[j] = std::tanh(crow[j]);
-      hrow[j] = og * trow[j];
-    }
+    GateStep(z, t > 0 ? cells.row_data(t - 1) : c_zero.row_data(0),
+             cells.row_data(t), tanh_c.row_data(t), hiddens.row_data(t), h);
   }
   if (cache) {
     cache->gates = std::move(preact);

@@ -18,17 +18,28 @@
 // Cross-lane reductions (Matrix::Sum, MatMul, Softmax in
 // tensor/matrix.cc) are the one place SIMD re-associates; their
 // documented tolerance is pinned here too.
+//
+// The LSTM gate step (nn/lstm.cc) evaluates sigmoid and tanh one lane per
+// unit and pads a short tail into a full vector: units that share weights
+// must get the same bits in every lane, in the tail, and at every hidden
+// size; NaN must propagate; and saturating pre-activations must give
+// gates in range, no less accurate than the std::exp / std::tanh formula.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/extractors.h"
 #include "measures/independent.h"
 #include "measures/scores.h"
+#include "nn/lstm.h"
+#include "tensor/simd.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -297,6 +308,144 @@ TEST(ShardInvarianceTest, SequentialLaneRunsAreByteIdenticalAtShards138) {
       ExpectShardInvariant(measures, hyps, options);
     }
   }
+}
+
+// ------------------------------------------------------------------
+// The LSTM gate step: one lane per unit, the tail padded into a vector.
+// ------------------------------------------------------------------
+
+// A layer of `hidden` units that all share the same weights: every unit's
+// gate columns read the same input weights and bias, and each unit's
+// recurrent weights connect it to itself only, so every column of the
+// hidden states is the same function of the ids.
+LstmLayer SharedWeightLayer(size_t hidden) {
+  constexpr size_t kInputs = 5;
+  Rng rng(77);
+  LstmLayer layer(kInputs, hidden, &rng);
+  Rng shared(91);
+  float in[kInputs][4], self[4], bias[4];
+  for (size_t g = 0; g < 4; ++g) {
+    for (size_t v = 0; v < kInputs; ++v) {
+      in[v][g] = static_cast<float>(shared.Normal(0.0, 2.0));
+    }
+    self[g] = static_cast<float>(shared.Normal(0.0, 2.0));
+    bias[g] = static_cast<float>(shared.Normal());
+  }
+  layer.wh.Fill(0.0f);
+  for (size_t g = 0; g < 4; ++g) {
+    for (size_t j = 0; j < hidden; ++j) {
+      const size_t col = g * hidden + j;
+      for (size_t v = 0; v < kInputs; ++v) layer.wx(v, col) = in[v][g];
+      layer.wh(j, col) = self[g];
+      layer.b(0, col) = bias[g];
+    }
+  }
+  return layer;
+}
+
+uint32_t Bits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(GateStepTest, SharedWeightUnitsAreBitwiseEqualInEveryLaneAndTail) {
+  std::vector<int> ids(48);
+  Rng rng(5);
+  for (int& id : ids) id = static_cast<int>(rng.UniformInt(5));
+  const Matrix one = SharedWeightLayer(1).ForwardIds(ids, nullptr);
+  // Every hidden size up to two full vectors plus a 3-unit tail.
+  for (size_t hidden = 1; hidden <= 2 * vec::kFloatLanes + 3; ++hidden) {
+    LstmCache cache;
+    const Matrix states =
+        SharedWeightLayer(hidden).ForwardIds(ids, &cache);
+    for (size_t t = 0; t < ids.size(); ++t) {
+      for (size_t j = 0; j < hidden; ++j) {
+        ASSERT_EQ(Bits(states(t, j)), Bits(one(t, 0)))
+            << "hidden " << hidden << ", unit " << j << ", step " << t;
+        ASSERT_EQ(Bits(cache.cells(t, j)), Bits(cache.cells(t, 0)))
+            << "hidden " << hidden << ", unit " << j << ", step " << t;
+      }
+    }
+  }
+}
+
+TEST(GateStepTest, NanWeightYieldsNanUnit) {
+  // At least one full vector and a tail of four (one unit of which stays
+  // clean in the scalar build too).
+  const size_t hidden = vec::kFloatLanes + 4;
+  Rng rng(8);
+  LstmLayer layer(3, hidden, &rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // A NaN in each gate's input weight (gate, unit), in lanes and the tail.
+  const size_t last = hidden - 1;
+  const std::vector<std::pair<size_t, size_t>> poisoned = {
+      {0, 0}, {1, 1}, {2, last}, {3, last - 1}};
+  for (const auto& [gate, unit] : poisoned) {
+    layer.wx(0, gate * hidden + unit) = nan;
+  }
+  const Matrix states = layer.ForwardIds({0, 1, 2}, nullptr);
+  for (size_t j = 0; j < hidden; ++j) {
+    const bool is_poisoned =
+        std::any_of(poisoned.begin(), poisoned.end(),
+                    [j](const auto& p) { return p.second == j; });
+    EXPECT_EQ(std::isnan(states(0, j)), is_poisoned) << "unit " << j;
+  }
+}
+
+TEST(GateStepTest, SaturatingPreActivationsStayInRangeAndMatchLibm) {
+  // Pre-activations over [-100, 100], with the clamp edges and tiny
+  // values, fed one step at a time through the input weights (no
+  // recurrence, no bias).
+  std::vector<float> x;
+  for (int i = -4096; i <= 4096; ++i) x.push_back(100.0f * i / 4096.0f);
+  for (float v : {88.8f, 80.0f, 79.9f, 17.0f, 9.0f, 0.625f, 0.6249f, 1e-3f,
+                  1e-7f, 0.0f}) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  const size_t hidden = 2 * vec::kFloatLanes + 3;
+  const size_t steps = (x.size() + 4 * hidden - 1) / (4 * hidden);
+  x.resize(steps * 4 * hidden, 0.0f);
+  Rng rng(3);
+  LstmLayer layer(steps, hidden, &rng);
+  layer.wh.Fill(0.0f);
+  layer.b.Fill(0.0f);
+  for (size_t t = 0; t < steps; ++t) {
+    for (size_t col = 0; col < 4 * hidden; ++col) {
+      layer.wx(t, col) = x[t * 4 * hidden + col];
+    }
+  }
+  std::vector<int> ids(steps);
+  for (size_t t = 0; t < steps; ++t) ids[t] = static_cast<int>(t);
+  LstmCache cache;
+  const Matrix states = layer.ForwardIds(ids, &cache);
+
+  double err_sigmoid = 0, err_tanh = 0, libm_sigmoid = 0, libm_tanh = 0;
+  for (size_t t = 0; t < steps; ++t) {
+    for (size_t col = 0; col < 4 * hidden; ++col) {
+      const float pre = x[t * 4 * hidden + col];
+      const float gate = cache.gates(t, col);
+      if (col < 3 * hidden) {
+        ASSERT_TRUE(gate >= 0.0f && gate <= 1.0f) << pre << " -> " << gate;
+        const double want = 1.0 / (1.0 + std::exp(-static_cast<double>(pre)));
+        err_sigmoid = std::max(err_sigmoid, std::fabs(gate - want));
+        libm_sigmoid = std::max(
+            libm_sigmoid, std::fabs(1.0f / (1.0f + std::exp(-pre)) - want));
+      } else {
+        ASSERT_TRUE(gate >= -1.0f && gate <= 1.0f) << pre << " -> " << gate;
+        const double want = std::tanh(static_cast<double>(pre));
+        err_tanh = std::max(err_tanh, std::fabs(gate - want));
+        libm_tanh = std::max(libm_tanh, std::fabs(std::tanh(pre) - want));
+      }
+    }
+    for (size_t j = 0; j < hidden; ++j) {
+      ASSERT_TRUE(std::fabs(cache.tanh_c(t, j)) <= 1.0f);
+      ASSERT_TRUE(std::fabs(states(t, j)) <= 1.0f);
+    }
+  }
+  EXPECT_LE(err_sigmoid, libm_sigmoid);
+  EXPECT_LE(err_tanh, libm_tanh);
 }
 
 // ------------------------------------------------------------------
