@@ -137,6 +137,52 @@ if grep -rnwE "$DELETED_TENSOR_NAMES" src; then
   exit 1
 fi
 
+# Extraction at kernel speed. The LSTM gate step evaluates sigmoid and
+# tanh with its own polynomial, one vector lane per unit: a libm call per
+# unit and step in src/nn/lstm.cc is the scalar path it replaced. The
+# built-in extractors write each record's units straight into the block
+# ExtractBlock returns: a row copy, HStack or GatherCols in
+# src/core/extractors.cc is the per-record assembly that path deleted. And
+# kExtractionKernelVersion keys the unit tier (UnitBehaviorKey) and the
+# persistent result cache (InspectRequestFingerprint), so behaviors an
+# older build computed are re-extracted, never served.
+if ! awk '
+      { code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /std::(exp|tanh)([^A-Za-z0-9_]|$)|(^|[^A-Za-z0-9_])(expf|tanhf)([^A-Za-z0-9_]|$)/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/nn/lstm.cc; then
+  echo "lint: the lines above call libm's exp or tanh in the LSTM. The" \
+       "gate step (GateStep in src/nn/lstm.cc) owns sigmoid and tanh:" \
+       "evaluate them there, one lane per unit."
+  exit 1
+fi
+if ! awk '
+      { code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /(^|[^A-Za-z0-9_])Row\(|SetRow|HStack|GatherCols/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/core/extractors.cc; then
+  echo "lint: the lines above assemble a block through per-record" \
+       "matrices. Write each record's units into the block's rows" \
+       "(HiddenStatesInto, HiddenGradientsInto, EncoderStatesInto)."
+  exit 1
+fi
+for owner in src/core/behavior_store.cc:UnitBehaviorKey \
+             src/core/catalog.cc:InspectRequestFingerprint; do
+  if ! awk -v fn="${owner#*:}" '
+        { code = $0; sub(/\/\/.*/, "", code) }
+        code ~ ("^[A-Za-z].*[^A-Za-z0-9_]" fn "\\(") { inside = 1 }
+        inside && code ~ /kExtractionKernelVersion/ { found = 1 }
+        inside && /^}/ { inside = 0 }
+        END { exit !found }' "${owner%%:*}"; then
+    echo "lint: ${owner#*:} (${owner%%:*}) does not key on" \
+         "kExtractionKernelVersion, so behaviors or results an older" \
+         "extraction kernel computed would be served."
+    exit 1
+  fi
+done
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 

@@ -317,7 +317,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       ResolveShardCount(options.num_shards, config_.total_shards);
   job.pipeline = PlanPipeline(job.compiled.models, *job.compiled.dataset,
                               job.compiled.measures, job.compiled.hypotheses,
-                              options);
+                              options, job.compiled.dataset_fingerprint);
   return RunCompiled(job, job.compiled, stats);
 }
 

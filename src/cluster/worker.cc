@@ -120,7 +120,7 @@ wire::AssignResultWire InspectionWorker::RunSliced(
   plan.options.num_shards = assignment.total_shards;
   const PipelinePlan pipeline =
       PlanPipeline(plan.models, *plan.dataset, plan.measures,
-                   plan.hypotheses, plan.options);
+                   plan.hypotheses, plan.options, plan.dataset_fingerprint);
   plan.options.shared_scan = nullptr;
   session_->AttachSubstrate(&plan.options);
   plan.options.hypothesis_store = nullptr;

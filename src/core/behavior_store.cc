@@ -730,13 +730,26 @@ void BehaviorStore::EnforceBudgetLocked() {
 }
 
 std::string UnitBehaviorKey(const std::string& model_id,
+                            uint64_t dataset_fingerprint) {
+  // The version follows "unit:", so the key's namespace (and its quota)
+  // stays "unit".
+  return "unit:" + std::to_string(kExtractionKernelVersion) + ":" +
+         model_id + ":" + HexU64(dataset_fingerprint);
+}
+
+std::string UnitBehaviorKey(const std::string& model_id,
                             const Dataset& dataset) {
-  return "unit:" + model_id + ":" + HexU64(DatasetFingerprint(dataset));
+  return UnitBehaviorKey(model_id, DatasetFingerprint(dataset));
+}
+
+std::string HypothesisBehaviorKey(const std::string& set_name,
+                                  uint64_t dataset_fingerprint) {
+  return "hyp:" + set_name + ":" + HexU64(dataset_fingerprint);
 }
 
 std::string HypothesisBehaviorKey(const std::string& set_name,
                                   const Dataset& dataset) {
-  return "hyp:" + set_name + ":" + HexU64(DatasetFingerprint(dataset));
+  return HypothesisBehaviorKey(set_name, DatasetFingerprint(dataset));
 }
 
 std::mutex* BehaviorStore::MaterializeLockFor(const std::string& key) {
@@ -749,8 +762,16 @@ std::mutex* BehaviorStore::MaterializeLockFor(const std::string& key) {
 Result<std::string> BehaviorStore::EnsureUnitBehaviors(
     const Extractor& extractor, const Dataset& dataset,
     bool* materialized_now) {
+  return EnsureUnitBehaviors(extractor, dataset, DatasetFingerprint(dataset),
+                             materialized_now);
+}
+
+Result<std::string> BehaviorStore::EnsureUnitBehaviors(
+    const Extractor& extractor, const Dataset& dataset,
+    uint64_t dataset_fingerprint, bool* materialized_now) {
   if (materialized_now != nullptr) *materialized_now = false;
-  const std::string key = UnitBehaviorKey(extractor.model_id(), dataset);
+  const std::string key =
+      UnitBehaviorKey(extractor.model_id(), dataset_fingerprint);
   std::lock_guard<std::mutex> materialize_lock(*MaterializeLockFor(key));
   if (Contains(key)) return key;
   std::vector<int> unit_ids(extractor.num_units());
@@ -773,8 +794,16 @@ Result<std::string> BehaviorStore::EnsureUnitBehaviors(
 Result<std::string> BehaviorStore::EnsureHypothesisBehaviors(
     const HypothesisFn& hyp, const Dataset& dataset,
     bool* materialized_now) {
+  return EnsureHypothesisBehaviors(hyp, dataset, DatasetFingerprint(dataset),
+                                   materialized_now);
+}
+
+Result<std::string> BehaviorStore::EnsureHypothesisBehaviors(
+    const HypothesisFn& hyp, const Dataset& dataset,
+    uint64_t dataset_fingerprint, bool* materialized_now) {
   if (materialized_now != nullptr) *materialized_now = false;
-  const std::string key = HypothesisBehaviorKey(hyp.name(), dataset);
+  const std::string key =
+      HypothesisBehaviorKey(hyp.name(), dataset_fingerprint);
   std::lock_guard<std::mutex> materialize_lock(*MaterializeLockFor(key));
   if (Contains(key)) return key;
   const size_t ns = dataset.ns();

@@ -170,12 +170,19 @@ class BehaviorStore {
   /// kDataLoss).
   size_t quarantines() const;
 
-  /// \brief Ensure `extractor`'s full unit behaviors over `dataset` are
-  /// stored (extracting and persisting them if not) and return the key.
+  /// \brief Ensure `extractor`'s full unit behaviors over `dataset`, whose
+  /// DatasetFingerprint is `dataset_fingerprint`, are stored (extracting
+  /// and persisting them if not) under UnitBehaviorKey and return the key.
   /// Concurrent callers for the same store are serialized, so the
   /// extraction runs at most once per (model, dataset fingerprint).
   /// `materialized_now`, when non-null, reports whether this call paid
-  /// the extraction (a store miss).
+  /// the extraction (a store miss). Jobs pass their plan's fingerprint
+  /// (InspectPlan::dataset_fingerprint), so no call re-hashes the dataset.
+  Result<std::string> EnsureUnitBehaviors(const Extractor& extractor,
+                                          const Dataset& dataset,
+                                          uint64_t dataset_fingerprint,
+                                          bool* materialized_now = nullptr);
+  /// \brief The same, hashing `dataset` once.
   Result<std::string> EnsureUnitBehaviors(const Extractor& extractor,
                                           const Dataset& dataset,
                                           bool* materialized_now = nullptr);
@@ -184,6 +191,10 @@ class BehaviorStore {
   /// record, normalized to ns columns like live extraction) are stored
   /// under HypothesisBehaviorKey and return the key — the hypothesis-tier
   /// counterpart of EnsureUnitBehaviors, reused across jobs and restarts.
+  Result<std::string> EnsureHypothesisBehaviors(
+      const HypothesisFn& hyp, const Dataset& dataset,
+      uint64_t dataset_fingerprint, bool* materialized_now = nullptr);
+  /// \brief The same, hashing `dataset` once.
   Result<std::string> EnsureHypothesisBehaviors(
       const HypothesisFn& hyp, const Dataset& dataset,
       bool* materialized_now = nullptr);
@@ -265,11 +276,19 @@ class BehaviorStore {
   size_t quarantines_ = 0;
 };
 
-/// \brief Canonical store key for a model's unit behaviors over a dataset.
+/// \brief Canonical store key for a model's unit behaviors over the
+/// dataset whose DatasetFingerprint is `dataset_fingerprint`:
+/// "unit:<kExtractionKernelVersion>:<model>:<fingerprint>", so behaviors
+/// an older extraction kernel stored are never served.
+std::string UnitBehaviorKey(const std::string& model_id,
+                            uint64_t dataset_fingerprint);
 std::string UnitBehaviorKey(const std::string& model_id,
                             const Dataset& dataset);
 
-/// \brief Canonical store key for a hypothesis set's behaviors.
+/// \brief Canonical store key for a hypothesis set's behaviors:
+/// "hyp:<set>:<fingerprint>".
+std::string HypothesisBehaviorKey(const std::string& set_name,
+                                  uint64_t dataset_fingerprint);
 std::string HypothesisBehaviorKey(const std::string& set_name,
                                   const Dataset& dataset);
 

@@ -91,10 +91,12 @@ PipelinePlan PlanPipeline(const std::vector<ModelSpec>& models,
                           const Dataset& dataset,
                           const std::vector<MeasureFactoryPtr>& measures,
                           const std::vector<HypothesisPtr>& hypotheses,
-                          const InspectOptions& options) {
+                          const InspectOptions& options,
+                          uint64_t dataset_fingerprint) {
   DB_DCHECK(options.num_shards >= 1 && options.num_shards <= kMaxShards);
   PipelinePlan plan;
   plan.num_shards = options.num_shards;
+  plan.dataset_fingerprint = dataset_fingerprint;
   plan.blocks_planned =
       PlannedBlockDispatches(options, dataset.num_records());
 
@@ -241,7 +243,8 @@ BlockPipeline::BlockPipeline(const PipelinePlan& plan,
       if (CancelRequested() || DeadlinePassed()) break;
       bool materialized_now = false;
       Result<std::string> key = store->EnsureHypothesisBehaviors(
-          *hypotheses_[h], dataset_, &materialized_now);
+          *hypotheses_[h], dataset_, plan_.dataset_fingerprint,
+          &materialized_now);
       if (!key.ok()) {
         // kResourceExhausted: a memory-only store declined a matrix its
         // tier cannot hold; live evaluation is the designed path.

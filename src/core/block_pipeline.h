@@ -87,6 +87,10 @@ struct PlannedComposite {
 /// EXPLAIN renders it.
 struct PipelinePlan {
   size_t num_shards = 1;
+  /// The dataset's DatasetFingerprint (InspectPlan::dataset_fingerprint
+  /// for a compiled request), which keys the behavior store's unit and
+  /// hypothesis tiers without re-hashing the dataset.
+  uint64_t dataset_fingerprint = 0;
   /// The pairs not fused into a composite, in emit order (model → group →
   /// measure → hypothesis). A sliced worker returns one state per entry.
   std::vector<PlannedPair> pairs;
@@ -105,15 +109,17 @@ struct PipelinePlan {
 };
 
 /// \brief Plan the block loop of one inspection at `options.num_shards`,
-/// already resolved (ResolveShardCount). The one owner of the lane rules:
-/// model merging fuses a mergeable joint measure over binary hypotheses
-/// into a composite, and at S > 1 a pair whose state cannot merge runs on
-/// the sequential lane.
+/// already resolved (ResolveShardCount), over `dataset`, whose
+/// DatasetFingerprint is `dataset_fingerprint`. The one owner of the lane
+/// rules: model merging fuses a mergeable joint measure over binary
+/// hypotheses into a composite, and at S > 1 a pair whose state cannot
+/// merge runs on the sequential lane.
 PipelinePlan PlanPipeline(const std::vector<ModelSpec>& models,
                           const Dataset& dataset,
                           const std::vector<MeasureFactoryPtr>& measures,
                           const std::vector<HypothesisPtr>& hypotheses,
-                          const InspectOptions& options);
+                          const InspectOptions& options,
+                          uint64_t dataset_fingerprint);
 
 /// \brief Incremental state for one planned pair. `measure` is the primary
 /// (shard-0) state; `replicas[s]` (s >= 1) are the shard clones of a

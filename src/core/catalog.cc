@@ -333,6 +333,8 @@ std::optional<uint64_t> InspectRequestFingerprint(
   if (!request.measures.empty()) return std::nullopt;
 
   uint64_t h = kFnvOffsetBasis;
+  // A result an older extraction kernel computed is never served.
+  HashPod(kExtractionKernelVersion, &h);
   for (const InspectRequest::ModelRef& ref : request.models) {
     HashStr(ref.name, &h);
     HashPod(ref.group_by_layer, &h);

@@ -173,8 +173,9 @@ class Catalog {
 };
 
 /// \brief Result-cache and dedup key of a fully catalog-resolved request:
-/// its names, the resolved dataset fingerprint and the score-affecting
-/// option values; nullopt for inline extractor/hypothesis/measure objects.
+/// its names, the resolved dataset fingerprint, the extraction kernel
+/// version and the score-affecting option values; nullopt for inline
+/// extractor/hypothesis/measure objects.
 std::optional<uint64_t> InspectRequestFingerprint(
     const InspectRequest& request, uint64_t dataset_fingerprint,
     const InspectOptions& options);

@@ -122,8 +122,12 @@ ResultTable Inspect(const std::vector<ModelSpec>& models,
   pinned.num_shards = ResolveShardCount(
       options.num_shards,
       options.pool != nullptr ? options.pool->num_threads() : 1);
+  // Only a behavior tier reads the fingerprint: hash the dataset for one.
+  const bool tiered =
+      options.behavior_store != nullptr || options.hypothesis_store != nullptr;
   const PipelinePlan pipeline =
-      PlanPipeline(models, dataset, scores, hypotheses, pinned);
+      PlanPipeline(models, dataset, scores, hypotheses, pinned,
+                   tiered ? DatasetFingerprint(dataset) : 0);
   return Inspect(pipeline, models, dataset, scores, hypotheses, pinned, stats);
 }
 
@@ -178,7 +182,8 @@ ResultTable Inspect(const PipelinePlan& pipeline,
       if (cancel_requested()) break;
       bool materialized_now = false;
       Result<std::string> key = options.behavior_store->EnsureUnitBehaviors(
-          *model.extractor, dataset, &materialized_now);
+          *model.extractor, dataset, pipeline.dataset_fingerprint,
+          &materialized_now);
       if (!key.ok()) {
         DB_LOG(Warn) << "behavior store unavailable for model '"
                      << model.extractor->model_id()

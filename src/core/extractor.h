@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,14 @@
 #include "tensor/matrix.h"
 
 namespace deepbase {
+
+/// \brief Version of the library's extraction kernels: the LSTM recurrent
+/// product and gate step (nn/lstm.cc) that every built-in extractor runs.
+/// The behavior store's unit tier (UnitBehaviorKey) and the persistent
+/// result cache (InspectRequestFingerprint) key on it, so behaviors and
+/// results an older build computed are re-extracted, never served. Bump it
+/// with any change to the bytes a built-in extractor returns.
+inline constexpr uint32_t kExtractionKernelVersion = 2;
 
 /// \brief Produces unit behaviors: one row per input symbol, one column per
 /// requested hidden unit (the paper's extract(model, records, hid_units) ->

@@ -324,14 +324,17 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
       for (size_t m = 0; units && m < compiled.models.size(); ++m) {
         const Extractor& extractor = *compiled.models[m].extractor;
         add_input("unit-behaviors", "model", extractor.model_id(),
-                  UnitBehaviorKey(extractor.model_id(), dataset), store,
+                  UnitBehaviorKey(extractor.model_id(),
+                                  compiled.dataset_fingerprint),
+                  store,
                   dataset.num_records() * dataset.ns(),
                   extractor.num_units());
       }
       for (size_t h = 0; hyps && h < compiled.hypotheses.size(); ++h) {
         const std::string& name = compiled.hypotheses[h]->name();
         add_input("hyp-behaviors", "hypothesis", name,
-                  HypothesisBehaviorKey(name, dataset), hyp_store,
+                  HypothesisBehaviorKey(name, compiled.dataset_fingerprint),
+                  hyp_store,
                   dataset.num_records(), dataset.ns());
       }
     }

@@ -753,7 +753,8 @@ std::shared_ptr<const JobPlan> Scheduler::PlanJob(
   options.num_shards = ResolveShardCount(options.num_shards, default_shards);
   plan->pipeline =
       PlanPipeline(plan->compiled.models, *plan->compiled.dataset,
-                   plan->compiled.measures, plan->compiled.hypotheses, options);
+                   plan->compiled.measures, plan->compiled.hypotheses, options,
+                   plan->compiled.dataset_fingerprint);
   plan->deterministic = DeterministicOptions(options);
   // The fingerprint keys both the result cache and the dedup registry;
   // either feature alone needs it. Bit-exact shard merges make full

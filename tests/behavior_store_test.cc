@@ -16,6 +16,7 @@
 #include "core/engine.h"
 #include "measures/scores.h"
 #include "nn/lstm_lm.h"
+#include "service/inspection_session.h"
 #include "tensor/simd.h"
 #include "util/fnv.h"
 #include "util/rng.h"
@@ -686,6 +687,54 @@ TEST_F(StoreFixture, PeekTierPredictsTheTierGetSharedServes) {
     EXPECT_EQ(predicted, served) << "budget " << budget;
     EXPECT_EQ(served, tier) << "budget " << budget;
   }
+}
+
+TEST_F(StoreFixture, UnitBehaviorsAnOlderKernelStoredAreNotServed) {
+  Dataset ds(Vocab::FromChars("ab"), 8);
+  Rng rng(43);
+  for (int i = 0; i < 40; ++i) {
+    std::string text;
+    for (int t = 0; t < 8; ++t) text += rng.Bernoulli(0.5) ? 'a' : 'b';
+    ds.AddText(text);
+  }
+  LstmLm model(ds.vocab().size(), 6, 1, 47);
+  LstmLmExtractor live("lm", &model);
+
+  // Wrong behaviors where a build before kExtractionKernelVersion kept
+  // this model's units: "unit:<model>:<dataset fingerprint>".
+  const std::string unversioned = "unit:lm:" + HexU64(DatasetFingerprint(ds));
+  EXPECT_NE(UnitBehaviorKey("lm", ds), unversioned);
+  {
+    BehaviorStore older(dir_.string());
+    ASSERT_TRUE(older
+                    .Put(unversioned, Matrix(ds.num_records() * ds.ns(),
+                                             live.num_units(), 0.5f))
+                    .ok());
+  }
+
+  InspectRequest request;
+  request.models.push_back({.name = "lm"});
+  request.hypothesis_sets = {"ab"};
+  request.dataset_name = "ab";
+  auto inspect = [&](SessionConfig config) {
+    config.options.block_size = 16;
+    config.options.early_stopping = false;
+    InspectionSession session(std::move(config));
+    session.catalog().RegisterModel("lm", &live);
+    session.catalog().RegisterHypotheses(
+        "ab", {std::make_shared<KeywordHypothesis>("ab")});
+    session.catalog().RegisterDataset("ab", &ds);
+    Result<ResultTable> table = session.Inspect(request);
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    if (session.store() != nullptr) {
+      EXPECT_TRUE(session.store()->Contains(UnitBehaviorKey("lm", ds)));
+    }
+    return table.ok() ? table->SerializeToString() : std::string();
+  };
+  const std::string storeless = inspect(SessionConfig{});
+  SessionConfig stored;
+  stored.store_dir = dir_.string();
+  EXPECT_EQ(inspect(stored), storeless);
 }
 
 TEST_F(StoreFixture, LegacyV1FileIsQuarantinedAndReinspectedIdentically) {
