@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 verify line (configure, build, ctest) in BOTH
 # kernel builds (-DDEEPBASE_SIMD=ON default and the scalar fallback, which
-# share one layout contract and are pinned bitwise-equal by the
-# kernels_equivalence suite), an out-of-core inspection smoke (behaviors
+# share one layout contract and whose measure kernels are pinned
+# bitwise-equal by the kernels_equivalence suite), the lints (including
+# the extraction-kernel ones), an out-of-core inspection smoke (behaviors
 # bigger than the store's memory tier stream via the mmap tier through a
 # full session Inspect, byte-identical to the in-memory control), a smoke
 # run of the quickstart example through the InspectionSession API, a
@@ -133,7 +134,7 @@ DELETED_TENSOR_NAMES='MatrixStore|MemMatrixStore|MmapMatrixStore|VirtualMatrixSt
 if grep -rnwE "$DELETED_TENSOR_NAMES" src; then
   echo "lint: the lines above name a deleted matrix store class or view." \
        "Matrix owns element access (its owned buffer or shared read-only" \
-       "payload); copy rows with RowSlice/GatherCols instead of a view."
+       "payload); copy rows with RowSlice instead of a view."
   exit 1
 fi
 

@@ -329,13 +329,6 @@ Matrix Matrix::Glorot(size_t fan_in, size_t fan_out, Rng* rng) {
   return RandomUniform(fan_in, fan_out, rng, -limit, limit);
 }
 
-Matrix Matrix::Row(size_t r) const {
-  DB_DCHECK(r < rows_);
-  Matrix out(1, cols_);
-  std::memcpy(out.row_data(0), row_data(r), cols_ * sizeof(float));
-  return out;
-}
-
 Matrix Matrix::Col(size_t c) const {
   DB_DCHECK(c < cols_);
   Matrix out(rows_, 1);
@@ -354,24 +347,6 @@ Matrix Matrix::RowSlice(size_t begin, size_t end) const {
   return out;
 }
 
-Matrix Matrix::GatherCols(const std::vector<size_t>& cols) const {
-  Matrix out(rows_, cols.size());
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* src = row_data(r);
-    float* dst = out.row_data(r);
-    for (size_t j = 0; j < cols.size(); ++j) {
-      DB_DCHECK(cols[j] < cols_);
-      dst[j] = src[cols[j]];
-    }
-  }
-  return out;
-}
-
-void Matrix::SetRow(size_t r, const Matrix& src) {
-  DB_DCHECK(r < rows_ && src.size() >= cols_ && src.contiguous());
-  std::memcpy(row_data(r), src.row_data(0), cols_ * sizeof(float));
-}
-
 Matrix Matrix::VStack(const Matrix& top, const Matrix& bottom) {
   if (top.empty()) return bottom;
   if (bottom.empty()) return top;
@@ -384,20 +359,6 @@ Matrix Matrix::VStack(const Matrix& top, const Matrix& bottom) {
   for (size_t r = 0; r < bottom.rows(); ++r) {
     std::memcpy(out.row_data(top.rows() + r), bottom.row_data(r),
                 cols * sizeof(float));
-  }
-  return out;
-}
-
-Matrix Matrix::HStack(const Matrix& left, const Matrix& right) {
-  if (left.empty()) return right;
-  if (right.empty()) return left;
-  DB_DCHECK(left.rows() == right.rows());
-  Matrix out(left.rows(), left.cols() + right.cols());
-  for (size_t r = 0; r < left.rows(); ++r) {
-    std::memcpy(out.row_data(r), left.row_data(r),
-                left.cols() * sizeof(float));
-    std::memcpy(out.row_data(r) + left.cols(), right.row_data(r),
-                right.cols() * sizeof(float));
   }
   return out;
 }

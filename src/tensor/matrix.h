@@ -121,23 +121,13 @@ class Matrix {
   /// read-only payload) — for diagnostics and tests.
   const char* tier() const { return payload_ ? "mmap" : "mem"; }
 
-  /// \brief Copy of row r as a 1×cols matrix.
-  Matrix Row(size_t r) const;
   /// \brief Copy of column c as a rows×1 matrix.
   Matrix Col(size_t c) const;
   /// \brief Copy rows [begin, end) as a new matrix.
   Matrix RowSlice(size_t begin, size_t end) const;
-  /// \brief Copy columns from `cols` (in order) into a new matrix.
-  Matrix GatherCols(const std::vector<size_t>& cols) const;
-
-  /// \brief Overwrite row r with the first cols() values of src (src must
-  /// be contiguous — a row or column vector, or an unpadded matrix).
-  void SetRow(size_t r, const Matrix& src);
 
   /// \brief Stack `top` above `bottom`; column counts must match.
   static Matrix VStack(const Matrix& top, const Matrix& bottom);
-  /// \brief Concatenate side by side; row counts must match.
-  static Matrix HStack(const Matrix& left, const Matrix& right);
 
   Matrix Transpose() const;
 

@@ -12,10 +12,14 @@
 // (measures/independent.cc) map one vector LANE to one UNIT and walk rows
 // in order, so their per-unit sums perform the same additions in the same
 // order as the scalar fallback — bit-identical across SIMD and scalar
-// builds, on top of being shard-count-invariant. Only kernels that reduce
+// builds, on top of being shard-count-invariant. Kernels that reduce
 // ACROSS lanes (Sum/Dot/Softmax in tensor/matrix.cc) re-associate relative
 // to the scalar build; the kernels_equivalence test pins their documented
-// ULP tolerance. Integer counting kernels are bit-identical everywhere.
+// ULP tolerance. Float multiply-adds (AddScaledSpan: MatMul and the LSTM's
+// recurrent product) are contracted into FMAs under -march=native, so
+// their results differ from the scalar build's too, though never between
+// the lanes of one build. Integer counting kernels are bit-identical
+// everywhere.
 
 #pragma once
 
