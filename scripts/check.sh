@@ -184,6 +184,24 @@ for owner in src/core/behavior_store.cc:UnitBehaviorKey \
   fi
 done
 
+# Probes on vector lanes. Logistic regression's heads, the softmax probe's
+# classes and the MLP probe's hidden units train through the probe kernel
+# (src/measures/probe_kernel.{h,cc}): one vector lane per output, each
+# output summed bias first and units ascending. A unit value times a
+# strided weight or gradient element, x[u] beside W(u, h), in the probes
+# is the one-head-at-a-time loop that kernel replaced.
+if ! awk '
+      { code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /(^|[^A-Za-z0-9_])xr?\[u\]/ && code ~ /_\(u, / {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/measures/logreg.cc src/measures/mlp_probe.cc; then
+  echo "lint: the lines above train one head at a time over strided" \
+       "weights. Put the heads on vector lanes: probe::Forward and" \
+       "probe::AddGradient (src/measures/probe_kernel.h)."
+  exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "measures/metrics.h"
+#include "measures/probe_kernel.h"
 #include "util/logging.h"
 
 namespace deepbase {
@@ -24,6 +25,22 @@ double HistoryError(const std::vector<double>& history, size_t window) {
   }
   mean /= static_cast<double>(window);
   return std::fabs(cur - mean);
+}
+
+// L1/L2 penalty gradient on the unit rows of `w` (the bias row is not
+// regularized).
+void AddPenalty(const LogRegOptions& opts, size_t num_units, const Matrix& w,
+                Matrix* g) {
+  if (!(opts.l1 > 0 || opts.l2 > 0)) return;
+  for (size_t u = 0; u < num_units; ++u) {
+    const float* wu = w.row_data(u);
+    float* gu = g->row_data(u);
+    for (size_t j = 0; j < w.cols(); ++j) {
+      const float wv = wu[j];
+      gu[j] += opts.l2 * wv +
+               opts.l1 * (wv > 0 ? 1.0f : (wv < 0 ? -1.0f : 0.0f));
+    }
+  }
 }
 }  // namespace
 
@@ -46,6 +63,8 @@ void MergedLogRegMeasure::ProcessBlock(const Matrix& units,
   DB_DCHECK(units.rows() == hyps.rows());
   std::vector<Matrix*> params = {&w_};
   std::vector<const Matrix*> grads = {&grad_};
+  const float* bias = w_.row_data(num_units_);
+  std::vector<float> z(num_hyps_);
 
   grad_.Fill(0);
   size_t in_batch = 0;
@@ -62,29 +81,18 @@ void MergedLogRegMeasure::ProcessBlock(const Matrix& units,
       }
       continue;
     }
-    // Forward all heads: z = x·W + bias row.
+    // Forward all heads, z = x·W + bias row; then z becomes each head's
+    // d = p − y, and dL/dW += x_aug · d.
+    probe::Forward(w_, num_units_, bias, x, z.data());
     for (size_t h = 0; h < num_hyps_; ++h) {
-      float z = w_(num_units_, h);
-      for (size_t u = 0; u < num_units_; ++u) z += x[u] * w_(u, h);
-      const float p = SigmoidScalar(z);
-      const float d = p - (y[h] >= 0.5f ? 1.0f : 0.0f);
-      // dL/dw[:,h] += d * x_aug.
-      for (size_t u = 0; u < num_units_; ++u) grad_(u, h) += d * x[u];
-      grad_(num_units_, h) += d;
+      z[h] = SigmoidScalar(z[h]) - (y[h] >= 0.5f ? 1.0f : 0.0f);
     }
+    probe::AddGradient(z.data(), x, num_units_, &grad_,
+                       grad_.row_data(num_units_));
     if (++in_batch == opts_.minibatch) {
       const float inv = 1.0f / static_cast<float>(in_batch);
       grad_ *= inv;
-      // Regularization (bias row excluded).
-      if (opts_.l1 > 0 || opts_.l2 > 0) {
-        for (size_t u = 0; u < num_units_; ++u) {
-          for (size_t h = 0; h < num_hyps_; ++h) {
-            const float wv = w_(u, h);
-            grad_(u, h) += opts_.l2 * wv +
-                           opts_.l1 * (wv > 0 ? 1.0f : (wv < 0 ? -1.0f : 0.0f));
-          }
-        }
-      }
+      AddPenalty(opts_, num_units_, w_, &grad_);
       adam_.Step(params, grads);
       grad_.Fill(0);
       in_batch = 0;
@@ -94,22 +102,17 @@ void MergedLogRegMeasure::ProcessBlock(const Matrix& units,
     grad_ *= 1.0f / static_cast<float>(in_batch);
     adam_.Step(params, grads);
   }
-  // Validation checkpoint per head.
-  for (size_t h = 0; h < num_hyps_; ++h) {
-    f1_history_[h].push_back(ValF1(h));
-  }
-}
-
-double MergedLogRegMeasure::ValF1(size_t h) const {
-  if (val_x_.empty()) return 0.0;
-  BinaryConfusion conf;
+  // Validation checkpoint: one pass over the held-out rows for all heads.
+  std::vector<BinaryConfusion> conf(num_hyps_);
   for (size_t i = 0; i < val_x_.size(); ++i) {
-    const float* x = val_x_[i].data();
-    float z = w_(num_units_, h);
-    for (size_t u = 0; u < num_units_; ++u) z += x[u] * w_(u, h);
-    conf.Add(z > 0, val_y_[h][i] >= 0.5f);
+    probe::Forward(w_, num_units_, bias, val_x_[i].data(), z.data());
+    for (size_t h = 0; h < num_hyps_; ++h) {
+      conf[h].Add(z[h] > 0, val_y_[h][i] >= 0.5f);
+    }
   }
-  return conf.F1();
+  for (size_t h = 0; h < num_hyps_; ++h) {
+    f1_history_[h].push_back(conf[h].F1());
+  }
 }
 
 MeasureScores MergedLogRegMeasure::ScoresFor(size_t h) const {
@@ -117,7 +120,7 @@ MeasureScores MergedLogRegMeasure::ScoresFor(size_t h) const {
   out.unit_scores.resize(num_units_);
   for (size_t u = 0; u < num_units_; ++u) out.unit_scores[u] = w_(u, h);
   out.group_score = f1_history_[h].empty()
-                        ? static_cast<float>(ValF1(h))
+                        ? 0.0f
                         : static_cast<float>(f1_history_[h].back());
   return out;
 }
@@ -135,11 +138,6 @@ void BinaryLogRegMeasure::ProcessBlock(const Matrix& units,
 
 // --------------------------------------------------- MulticlassLogReg
 
-struct MulticlassLogRegMeasure::ValEval {
-  MulticlassConfusion confusion;
-  explicit ValEval(size_t k) : confusion(k) {}
-};
-
 MulticlassLogRegMeasure::MulticlassLogRegMeasure(size_t num_units,
                                                  int num_classes,
                                                  LogRegOptions opts)
@@ -148,7 +146,8 @@ MulticlassLogRegMeasure::MulticlassLogRegMeasure(size_t num_units,
       opts_(opts),
       w_(num_units + 1, num_classes),
       grad_(num_units + 1, num_classes),
-      adam_(opts.lr) {
+      adam_(opts.lr),
+      confusion_(num_classes) {
   DB_DCHECK(num_classes >= 2);
 }
 
@@ -157,6 +156,7 @@ void MulticlassLogRegMeasure::ProcessBlock(const Matrix& units,
   DB_DCHECK(units.cols() == num_units_ && units.rows() == hyp.size());
   std::vector<Matrix*> params = {&w_};
   std::vector<const Matrix*> grads = {&grad_};
+  const float* bias = w_.row_data(num_units_);
   grad_.Fill(0);
   size_t in_batch = 0;
   std::vector<float> z(num_classes_);
@@ -171,35 +171,23 @@ void MulticlassLogRegMeasure::ProcessBlock(const Matrix& units,
       }
       continue;
     }
-    // Softmax forward.
+    // Softmax forward; then z becomes each class's d = p − one-hot.
+    probe::Forward(w_, num_units_, bias, x, z.data());
     float mx = -1e30f;
-    for (int c = 0; c < num_classes_; ++c) {
-      float zz = w_(num_units_, c);
-      for (size_t u = 0; u < num_units_; ++u) zz += x[u] * w_(u, c);
-      z[c] = zz;
-      mx = std::max(mx, zz);
-    }
+    for (int c = 0; c < num_classes_; ++c) mx = std::max(mx, z[c]);
     float total = 0;
     for (int c = 0; c < num_classes_; ++c) {
       z[c] = std::exp(z[c] - mx);
       total += z[c];
     }
     for (int c = 0; c < num_classes_; ++c) {
-      const float d = z[c] / total - (c == label ? 1.0f : 0.0f);
-      for (size_t u = 0; u < num_units_; ++u) grad_(u, c) += d * x[u];
-      grad_(num_units_, c) += d;
+      z[c] = z[c] / total - (c == label ? 1.0f : 0.0f);
     }
+    probe::AddGradient(z.data(), x, num_units_, &grad_,
+                       grad_.row_data(num_units_));
     if (++in_batch == opts_.minibatch) {
       grad_ *= 1.0f / static_cast<float>(in_batch);
-      if (opts_.l1 > 0 || opts_.l2 > 0) {
-        for (size_t u = 0; u < num_units_; ++u) {
-          for (int c = 0; c < num_classes_; ++c) {
-            const float wv = w_(u, c);
-            grad_(u, c) += opts_.l2 * wv +
-                           opts_.l1 * (wv > 0 ? 1.0f : (wv < 0 ? -1.0f : 0.0f));
-          }
-        }
-      }
+      AddPenalty(opts_, num_units_, w_, &grad_);
       adam_.Step(params, grads);
       grad_.Fill(0);
       in_batch = 0;
@@ -209,27 +197,22 @@ void MulticlassLogRegMeasure::ProcessBlock(const Matrix& units,
     grad_ *= 1.0f / static_cast<float>(in_batch);
     adam_.Step(params, grads);
   }
-  acc_history_.push_back(Evaluate().confusion.Accuracy());
-}
-
-MulticlassLogRegMeasure::ValEval MulticlassLogRegMeasure::Evaluate() const {
-  ValEval ev(num_classes_);
+  // Validation checkpoint. Scores and the per-class readouts answer from
+  // this confusion until the next block.
+  confusion_ = MulticlassConfusion(num_classes_);
   for (size_t i = 0; i < val_x_.size(); ++i) {
-    const float* x = val_x_[i].data();
+    probe::Forward(w_, num_units_, bias, val_x_[i].data(), z.data());
     int best = 0;
     float best_z = -1e30f;
     for (int c = 0; c < num_classes_; ++c) {
-      float zz = w_(num_units_, c);
-      for (size_t u = 0; u < num_units_; ++u) zz += x[u] * w_(u, c);
-      if (zz > best_z) {
-        best_z = zz;
+      if (z[c] > best_z) {
+        best_z = z[c];
         best = c;
       }
     }
-    ev.confusion.Add(static_cast<size_t>(best),
-                     static_cast<size_t>(val_y_[i]));
+    confusion_.Add(static_cast<size_t>(best), static_cast<size_t>(val_y_[i]));
   }
-  return ev;
+  acc_history_.push_back(confusion_.Accuracy());
 }
 
 MeasureScores MulticlassLogRegMeasure::Scores() const {
@@ -242,7 +225,7 @@ MeasureScores MulticlassLogRegMeasure::Scores() const {
     }
     out.unit_scores[u] = static_cast<float>(std::sqrt(norm));
   }
-  out.group_score = static_cast<float>(Evaluate().confusion.Accuracy());
+  out.group_score = static_cast<float>(confusion_.Accuracy());
   return out;
 }
 
@@ -251,15 +234,15 @@ double MulticlassLogRegMeasure::ErrorEstimate() const {
 }
 
 double MulticlassLogRegMeasure::ClassPrecision(int c) const {
-  return Evaluate().confusion.Precision(static_cast<size_t>(c));
+  return confusion_.Precision(static_cast<size_t>(c));
 }
 
 double MulticlassLogRegMeasure::ClassF1(int c) const {
-  return Evaluate().confusion.F1(static_cast<size_t>(c));
+  return confusion_.F1(static_cast<size_t>(c));
 }
 
 size_t MulticlassLogRegMeasure::ClassSupport(int c) const {
-  return Evaluate().confusion.Support(static_cast<size_t>(c));
+  return confusion_.Support(static_cast<size_t>(c));
 }
 
 }  // namespace deepbase

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "measures/measure.h"
+#include "measures/metrics.h"
 #include "nn/adam.h"
 
 namespace deepbase {
@@ -44,8 +45,6 @@ class MergedLogRegMeasure : public MergedMeasure {
   size_t num_hyps() const { return num_hyps_; }
 
  private:
-  double ValF1(size_t h) const;
-
   size_t num_units_, num_hyps_;
   LogRegOptions opts_;
   Matrix w_;     // (num_units+1) × num_hyps, last row = bias
@@ -94,9 +93,6 @@ class MulticlassLogRegMeasure : public Measure {
   size_t ClassSupport(int c) const;
 
  private:
-  struct ValEval;
-  ValEval Evaluate() const;
-
   size_t num_units_;
   int num_classes_;
   LogRegOptions opts_;
@@ -104,6 +100,8 @@ class MulticlassLogRegMeasure : public Measure {
   Adam adam_;
   std::vector<std::vector<float>> val_x_;
   std::vector<int> val_y_;
+  // The held-out rows' confusion at the last validation checkpoint.
+  MulticlassConfusion confusion_;
   std::vector<double> acc_history_;
   size_t rows_seen_ = 0;
 };

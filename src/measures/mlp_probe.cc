@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "measures/probe_kernel.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -22,14 +23,10 @@ MlpProbeMeasure::MlpProbeMeasure(size_t num_units, MlpProbeOptions opts)
   adam_.set_lr(opts_.lr);
 }
 
-float MlpProbeMeasure::PredictProb(const float* x) const {
-  const size_t h = opts_.hidden;
+float MlpProbeMeasure::PredictProb(const float* x, float* a) const {
+  probe::Forward(w1_, num_units_, b1_.row_data(0), x, a);
   float z = b2_(0, 0);
-  for (size_t j = 0; j < h; ++j) {
-    float a = b1_(0, j);
-    for (size_t u = 0; u < num_units_; ++u) a += x[u] * w1_(u, j);
-    z += std::tanh(a) * w2_(j, 0);
-  }
+  for (size_t j = 0; j < opts_.hidden; ++j) z += std::tanh(a[j]) * w2_(j, 0);
   return 1.0f / (1.0f + std::exp(-z));
 }
 
@@ -41,15 +38,14 @@ void MlpProbeMeasure::TrainMinibatch(const Matrix& x, std::span<const float> y,
   dw2_.Fill(0);
   db2_.Fill(0);
   const float inv_n = 1.0f / static_cast<float>(rows.size());
-  std::vector<float> hidden_act(h);
+  std::vector<float> hidden_act(h), da(h);
   for (size_t r : rows) {
     const float* xr = x.row_data(r);
     // Forward.
+    probe::Forward(w1_, num_units_, b1_.row_data(0), xr, hidden_act.data());
     float z = b2_(0, 0);
     for (size_t j = 0; j < h; ++j) {
-      float a = b1_(0, j);
-      for (size_t u = 0; u < num_units_; ++u) a += xr[u] * w1_(u, j);
-      hidden_act[j] = std::tanh(a);
+      hidden_act[j] = std::tanh(hidden_act[j]);
       z += hidden_act[j] * w2_(j, 0);
     }
     const float p = 1.0f / (1.0f + std::exp(-z));
@@ -59,14 +55,13 @@ void MlpProbeMeasure::TrainMinibatch(const Matrix& x, std::span<const float> y,
     db2_(0, 0) += dz;
     for (size_t j = 0; j < h; ++j) {
       dw2_(j, 0) += dz * hidden_act[j];
-      const float da = dz * w2_(j, 0) * (1.0f - hidden_act[j] * hidden_act[j]);
-      db1_(0, j) += da;
-      for (size_t u = 0; u < num_units_; ++u) {
-        dw1_(u, j) += da * xr[u];
-      }
+      da[j] = dz * w2_(j, 0) * (1.0f - hidden_act[j] * hidden_act[j]);
     }
+    probe::AddGradient(da.data(), xr, num_units_, &dw1_, db1_.row_data(0));
   }
-  // L2 regularization on the weights (not the biases).
+  // L2 regularization on the weights (not the biases). Element access, not
+  // row pointers: through a row pointer the SIMD build fuses each
+  // multiply-add into an FMA, which changes the trained weights.
   if (opts_.l2 > 0) {
     for (size_t u = 0; u < num_units_; ++u) {
       for (size_t j = 0; j < h; ++j) dw1_(u, j) += opts_.l2 * w1_(u, j);
@@ -107,9 +102,10 @@ void MlpProbeMeasure::ProcessBlock(const Matrix& units,
 
 double MlpProbeMeasure::ValF1() const {
   if (val_x_.empty()) return 0.0;
+  std::vector<float> a(opts_.hidden);
   size_t tp = 0, fp = 0, fn = 0;
   for (size_t i = 0; i < val_x_.size(); ++i) {
-    const bool pred = PredictProb(val_x_[i].data()) > 0.5f;
+    const bool pred = PredictProb(val_x_[i].data(), a.data()) > 0.5f;
     const bool truth = val_y_[i] > 0.5f;
     tp += pred && truth;
     fp += pred && !truth;
@@ -123,7 +119,8 @@ double MlpProbeMeasure::ValF1() const {
 
 MeasureScores MlpProbeMeasure::Scores() const {
   MeasureScores out;
-  out.group_score = static_cast<float>(ValF1());
+  out.group_score =
+      f1_history_.empty() ? 0.0f : static_cast<float>(f1_history_.back());
   // Per-unit relevance: ||w1[u, :] ⊙ w2||_2 — each input's first-layer row
   // scaled by the magnitude of the downstream path.
   out.unit_scores.resize(num_units_);

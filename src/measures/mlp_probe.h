@@ -43,7 +43,8 @@ class MlpProbeMeasure : public Measure {
   double ErrorEstimate() const override;
 
  private:
-  float PredictProb(const float* x) const;
+  /// \brief P(positive | x); `a` is scratch for the hidden layer.
+  float PredictProb(const float* x, float* a) const;
   void TrainMinibatch(const Matrix& x, std::span<const float> y,
                       const std::vector<size_t>& rows);
   double ValF1() const;

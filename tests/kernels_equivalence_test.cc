@@ -9,6 +9,12 @@
 // against the in-library scalar path directly. A scalar-reference test
 // re-derives Pearson from plain double loops as an independent check.
 //
+// The SGD probes (measures/probe_kernel.h) put heads, classes and hidden
+// units on vector lanes: every weight, F1 checkpoint and error estimate
+// must equal the one-head-at-a-time loops of
+// tests/oracle/probe_reference.h bit for bit, a merged head must equal its
+// solo model, and a head in the scalar tail its twin in a lane.
+//
 // The shard-invariance tests run the full engine at num_shards {1, 3, 8}
 // over several passes and require byte-identical serialized tables for
 // the kBitExact moment-sum measures — the pairwise-tree merge contract —
@@ -31,15 +37,20 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/extractors.h"
 #include "measures/independent.h"
+#include "measures/logreg.h"
+#include "measures/mlp_probe.h"
 #include "measures/scores.h"
 #include "nn/lstm.h"
 #include "tensor/simd.h"
+#include "tests/oracle/probe_reference.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -104,6 +115,242 @@ TEST(KernelLaneVsTailTest, JaccardPanelLaneEqualsScalarTail) {
 TEST(KernelLaneVsTailTest, MutualInfoPanelLaneEqualsScalarTail) {
   MutualInfoMeasure m(kUnits, /*num_classes=*/2);
   ExpectTwinColumnsScoreEqual(&m);
+}
+
+// ------------------------------------------------------------------
+// The probe kernel (measures/probe_kernel.h): one vector lane per head,
+// class or hidden unit, heads shorter than a vector in a scalar tail.
+// Every weight, F1 checkpoint and error estimate must equal the
+// heads-outside-units loops of tests/oracle/probe_reference.h bit for bit.
+// ------------------------------------------------------------------
+
+uint32_t Bits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Head (class, hidden) counts: below one vector, one short of it, exactly
+// one, one plus a 2-wide tail, and two plus a 1-wide tail at 16 lanes.
+std::vector<size_t> ProbeWidths(size_t min_width) {
+  std::vector<size_t> widths;
+  for (size_t w : {size_t{1}, size_t{3}, vec::kFloatLanes - 1,
+                   vec::kFloatLanes, vec::kFloatLanes + 2, size_t{33}}) {
+    if (w >= min_width &&
+        std::find(widths.begin(), widths.end(), w) == widths.end()) {
+      widths.push_back(w);
+    }
+  }
+  return widths;
+}
+
+constexpr size_t kProbeUnits = 19;
+// Few enough held-out rows that the run passes the cap: 15 blocks of
+// 33, 16 and 7 rows hold out 56 rows.
+constexpr size_t kProbeValCap = 40;
+constexpr size_t kProbeBlocks = 15;
+
+size_t ProbeBlockRows(size_t block) {
+  static constexpr size_t kRows[] = {33, 16, 7};
+  return kRows[block % 3];
+}
+
+Matrix ProbeUnits(size_t rows, Rng* rng) {
+  Matrix m(rows, kProbeUnits);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t u = 0; u < kProbeUnits; ++u) {
+      m(r, u) = static_cast<float>(rng->Normal());
+    }
+  }
+  return m;
+}
+
+// Head h is positive when unit h % units plus noise is: learnable, and
+// different from head to head.
+Matrix ProbeHyps(const Matrix& units, size_t heads, Rng* rng) {
+  Matrix hyps(units.rows(), heads);
+  for (size_t r = 0; r < units.rows(); ++r) {
+    for (size_t h = 0; h < heads; ++h) {
+      const double v = units(r, h % kProbeUnits) + 0.5 * rng->Normal();
+      hyps(r, h) = v > 0 ? 1.0f : 0.0f;
+    }
+  }
+  return hyps;
+}
+
+void ExpectScoresBitwiseEqual(const MeasureScores& got,
+                              const MeasureScores& want,
+                              const std::string& where) {
+  ASSERT_EQ(got.unit_scores.size(), want.unit_scores.size()) << where;
+  for (size_t u = 0; u < got.unit_scores.size(); ++u) {
+    ASSERT_EQ(Bits(got.unit_scores[u]), Bits(want.unit_scores[u]))
+        << where << ", unit " << u;
+  }
+  ASSERT_EQ(Bits(got.group_score), Bits(want.group_score)) << where;
+}
+
+LogRegOptions ProbeLogRegOptions() {
+  LogRegOptions opts;
+  opts.val_cap = kProbeValCap;
+  opts.l1 = 1e-3f;
+  opts.l2 = 1e-4f;
+  return opts;
+}
+
+TEST(ProbeKernelTest, MergedLogRegMatchesHeadsOutsideUnitsLoop) {
+  for (size_t heads : ProbeWidths(1)) {
+    MergedLogRegMeasure merged(kProbeUnits, heads, ProbeLogRegOptions());
+    oracle::MergedLogReg reference(kProbeUnits, heads, ProbeLogRegOptions());
+    for (size_t h = 0; h < heads; ++h) {
+      ExpectScoresBitwiseEqual(merged.ScoresFor(h), reference.ScoresFor(h),
+                               "before any block");
+    }
+    Rng rng(heads);
+    for (size_t b = 0; b < kProbeBlocks; ++b) {
+      const Matrix units = ProbeUnits(ProbeBlockRows(b), &rng);
+      const Matrix hyps = ProbeHyps(units, heads, &rng);
+      merged.ProcessBlock(units, hyps);
+      reference.ProcessBlock(units, hyps);
+      for (size_t h = 0; h < heads; ++h) {
+        const std::string where = "heads " + std::to_string(heads) +
+                                  ", block " + std::to_string(b) +
+                                  ", head " + std::to_string(h);
+        ExpectScoresBitwiseEqual(merged.ScoresFor(h), reference.ScoresFor(h),
+                                 where);
+        ASSERT_EQ(Bits(merged.ErrorEstimate(h)),
+                  Bits(reference.ErrorEstimate(h)))
+            << where;
+      }
+    }
+    EXPECT_GT(merged.ScoresFor(0).group_score, 0.5f) << "heads " << heads;
+  }
+}
+
+TEST(ProbeKernelTest, MulticlassLogRegMatchesClassesOutsideUnitsLoop) {
+  for (size_t classes : ProbeWidths(2)) {
+    const int k = static_cast<int>(classes);
+    MulticlassLogRegMeasure probe(kProbeUnits, k, ProbeLogRegOptions());
+    oracle::MulticlassLogReg reference(kProbeUnits, k, ProbeLogRegOptions());
+    ExpectScoresBitwiseEqual(probe.Scores(), reference.Scores(),
+                             "before any block");
+    Rng rng(100 + classes);
+    for (size_t b = 0; b < kProbeBlocks; ++b) {
+      const Matrix units = ProbeUnits(ProbeBlockRows(b), &rng);
+      // The class is the first unit's value binned into k equal slices of
+      // [-2, 2], clamped.
+      std::vector<float> labels(units.rows());
+      for (size_t r = 0; r < units.rows(); ++r) {
+        const double slice = (units(r, 0) + 2.0) / 4.0 * classes;
+        labels[r] = static_cast<float>(
+            std::clamp(static_cast<int>(slice), 0, k - 1));
+      }
+      probe.ProcessBlock(units, labels);
+      reference.ProcessBlock(units, labels);
+      const std::string where = "classes " + std::to_string(classes) +
+                                ", block " + std::to_string(b);
+      ExpectScoresBitwiseEqual(probe.Scores(), reference.Scores(), where);
+      ASSERT_EQ(Bits(probe.ErrorEstimate()), Bits(reference.ErrorEstimate()))
+          << where;
+      for (int c = 0; c < k; ++c) {
+        ASSERT_EQ(Bits(probe.ClassPrecision(c)),
+                  Bits(reference.ClassPrecision(c)))
+            << where << ", class " << c;
+        ASSERT_EQ(Bits(probe.ClassF1(c)), Bits(reference.ClassF1(c)))
+            << where << ", class " << c;
+        ASSERT_EQ(probe.ClassSupport(c), reference.ClassSupport(c))
+            << where << ", class " << c;
+      }
+    }
+  }
+}
+
+TEST(ProbeKernelTest, MlpProbeMatchesHiddenOutsideUnitsLoop) {
+  for (size_t hidden : ProbeWidths(1)) {
+    MlpProbeOptions opts;
+    opts.hidden = hidden;
+    opts.val_cap = kProbeValCap;
+    MlpProbeMeasure probe(kProbeUnits, opts);
+    oracle::MlpProbe reference(kProbeUnits, opts);
+    ExpectScoresBitwiseEqual(probe.Scores(), reference.Scores(),
+                             "before any block");
+    Rng rng(200 + hidden);
+    for (size_t b = 0; b < kProbeBlocks; ++b) {
+      const Matrix units = ProbeUnits(ProbeBlockRows(b), &rng);
+      const Matrix hyps = ProbeHyps(units, 1, &rng);
+      std::vector<float> labels(units.rows());
+      for (size_t r = 0; r < units.rows(); ++r) labels[r] = hyps(r, 0);
+      probe.ProcessBlock(units, labels);
+      reference.ProcessBlock(units, labels);
+      const std::string where = "hidden " + std::to_string(hidden) +
+                                ", block " + std::to_string(b);
+      ExpectScoresBitwiseEqual(probe.Scores(), reference.Scores(), where);
+      ASSERT_EQ(Bits(probe.ErrorEstimate()), Bits(reference.ErrorEstimate()))
+          << where;
+    }
+  }
+}
+
+// Model merging is exact (paper §5.2.1): heads share no parameters, so a
+// merged head, wherever it sits, trains the bits of its own solo model.
+TEST(ProbeKernelTest, MergedHeadsEqualSoloModelsBitwise) {
+  const size_t heads = vec::kFloatLanes + 2;
+  MergedLogRegMeasure merged(kProbeUnits, heads, ProbeLogRegOptions());
+  std::vector<std::unique_ptr<BinaryLogRegMeasure>> solo;
+  for (size_t h = 0; h < heads; ++h) {
+    solo.push_back(std::make_unique<BinaryLogRegMeasure>(
+        kProbeUnits, ProbeLogRegOptions()));
+  }
+  Rng rng(31);
+  for (size_t b = 0; b < kProbeBlocks; ++b) {
+    const Matrix units = ProbeUnits(ProbeBlockRows(b), &rng);
+    const Matrix hyps = ProbeHyps(units, heads, &rng);
+    merged.ProcessBlock(units, hyps);
+    for (size_t h = 0; h < heads; ++h) {
+      std::vector<float> column(units.rows());
+      for (size_t r = 0; r < units.rows(); ++r) column[r] = hyps(r, h);
+      solo[h]->ProcessBlock(units, column);
+    }
+  }
+  for (size_t h = 0; h < heads; ++h) {
+    const std::string where = "head " + std::to_string(h);
+    ExpectScoresBitwiseEqual(merged.ScoresFor(h), solo[h]->Scores(), where);
+    EXPECT_EQ(Bits(merged.ErrorEstimate(h)), Bits(solo[h]->ErrorEstimate()))
+        << where;
+  }
+}
+
+// The logreg analogue of the twin-column tests above: two hypothesis
+// columns duplicate earlier ones, the first twin lands in the scalar tail
+// beside a vector-lane original, the second beside the last lane.
+TEST(KernelLaneVsTailTest, LogRegHeadLaneEqualsScalarTail) {
+  const size_t lanes = vec::kFloatLanes;
+  const size_t heads = lanes + 2;
+  const size_t twin_of[2] = {0, lanes - 1};
+  MergedLogRegMeasure merged(kProbeUnits, heads, ProbeLogRegOptions());
+  Rng rng(41);
+  for (size_t b = 0; b < kProbeBlocks; ++b) {
+    const Matrix units = ProbeUnits(ProbeBlockRows(b), &rng);
+    Matrix hyps = ProbeHyps(units, heads, &rng);
+    for (size_t r = 0; r < units.rows(); ++r) {
+      hyps(r, lanes) = hyps(r, twin_of[0]);
+      hyps(r, lanes + 1) = hyps(r, twin_of[1]);
+    }
+    merged.ProcessBlock(units, hyps);
+  }
+  for (size_t t = 0; t < 2; ++t) {
+    const std::string where = "tail head " + std::to_string(lanes + t);
+    ExpectScoresBitwiseEqual(merged.ScoresFor(lanes + t),
+                             merged.ScoresFor(twin_of[t]), where);
+    EXPECT_EQ(Bits(merged.ErrorEstimate(lanes + t)),
+              Bits(merged.ErrorEstimate(twin_of[t])))
+        << where;
+  }
 }
 
 // Independent scalar re-derivation of Pearson: double sums accumulated
@@ -341,12 +588,6 @@ LstmLayer SharedWeightLayer(size_t hidden) {
     }
   }
   return layer;
-}
-
-uint32_t Bits(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 TEST(GateStepTest, SharedWeightUnitsAreBitwiseEqualInEveryLaneAndTail) {

@@ -607,12 +607,21 @@ TEST(InspectionServerTest, ConnectionChurnIsReclaimed) {
   }
   InspectionClient survivor(world.client_config());
   ASSERT_TRUE(survivor.Connect().ok());
+  // The server un-counts a connection once its reader sees EOF, so under
+  // load the last teardowns can still be in flight: poll, bounded, until
+  // every closed connection is accounted back out and only the survivor
+  // remains.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   Result<wire::ServerStatsWire> stats = survivor.Stats();
+  while (stats.ok() && stats->connections_active > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = survivor.Stats();
+  }
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->connections_accepted, 31u);
-  // Every closed connection was accounted back out (the survivor and at
-  // most a teardown still in flight remain).
-  EXPECT_LE(stats->connections_active, 2u);
+  EXPECT_EQ(stats->connections_active, 1u);
 }
 
 // ---------------------------------------------------------------------------
