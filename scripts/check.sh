@@ -44,8 +44,9 @@ cd "$REPO_ROOT"
 
 echo "== lint =="
 # One compile per session job: Scheduler::PlanJob compiles each request
-# and the job carries that JobPlan through admission, the engine, dedup
-# promotion, the cluster and EXPLAIN. A Catalog::Compile anywhere else in
+# and the job carries that JobPlan through admission, its run (shared by
+# every identical request in flight), the cluster and EXPLAIN. A
+# Catalog::Compile anywhere else in
 # src/service or src/cluster re-resolves names the job already resolved
 # (and may see a newer catalog version than its cache/dedup key names).
 # Allowed besides PlanJob: the DistributedRun(request, default_options,
@@ -97,6 +98,19 @@ if grep -nwE "$LANE_RULES" $(echo "$SRC_FILES" | grep -v '^src/core/block_pipeli
   echo "lint: the lines above name a lane rule outside PlanPipeline" \
        "(core/block_pipeline.cc). Read the job's PipelinePlan (pairs," \
        "composites, sequential_lane, sliceable, blocks_planned) instead."
+  exit 1
+fi
+
+# One shared run per in-flight request: identical requests attach handles
+# to one Scheduler::Run, which owns the cancel flag and the progress
+# counter. A cancelled handle detaches; the last one stops the run; no
+# waiter is ever promoted to re-run the plan from block 0. The names of
+# that promotion machinery stay deleted.
+DELETED_DEDUP_NAMES='FinishInflight|DeliverToWaiter|CancelWaiter|InflightJob|dedup_promotions'
+if grep -rnwE "$DELETED_DEDUP_NAMES" src; then
+  echo "lint: the lines above name deleted dedup-promotion machinery. A" \
+       "job that shares its run detaches on Cancel() and the run goes on" \
+       "(Scheduler::CancelHandle); the last handle's Cancel() stops it."
   exit 1
 fi
 

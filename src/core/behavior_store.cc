@@ -605,8 +605,15 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
   if (!in || stored_key != key) {
     return corrupt("key mismatch (hash collision?)");
   }
-  if (payload_len > (1ull << 32)) {
-    return corrupt("implausible payload size");
+  // Size nothing from the length field before the file backs it: the
+  // payload is exactly the bytes after the header.
+  const uint64_t header_bytes = sizeof(magic) + sizeof(key_len) + key_len +
+                                sizeof(checksum) + sizeof(payload_len);
+  std::error_code size_ec;
+  const auto file_size = std::filesystem::file_size(path, size_ec);
+  if (size_ec || file_size < header_bytes ||
+      file_size - header_bytes != payload_len) {
+    return corrupt("payload size does not match the file");
   }
   std::string payload(payload_len, '\0');
   in.read(payload.data(), static_cast<std::streamsize>(payload_len));

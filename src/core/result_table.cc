@@ -1,11 +1,9 @@
 #include "core/result_table.h"
 
 #include <algorithm>
-#include <cstring>
-#include <istream>
 #include <map>
-#include <ostream>
-#include <sstream>
+
+#include "util/codec.h"
 
 namespace deepbase {
 
@@ -151,111 +149,68 @@ namespace {
 constexpr uint32_t kResultTableMagic = 0x44425254;  // "DBRT"
 constexpr uint64_t kMaxSerializedRows = 1ull << 32;
 constexpr uint64_t kMaxSerializedString = 1ull << 20;
+// The smallest row: four empty strings' lengths, the unit, both scores.
+constexpr size_t kMinRowBytes = 4 * 8 + 8 + 4 + 4;
 
-void WriteU32(uint32_t v, std::ostream* out) {
-  out->write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteString(const std::string& s, codec::Writer* w) {
+  w->U64(s.size());
+  w->Bytes(s);
 }
 
-void WriteU64(uint64_t v, std::ostream* out) {
-  out->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteString(const std::string& s, std::ostream* out) {
-  WriteU64(s.size(), out);
-  out->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// Floats travel as raw bits so NaN payloads (the "no score" sentinel)
-// survive the round trip unchanged.
-void WriteFloatBits(float f, std::ostream* out) {
-  uint32_t bits = 0;
-  std::memcpy(&bits, &f, sizeof(bits));
-  WriteU32(bits, out);
-}
-
-bool ReadU32(std::istream* in, uint32_t* v) {
-  in->read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in->good();
-}
-
-bool ReadU64(std::istream* in, uint64_t* v) {
-  in->read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in->good();
-}
-
-bool ReadString(std::istream* in, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadU64(in, &len) || len > kMaxSerializedString) return false;
-  // Grow with the bytes actually read, so a corrupt length allocates no
-  // more than the stream holds.
-  s->clear();
-  char chunk[4096];
-  while (s->size() < len) {
-    const size_t n = std::min<uint64_t>(sizeof(chunk), len - s->size());
-    if (!in->read(chunk, static_cast<std::streamsize>(n))) return false;
-    s->append(chunk, n);
-  }
-  return true;
-}
-
-bool ReadFloatBits(std::istream* in, float* f) {
-  uint32_t bits = 0;
-  if (!ReadU32(in, &bits)) return false;
-  std::memcpy(f, &bits, sizeof(bits));
-  return true;
+bool ReadString(codec::Reader* r, std::string* s) {
+  const uint64_t len = r->U64();
+  if (!r->ok() || len > kMaxSerializedString) return false;
+  *s = r->Bytes(len);
+  return r->ok();
 }
 
 }  // namespace
 
-void ResultTable::Serialize(std::ostream* out) const {
-  WriteU32(kResultTableMagic, out);
-  WriteU64(rows_.size(), out);
-  for (const ResultRow& r : rows_) {
-    WriteString(r.model_id, out);
-    WriteString(r.group_id, out);
-    WriteString(r.measure, out);
-    WriteString(r.hypothesis, out);
-    const int64_t unit = r.unit;
-    WriteU64(static_cast<uint64_t>(unit), out);
-    WriteFloatBits(r.unit_score, out);
-    WriteFloatBits(r.group_score, out);
-  }
-}
-
 std::string ResultTable::SerializeToString() const {
-  std::ostringstream out(std::ios::binary);
-  Serialize(&out);
-  return std::move(out).str();
-}
-
-Result<ResultTable> ResultTable::Deserialize(std::istream* in) {
-  uint32_t magic = 0;
-  uint64_t n = 0;
-  if (!ReadU32(in, &magic) || magic != kResultTableMagic ||
-      !ReadU64(in, &n) || n > kMaxSerializedRows) {
-    return Status::DataLoss("malformed result table header");
+  codec::Writer w;
+  w.U32(kResultTableMagic);
+  w.U64(rows_.size());
+  for (const ResultRow& r : rows_) {
+    WriteString(r.model_id, &w);
+    WriteString(r.group_id, &w);
+    WriteString(r.measure, &w);
+    WriteString(r.hypothesis, &w);
+    w.U64(static_cast<uint64_t>(static_cast<int64_t>(r.unit)));
+    // Floats travel as raw bits so NaN payloads (the "no score" sentinel)
+    // survive the round trip unchanged.
+    w.F32(r.unit_score);
+    w.F32(r.group_score);
   }
-  ResultTable table;
-  for (uint64_t i = 0; i < n; ++i) {
-    ResultRow r;
-    uint64_t unit = 0;
-    if (!ReadString(in, &r.model_id) || !ReadString(in, &r.group_id) ||
-        !ReadString(in, &r.measure) || !ReadString(in, &r.hypothesis) ||
-        !ReadU64(in, &unit) || !ReadFloatBits(in, &r.unit_score) ||
-        !ReadFloatBits(in, &r.group_score)) {
-      return Status::DataLoss("truncated result table row " +
-                              std::to_string(i));
-    }
-    r.unit = static_cast<int>(static_cast<int64_t>(unit));
-    table.Add(std::move(r));
-  }
-  return table;
+  return w.Take();
 }
 
 Result<ResultTable> ResultTable::DeserializeFromString(
     const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return Deserialize(&in);
+  codec::Reader r(bytes);
+  const uint32_t magic = r.U32();
+  const uint64_t n = r.U64();
+  if (!r.ok() || magic != kResultTableMagic || n > kMaxSerializedRows) {
+    return Status::DataLoss("malformed result table header");
+  }
+  ResultTable table;
+  // Reserve no more rows than the bytes left can hold, so a corrupt count
+  // allocates nothing the input does not back.
+  table.rows_.reserve(std::min<uint64_t>(n, r.remaining() / kMinRowBytes));
+  for (uint64_t i = 0; i < n; ++i) {
+    ResultRow row;
+    const bool strings =
+        ReadString(&r, &row.model_id) && ReadString(&r, &row.group_id) &&
+        ReadString(&r, &row.measure) && ReadString(&r, &row.hypothesis);
+    row.unit = static_cast<int>(static_cast<int64_t>(r.U64()));
+    row.unit_score = r.F32();
+    row.group_score = r.F32();
+    if (!strings || !r.ok()) {
+      return Status::DataLoss("truncated result table row " +
+                              std::to_string(i));
+    }
+    table.rows_.push_back(std::move(row));
+  }
+  return table;
 }
 
 size_t ResultTable::EstimatedBytes() const {

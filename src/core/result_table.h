@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -73,13 +72,13 @@ class ResultTable {
   /// results into external analysis (paper §4.1's post-processing).
   std::string ToCsv() const;
 
-  /// \brief Binary serialization (magic + row count + length-prefixed
-  /// fields; float scores round-trip bit-exactly, including NaN). The
-  /// persistent result cache stores tables in this format.
-  void Serialize(std::ostream* out) const;
+  /// \brief Binary serialization through codec::Writer: magic, row count,
+  /// then per row four u64-length-prefixed strings, the unit as a u64 and
+  /// both scores' float bits (round-trip bit-exact, including NaN). The
+  /// persistent result cache and kResult frames carry this format.
   std::string SerializeToString() const;
-  /// \brief Inverse of Serialize; kDataLoss on malformed input.
-  static Result<ResultTable> Deserialize(std::istream* in);
+  /// \brief Inverse of SerializeToString through codec::Reader; kDataLoss
+  /// on malformed input.
   static Result<ResultTable> DeserializeFromString(const std::string& bytes);
 
   /// \brief Approximate heap footprint (rows + string payloads) — the byte

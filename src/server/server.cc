@@ -479,7 +479,6 @@ bool InspectionServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       s.scan_extractions = sched.scan_extractions;
       s.scan_shared_hits = sched.scan_shared_hits;
       s.dedup_followers = sched.dedup_followers;
-      s.dedup_promotions = sched.dedup_promotions;
       s.admission_rejections = sched.admission_rejections;
       s.result_cache_hits = sched.result_cache_hits;
       s.result_cache_misses = sched.result_cache_misses;
@@ -630,8 +629,8 @@ void InspectionServer::ServeConnection(
   }
   // Teardown. If the client hung up on its own (not a server-initiated
   // drain), cancel its unfinished jobs: nobody is listening for results,
-  // and cancellation frees engine capacity (dedup waiters detach without
-  // disturbing their leader).
+  // and cancellation frees engine capacity (a job that shares its run
+  // detaches, and the run goes on for the other handles).
   bool server_initiated;
   std::vector<JobHandle> to_cancel;
   {

@@ -27,8 +27,8 @@
 //     max_queued_bytes) surface to clients as protocol-level
 //     RESOURCE_EXHAUSTED errors on Submit
 //   - client disconnect cancels that connection's unfinished jobs (the
-//     session's cooperative cancellation; dedup waiters detach without
-//     disturbing the leader)
+//     session's cooperative cancellation; a job that shares its run
+//     detaches, and the run goes on for the other handles)
 //   - Shutdown() drains gracefully: the listener closes, new submits are
 //     rejected (RESOURCE_EXHAUSTED, "draining"), in-flight jobs run to
 //     completion and their results are delivered, then connections close

@@ -463,7 +463,6 @@ void EncodeServerStats(const ServerStatsWire& stats, Writer* w) {
   w->U64(stats.scan_extractions);
   w->U64(stats.scan_shared_hits);
   w->U64(stats.dedup_followers);
-  w->U64(stats.dedup_promotions);
   w->U64(stats.admission_rejections);
   w->U64(stats.result_cache_hits);
   w->U64(stats.result_cache_misses);
@@ -487,7 +486,6 @@ bool DecodeServerStats(Reader* r, ServerStatsWire* stats) {
   stats->scan_extractions = r->U64();
   stats->scan_shared_hits = r->U64();
   stats->dedup_followers = r->U64();
-  stats->dedup_promotions = r->U64();
   stats->admission_rejections = r->U64();
   stats->result_cache_hits = r->U64();
   stats->result_cache_misses = r->U64();

@@ -40,7 +40,8 @@ namespace deepbase {
 namespace wire {
 
 inline constexpr uint32_t kMagic = 0x44425731;  // "DBW1"
-inline constexpr uint16_t kProtocolVersion = 1;
+/// Version 2: the kStatsOk payload dropped the promoted-waiter counter.
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kHeaderBytes = 20;
 /// Frames above this are rejected as malformed before any allocation.
 inline constexpr size_t kDefaultMaxFrameBytes = 64ull << 20;
@@ -212,7 +213,6 @@ struct ServerStatsWire {
   uint64_t scan_extractions = 0;
   uint64_t scan_shared_hits = 0;
   uint64_t dedup_followers = 0;
-  uint64_t dedup_promotions = 0;
   uint64_t admission_rejections = 0;
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;

@@ -13,7 +13,7 @@ namespace {
 // JobHandle member is safe to call even before a Submit().
 internal::JobState& InvalidJobState() {
   static internal::JobState* state = [] {
-    auto* s = new internal::JobState();
+    auto* s = new internal::JobState(std::make_shared<ProgressCounter>());
     s->status = JobStatus::kCancelled;
     s->result = Status::Invalid("invalid job handle (no job submitted)");
     return s;
@@ -32,27 +32,20 @@ JobStatus JobHandle::Poll() const {
 }
 
 JobStatus JobHandle::Poll(JobProgress* progress) const {
-  internal::JobState& state = state_ != nullptr ? *state_ : InvalidJobState();
-  JobStatus status;
-  std::shared_ptr<const ProgressCounter> counter;
-  {
-    // The scheduler may still be pointing a listed job at its dedup
-    // leader's counter: copy the pointer under the lock it is swapped
-    // under, so the counter read below stays alive.
-    std::lock_guard<std::mutex> lock(state.mu);
-    status = state.status;
-    counter = state.progress;
-  }
+  const JobStatus status = Poll();
   if (progress != nullptr) {
-    // The counter is updated with relaxed atomics by whichever engine
-    // lane dispatches a block; a snapshot needs no lock.
+    // The job's counter is fixed at creation (its run's), and updated
+    // with relaxed atomics by whichever engine lane dispatches a block; a
+    // snapshot needs no lock.
+    const ProgressCounter& counter =
+        *(state_ != nullptr ? *state_ : InvalidJobState()).progress;
     progress->status = status;
     progress->blocks_completed =
-        counter->blocks_done.load(std::memory_order_relaxed);
+        counter.blocks_done.load(std::memory_order_relaxed);
     progress->blocks_total =
-        counter->blocks_total.load(std::memory_order_relaxed);
+        counter.blocks_total.load(std::memory_order_relaxed);
     progress->records_processed =
-        counter->records_done.load(std::memory_order_relaxed);
+        counter.records_done.load(std::memory_order_relaxed);
   }
   return status;
 }
@@ -74,11 +67,10 @@ const Result<ResultTable>& JobHandle::Wait() const {
 
 void JobHandle::Cancel() {
   if (state_ == nullptr) return;
-  state_->cancel.store(true, std::memory_order_relaxed);
-  // Dedup waiters have no worker polling their cancel flag; their
-  // on_cancel hook detaches them from the in-flight job and resolves the
-  // handle immediately. Read under the lock, run outside it (the hook
-  // takes scheduler locks).
+  // The scheduler's hook detaches this job from a run other handles
+  // share, or stops the run when this is its last handle; a terminal job
+  // has none. Read under the lock, run outside it (the hook takes
+  // scheduler locks).
   std::function<void()> hook;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
@@ -177,12 +169,11 @@ void InspectionSession::AttachSubstrate(InspectOptions* options) {
   }
 }
 
-std::shared_ptr<internal::JobState> InspectionSession::NewJobState() {
-  auto state = std::make_shared<internal::JobState>();
+void InspectionSession::ListJob(
+    const std::shared_ptr<internal::JobState>& state) {
   std::lock_guard<std::mutex> lock(jobs_mu_);
   state->id = next_job_id_++;
   jobs_.push_back(state);
-  return state;
 }
 
 Result<ResultTable> InspectionSession::Inspect(const InspectRequest& request,

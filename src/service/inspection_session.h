@@ -27,7 +27,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -82,11 +81,11 @@ struct SessionConfig {
   size_t shared_scan_budget_bytes = 128ull << 20;
 
   /// In-flight dedup: an identical concurrent Submit()/Inspect() (same
-  /// request fingerprint, same catalog version) attaches as a waiter on
-  /// the running job and receives its ResultTable — one extraction pass,
-  /// one measure run, bit-identical scores. Cancelling a waiter never
-  /// kills the leader; cancelling the leader promotes a live waiter to
-  /// re-run.
+  /// request fingerprint, same catalog version) attaches to the live run
+  /// and receives its ResultTable — one extraction pass, one measure run,
+  /// bit-identical scores. Cancelling a handle that shares its run
+  /// resolves that handle only and the run goes on; cancelling the run's
+  /// last handle stops the run.
   bool enable_inflight_dedup = true;
 
   /// Persist result-cache entries through the behavior store's blob tier
@@ -135,9 +134,9 @@ enum class JobStatus { kQueued, kRunning, kDone, kCancelled };
 
 /// \brief Snapshot of a job's live progress (JobHandle::Poll overload).
 /// `blocks_total` is the engine's planned dispatch count — 0 until the
-/// block loop has planned (and forever, for jobs served without the
-/// engine: result-cache hits and dedup waiters report the leader's
-/// counters or 0/0). Early stopping may complete a job below
+/// block loop has planned (and forever, for result-cache hits and
+/// rejections, which no run serves). Every handle of a shared run reports
+/// that run's counters. Early stopping may complete a job below
 /// `blocks_total`. The network serving layer streams exactly these
 /// numbers, so local and remote polling always agree.
 struct JobProgress {
@@ -149,29 +148,29 @@ struct JobProgress {
 
 namespace internal {
 struct JobState {
+  explicit JobState(std::shared_ptr<const ProgressCounter> counter)
+      : progress(std::move(counter)) {}
+
   uint64_t id = 0;
   mutable std::mutex mu;
   std::condition_variable cv;
   JobStatus status = JobStatus::kQueued;
-  std::atomic<bool> cancel{false};
   std::optional<Result<ResultTable>> result;
   RuntimeStats stats;
-  /// Live engine progress, shared with the scheduler (and, for dedup
-  /// waiters, with the leader's run — a waiter's Poll reports the
-  /// leader's live counters). Never null. The pointer is guarded by mu:
-  /// the scheduler swaps in the leader's counter after the job is listed
-  /// in InspectionSession::Jobs().
-  std::shared_ptr<ProgressCounter> progress =
-      std::make_shared<ProgressCounter>();
-  /// Invoked by JobHandle::Cancel() after the cancel flag is set (read
-  /// under mu, run outside it). The scheduler installs it on dedup
-  /// waiters so cancelling a waiter resolves it immediately instead of
-  /// leaving it parked until the leader finishes; cleared (under mu) when
-  /// the job reaches a terminal state.
+  /// Live engine progress of the run this job reports: set when the state
+  /// is created, after admission picked the run, and never changed, so
+  /// Poll reads it without the lock. Every handle of a shared run holds
+  /// the run's counter; a job no run serves holds a fresh one. Never null.
+  const std::shared_ptr<const ProgressCounter> progress;
+  /// Run by JobHandle::Cancel() (read under mu, run outside it). The
+  /// scheduler installs it on every job attached to a run: it detaches the
+  /// job when others share the run, else stops the run. Cleared (under
+  /// mu) when the job reaches a terminal state.
   std::function<void()> on_cancel;
 
-  // --- Observability (set by the scheduler at submission; all guarded
-  // by mu except the Tracer, which is internally synchronized).
+  // --- Observability. tracer, root_span and submit_ns are set when the
+  // scheduler creates the state and never change; the Tracer is
+  // internally synchronized; queue_s is guarded by mu.
   std::shared_ptr<Tracer> tracer;  ///< null = tracing off for this job
   uint64_t root_span = 0;          ///< span id of the "sched.job" root
   int64_t submit_ns = 0;           ///< TraceNowNs() at submission
@@ -220,8 +219,10 @@ class JobHandle {
   /// result. Cancelled jobs yield Status kCancelled.
   const Result<ResultTable>& Wait() const;
 
-  /// \brief Request cooperative cancellation. Queued jobs are dropped;
-  /// running jobs stop at the next block boundary (the same plumbing as
+  /// \brief Request cooperative cancellation. A job that shares its run
+  /// with other handles resolves as cancelled at once, and the run goes
+  /// on for them. Otherwise a queued job is dropped and a running one
+  /// stops at the next block boundary (the same plumbing as
   /// InspectOptions::time_budget_s / max_blocks).
   void Cancel();
 
@@ -334,8 +335,8 @@ class InspectionSession {
 
   /// Create the worker pool on first use.
   ThreadPool* EnsurePool();
-  /// Allocate + register the state of a new job (any status).
-  std::shared_ptr<internal::JobState> NewJobState();
+  /// Give a new job's state the next job id and list it in Jobs().
+  void ListJob(const std::shared_ptr<internal::JobState>& state);
 
   SessionConfig config_;
   Catalog catalog_;

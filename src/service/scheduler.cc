@@ -26,7 +26,7 @@ namespace {
 constexpr size_t kSchedulerCounterFieldCount =
     0 DEEPBASE_SCHEDULER_STATS_COUNTER_FIELDS(DEEPBASE_COUNT_FIELD);
 #undef DEEPBASE_COUNT_FIELD
-static_assert(kSchedulerCounterFieldCount == 15,
+static_assert(kSchedulerCounterFieldCount == 14,
               "SchedulerStats counter list changed; update the X-macro and "
               "this count together");
 static_assert(sizeof(SchedulerStats) ==
@@ -442,180 +442,39 @@ void Scheduler::OnJobFinished() {
   if (active_jobs_ > 0) --active_jobs_;
 }
 
-void Scheduler::ResolveCancelled(
-    const std::shared_ptr<internal::JobState>& state, std::string message) {
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->status == JobStatus::kDone ||
-      state->status == JobStatus::kCancelled) {
-    return;
-  }
-  state->on_cancel = nullptr;
-  state->status = JobStatus::kCancelled;
-  state->result = Status::Cancelled(std::move(message));
-  state->cv.notify_all();
+void Scheduler::UnregisterLocked(const Run& run) {
+  if (!run.plan->dedupable) return;
+  auto it = runs_.find(
+      {*run.plan->fingerprint, run.plan->compiled.catalog_version});
+  if (it != runs_.end() && it->second.get() == &run) runs_.erase(it);
 }
 
-void Scheduler::DeliverToWaiter(
-    const std::shared_ptr<internal::JobState>& state,
-    const Result<ResultTable>& result, const RuntimeStats& stats) {
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->status == JobStatus::kDone ||
-      state->status == JobStatus::kCancelled) {
-    return;  // already resolved (e.g. a concurrent CancelWaiter)
-  }
-  // A waiter whose Cancel() hook lost the race with this delivery still
-  // gets the result: it is complete, the same rule as a Cancel() racing
-  // a leader's completion.
-  state->on_cancel = nullptr;
-  RuntimeStats waiter_stats;
-  waiter_stats.dedup_hits = 1;
-  waiter_stats.num_shards = stats.num_shards;
-  waiter_stats.total_s = stats.total_s;  // the leader's wall clock
-  state->stats = waiter_stats;
-  state->status = JobStatus::kDone;
-  state->result = result;
-  state->cv.notify_all();
-}
-
-void Scheduler::CancelWaiter(const std::shared_ptr<InflightJob>& job,
+void Scheduler::CancelHandle(const std::shared_ptr<Run>& run,
                              const std::shared_ptr<internal::JobState>& state) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = std::find(job->waiters.begin(), job->waiters.end(), state);
-    if (it == job->waiters.end()) {
-      // Already delivered to, or promoted to leader (its run polls the
-      // cancel flag): nothing to resolve here, and the leader is
-      // untouched either way.
+    auto it = std::find(run->handles.begin(), run->handles.end(), state);
+    if (it == run->handles.end()) return;  // the run is resolving it
+    if (run->handles.size() == 1) {
+      // The last handle stops the run, which resolves it from what the
+      // engine observed. The run leaves the registry now, so a later
+      // identical request starts a fresh run.
+      run->cancel.store(true, std::memory_order_relaxed);
+      UnregisterLocked(*run);
       return;
     }
-    job->waiters.erase(it);
+    run->handles.erase(it);
   }
-  ResolveCancelled(state,
-                   "job " + std::to_string(state->id) +
-                       " cancelled while waiting on an identical in-flight "
-                       "job");
+  // Other handles share the run: it goes on for them, untouched.
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->on_cancel = nullptr;
+    state->status = JobStatus::kCancelled;
+    state->result = Status::Cancelled("job " + std::to_string(state->id) +
+                                      " cancelled; its shared run goes on");
+    state->cv.notify_all();
+  }
   FinalizeJob(state, "cancelled");
-}
-
-void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
-                               Result<ResultTable> result,
-                               const RuntimeStats& stats,
-                               bool leader_cancelled) {
-  RuntimeStats current_stats = stats;
-  bool cancelled = leader_cancelled;
-  // A promoted waiter whose run completed is resolved only after the
-  // registry entry is retired, so "every handle resolved" implies "the
-  // registry is clean" — no transiently observable in-flight entry.
-  std::shared_ptr<internal::JobState> pending;
-  RuntimeStats pending_stats;
-  while (true) {
-    std::vector<std::shared_ptr<internal::JobState>> to_cancel;
-    std::vector<std::shared_ptr<internal::JobState>> to_deliver;
-    std::shared_ptr<internal::JobState> promoted;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (cancelled) {
-        // The leader died without a complete result: promote the first
-        // waiter that has not itself been cancelled; it re-runs the
-        // request on this thread. Cancelled waiters resolve as cancelled.
-        while (!job->waiters.empty()) {
-          std::shared_ptr<internal::JobState> candidate =
-              job->waiters.front();
-          job->waiters.erase(job->waiters.begin());
-          if (candidate->cancel.load(std::memory_order_relaxed)) {
-            to_cancel.push_back(std::move(candidate));
-          } else {
-            promoted = std::move(candidate);
-            break;
-          }
-        }
-        if (promoted != nullptr) ++dedup_promotions_;
-      }
-      if (promoted == nullptr) {
-        // Terminal: retire the registry entry, then deliver (the result
-        // or the leader's cancellation) to every remaining waiter.
-        job->done = true;
-        to_deliver.swap(job->waiters);
-        auto it = inflight_.find(
-            {*job->plan->fingerprint, job->plan->compiled.catalog_version});
-        if (it != inflight_.end() && it->second == job) inflight_.erase(it);
-      }
-    }
-    for (const auto& state : to_cancel) {
-      ResolveCancelled(state,
-                       "job " + std::to_string(state->id) +
-                           " cancelled while waiting on an identical "
-                           "in-flight job");
-      FinalizeJob(state, "cancelled");
-    }
-    if (promoted == nullptr) {
-      if (pending != nullptr) {
-        // The promoted ex-waiter that produced `result`: its terminal
-        // state was held back until the registry retirement above.
-        {
-          std::lock_guard<std::mutex> lock(pending->mu);
-          pending->stats = pending_stats;
-          pending->status = JobStatus::kDone;
-          pending->result = result;
-          pending->cv.notify_all();
-        }
-        FinalizeJob(pending, result.ok() ? "ok" : "error");
-      }
-      for (const auto& state : to_deliver) {
-        if (cancelled) {
-          ResolveCancelled(state,
-                           "leader of the deduplicated job was cancelled "
-                           "and no waiter could be promoted");
-          FinalizeJob(state, "cancelled");
-        } else {
-          DeliverToWaiter(state, result, current_stats);
-          FinalizeJob(state, result.ok() ? "ok" : "error");
-        }
-      }
-      return;
-    }
-    // Promotion: the ex-waiter becomes the leader and re-runs the
-    // leader's plan on this thread with its own cancellation; later
-    // waiters stay attached (the registry entry survives) and are served
-    // by this run.
-    std::shared_ptr<Tracer> promoted_tracer;
-    uint64_t promoted_root = 0;
-    {
-      std::lock_guard<std::mutex> lock(promoted->mu);
-      promoted->on_cancel = nullptr;
-      promoted->status = JobStatus::kRunning;
-      promoted_tracer = promoted->tracer;
-      promoted_root = promoted->root_span;
-    }
-    RuntimeStats promoted_stats;
-    Result<ResultTable> promoted_result = Execute(
-        *job->plan, AttachToGroup(job->plan->group_key), &promoted->cancel,
-        promoted->progress.get(), &promoted_stats, promoted_tracer.get(),
-        promoted_root);
-    pending.reset();
-    if (promoted_stats.cancelled) {
-      // Cancelled promotions resolve immediately (the next loop turn may
-      // promote someone else; this handle's fate is already sealed).
-      {
-        std::lock_guard<std::mutex> lock(promoted->mu);
-        promoted->stats = promoted_stats;
-        promoted->status = JobStatus::kCancelled;
-        promoted->result = Status::Cancelled(
-            "job " + std::to_string(promoted->id) + " cancelled after " +
-            std::to_string(promoted_stats.blocks_processed) + " blocks");
-        promoted->cv.notify_all();
-      }
-      FinalizeJob(promoted, "cancelled");
-    } else {
-      // Completed (or errored): defer resolution until the registry
-      // entry is retired on the next loop turn.
-      pending = promoted;
-      pending_stats = promoted_stats;
-    }
-    result = std::move(promoted_result);
-    current_stats = promoted_stats;
-    cancelled = promoted_stats.cancelled;
-  }
 }
 
 void Scheduler::SetEngine(EngineHook hook) {
@@ -682,46 +541,90 @@ void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
   }
 }
 
-Result<ResultTable> Scheduler::Execute(const JobPlan& job,
-                                       std::optional<GroupHandle> group,
-                                       const std::atomic<bool>* cancel,
-                                       ProgressCounter* progress,
-                                       RuntimeStats* stats, Tracer* tracer,
-                                       uint64_t parent_span) {
-  InspectPlan plan = job.compiled;
-  InspectOptions& options = plan.options;
-  session_->AttachSubstrate(&options);
-  if (cancel != nullptr) options.cancel = cancel;
-  if (progress != nullptr) options.progress = progress;
-  if (group) options.shared_scan = group->client.get();
-  if (options.tracer == nullptr && tracer != nullptr) {
-    // A request that already carries its own tracer (a worker replaying
-    // a coordinator assignment) keeps it; otherwise the job's tracer
-    // rides into the engine here.
-    options.tracer = tracer;
-    options.trace_parent_span = parent_span;
-  }
-  RuntimeStats local;
-  const std::shared_ptr<const EngineHook> engine = Engine();
-  Result<ResultTable> result = engine != nullptr
-                                   ? engine->run(job, plan, &local)
-                                   : RunPlan(plan, &local, &job.pipeline);
-  if (group) ReleaseGroup(&*group);
-  if (job.cacheable) {
-    local.result_cache_misses = 1;
-    Metrics().cache_misses->Inc();
-    // Only complete, deterministic runs are cacheable. Staleness is
-    // handled inside Insert: its admission floor was raised synchronously
-    // by any Register* that happened while this job ran, so a result
-    // computed under an invalidated catalog version is rejected there —
-    // no check-then-insert race against the catalog here.
-    if (result.ok() && !local.cancelled && job.deterministic) {
-      result_cache_.Insert(*job.fingerprint, job.compiled.catalog_version,
-                           job.compiled.dataset_fingerprint, *result);
+void Scheduler::Execute(const std::shared_ptr<Run>& run,
+                        std::optional<GroupHandle> group) {
+  const JobPlan& job = *run->plan;
+  const internal::JobState& creator = *run->creator;
+  RuntimeStats stats;
+  Result<ResultTable> result = Status::Cancelled("cancelled before execution");
+  if (run->cancel.load(std::memory_order_relaxed)) {
+    // Cancelled while queued: detach, so the fused group's pending-block
+    // accounting does not wait on a job that will never read anything.
+    if (group) ReleaseGroup(&*group);
+    stats.cancelled = true;
+  } else {
+    InspectPlan plan = job.compiled;
+    InspectOptions& options = plan.options;
+    session_->AttachSubstrate(&options);
+    options.cancel = &run->cancel;
+    options.progress = run->progress.get();
+    if (group) options.shared_scan = group->client.get();
+    if (options.tracer == nullptr && creator.tracer != nullptr) {
+      // A request that already carries its own tracer (a worker replaying
+      // a coordinator assignment) keeps it; otherwise the creator's
+      // tracer rides into the engine here.
+      options.tracer = creator.tracer.get();
+      options.trace_parent_span = creator.root_span;
+    }
+    const std::shared_ptr<const EngineHook> engine = Engine();
+    result = engine != nullptr ? engine->run(job, plan, &stats)
+                               : RunPlan(plan, &stats, &job.pipeline);
+    if (group) ReleaseGroup(&*group);
+    if (job.cacheable) {
+      stats.result_cache_misses = 1;
+      Metrics().cache_misses->Inc();
+      // Only complete, deterministic runs are cacheable. Staleness is
+      // handled inside Insert: its admission floor was raised
+      // synchronously by any Register* that happened while this job ran,
+      // so a result computed under an invalidated catalog version is
+      // rejected there — no check-then-insert race against the catalog.
+      if (result.ok() && !stats.cancelled && job.deterministic) {
+        result_cache_.Insert(*job.fingerprint, job.compiled.catalog_version,
+                             job.compiled.dataset_fingerprint, *result);
+      }
     }
   }
-  if (stats != nullptr) *stats = local;
-  return result;
+
+  // Retire the registry entry before any handle resolves, so "every
+  // handle resolved" implies "registry clean".
+  std::vector<std::shared_ptr<internal::JobState>> handles;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    UnregisterLocked(*run);
+    handles.swap(run->handles);
+  }
+  // The creator reports the engine's stats; every other handle reports a
+  // dedup hit on the run's shards and wall clock.
+  RuntimeStats shared;
+  shared.dedup_hits = 1;
+  shared.num_shards = stats.num_shards;
+  shared.total_s = stats.total_s;
+  const char* status =
+      stats.cancelled ? "cancelled" : (result.ok() ? "ok" : "error");
+  for (size_t i = 0; i < handles.size(); ++i) {
+    internal::JobState& state = *handles[i];
+    {
+      std::lock_guard<std::mutex> lock(state.mu);
+      state.on_cancel = nullptr;
+      state.stats = handles[i] == run->creator ? stats : shared;
+      // Key off what the engine actually observed (stats.cancelled), not
+      // the flag: a Cancel() racing with completion must not discard a
+      // fully computed result. Only a run's last handle cancels it, so a
+      // cancelled run has one handle left.
+      if (stats.cancelled) {
+        state.status = JobStatus::kCancelled;
+        state.result = Status::Cancelled(
+            "job " + std::to_string(state.id) + " cancelled after " +
+            std::to_string(stats.blocks_processed) + " blocks");
+      } else {
+        state.status = JobStatus::kDone;
+        state.result =
+            i + 1 < handles.size() ? result : std::move(result);
+      }
+      state.cv.notify_all();
+    }
+    FinalizeJob(handles[i], status);
+  }
 }
 
 std::shared_ptr<const JobPlan> Scheduler::PlanJob(
@@ -793,14 +696,43 @@ Status Scheduler::QuotaLocked(const JobPlan& plan, bool queued) const {
   return Status::OK();
 }
 
+void Scheduler::NewState(Commit* commit,
+                         std::shared_ptr<const ProgressCounter> progress,
+                         const std::shared_ptr<Run>& run) {
+  auto state = std::make_shared<internal::JobState>(std::move(progress));
+  state->tracer = commit->tracer;
+  state->root_span = commit->root_span;
+  state->submit_ns = commit->submit_ns;
+  if (run != nullptr) {
+    std::weak_ptr<Run> weak_run = run;
+    std::weak_ptr<internal::JobState> weak_state = state;
+    state->on_cancel = [this, weak_run, weak_state] {
+      std::shared_ptr<Run> locked_run = weak_run.lock();
+      std::shared_ptr<internal::JobState> locked_state = weak_state.lock();
+      if (locked_run && locked_state) CancelHandle(locked_run, locked_state);
+    };
+  }
+  if (commit->listed) session_->ListJob(state);
+  if (run != nullptr) run->handles.push_back(state);
+  commit->state = std::move(state);
+}
+
 Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
                            bool queued, Commit* commit) {
   const JobPlan& plan = *job;
   Admission verdict;
-  auto reject = [&verdict](Status why) {
-    verdict.outcome = Admission::Outcome::kRejected;
+  // A rejection or a cache hit: the job is born terminal, reporting a
+  // counter no run touches.
+  auto born_terminal = [&](Admission::Outcome outcome, Status why) {
+    verdict.outcome = outcome;
     verdict.status = std::move(why);
+    if (commit != nullptr) {
+      NewState(commit, std::make_shared<ProgressCounter>(), nullptr);
+    }
     return verdict;
+  };
+  auto reject = [&](Status why) {
+    return born_terminal(Admission::Outcome::kRejected, std::move(why));
   };
   if (commit != nullptr) {
     Metrics().submitted->Inc();
@@ -839,32 +771,23 @@ Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
                                            dataset_fingerprint);
       if (commit->table) {
         Metrics().cache_hits->Inc();
-        verdict.outcome = Admission::Outcome::kCacheHit;
-        return verdict;
+        return born_terminal(Admission::Outcome::kCacheHit, Status::OK());
       }
     }
   }
 
   // Stages 3-5 decide under one lock, so a rejected request leaves no
-  // registry entry behind and a registered leader is always admitted.
+  // registry entry behind and a registered run always has a handle.
   std::lock_guard<std::mutex> lock(mu_);
-  // 3. Dedup waiter.
+  // 3. Attach to the live run of an identical request.
   if (plan.dedupable) {
-    auto it = inflight_.find({*plan.fingerprint, version});
-    if (it != inflight_.end() && !it->second->done) {
+    auto it = runs_.find({*plan.fingerprint, version});
+    if (it != runs_.end()) {
       if (commit != nullptr) {
-        std::shared_ptr<InflightJob> job = it->second;
-        const std::shared_ptr<internal::JobState>& state = commit->state;
-        job->waiters.push_back(state);
+        commit->run = it->second;
+        NewState(commit, commit->run->progress, commit->run);
         ++dedup_followers_;
         Metrics().dedup_followers->Inc();
-        std::lock_guard<std::mutex> state_lock(state->mu);
-        state->progress = job->progress;  // poll the leader's run
-        // Cancel on a waiter resolves the waiter, never the leader.
-        std::weak_ptr<internal::JobState> weak_state = state;
-        state->on_cancel = [this, job, weak_state] {
-          if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
-        };
       }
       verdict.outcome = Admission::Outcome::kWaiter;
       return verdict;
@@ -878,7 +801,7 @@ Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
     }
     return reject(std::move(quota));
   }
-  // 5. Leader.
+  // 5. A new run.
   if (commit != nullptr) {
     ++active_jobs_;
     Metrics().queue_depth->Add(1);
@@ -888,66 +811,58 @@ Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
           session_->config_.max_queued_bytes > 0 ? plan.queued_bytes : 0;
       queued_bytes_ += commit->queued_bytes;
     }
-    if (plan.dedupable) {
-      auto inflight = std::make_shared<InflightJob>();
-      inflight->plan = job;
-      inflight->progress = std::make_shared<ProgressCounter>();
-      inflight_[{*plan.fingerprint, version}] = inflight;
-      commit->inflight = std::move(inflight);
-    }
+    commit->run = std::make_shared<Run>(job);
+    NewState(commit, commit->run->progress, commit->run);
+    commit->run->creator = commit->state;
+    if (plan.dedupable) runs_[{*plan.fingerprint, version}] = commit->run;
   }
   verdict.outcome = Admission::Outcome::kLeader;
   return verdict;
 }
 
+void Scheduler::ResolveBornTerminal(const Admission& admission,
+                                    const JobPlan& plan, Commit* commit) {
+  const bool hit = admission.outcome == Admission::Outcome::kCacheHit;
+  internal::JobState& state = *commit->state;
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.status = JobStatus::kDone;
+    state.stats.result_cache_hits = hit ? 1 : 0;
+    // The served table is the one this plan's S computes.
+    if (hit) state.stats.num_shards = plan.pipeline.num_shards;
+    state.result = hit ? Result<ResultTable>(std::move(*commit->table))
+                       : Result<ResultTable>(admission.status);
+    state.cv.notify_all();
+  }
+  FinalizeJob(commit->state, hit ? "ok" : "error");
+}
+
 Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
                                        RuntimeStats* stats) {
   Commit commit;
-  commit.state = std::make_shared<internal::JobState>();
-  commit.state->submit_ns = TraceNowNs();
-  const std::shared_ptr<internal::JobState>& state = commit.state;
+  commit.submit_ns = TraceNowNs();
   const std::shared_ptr<const JobPlan> plan = PlanJob(request);
   const Admission admission = Admit(plan, /*queued=*/false, &commit);
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
-      FinalizeJob(state, "error");
-      return admission.status;
     case Admission::Outcome::kCacheHit:
-      if (stats != nullptr) {
-        *stats = RuntimeStats{};
-        stats->result_cache_hits = 1;
-        stats->num_shards = plan->pipeline.num_shards;
-      }
-      FinalizeJob(state, "ok");
-      return std::move(*commit.table);
-    case Admission::Outcome::kWaiter: {
-      // The leader's side delivers (or promotes this caller) and
-      // finalizes the state.
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&state] {
-        return state->status == JobStatus::kDone ||
-               state->status == JobStatus::kCancelled;
-      });
-      if (stats != nullptr) *stats = state->stats;
-      return *state->result;
-    }
+      ResolveBornTerminal(admission, *plan, &commit);
+      break;
+    case Admission::Outcome::kWaiter:
+      break;  // the run's executor resolves this caller
     case Admission::Outcome::kLeader:
+      Execute(commit.run, AttachToGroup(plan->group_key));
+      OnJobFinished();
       break;
   }
-
-  RuntimeStats local;
-  Result<ResultTable> result = Execute(
-      *plan, AttachToGroup(plan->group_key), /*cancel=*/nullptr,
-      commit.inflight ? commit.inflight->progress.get() : nullptr, &local);
-  if (commit.inflight) {
-    FinishInflight(commit.inflight, result, local,
-                   /*leader_cancelled=*/false);
-  }
-  OnJobFinished();
-  FinalizeJob(state, local.cancelled ? "cancelled"
-                                     : (result.ok() ? "ok" : "error"));
-  if (stats != nullptr) *stats = local;
-  return result;
+  internal::JobState& state = *commit.state;
+  std::unique_lock<std::mutex> lock(state.mu);
+  state.cv.wait(lock, [&state] {
+    return state.status == JobStatus::kDone ||
+           state.status == JobStatus::kCancelled;
+  });
+  if (stats != nullptr) *stats = state.stats;
+  return std::move(*state.result);
 }
 
 JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
@@ -964,164 +879,77 @@ JobHandle Scheduler::Submit(std::shared_ptr<const JobPlan> plan,
 JobHandle Scheduler::Enqueue(std::shared_ptr<const JobPlan> plan,
                              uint64_t trace_id, int64_t submit_ns) {
   Commit commit;
-  commit.state = session_->NewJobState();
-  const std::shared_ptr<internal::JobState>& state = commit.state;
+  commit.listed = true;
+  commit.submit_ns = submit_ns;
   // The job's tracer exists before any admission decision, so even
   // born-terminal handles carry a (tiny) trace. An inbound trace_id (the
   // serving layer) is adopted; 0 mints a fresh one.
-  std::shared_ptr<Tracer> tracer;
-  uint64_t root_span = 0;
   if (session_->config_.enable_tracing) {
-    tracer = std::make_shared<Tracer>(trace_id != 0 ? trace_id : NewTraceId(),
-                                      session_->config_.trace_ring_capacity);
-    root_span = NewSpanId();
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->tracer = tracer;
-    state->root_span = root_span;
-    state->submit_ns = submit_ns;
+    commit.tracer = std::make_shared<Tracer>(
+        trace_id != 0 ? trace_id : NewTraceId(),
+        session_->config_.trace_ring_capacity);
+    commit.root_span = NewSpanId();
   }
   const Admission admission = Admit(plan, /*queued=*/true, &commit);
+  const JobHandle handle(commit.state);
   switch (admission.outcome) {
     case Admission::Outcome::kRejected:
-    case Admission::Outcome::kCacheHit: {
+    case Admission::Outcome::kCacheHit:
       // Born terminal: Submit has no Status channel of its own.
-      const bool hit = admission.outcome == Admission::Outcome::kCacheHit;
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->status = JobStatus::kDone;
-        state->stats.result_cache_hits = hit ? 1 : 0;
-        // The served table is the one this plan's S computes.
-        if (hit) state->stats.num_shards = plan->pipeline.num_shards;
-        state->result = hit ? Result<ResultTable>(std::move(*commit.table))
-                            : Result<ResultTable>(admission.status);
-        state->cv.notify_all();
-      }
-      FinalizeJob(state, hit ? "ok" : "error");
-      return JobHandle(state);
-    }
+      ResolveBornTerminal(admission, *plan, &commit);
+      return handle;
     case Admission::Outcome::kWaiter:
-      return JobHandle(state);
+      return handle;  // the run's executor resolves it
     case Admission::Outcome::kLeader:
       break;
   }
 
-  if (tracer != nullptr) {
+  if (commit.tracer != nullptr) {
     // Admission is over: one span covers the compile and plan, the
     // deadline gate, the cache probe, and the dedup/quota critical
     // section.
     TraceSpan admit_span;
     admit_span.span_id = NewSpanId();
-    admit_span.parent_id = root_span;
+    admit_span.parent_id = commit.root_span;
     admit_span.name = "sched.admit";
     admit_span.start_ns = submit_ns;
     admit_span.duration_ns = TraceNowNs() - submit_ns;
-    if (commit.inflight != nullptr) admit_span.tags = "dedup=leader";
-    tracer->Record(std::move(admit_span));
+    if (plan->dedupable) admit_span.tags = "dedup=leader";
+    commit.tracer->Record(std::move(admit_span));
   }
 
   ThreadPool* pool = session_->EnsurePool();
-  // The leader's handle and the in-flight registry share one progress
-  // counter, so waiters attached later poll this run's live counters.
-  std::shared_ptr<InflightJob> inflight = std::move(commit.inflight);
-  if (inflight) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->progress = inflight->progress;
-  }
   // Group membership is claimed at submit time (not when the worker picks
   // the job up), so every job queued in one burst lands in one group.
   std::optional<GroupHandle> group = AttachToGroup(plan->group_key);
-  pool->Submit([this, state, plan, charged = commit.queued_bytes, inflight,
-                submit_ns, group = std::move(group)]() mutable {
+  pool->Submit([this, run = std::move(commit.run),
+                charged = commit.queued_bytes, submit_ns,
+                group = std::move(group)]() mutable {
     OnJobStarted(charged);
     const int64_t start_ns = TraceNowNs();
-    std::shared_ptr<Tracer> job_tracer;
-    uint64_t job_root = 0;
-    bool dropped = false;
+    internal::JobState& creator = *run->creator;
     {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->queue_s = static_cast<double>(start_ns - submit_ns) * 1e-9;
-      job_tracer = state->tracer;
-      job_root = state->root_span;
-      if (state->cancel.load(std::memory_order_relaxed)) {
-        state->status = JobStatus::kCancelled;
-        state->result =
-            Status::Cancelled("job " + std::to_string(state->id) +
-                              " cancelled before execution");
-        state->cv.notify_all();
-        dropped = true;
-      } else {
-        state->status = JobStatus::kRunning;
+      std::lock_guard<std::mutex> lock(creator.mu);
+      creator.queue_s = static_cast<double>(start_ns - submit_ns) * 1e-9;
+      // A creator whose handle was cancelled while others share the run
+      // is already resolved.
+      if (creator.status == JobStatus::kQueued) {
+        creator.status = JobStatus::kRunning;
       }
     }
-    if (job_tracer != nullptr) {
+    if (creator.tracer != nullptr) {
       TraceSpan queue_span;
       queue_span.span_id = NewSpanId();
-      queue_span.parent_id = job_root;
+      queue_span.parent_id = creator.root_span;
       queue_span.name = "sched.queue";
       queue_span.start_ns = submit_ns;
       queue_span.duration_ns = start_ns - submit_ns;
-      job_tracer->Record(std::move(queue_span));
+      creator.tracer->Record(std::move(queue_span));
     }
-    if (dropped) {
-      // Detach so the fused group's pending-block accounting does not
-      // wait on a job that will never read anything.
-      if (group) ReleaseGroup(&*group);
-      if (inflight) {
-        // The leader never ran: promote a waiter (it re-runs here, on
-        // the thread the leader would have used) or fail them cleanly.
-        FinishInflight(inflight, Status::Cancelled("leader cancelled"),
-                       RuntimeStats{}, /*leader_cancelled=*/true);
-      }
-      OnJobFinished();
-      FinalizeJob(state, "cancelled");
-      return;
-    }
-    RuntimeStats stats;
-    Result<ResultTable> result =
-        Execute(*plan, std::move(group), &state->cancel,
-                state->progress.get(), &stats, job_tracer.get(), job_root);
-    auto resolve_leader = [&] {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->stats = stats;
-      // Key off what the engine actually observed (stats.cancelled), not a
-      // re-read of the atomic: a Cancel() racing with completion must not
-      // discard a fully computed result.
-      if (stats.cancelled) {
-        state->status = JobStatus::kCancelled;
-        state->result =
-            Status::Cancelled("job " + std::to_string(state->id) +
-                              " cancelled after " +
-                              std::to_string(stats.blocks_processed) +
-                              " blocks");
-      } else {
-        state->status = JobStatus::kDone;
-        state->result = result;
-      }
-      state->cv.notify_all();
-    };
-    const char* final_status =
-        stats.cancelled ? "cancelled" : (result.ok() ? "ok" : "error");
-    if (inflight && stats.cancelled) {
-      // A cancelled leader resolves promptly — FinishInflight may spend a
-      // while re-running the request for a promoted waiter.
-      resolve_leader();
-      FinalizeJob(state, final_status);
-      FinishInflight(inflight, std::move(result), stats, true);
-    } else if (inflight) {
-      // Retire the registry entry before the leader's own handle resolves
-      // so "all handles done" always implies "registry clean".
-      FinishInflight(inflight, result, stats, false);
-      resolve_leader();
-      FinalizeJob(state, final_status);
-    } else {
-      resolve_leader();
-      FinalizeJob(state, final_status);
-    }
+    Execute(run, std::move(group));
     OnJobFinished();
   });
-  return JobHandle(state);
+  return handle;
 }
 
 SchedulerProbe Scheduler::Probe(const InspectRequest& request) {
@@ -1147,9 +975,8 @@ SchedulerStats Scheduler::stats() const {
     s.scan_extractions = scan_extractions_;
     s.scan_shared_hits = scan_shared_hits_;
     s.dedup_followers = dedup_followers_;
-    s.dedup_promotions = dedup_promotions_;
     s.admission_rejections = admission_rejections_;
-    s.snapshot.inflight_jobs = inflight_.size();
+    s.snapshot.inflight_jobs = runs_.size();
     s.snapshot.active_jobs = active_jobs_;
     s.snapshot.queued_bytes = queued_bytes_;
   }
@@ -1172,7 +999,7 @@ size_t Scheduler::active_groups() const {
 
 size_t Scheduler::inflight_jobs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return inflight_.size();
+  return runs_.size();
 }
 
 }  // namespace deepbase

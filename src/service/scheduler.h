@@ -34,12 +34,11 @@
 //      order, which changes the version), or disable persist_result_cache
 //      for definitions that churn under fixed names.
 //   3. In-flight dedup — identical requests that are in flight at the
-//      same time run the engine once: the first becomes the leader, the
-//      rest attach as waiters on the running job and receive its
-//      ResultTable (bit-identical scores). Cancelling a waiter resolves
-//      only that waiter; cancelling the leader promotes the first live
-//      waiter to re-run (on the leader's worker) or fails cleanly when
-//      none remain.
+//      same time share one run: one engine execution, whose ResultTable
+//      every attached handle receives (bit-identical scores). Cancelling
+//      a handle that shares its run detaches and resolves that handle
+//      only; the run goes on for the others, without a restart.
+//      Cancelling a run's last handle stops the run.
 //   4. Shared-scan job batching — queued jobs are grouped by (model id
 //      and resolved unit union per model, dataset fingerprint, scan-shaping
 //      options) and their block extraction is fused through one
@@ -55,33 +54,37 @@
 // Admission. Submit() and Inspect() (RunSync) plan each request once:
 // PlanJob compiles it (Catalog::Compile) and derives the JobPlan from the
 // compiled plan. The JobPlan travels with the job through admission, the
-// engine (local or the cluster's), dedup promotion and EXPLAIN; nothing
-// re-resolves a catalog name. So a job runs the definitions of the
-// catalog version it was admitted under — the version its cache and
-// dedup key name — even when a Register* lands while it is queued. The
-// first stage of the rule that decides wins:
+// engine (local or the cluster's) and EXPLAIN; nothing re-resolves a
+// catalog name. So a job runs the definitions of the catalog version it
+// was admitted under — the version its cache and dedup key name — even
+// when a Register* lands while it is queued. The first stage of the rule
+// that decides wins:
 //   0. compile — a request that does not compile is rejected with
 //      Catalog::Compile's status;
 //   1. deadline — an expired deadline rejects with kDeadlineExceeded (an
 //      armed "scheduler.admit" failpoint rejects here too);
 //   2. result cache — a cached result for (fingerprint, catalog version)
 //      is served without the engine;
-//   3. dedup waiter — an identical deterministic job in flight takes the
-//      request as a waiter, past the quotas (it consumes no engine
-//      resources);
+//   3. attach — a live run registered under (fingerprint, catalog
+//      version) takes the request as one more handle, past the quotas (it
+//      consumes no engine resources);
 //   4. quota — max_concurrent_jobs, then max_queued_bytes (queued jobs
 //      only), reject with kResourceExhausted;
-//   5. leader — the job runs the engine: on the session pool for
+//   5. new run — the job creates a run, registered for stage 3 when the
+//      plan is dedupable, and runs the engine: on the session pool for
 //      Submit(), on the caller's thread for Inspect().
-// Every request counts once in deepbase_jobs_submitted_total and once in
-// deepbase_jobs_total{status=...}, whichever stage decided it. Probe()
-// applies the same rule for EXPLAIN against ResultCache::PeekTier and the
-// live counters, and commits nothing.
+// Every admitted job, sync or async, shared or not, resolves when its run
+// does (or at once, when its handle is cancelled while others share the
+// run). Every request counts once in deepbase_jobs_submitted_total and
+// once in deepbase_jobs_total{status=...}, whichever stage decided it.
+// Probe() applies the same rule for EXPLAIN against ResultCache::PeekTier
+// and the live counters, and commits nothing.
 // PlanJob also pins the job's shard count S into its options and plans
 // its pipeline at S, so every reader of the JobPlan agrees on S.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -204,7 +207,6 @@ class ResultCache {
   X(size_t, scan_extractions)                      \
   X(size_t, scan_shared_hits)                      \
   X(size_t, dedup_followers)                       \
-  X(size_t, dedup_promotions)                      \
   X(size_t, admission_rejections)                  \
   X(size_t, result_cache_hits)                     \
   X(size_t, result_cache_misses)                   \
@@ -228,8 +230,7 @@ struct SchedulerStats {
   size_t jobs_coscheduled = 0;  ///< jobs that joined an existing group
   size_t scan_extractions = 0;  ///< blocks extracted across all groups
   size_t scan_shared_hits = 0;  ///< blocks served from a group's scan
-  size_t dedup_followers = 0;   ///< submissions attached to an in-flight job
-  size_t dedup_promotions = 0;  ///< waiters promoted after a leader cancel
+  size_t dedup_followers = 0;   ///< submissions attached to a live run
   size_t admission_rejections = 0;  ///< submissions rejected over quota
   size_t result_cache_hits = 0;
   size_t result_cache_misses = 0;
@@ -243,7 +244,7 @@ struct SchedulerStats {
   struct Snapshot {
     size_t result_cache_bytes = 0;
     size_t result_cache_entries = 0;
-    size_t inflight_jobs = 0;  ///< dedup registry entries right now
+    size_t inflight_jobs = 0;  ///< registered (dedupable) runs right now
     size_t active_jobs = 0;    ///< queued + running engine jobs right now
     size_t queued_bytes = 0;   ///< estimated bytes awaiting execution
   } snapshot;
@@ -255,7 +256,7 @@ struct SchedulerStats {
 
 /// \brief One job's request, compiled and planned once (Scheduler::PlanJob),
 /// and what the scheduler derives from it. Shared and immutable:
-/// admission, the engine, a promoted dedup waiter and EXPLAIN all read it.
+/// admission, the run that executes it and EXPLAIN all read it.
 struct JobPlan {
   InspectRequest request;  ///< as submitted (the cluster ships it by name)
   /// Catalog::Compile's status; the fields below are set only when OK.
@@ -319,8 +320,8 @@ struct Admission {
   enum class Outcome {
     kRejected,  ///< `status` says why (compile, deadline, failpoint, quota)
     kCacheHit,  ///< served from the result cache, no engine run
-    kWaiter,    ///< attached to an identical in-flight leader
-    kLeader,    ///< runs the engine
+    kWaiter,    ///< attached to the live run of an identical request
+    kLeader,    ///< creates a run: executes the engine
   };
   Outcome outcome = Outcome::kLeader;
   Status status;           ///< kRejected only
@@ -357,9 +358,9 @@ class Scheduler {
   /// \brief Submit a job already planned by Probe(): EXPLAIN ANALYZE runs
   /// the JobPlan it rendered instead of planning a second time.
   JobHandle Submit(std::shared_ptr<const JobPlan> plan, uint64_t trace_id = 0);
-  /// \brief Sync path: the same admission, with the leader run on the
-  /// caller's thread (a waiter parks the caller until the leader's result
-  /// is ready). Sync jobs are untraced and not listed in Jobs().
+  /// \brief Sync path: the same admission, with a new run executed on
+  /// the caller's thread (a caller attached to a live run waits for it).
+  /// Sync jobs are untraced and not listed in Jobs().
   Result<ResultTable> RunSync(const InspectRequest& request,
                               RuntimeStats* stats);
 
@@ -385,7 +386,7 @@ class Scheduler {
   ResultCache& result_cache() { return result_cache_; }
   /// \brief Shared-scan groups currently alive (fused jobs in flight).
   size_t active_groups() const;
-  /// \brief Dedup registry entries currently alive.
+  /// \brief Runs currently registered for dedup.
   size_t inflight_jobs() const;
 
  private:
@@ -396,28 +397,38 @@ class Scheduler {
     std::shared_ptr<SharedScanClient> client;
   };
 
-  /// One entry of the in-flight dedup registry: the leader's plan (a
-  /// waiter promoted after a leader cancel runs it) plus the waiters
-  /// parked on it. `done` flips when the leader's terminal delivery has
-  /// begun; a waiter that finds `done` missed it and must run itself.
-  struct InflightJob {
-    std::shared_ptr<const JobPlan> plan;
-    bool done = false;                                       // guarded by mu_
-    std::vector<std::shared_ptr<internal::JobState>> waiters;  // guarded by mu_
-    /// The leader's live progress counter, created at registration and
-    /// shared into every waiter's JobState so polling a waiter (locally
-    /// or over the wire) reports the leader's progress. Never null.
-    std::shared_ptr<ProgressCounter> progress;
+  /// One engine execution and the handles attached to it: the job that
+  /// created it, plus every identical request admitted while the run was
+  /// registered. The run owns the cancel flag and the progress counter
+  /// the engine reads; every handle's JobState reports that counter.
+  struct Run {
+    explicit Run(std::shared_ptr<const JobPlan> job) : plan(std::move(job)) {}
+    const std::shared_ptr<const JobPlan> plan;
+    const std::shared_ptr<ProgressCounter> progress =
+        std::make_shared<ProgressCounter>();
+    /// Set by the last handle's Cancel(); the engine stops at a block
+    /// boundary.
+    std::atomic<bool> cancel{false};
+    /// The job that created the run: it reports the engine's stats, and
+    /// the engine traces into its tracer. Set before the run is shared.
+    std::shared_ptr<internal::JobState> creator;
+    /// Handles not yet resolved. Guarded by mu_.
+    std::vector<std::shared_ptr<internal::JobState>> handles;
   };
 
-  /// What committing an admission hands back to Submit/RunSync.
+  /// One admission: who asks (set by Submit/RunSync) and what it got.
   struct Commit {
-    /// The job (set by the caller); a waiter is parked on it.
+    /// The new job's identity, fixed before admission creates its state.
+    bool listed = false;  ///< async jobs are listed in Jobs()
+    std::shared_ptr<Tracer> tracer;
+    uint64_t root_span = 0;
+    int64_t submit_ns = 0;
+    /// The admitted job, created by Admit once it has picked the counter
+    /// the job reports: its run's, or a fresh one.
     std::shared_ptr<internal::JobState> state;
     std::optional<ResultTable> table;  ///< kCacheHit: the cached result
-    /// kLeader: its dedup registry entry (dedupable requests only).
-    std::shared_ptr<InflightJob> inflight;
-    size_t queued_bytes = 0;  ///< kLeader: bytes charged to the queue
+    std::shared_ptr<Run> run;  ///< kLeader: the new run; kWaiter: the live one
+    size_t queued_bytes = 0;   ///< kLeader: bytes charged to the queue
   };
 
   /// Compile the request (the job's one Catalog::Compile), pin its shard
@@ -431,11 +442,16 @@ class Scheduler {
                     int64_t submit_ns);
   /// The admission rule, in its one order (see "Admission" above). With
   /// `commit`, the verdict takes effect atomically: counters move, the
-  /// cache lookup is counted, a waiter or leader is registered. Without
-  /// it (Probe), the cache is peeked and nothing moves. `queued` = the
-  /// leader would wait on the pool (Submit), so max_queued_bytes applies.
+  /// cache lookup is counted, the job's state is created and attached to
+  /// its run. Without it (Probe), the cache is peeked and nothing moves.
+  /// `queued` = a new run would wait on the pool (Submit), so
+  /// max_queued_bytes applies.
   Admission Admit(const std::shared_ptr<const JobPlan>& plan, bool queued,
                   Commit* commit);
+  /// Create `commit`'s job state reporting `progress`, list it when the
+  /// commit says so, and attach it to `run` (null: born terminal).
+  void NewState(Commit* commit, std::shared_ptr<const ProgressCounter> progress,
+                const std::shared_ptr<Run>& run);
   /// The quota verdict against the live counters; OK when within quota.
   Status QuotaLocked(const JobPlan& plan, bool queued) const;
 
@@ -443,16 +459,15 @@ class Scheduler {
   std::optional<GroupHandle> AttachToGroup(const std::string& key);
   /// Fold the client's counters, detach, retire the group if empty.
   void ReleaseGroup(GroupHandle* group);
-  /// Run one job's compiled plan on the calling thread (group already
-  /// attached) and admit the result to the cache when eligible.
-  /// `tracer`/`parent_span` thread the job's trace into the engine options
-  /// (a request that already carries its own tracer keeps it).
-  Result<ResultTable> Execute(const JobPlan& job,
-                              std::optional<GroupHandle> group,
-                              const std::atomic<bool>* cancel,
-                              ProgressCounter* progress, RuntimeStats* stats,
-                              Tracer* tracer = nullptr,
-                              uint64_t parent_span = 0);
+  /// Execute `run` on the calling thread (group already attached; the
+  /// engine is skipped when the run was cancelled while queued), admit
+  /// the result to the cache when eligible, and resolve every handle
+  /// still attached.
+  void Execute(const std::shared_ptr<Run>& run,
+               std::optional<GroupHandle> group);
+  /// Resolve a born-terminal job: a rejection or a result-cache hit.
+  void ResolveBornTerminal(const Admission& admission, const JobPlan& plan,
+                       Commit* commit);
 
   /// Terminal observability bookkeeping for one async job, exactly once:
   /// records the "sched.job" root span, counts deepbase_jobs_total
@@ -463,24 +478,14 @@ class Scheduler {
   void FinalizeJob(const std::shared_ptr<internal::JobState>& state,
                    const char* status);
 
-  /// Leader terminal path: deliver `result` to every live waiter (or,
-  /// when the leader was cancelled, promote the first live waiter and
-  /// re-run on this thread), then retire the registry entry.
-  void FinishInflight(const std::shared_ptr<InflightJob>& job,
-                      Result<ResultTable> result, const RuntimeStats& stats,
-                      bool leader_cancelled);
-  /// Waiter-side cancellation: detach `state` from `job` (if still
-  /// parked) and resolve it as kCancelled. Never touches the leader.
-  void CancelWaiter(const std::shared_ptr<InflightJob>& job,
+  /// JobHandle::Cancel() of a job attached to `run`: detach and resolve
+  /// it when other handles share the run, else stop the run, which then
+  /// resolves it from what the engine observed. A no-op once the run has
+  /// taken the handle to resolve.
+  void CancelHandle(const std::shared_ptr<Run>& run,
                     const std::shared_ptr<internal::JobState>& state);
-  /// Resolve a non-terminal state as kCancelled (no-op when already
-  /// terminal); clears its on_cancel hook.
-  static void ResolveCancelled(const std::shared_ptr<internal::JobState>& state,
-                               std::string message);
-  /// Resolve one waiter state with the leader's result.
-  static void DeliverToWaiter(const std::shared_ptr<internal::JobState>& state,
-                              const Result<ResultTable>& result,
-                              const RuntimeStats& stats);
+  /// Drop `run` from the dedup registry, if it is the registered one.
+  void UnregisterLocked(const Run& run);
 
   void OnJobStarted(size_t queued_bytes);
   void OnJobFinished();
@@ -490,15 +495,14 @@ class Scheduler {
   mutable std::mutex mu_;
   std::shared_ptr<const EngineHook> engine_;  // guarded by mu_
   std::map<std::string, std::shared_ptr<SharedScan>> groups_;
-  std::map<std::pair<uint64_t, uint64_t>, std::shared_ptr<InflightJob>>
-      inflight_;
+  /// Live dedupable runs by (fingerprint, catalog version).
+  std::map<std::pair<uint64_t, uint64_t>, std::shared_ptr<Run>> runs_;
   size_t jobs_scheduled_ = 0;
   size_t groups_formed_ = 0;
   size_t jobs_coscheduled_ = 0;
   size_t scan_extractions_ = 0;
   size_t scan_shared_hits_ = 0;
   size_t dedup_followers_ = 0;
-  size_t dedup_promotions_ = 0;
   size_t admission_rejections_ = 0;
   size_t active_jobs_ = 0;
   /// Jobs admitted but not yet picked up by a worker (the queued-bytes

@@ -26,7 +26,7 @@ void Writer::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
 void Writer::Str(const std::string& s) {
   U32(static_cast<uint32_t>(s.size()));
-  out_.append(s);
+  Bytes(s);
 }
 
 void Writer::StrList(const std::vector<std::string>& v) {
@@ -68,13 +68,14 @@ uint64_t Reader::U64() {
 float Reader::F32() { return std::bit_cast<float>(U32()); }
 double Reader::F64() { return std::bit_cast<double>(U64()); }
 
-std::string Reader::Str() {
-  const uint32_t n = U32();
+std::string Reader::Bytes(size_t n) {
   if (!Need(n)) return {};
   std::string out = data_.substr(pos_, n);
   pos_ += n;
   return out;
 }
+
+std::string Reader::Str() { return Bytes(U32()); }
 
 std::vector<std::string> Reader::StrList() {
   const uint32_t n = U32();

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace deepbase {
@@ -23,6 +24,8 @@ class Writer {
   void U64(uint64_t v);
   void F32(float v);
   void F64(double v);
+  /// Raw bytes, no length prefix.
+  void Bytes(std::string_view s) { out_.append(s); }
   /// Length-prefixed (u32) byte string.
   void Str(const std::string& s);
   void StrList(const std::vector<std::string>& v);
@@ -50,6 +53,8 @@ class Reader {
   uint64_t U64();
   float F32();
   double F64();
+  /// The next `n` raw bytes (empty, and !ok(), when fewer remain).
+  std::string Bytes(size_t n);
   std::string Str();
   std::vector<std::string> StrList();
 

@@ -469,6 +469,32 @@ TEST_F(StoreFixture, TruncatedBlobQuarantinesOnceAndRepopulates) {
   EXPECT_EQ(*back, payload);
 }
 
+// A corrupt length field is checked against the bytes the file holds
+// before anything is sized from it: a blob claiming 4 GiB reads as a
+// quarantined miss, without a 4 GiB allocation.
+TEST_F(StoreFixture, OversizedBlobLengthQuarantinesWithoutAllocating) {
+  BehaviorStore store(dir_.string());
+  const std::string key = "cache:l";
+  const std::string payload(64, 'l');
+  ASSERT_TRUE(store.PutBlob(key, payload).ok());
+  // The length field follows the magic, the key length, the key and the
+  // checksum.
+  const uint64_t huge = uint64_t{1} << 32;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() != ".blob") continue;
+    std::fstream f(entry.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(4 + 8 + key.size() + 8));
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_EQ(store.GetBlob(key).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.quarantines(), 1u);
+  ASSERT_TRUE(store.PutBlob(key, payload).ok());
+  Result<std::string> back = store.GetBlob(key);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, payload);
+}
+
 TEST(DatasetFingerprintTest, SensitiveToContentAndShape) {
   Dataset a(Vocab::FromChars("ab"), 4);
   a.AddText("abab");

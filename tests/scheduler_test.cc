@@ -22,6 +22,7 @@
 
 #include "core/behavior_store.h"
 #include "measures/scores.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -407,9 +408,10 @@ TEST(SchedulerSnapshotTest, QueuedJobRunsTheDefinitionsItWasAdmittedUnder) {
   EXPECT_EQ(HypothesesOf(*after), std::set<std::string>{"is_b"});
 }
 
-// A dedup waiter promoted after its leader is cancelled re-runs the
-// leader's plan: the definitions of the version both were keyed under.
-TEST(SchedulerSnapshotTest, PromotedWaiterRunsTheLeadersPlan) {
+// When the first handle of a shared run is cancelled before the run
+// starts, the run goes on for the other handle with the plan it was
+// admitted under: the definitions of the version both were keyed under.
+TEST(SchedulerSnapshotTest, SharedRunKeepsItsPlanWhenTheFirstHandleCancels) {
   CountingExtractor extractor(4);
   Dataset dataset = MakeAbDataset(120, 8);
 
@@ -427,17 +429,19 @@ TEST(SchedulerSnapshotTest, PromotedWaiterRunsTheLeadersPlan) {
   JobHandle leader = session.Submit(PlantedRequest());
   JobHandle waiter = session.Submit(PlantedRequest());
   ASSERT_EQ(session.scheduler().stats().dedup_followers, 1u);
-  leader.Cancel();  // before it runs: the waiter is promoted
+  leader.Cancel();  // before it runs: the run goes on for the waiter
   session.catalog().RegisterHypotheses("keywords", {IsBHypothesis()});
   release.store(true, std::memory_order_release);
 
   leader.Wait();
   EXPECT_EQ(leader.Poll(), JobStatus::kCancelled);
-  const Result<ResultTable>& promoted = waiter.Wait();
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_EQ(HypothesesOf(*promoted), std::set<std::string>{"is_a"});
-  EXPECT_GT(waiter.Stats().blocks_processed, 0u);
-  EXPECT_EQ(session.scheduler().stats().dedup_promotions, 1u);
+  const Result<ResultTable>& served = waiter.Wait();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(HypothesesOf(*served), std::set<std::string>{"is_a"});
+  EXPECT_EQ(waiter.Stats().dedup_hits, 1u);
+  // One extraction pass over the 4 blocks (early stopping may end it
+  // sooner).
+  EXPECT_LE(extractor.block_calls(), 4u);
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
 }
 
@@ -716,14 +720,12 @@ TEST(SchedulerDedupTest, ConcurrentIdenticalSubmitsRunTheEngineOnce) {
   EXPECT_EQ(extractor.block_calls(), kBlocks);
   const SchedulerStats sched = session.scheduler().stats();
   EXPECT_EQ(sched.dedup_followers, kJobs - 1);
-  EXPECT_EQ(sched.dedup_promotions, 0u);
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);  // registry retired
 }
 
-// A statusz scrape polls every listed job. A dedupable Submit lists its
-// job first and only then points it at its leader's progress counter (or,
-// as the leader, at the counter its waiters share), so a poll racing that
-// swap must not read a counter the swap frees. Run under TSan by check.sh.
+// A statusz scrape polls every listed job while identical Submits attach
+// to shared runs: every poll reads the counter of the job's run, fixed
+// when the job was created. Run under TSan by check.sh.
 TEST(SchedulerDedupTest, PollingListedJobsDuringIdenticalSubmitsIsSafe) {
   CountingExtractor extractor(4, /*delay_us=*/200);
   Dataset dataset = MakeAbDataset(240, 8);
@@ -751,7 +753,7 @@ TEST(SchedulerDedupTest, PollingListedJobsDuringIdenticalSubmitsIsSafe) {
     }
   });
   // Four bursts of 16 identical submits; each burst's seed makes it a
-  // new fingerprint, so it forms a fresh leader and waiters.
+  // new fingerprint, so it forms a fresh shared run.
   std::vector<JobHandle> jobs;
   for (uint64_t burst = 0; burst < 4; ++burst) {
     InspectRequest request = PlantedRequest();
@@ -766,7 +768,7 @@ TEST(SchedulerDedupTest, PollingListedJobsDuringIdenticalSubmitsIsSafe) {
   stop.store(true, std::memory_order_release);
   poller.join();
   EXPECT_GT(polls.load(), 0u);
-  // Every job, leader or waiter, reports its run's final counters.
+  // Every job reports its run's final counters.
   for (const JobHandle& job : jobs) {
     JobProgress progress;
     job.Poll(&progress);
@@ -851,9 +853,159 @@ TEST(SchedulerDedupTest, CancellingAWaiterNeverKillsTheLeader) {
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
 }
 
-TEST(SchedulerDedupTest, CancellingTheLeaderPromotesAWaiter) {
+// A session whose identical Submits share one run: 16-row blocks, full
+// sweeps, one shard, two pool threads.
+std::unique_ptr<InspectionSession> SharedRunSession(const Extractor* extractor,
+                                                    const Dataset* dataset) {
+  SessionConfig config;
+  config.options.block_size = 16;
+  config.options.early_stopping = false;
+  config.options.num_shards = 1;
+  config.num_threads = 2;
+  auto session = std::make_unique<InspectionSession>(std::move(config));
+  session->catalog().RegisterModel("planted", extractor);
+  session->catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session->catalog().RegisterDataset("ab", dataset);
+  return session;
+}
+
+// PlantedRequest's table from the engine alone, under SharedRunSession's
+// options.
+std::string IsolatedRunBytes(const Dataset& dataset) {
+  CountingExtractor reference_extractor(4);
+  InspectOptions plain;
+  plain.block_size = 16;
+  plain.early_stopping = false;
+  plain.num_shards = 1;
+  return Inspect({AllUnitsGroup(&reference_extractor)}, dataset,
+                 {std::make_shared<CorrelationScore>("pearson")},
+                 {IsAHypothesis()}, plain)
+      .SerializeToString();
+}
+
+void WaitForFirstBlock(const JobHandle& job) {
+  JobProgress progress;
+  for (int i = 0; i < 10000 && progress.blocks_completed == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    job.Poll(&progress);
+  }
+  ASSERT_GE(progress.blocks_completed, 1u);
+}
+
+// The first handle of a shared run is cancelled mid-run: it resolves at
+// once, and the run goes on for the other handle without starting over,
+// so the dataset is extracted exactly once.
+TEST(SchedulerDedupTest, CancellingTheFirstHandleMidRunCostsNoRestart) {
+  CountingExtractor extractor(4, /*delay_us=*/5000);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+  auto session = SharedRunSession(&extractor, &dataset);
+
+  JobHandle first = session->Submit(PlantedRequest());
+  JobHandle second = session->Submit(PlantedRequest());
+  ASSERT_EQ(session->scheduler().stats().dedup_followers, 1u);
+  WaitForFirstBlock(first);
+  first.Cancel();
+  EXPECT_EQ(first.Wait().status().code(), StatusCode::kCancelled);
+
+  const Result<ResultTable>& result = second.Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->SerializeToString(), IsolatedRunBytes(dataset));
+  EXPECT_EQ(second.Stats().dedup_hits, 1u);
+  EXPECT_EQ(extractor.block_calls(), kBlocks);
+  EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
+}
+
+// Cancelling every handle of a shared run stops the run itself.
+TEST(SchedulerDedupTest, LastHandleCancelStopsTheRun) {
+  CountingExtractor extractor(4, /*delay_us=*/5000);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+  auto session = SharedRunSession(&extractor, &dataset);
+
+  JobHandle first = session->Submit(PlantedRequest());
+  JobHandle second = session->Submit(PlantedRequest());
+  ASSERT_EQ(session->scheduler().stats().dedup_followers, 1u);
+  WaitForFirstBlock(first);
+  first.Cancel();
+  second.Cancel();
+
+  EXPECT_EQ(first.Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(second.Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(first.Poll(), JobStatus::kCancelled);
+  EXPECT_EQ(second.Poll(), JobStatus::kCancelled);
+  EXPECT_LT(extractor.block_calls(), kBlocks);
+  EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
+}
+
+uint64_t JobsTotal() {
+  uint64_t total = 0;
+  for (const char* status : {"ok", "error", "cancelled"}) {
+    total += MetricsRegistry::Global()
+                 .GetCounter(std::string("deepbase_jobs_total{status=\"") +
+                             status + "\"}")
+                 ->Value();
+  }
+  return total;
+}
+
+// Thirty-two identical Submits share one run while eight threads cancel
+// random handles among the first 24, so the run goes on and finishes for
+// the last 8. Every handle resolves exactly once. Run under TSan by
+// check.sh.
+TEST(SchedulerDedupTest, ConcurrentCancelsResolveEveryHandleOnce) {
+  CountingExtractor extractor(4, /*delay_us=*/3000);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const std::string reference = IsolatedRunBytes(dataset);
+  const size_t kJobs = 32, kCancellable = 24;
+  const uint64_t jobs_total_before = JobsTotal();
+  {
+    auto session = SharedRunSession(&extractor, &dataset);
+    std::atomic<bool> release{false};
+    auto blockers = BlockPool(session->thread_pool(), 2, &release);
+    std::vector<JobHandle> jobs;
+    for (size_t j = 0; j < kJobs; ++j) {
+      jobs.push_back(session->Submit(PlantedRequest()));
+    }
+    ASSERT_EQ(session->scheduler().stats().dedup_followers, kJobs - 1);
+    release.store(true, std::memory_order_release);
+
+    std::vector<std::thread> cancellers;
+    for (uint64_t t = 0; t < 8; ++t) {
+      cancellers.emplace_back([&jobs, t] {
+        Rng rng(t + 1);
+        for (int i = 0; i < 6; ++i) {
+          jobs[rng.UniformInt(kCancellable)].Cancel();
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    for (std::thread& canceller : cancellers) canceller.join();
+
+    for (size_t j = 0; j < kJobs; ++j) {
+      const Result<ResultTable>& result = jobs[j].Wait();
+      if (jobs[j].Poll() == JobStatus::kDone) {
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->SerializeToString(), reference) << "job " << j;
+      } else {
+        EXPECT_LT(j, kCancellable);
+        EXPECT_EQ(jobs[j].Poll(), JobStatus::kCancelled);
+        EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+      }
+    }
+    EXPECT_EQ(extractor.block_calls(), 240u / 16);
+    EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
+    EXPECT_EQ(session->scheduler().active_groups(), 0u);
+  }
+  // The session's pool has joined, so every handle's terminal bookkeeping
+  // has run: once per handle.
+  EXPECT_EQ(JobsTotal() - jobs_total_before, kJobs);
+}
+
+TEST(SchedulerDedupTest, CancellingTheFirstHandleBeforeTheRunServesTheOthers) {
   CountingExtractor extractor(4);
   Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
 
   SessionConfig config;
   config.options.block_size = 16;
@@ -879,30 +1031,30 @@ TEST(SchedulerDedupTest, CancellingTheLeaderPromotesAWaiter) {
   auto blockers = BlockPool(session.thread_pool(), 2, &release);
   JobHandle leader = session.Submit(PlantedRequest());
   JobHandle waiter = session.Submit(PlantedRequest());
-  leader.Cancel();  // before it ever runs: the waiter must take over
+  leader.Cancel();  // before it ever runs: the run goes on for the waiter
   release.store(true, std::memory_order_release);
 
   leader.Wait();
   EXPECT_EQ(leader.Poll(), JobStatus::kCancelled);
-  const Result<ResultTable>& promoted = waiter.Wait();
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_EQ(ScoresOf(*promoted), ScoresOf(reference));
-  // The promoted waiter really ran the engine (it is no dedup hit).
-  EXPECT_GT(waiter.Stats().blocks_processed, 0u);
-  EXPECT_EQ(waiter.Stats().dedup_hits, 0u);
+  const Result<ResultTable>& served = waiter.Wait();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(ScoresOf(*served), ScoresOf(reference));
+  // The waiter holds the shared run's table: one extraction pass.
+  EXPECT_EQ(waiter.Stats().dedup_hits, 1u);
+  EXPECT_EQ(extractor.block_calls(), kBlocks);
   const SchedulerStats sched = session.scheduler().stats();
   EXPECT_EQ(sched.dedup_followers, 1u);
-  EXPECT_EQ(sched.dedup_promotions, 1u);
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
 }
 
-// A sync Inspect() takes the same admission path as Submit(): it parks as
-// a dedup waiter on an identical async leader, and when that leader is
-// cancelled before it runs, the sync caller is promoted and gets the
-// isolated run's table.
-TEST(SchedulerDedupTest, SyncWaiterIsPromotedWhenTheAsyncLeaderIsCancelled) {
+// A sync Inspect() takes the same admission path as Submit(): it attaches
+// to the run of an identical async job, and when that job's handle is
+// cancelled before the run starts, the run goes on for the sync caller,
+// who gets the isolated run's table.
+TEST(SchedulerDedupTest, SyncCallerKeepsTheRunWhenTheAsyncHandleIsCancelled) {
   CountingExtractor extractor(4);
   Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
 
   SessionConfig config;
   config.options.block_size = 16;
@@ -937,7 +1089,7 @@ TEST(SchedulerDedupTest, SyncWaiterIsPromotedWhenTheAsyncLeaderIsCancelled) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(session.scheduler().stats().dedup_followers, 1u);
-  leader.Cancel();  // before it ever runs: the sync waiter must take over
+  leader.Cancel();  // before it ever runs: the run goes on for the caller
   release.store(true, std::memory_order_release);
   caller.join();
 
@@ -947,11 +1099,9 @@ TEST(SchedulerDedupTest, SyncWaiterIsPromotedWhenTheAsyncLeaderIsCancelled) {
   ASSERT_TRUE(sync_result->ok()) << sync_result->status().ToString();
   EXPECT_EQ((*sync_result)->SerializeToString(),
             reference.SerializeToString());
-  // The promoted caller really ran the engine (it is no dedup hit).
-  EXPECT_GT(sync_stats.blocks_processed, 0u);
-  EXPECT_EQ(sync_stats.dedup_hits, 0u);
-  const SchedulerStats sched = session.scheduler().stats();
-  EXPECT_EQ(sched.dedup_promotions, 1u);
+  // The caller holds the shared run's table: one extraction pass.
+  EXPECT_EQ(sync_stats.dedup_hits, 1u);
+  EXPECT_EQ(extractor.block_calls(), kBlocks);
   EXPECT_EQ(session.scheduler().inflight_jobs(), 0u);
   // Sync jobs stay out of Jobs(): only the async leader is listed.
   EXPECT_EQ(session.Jobs().size(), 1u);
@@ -1243,7 +1393,7 @@ TEST(SchedulerStatsTest, AccumulateSumsCountersButNotGauges) {
 // ResultTable serialization (the persistent cache's wire format).
 // ---------------------------------------------------------------------------
 
-TEST(ResultTableSerializationTest, RoundTripIsBitExactAndChecked) {
+ResultTable TwoRowTable() {
   ResultTable table;
   ResultRow row;
   row.model_id = "lm@epoch6";
@@ -1257,7 +1407,42 @@ TEST(ResultTableSerializationTest, RoundTripIsBitExactAndChecked) {
   row.unit_score = std::numeric_limits<float>::quiet_NaN();
   row.group_score = 1.25f;
   table.Add(row);
+  return table;
+}
 
+// TwoRowTable() in the format persisted result-cache entries and kResult
+// frames carry: magic, u64 row count, then per row four u64-length
+// strings, the unit as a u64 and both scores' float bits, little-endian.
+constexpr char kTwoRowTableHex[] =
+    "5452424402000000000000000900000000000000"
+    "6c6d4065706f63683606000000000000006c6179"
+    "657230070000000000000070656172736f6e0400"
+    "00000000000069735f6103000000000000000000"
+    "003f0000c07f09000000000000006c6d4065706f"
+    "63683606000000000000006c6179657230070000"
+    "000000000070656172736f6e0400000000000000"
+    "69735f61ffffffffffffffff0000c07f0000a03f";
+
+std::string HexOf(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+std::string BytesOfHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
+}
+
+TEST(ResultTableSerializationTest, RoundTripIsBitExactAndChecked) {
+  const ResultTable table = TwoRowTable();
   const std::string bytes = table.SerializeToString();
   Result<ResultTable> back = ResultTable::DeserializeFromString(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -1276,6 +1461,33 @@ TEST(ResultTableSerializationTest, RoundTripIsBitExactAndChecked) {
                 .status()
                 .code(),
             StatusCode::kDataLoss);
+}
+
+TEST(ResultTableSerializationTest, BytesArePinned) {
+  EXPECT_EQ(HexOf(TwoRowTable().SerializeToString()), kTwoRowTableHex);
+  Result<ResultTable> back =
+      ResultTable::DeserializeFromString(BytesOfHex(kTwoRowTableHex));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ToCsv(), TwoRowTable().ToCsv());
+}
+
+// A result-cache blob in the pinned format, as earlier releases persisted
+// it, is served from the persistent tier byte for byte.
+TEST(SchedulerPersistenceTest, BlobInThePinnedFormatIsServed) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "deepbase_scheduler_pinned_blob";
+  std::filesystem::remove_all(dir);
+  {
+    BehaviorStore store(dir.string());
+    const std::string pinned = BytesOfHex(kTwoRowTableHex);
+    ASSERT_TRUE(store.PutBlob(ResultCacheBlobKey(7, 1, 9), pinned).ok());
+    ResultCache cache(1ull << 20, &store, /*persist=*/true);
+    std::optional<ResultTable> hit = cache.Lookup(7, 1, 9);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->SerializeToString(), pinned);
+    EXPECT_EQ(cache.persistent_hits(), 1u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
