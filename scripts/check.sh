@@ -46,9 +46,9 @@ echo "== lint =="
 # One compile per session job: Scheduler::PlanJob compiles each request
 # and the job carries that JobPlan through admission, its run (shared by
 # every identical request in flight), the cluster and EXPLAIN. A
-# Catalog::Compile anywhere else in
-# src/service or src/cluster re-resolves names the job already resolved
-# (and may see a newer catalog version than its cache/dedup key names).
+# Catalog::Compile anywhere else in src/service or src/cluster re-resolves
+# names the job already resolved (and may see a newer catalog version than
+# its cache/dedup key names).
 # Allowed besides PlanJob: the DistributedRun(request, default_options,
 # stats) wrapper and InspectionWorker::RunSliced (a wire request compiled
 # in the worker's own session). A function starts at a column-0 line

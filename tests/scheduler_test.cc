@@ -929,6 +929,9 @@ TEST(SchedulerDedupTest, LastHandleCancelStopsTheRun) {
   WaitForFirstBlock(first);
   first.Cancel();
   second.Cancel();
+  // The stopped run has left the registry before it resolves, so a later
+  // identical request starts a fresh run.
+  EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
 
   EXPECT_EQ(first.Wait().status().code(), StatusCode::kCancelled);
   EXPECT_EQ(second.Wait().status().code(), StatusCode::kCancelled);
