@@ -121,7 +121,8 @@ bool ParseBlobKeyVersion(const std::string& key, uint64_t* version) {
 // or budget-truncated result depends on wall-clock timing. A deadline is
 // the same hazard as a finite time budget (whether the run completes
 // depends on the clock), so deadline-bearing requests are excluded too —
-// a no-deadline waiter must never inherit a leader's kDeadlineExceeded.
+// a no-deadline request must never share a run that ends in
+// kDeadlineExceeded.
 bool DeterministicOptions(const InspectOptions& options) {
   return options.max_blocks == std::numeric_limits<size_t>::max() &&
          std::isinf(options.time_budget_s) &&
@@ -451,6 +452,7 @@ void Scheduler::UnregisterLocked(const Run& run) {
 
 void Scheduler::CancelHandle(const std::shared_ptr<Run>& run,
                              const std::shared_ptr<internal::JobState>& state) {
+  std::shared_ptr<internal::JobState> next_reporter;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = std::find(run->handles.begin(), run->handles.end(), state);
@@ -462,6 +464,9 @@ void Scheduler::CancelHandle(const std::shared_ptr<Run>& run,
       run->cancel.store(true, std::memory_order_relaxed);
       UnregisterLocked(*run);
       return;
+    }
+    if (it == run->handles.begin() && run->started) {
+      next_reporter = run->handles[1];
     }
     run->handles.erase(it);
   }
@@ -475,6 +480,13 @@ void Scheduler::CancelHandle(const std::shared_ptr<Run>& run,
     state->cv.notify_all();
   }
   FinalizeJob(state, "cancelled");
+  if (next_reporter != nullptr) {
+    // It reports the run from now on.
+    std::lock_guard<std::mutex> lock(next_reporter->mu);
+    if (next_reporter->status == JobStatus::kQueued) {
+      next_reporter->status = JobStatus::kRunning;
+    }
+  }
 }
 
 void Scheduler::SetEngine(EngineHook hook) {
@@ -544,9 +556,38 @@ void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
 void Scheduler::Execute(const std::shared_ptr<Run>& run,
                         std::optional<GroupHandle> group) {
   const JobPlan& job = *run->plan;
-  const internal::JobState& creator = *run->creator;
+  std::shared_ptr<internal::JobState> reporter;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    run->started = true;
+    reporter = run->handles.front();
+  }
+  {
+    // A handle that detached since it was picked above is resolved
+    // already, and CancelHandle has marked the next one running.
+    std::lock_guard<std::mutex> lock(reporter->mu);
+    if (reporter->status == JobStatus::kQueued) {
+      const int64_t start_ns = TraceNowNs();
+      reporter->status = JobStatus::kRunning;
+      reporter->queue_s =
+          static_cast<double>(start_ns - reporter->submit_ns) * 1e-9;
+      if (reporter->tracer != nullptr) {
+        TraceSpan queue_span;
+        queue_span.span_id = NewSpanId();
+        queue_span.parent_id = reporter->root_span;
+        queue_span.name = "sched.queue";
+        queue_span.start_ns = reporter->submit_ns;
+        queue_span.duration_ns = start_ns - reporter->submit_ns;
+        reporter->tracer->Record(std::move(queue_span));
+      }
+    }
+  }
+
   RuntimeStats stats;
   Result<ResultTable> result = Status::Cancelled("cancelled before execution");
+  // The engine's spans, kept apart from any one handle's trace: the handle
+  // that reports the run when it resolves imports them.
+  std::optional<Tracer> run_spans;
   if (run->cancel.load(std::memory_order_relaxed)) {
     // Cancelled while queued: detach, so the fused group's pending-block
     // accounting does not wait on a job that will never read anything.
@@ -556,15 +597,21 @@ void Scheduler::Execute(const std::shared_ptr<Run>& run,
     InspectPlan plan = job.compiled;
     InspectOptions& options = plan.options;
     session_->AttachSubstrate(&options);
-    options.cancel = &run->cancel;
-    options.progress = run->progress.get();
+    // Nothing sets a sync caller's run flag, so the flag its request
+    // carries, if any, stops the run (a worker's whole assignment passes
+    // one), and its counter reports the run unless handles may share it.
+    if (!run->sync || options.cancel == nullptr) options.cancel = &run->cancel;
+    if (!run->sync || options.progress == nullptr || job.dedupable) {
+      options.progress = run->progress.get();
+    }
     if (group) options.shared_scan = group->client.get();
-    if (options.tracer == nullptr && creator.tracer != nullptr) {
+    if (options.tracer == nullptr && reporter->tracer != nullptr) {
       // A request that already carries its own tracer (a worker replaying
-      // a coordinator assignment) keeps it; otherwise the creator's
-      // tracer rides into the engine here.
-      options.tracer = creator.tracer.get();
-      options.trace_parent_span = creator.root_span;
+      // a coordinator assignment) keeps it.
+      run_spans.emplace(reporter->tracer->trace_id(),
+                        session_->config_.trace_ring_capacity);
+      options.tracer = &*run_spans;
+      options.trace_parent_span = reporter->root_span;
     }
     const std::shared_ptr<const EngineHook> engine = Engine();
     result = engine != nullptr ? engine->run(job, plan, &stats)
@@ -593,10 +640,24 @@ void Scheduler::Execute(const std::shared_ptr<Run>& run,
     UnregisterLocked(*run);
     handles.swap(run->handles);
   }
-  // The creator reports the engine's stats; every other handle reports a
-  // dedup hit on the run's shards and wall clock.
+  // The first handle left reports the run: the engine's stats and spans,
+  // its spans hung under that handle's root. Every other handle reports
+  // the run's shards and wall clock, and every handle but the creator
+  // counts a dedup hit.
+  internal::JobState& first = *handles.front();
+  if (run_spans && first.tracer != nullptr) {
+    std::vector<TraceSpan> spans = run_spans->Spans();
+    for (TraceSpan& span : spans) {
+      if (span.parent_id == reporter->root_span) {
+        span.parent_id = first.root_span;
+      }
+    }
+    first.tracer->Import(spans, /*offset_ns=*/0);
+    if (run_spans->dropped() > 0) {
+      Metrics().trace_spans_dropped->Inc(run_spans->dropped());
+    }
+  }
   RuntimeStats shared;
-  shared.dedup_hits = 1;
   shared.num_shards = stats.num_shards;
   shared.total_s = stats.total_s;
   const char* status =
@@ -606,11 +667,13 @@ void Scheduler::Execute(const std::shared_ptr<Run>& run,
     {
       std::lock_guard<std::mutex> lock(state.mu);
       state.on_cancel = nullptr;
-      state.stats = handles[i] == run->creator ? stats : shared;
+      state.stats = i == 0 ? stats : shared;
+      state.stats.dedup_hits = handles[i] == run->creator ? 0 : 1;
       // Key off what the engine actually observed (stats.cancelled), not
       // the flag: a Cancel() racing with completion must not discard a
-      // fully computed result. Only a run's last handle cancels it, so a
-      // cancelled run has one handle left.
+      // fully computed result. A run stops early when its last handle
+      // cancels it, or a sync caller's own flag stops it; every handle
+      // left then resolves cancelled.
       if (stats.cancelled) {
         state.status = JobStatus::kCancelled;
         state.result = Status::Cancelled(
@@ -811,7 +874,7 @@ Admission Scheduler::Admit(const std::shared_ptr<const JobPlan>& job,
           session_->config_.max_queued_bytes > 0 ? plan.queued_bytes : 0;
       queued_bytes_ += commit->queued_bytes;
     }
-    commit->run = std::make_shared<Run>(job);
+    commit->run = std::make_shared<Run>(job, /*sync_caller=*/!commit->listed);
     NewState(commit, commit->run->progress, commit->run);
     commit->run->creator = commit->state;
     if (plan.dedupable) runs_[{*plan.fingerprint, version}] = commit->run;
@@ -923,29 +986,9 @@ JobHandle Scheduler::Enqueue(std::shared_ptr<const JobPlan> plan,
   // the job up), so every job queued in one burst lands in one group.
   std::optional<GroupHandle> group = AttachToGroup(plan->group_key);
   pool->Submit([this, run = std::move(commit.run),
-                charged = commit.queued_bytes, submit_ns,
+                charged = commit.queued_bytes,
                 group = std::move(group)]() mutable {
     OnJobStarted(charged);
-    const int64_t start_ns = TraceNowNs();
-    internal::JobState& creator = *run->creator;
-    {
-      std::lock_guard<std::mutex> lock(creator.mu);
-      creator.queue_s = static_cast<double>(start_ns - submit_ns) * 1e-9;
-      // A creator whose handle was cancelled while others share the run
-      // is already resolved.
-      if (creator.status == JobStatus::kQueued) {
-        creator.status = JobStatus::kRunning;
-      }
-    }
-    if (creator.tracer != nullptr) {
-      TraceSpan queue_span;
-      queue_span.span_id = NewSpanId();
-      queue_span.parent_id = creator.root_span;
-      queue_span.name = "sched.queue";
-      queue_span.start_ns = submit_ns;
-      queue_span.duration_ns = start_ns - submit_ns;
-      creator.tracer->Record(std::move(queue_span));
-    }
     Execute(run, std::move(group));
     OnJobFinished();
   });

@@ -402,18 +402,27 @@ class Scheduler {
   /// registered. The run owns the cancel flag and the progress counter
   /// the engine reads; every handle's JobState reports that counter.
   struct Run {
-    explicit Run(std::shared_ptr<const JobPlan> job) : plan(std::move(job)) {}
+    Run(std::shared_ptr<const JobPlan> job, bool sync_caller)
+        : plan(std::move(job)), sync(sync_caller) {}
     const std::shared_ptr<const JobPlan> plan;
+    /// Created by Inspect(): its caller holds no handle, so nothing sets
+    /// `cancel`, and the engine observes the request's own flag and
+    /// counter instead, when it carries them (see Execute).
+    const bool sync;
     const std::shared_ptr<ProgressCounter> progress =
         std::make_shared<ProgressCounter>();
     /// Set by the last handle's Cancel(); the engine stops at a block
     /// boundary.
     std::atomic<bool> cancel{false};
-    /// The job that created the run: it reports the engine's stats, and
-    /// the engine traces into its tracer. Set before the run is shared.
+    /// The job that created the run; every other handle counts a dedup
+    /// hit. Set before the run is shared.
     std::shared_ptr<internal::JobState> creator;
-    /// Handles not yet resolved. Guarded by mu_.
+    /// Handles not yet resolved, in attach order. The first one reports
+    /// the run: it shows kRunning once the run has started, and gets the
+    /// engine's stats and spans. When it detaches, the next takes over.
+    /// Guarded by mu_, like `started`.
     std::vector<std::shared_ptr<internal::JobState>> handles;
+    bool started = false;
   };
 
   /// One admission: who asks (set by Submit/RunSync) and what it got.
@@ -462,7 +471,7 @@ class Scheduler {
   /// Execute `run` on the calling thread (group already attached; the
   /// engine is skipped when the run was cancelled while queued), admit
   /// the result to the cache when eligible, and resolve every handle
-  /// still attached.
+  /// still attached, the first one with the engine's stats and spans.
   void Execute(const std::shared_ptr<Run>& run,
                std::optional<GroupHandle> group);
   /// Resolve a born-terminal job: a rejection or a result-cache hit.
@@ -479,9 +488,10 @@ class Scheduler {
                    const char* status);
 
   /// JobHandle::Cancel() of a job attached to `run`: detach and resolve
-  /// it when other handles share the run, else stop the run, which then
-  /// resolves it from what the engine observed. A no-op once the run has
-  /// taken the handle to resolve.
+  /// it when other handles share the run (the next one takes over
+  /// reporting the run), else stop the run, which then resolves it from
+  /// what the engine observed. A no-op once the run has taken the handle
+  /// to resolve.
   void CancelHandle(const std::shared_ptr<Run>& run,
                     const std::shared_ptr<internal::JobState>& state);
   /// Drop `run` from the dedup registry, if it is the registered one.

@@ -941,6 +941,106 @@ TEST(SchedulerDedupTest, LastHandleCancelStopsTheRun) {
   EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
 }
 
+// When the first handle of a shared run is cancelled mid-run, the next
+// handle takes over reporting the run: it shows kRunning, and it gets the
+// engine's stats and spans, while the cancelled handle's trace stays as
+// it was when that handle resolved.
+TEST(SchedulerDedupTest, TheNextHandleReportsTheRunWhenTheFirstDetaches) {
+  CountingExtractor extractor(4, /*delay_us=*/5000);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+  auto session = SharedRunSession(&extractor, &dataset);
+
+  JobHandle first = session->Submit(PlantedRequest());
+  JobHandle second = session->Submit(PlantedRequest());
+  WaitForFirstBlock(first);
+  EXPECT_EQ(first.Poll(), JobStatus::kRunning);
+  EXPECT_EQ(second.Poll(), JobStatus::kQueued);
+  first.Cancel();
+  EXPECT_EQ(first.Poll(), JobStatus::kCancelled);
+  EXPECT_EQ(second.Poll(), JobStatus::kRunning);
+  const size_t first_spans = first.TraceSpans().size();
+
+  ASSERT_TRUE(second.Wait().ok());
+  EXPECT_EQ(first.TraceSpans().size(), first_spans);
+  const RuntimeStats stats = second.Stats();
+  EXPECT_EQ(stats.dedup_hits, 1u);
+  EXPECT_EQ(stats.blocks_processed, kBlocks);
+  EXPECT_GT(stats.unit_extraction_s, 0.0);
+  // The "sched.job" root is recorded just after Wait() returns.
+  std::vector<TraceSpan> spans;
+  std::set<uint64_t> ids;
+  std::multiset<std::string> names;
+  for (int i = 0; i < 2000 && names.count("sched.job") == 0; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    spans = second.TraceSpans();
+    ids.clear();
+    names.clear();
+    for (const TraceSpan& span : spans) {
+      ids.insert(span.span_id);
+      names.insert(span.name);
+    }
+  }
+  EXPECT_EQ(names.count("sched.job"), 1u);
+  EXPECT_EQ(names.count("engine.inspect"), 1u);
+  for (const TraceSpan& span : spans) {
+    if (span.parent_id != 0) {
+      EXPECT_EQ(ids.count(span.parent_id), 1u) << span.name;
+    }
+  }
+}
+
+// A sync Inspect() holds no handle, so the cancel flag its request carries
+// (a worker's whole assignment passes one) is what stops its run.
+TEST(SchedulerDedupTest, SyncInspectStopsOnItsRequestsCancelFlag) {
+  CountingExtractor extractor(4, /*delay_us=*/5000);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+  auto session = SharedRunSession(&extractor, &dataset);
+
+  std::atomic<bool> cancel{false};
+  InspectRequest request = PlantedRequest();
+  request.options = session->default_options();
+  request.options->cancel = &cancel;
+  RuntimeStats stats;
+  std::optional<Result<ResultTable>> result;
+  std::thread caller([&] { result = session->Inspect(request, &stats); });
+  for (int i = 0; i < 10000 && extractor.block_calls() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  cancel.store(true, std::memory_order_relaxed);
+  caller.join();
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(stats.cancelled);
+  EXPECT_LT(stats.blocks_processed, kBlocks);
+  EXPECT_LT(extractor.block_calls(), kBlocks);
+  EXPECT_EQ(session->scheduler().inflight_jobs(), 0u);
+}
+
+// A sync Inspect() that no other request can share (a deadline makes it
+// nondeterministic) reports into the progress counter its request carries.
+TEST(SchedulerDedupTest, UnsharedSyncInspectReportsIntoItsRequestsCounter) {
+  CountingExtractor extractor(4);
+  Dataset dataset = MakeAbDataset(240, 8);
+  const size_t kBlocks = 240 / 16;
+  auto session = SharedRunSession(&extractor, &dataset);
+
+  ProgressCounter progress;
+  InspectRequest request = PlantedRequest();
+  request.options = session->default_options();
+  request.options->progress = &progress;
+  request.options->deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  RuntimeStats stats;
+  ASSERT_TRUE(session->Inspect(request, &stats).ok());
+  EXPECT_EQ(progress.blocks_done.load(), kBlocks);
+  EXPECT_EQ(progress.blocks_total.load(), kBlocks);
+  EXPECT_EQ(progress.records_done.load(), stats.records_processed);
+  EXPECT_GT(stats.records_processed, 0u);
+}
+
 uint64_t JobsTotal() {
   uint64_t total = 0;
   for (const char* status : {"ok", "error", "cancelled"}) {
