@@ -635,8 +635,13 @@ TEST(ObservabilityTest, MetricsSnapshotsStayConsistentUnderConcurrentJobs) {
   scraper.join();
 
   // Quiescent: every counter/histogram accounts for exactly these jobs.
-  // (Waiters resolve before FinalizeJob runs — settle the terminal
-  // counter before asserting exact values.)
+  // (Waiters resolve before FinalizeJob runs, and each job's pool task
+  // lowers the queue-depth gauge after that — settle the gauge and the
+  // terminal counter before asserting exact values.)
+  Gauge* depth = MetricsRegistry::Global().GetGauge("deepbase_queue_depth");
+  for (int i = 0; i < 2000 && depth->Value() != depth_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(CounterValue("deepbase_jobs_submitted_total"),
             submitted_before + kJobs);
   EXPECT_EQ(SettleCounter("deepbase_jobs_total{status=\"ok\"}",
@@ -652,9 +657,7 @@ TEST(ObservabilityTest, MetricsSnapshotsStayConsistentUnderConcurrentJobs) {
   for (uint64_t c : latency_after.counts) bucket_total += c;
   EXPECT_EQ(bucket_total, latency_after.count);
   EXPECT_GT(latency_after.sum, latency_before.sum);
-  EXPECT_EQ(MetricsRegistry::Global().GetGauge("deepbase_queue_depth")
-                ->Value(),
-            depth_before);
+  EXPECT_EQ(depth->Value(), depth_before);
 }
 
 // ---------------------------------------------------------------------------
