@@ -105,8 +105,8 @@ struct SessionConfig {
   // --- Admission control (per-tenant quotas; this session is the
   // tenant). Over-quota submissions are rejected with a typed
   // kResourceExhausted status instead of queueing without bound. Result
-  // cache hits and dedup waiters consume no engine resources and are
-  // always admitted.
+  // cache hits and requests that attach to a live run consume no engine
+  // resources and are always admitted.
   /// Max jobs queued or running at once (0 = unlimited).
   size_t max_concurrent_jobs = 0;
   /// Max estimated bytes of extraction work sitting in the queue

@@ -349,7 +349,7 @@ class Scheduler {
  public:
   explicit Scheduler(InspectionSession* session);
 
-  /// \brief Async path: admission, then a leader joins its shared-scan
+  /// \brief Async path: admission, then a new run joins its shared-scan
   /// group and queues on the session pool. Rejected requests and cache
   /// hits return a handle that is already resolved. `trace_id` threads an
   /// externally minted trace id (the serving layer's Submit frame) into
