@@ -389,9 +389,14 @@ class PlantedExtractor : public Extractor {
       : Extractor("planted"), units_(units), delay_us_(delay_us) {}
   size_t num_units() const override { return units_; }
 
+  size_t block_calls() const {
+    return block_calls_.load(std::memory_order_relaxed);
+  }
+
   Matrix ExtractBlock(const Dataset& dataset,
                       const std::vector<size_t>& record_idx,
                       const std::vector<int>& unit_ids) const override {
+    block_calls_.fetch_add(1, std::memory_order_relaxed);
     if (delay_us_ > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
     }
@@ -424,6 +429,7 @@ class PlantedExtractor : public Extractor {
  private:
   size_t units_;
   int delay_us_;
+  mutable std::atomic<size_t> block_calls_{0};
 };
 
 HypothesisPtr IsAHypothesis() {
@@ -699,6 +705,45 @@ TEST(ClusterEndToEndTest, SequentialLaneJobsPinWholeToOneWorker) {
 
   worker.Shutdown();
   coordinator.Shutdown();
+}
+
+// A worker runs a whole assignment through its session's Inspect(), which
+// observes the worker's cancel flag, so Shutdown() stops the run at a
+// block boundary instead of waiting out the job.
+TEST(ClusterEndToEndTest, ShutdownStopsAWholeAssignmentMidRun) {
+  InspectRequest request = ExactRequest();
+  request.measure_names = {"spearman"};  // not sliceable: pinned whole
+  World local;
+  ASSERT_TRUE(local.session.Inspect(request).ok());
+  const size_t blocks = local.extractor.block_calls();
+
+  World coord_world;
+  cluster::CoordinatorConfig config;
+  config.install_engine = false;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  World worker_world(/*delay_us=*/20000);
+  cluster::InspectionWorker worker(&worker_world.session,
+                                   {.worker_id = "w-0",
+                                    .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  std::thread job([&] {
+    RuntimeStats stats;
+    coordinator.DistributedRun(request, coord_world.session.default_options(),
+                               &stats);
+  });
+  for (int i = 0; i < 10000 && worker_world.extractor.block_calls() == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(worker_world.extractor.block_calls(), 1u);
+  worker.Shutdown();
+  EXPECT_LT(worker_world.extractor.block_calls(), blocks);
+
+  coordinator.Shutdown();
+  job.join();
 }
 
 TEST(ClusterEndToEndTest, NoWorkersYieldsUnavailable) {
