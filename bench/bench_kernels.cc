@@ -1,7 +1,11 @@
 // Measure-kernel throughput bench: the raw block kernels of
-// measures/independent.cc (pearson, diff_means, jaccard, mutual_info)
-// driven directly — no extraction, no engine — so the number is the
-// numeric substrate itself: symbol rows scored per second per measure.
+// measures/independent.cc (pearson, diff_means, jaccard, mutual_info at 4
+// and 16 bins) and measures/multivariate_mi.cc driven directly — no
+// extraction, no engine — so the number is the numeric substrate itself:
+// symbol rows scored per second per measure. The measures that calibrate
+// from their first block (jaccard, both mutual_info cells and
+// multivariate_mi) also record that block's seconds, phase_calibrate_s,
+// which phase_process_s includes; every phase sums the timed repeats.
 //
 // The SIMD/scalar comparison is a *cross-build* one (the scalar fallback
 // is compiled in with -DDEEPBASE_SIMD=OFF), so the bench runs twice:
@@ -29,6 +33,7 @@
 
 #include "bench/common.h"
 #include "measures/independent.h"
+#include "measures/multivariate_mi.h"
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
@@ -48,8 +53,10 @@ std::string FlagValue(int argc, char** argv, const std::string& flag,
 
 struct KernelCell {
   double records_per_s = 0;
-  double process_s = 0;  // time inside ProcessBlock (the block kernel)
-  double scores_s = 0;   // time inside Scores() (merge + score formulas)
+  double process_s = 0;    // time inside ProcessBlock (the block kernel)
+  double calibrate_s = 0;  // the first ProcessBlock, for calibrating cells
+  double scores_s = 0;     // time inside Scores() (merge + score formulas)
+  bool calibrates = false;
 };
 
 struct Workload {
@@ -73,11 +80,11 @@ Workload MakeWorkload(size_t num_blocks, size_t rows, size_t units) {
   return w;
 }
 
-template <typename MeasureT, typename Factory>
-KernelCell RunKernel(const Workload& w, const Factory& make,
-                     size_t repeats) {
-  // Warmup pass: page in the blocks, settle the thresholds/edges that
-  // jaccard and MI calibrate from their first block.
+template <typename Factory>
+KernelCell RunKernel(const Workload& w, const Factory& make, size_t repeats,
+                     bool calibrates = false) {
+  // Warmup pass: page in the blocks and the code paths. Every timed
+  // repeat starts from a fresh measure, so it calibrates again.
   {
     auto m = make();
     for (size_t b = 0; b < w.blocks.size(); ++b) {
@@ -86,13 +93,16 @@ KernelCell RunKernel(const Workload& w, const Factory& make,
     (void)m->Scores();
   }
   KernelCell cell;
+  cell.calibrates = calibrates;
   Stopwatch total;
   for (size_t rep = 0; rep < repeats; ++rep) {
     auto m = make();
     Stopwatch process;
     for (size_t b = 0; b < w.blocks.size(); ++b) {
+      Stopwatch block;
       m->BeginBlock(b);
       m->ProcessBlock(w.blocks[b], w.hyps[b]);
+      if (b == 0) cell.calibrate_s += block.Seconds();
     }
     cell.process_s += process.Seconds();
     Stopwatch scores;
@@ -134,15 +144,23 @@ int main(int argc, char** argv) {
               vec::kLdaFloats, units, rows, num_blocks, repeats);
 
   std::map<std::string, KernelCell> cells;
-  cells["pearson"] = RunKernel<PearsonMeasure>(
+  cells["pearson"] = RunKernel(
       w, [&] { return std::make_unique<PearsonMeasure>(units); }, repeats);
-  cells["diff_means"] = RunKernel<DiffMeansMeasure>(
+  cells["diff_means"] = RunKernel(
       w, [&] { return std::make_unique<DiffMeansMeasure>(units); }, repeats);
-  cells["jaccard"] = RunKernel<JaccardMeasure>(
-      w, [&] { return std::make_unique<JaccardMeasure>(units); }, repeats);
-  cells["mutual_info"] = RunKernel<MutualInfoMeasure>(
+  cells["jaccard"] = RunKernel(
+      w, [&] { return std::make_unique<JaccardMeasure>(units); }, repeats,
+      /*calibrates=*/true);
+  cells["mutual_info"] = RunKernel(
       w, [&] { return std::make_unique<MutualInfoMeasure>(units, 2); },
-      repeats);
+      repeats, /*calibrates=*/true);
+  // Sixteen bins: fifteen ranks per unit in the calibration.
+  cells["mutual_info_16bins"] = RunKernel(
+      w, [&] { return std::make_unique<MutualInfoMeasure>(units, 2, 16); },
+      repeats, /*calibrates=*/true);
+  cells["multivariate_mi"] = RunKernel(
+      w, [&] { return std::make_unique<MultivariateMiMeasure>(units, 2); },
+      repeats, /*calibrates=*/true);
 
   // Optional scalar baseline from a previous -DDEEPBASE_SIMD=OFF run.
   std::map<std::string, double> scalar;
@@ -159,9 +177,11 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& [name, cell] : cells) {
-    std::printf("  %-12s %12.0f rows/s  (process %.3fs, scores %.3fs)",
+    std::printf("  %-18s %12.0f rows/s  (process %.3fs, scores %.3fs",
                 name.c_str(), cell.records_per_s, cell.process_s,
                 cell.scores_s);
+    if (cell.calibrates) std::printf(", calibrate %.4fs", cell.calibrate_s);
+    std::printf(")");
     auto it = scalar.find(name);
     if (it != scalar.end() && it->second > 0) {
       std::printf("  %.2fx vs scalar", cell.records_per_s / it->second);
@@ -198,8 +218,11 @@ int main(int argc, char** argv) {
     for (const auto& [name, cell] : cells) {
       out << "    \"" << name << "\": {\n"
           << "      \"records_per_s\": " << cell.records_per_s << ",\n"
-          << "      \"phase_process_s\": " << cell.process_s << ",\n"
-          << "      \"phase_scores_s\": " << cell.scores_s;
+          << "      \"phase_process_s\": " << cell.process_s << ",\n";
+      if (cell.calibrates) {
+        out << "      \"phase_calibrate_s\": " << cell.calibrate_s << ",\n";
+      }
+      out << "      \"phase_scores_s\": " << cell.scores_s;
       auto it = scalar.find(name);
       if (it != scalar.end() && it->second > 0) {
         out << ",\n      \"scalar_records_per_s\": " << it->second

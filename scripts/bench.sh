@@ -13,7 +13,8 @@
 # mid-job worker-kill reassignment latency), and the measure-kernel
 # bench (BENCH_kernels.json — rows scored per second per measure, SIMD
 # build vs a scalar -DDEEPBASE_SIMD=OFF leg of the same bench, with the
-# per-measure speedup and the host's lane/core capabilities recorded).
+# per-measure speedup, each calibrating measure's first-block seconds
+# and the host's lane/core capabilities recorded).
 # Also runs the
 # store-reinspection ablation and, when google-benchmark is available,
 # the bench_micro engine cells, so one command captures the whole
@@ -98,7 +99,8 @@ assert_keys "$REPO_ROOT/BENCH_server_throughput.json" \
 assert_keys "$REPO_ROOT/BENCH_cluster_scaleout.json" \
     phase_merge_s_mean phase_worker_hop_s_mean
 assert_keys "$REPO_ROOT/BENCH_kernels.json" \
-    phase_process_s phase_scores_s speedup_vs_scalar float_lanes
+    phase_process_s phase_calibrate_s phase_scores_s speedup_vs_scalar \
+    float_lanes
 
 echo "== perf trend vs committed baselines =="
 # Advisory per-metric diff of the fresh numbers against what HEAD has

@@ -216,6 +216,27 @@ if ! awk '
   exit 1
 fi
 
+# Calibration at kernel speed. Jaccard's thresholds, mutual information's
+# unit and numeric-hypothesis edges and multivariate MI's medians are
+# per-unit order statistics of a block, and the order-statistics kernel
+# (src/measures/order_stats.{h,cc}) owns them: one vector lane per unit,
+# exact ranks over order-preserving keys. A unit column gathered through
+# units(r, u), or a select or sort over such a column, anywhere else in
+# src/measures is the one-column-at-a-time calibration it replaced.
+if ! awk '
+      { code = $0; sub(/\/\/.*/, "", code) }
+      FILENAME !~ /order_stats\.(h|cc)$/ &&
+      code ~ /units\(r, u\)|nth_element|std::sort\((col|hv)/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/measures/*.cc src/measures/*.h; then
+  echo "lint: the lines above gather a unit column or sort/select one." \
+       "The order-statistics kernel owns per-unit order statistics:" \
+       "order_stats::Select and order_stats::MaxBelow" \
+       "(src/measures/order_stats.h)."
+  exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "measures/order_stats.h"
 #include "tensor/simd.h"
 #include "util/logging.h"
 
@@ -567,17 +568,14 @@ JaccardMeasure::JaccardMeasure(size_t num_units, double top_quantile)
 void JaccardMeasure::ProcessBlock(const Matrix& units,
                                   std::span<const float> hyp) {
   DB_DCHECK(units.cols() == num_units_ && units.rows() == hyp.size());
+  // An empty block counts nothing and leaves the calibration pending.
+  if (units.rows() == 0) return;
   if (!thresholds_ready_) {
-    // Estimate the (1 - q) activation quantile per unit from this block.
+    // The (1 - q) activation quantile per unit, from this block.
+    const size_t rank = static_cast<size_t>(
+        (1.0 - top_quantile_) * static_cast<double>(units.rows() - 1));
     thresholds_.resize(num_units_);
-    std::vector<float> col(units.rows());
-    for (size_t u = 0; u < num_units_; ++u) {
-      for (size_t r = 0; r < units.rows(); ++r) col[r] = units(r, u);
-      size_t k = static_cast<size_t>(
-          (1.0 - top_quantile_) * static_cast<double>(col.size() - 1));
-      std::nth_element(col.begin(), col.begin() + k, col.end());
-      thresholds_[u] = col[k];
-    }
+    order_stats::Select(units, {&rank, 1}, thresholds_.data());
     thresholds_ready_ = true;
   }
   const size_t rows = units.rows();
@@ -734,71 +732,83 @@ void MutualInfoMeasure::RebuildEdgePlanes() {
 void MutualInfoMeasure::ProcessBlock(const Matrix& units,
                                      std::span<const float> hyp) {
   DB_DCHECK(units.cols() == num_units_ && units.rows() == hyp.size());
+  const size_t rows = units.rows();
+  // An empty block counts nothing and leaves the calibration pending.
+  if (rows == 0) return;
+  const size_t nb = static_cast<size_t>(num_bins_);
+  const size_t nc = static_cast<size_t>(num_classes_);
   if (!edges_ready_) {
-    // Quantile bin edges per unit from the first block.
-    edges_.resize(num_units_ * (num_bins_ - 1));
-    std::vector<float> col(units.rows());
-    for (size_t u = 0; u < num_units_; ++u) {
-      for (size_t r = 0; r < units.rows(); ++r) col[r] = units(r, u);
-      std::sort(col.begin(), col.end());
-      for (int b = 1; b < num_bins_; ++b) {
-        size_t k = b * col.size() / num_bins_;
-        edges_[u * (num_bins_ - 1) + b - 1] = col[std::min(k, col.size() - 1)];
-      }
-    }
+    // Quantile bin edges per unit (and per numeric hypothesis) from the
+    // first block: the values at ranks b·n/num_bins, b = 1..num_bins-1.
+    std::vector<size_t> ranks(nb - 1);
+    for (size_t b = 1; b < nb; ++b) ranks[b - 1] = b * rows / nb;
+    edges_.resize(num_units_ * (nb - 1));
+    order_stats::Select(units, ranks, edges_.data());
     if (hyp_numeric_) {
-      std::vector<float> hv(hyp.begin(), hyp.end());
-      std::sort(hv.begin(), hv.end());
-      hyp_edges_.clear();
-      for (int b = 1; b < num_bins_; ++b) {
-        size_t k = b * hv.size() / num_bins_;
-        hyp_edges_.push_back(hv[std::min(k, hv.size() - 1)]);
-      }
+      hyp_edges_.resize(nb - 1);
+      order_stats::Select(hyp.data(), rows, 1, 1, ranks, hyp_edges_.data());
     }
     RebuildEdgePlanes();
     edges_ready_ = true;
   }
-  const size_t nb = static_cast<size_t>(num_bins_);
-  const size_t nc = static_cast<size_t>(num_classes_);
+  std::vector<uint32_t> cls(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    cls[r] = static_cast<uint32_t>(HypClass(hyp[r]));
+  }
 #if DEEPBASE_SIMD_ENABLED
+  // One vector lane per unit keeps, per (class, edge), how many rows
+  // exceed the edge: over[c·(nb-1) + b] = #(class c ∧ x > e[b]). The
+  // bin a row lands in is the number of edges it exceeds, and the edges
+  // are nondecreasing, so #(bin b) = #(x > e[b-1]) − #(x > e[b]), with
+  // #(x > e[-1]) the class's rows and #(x > e[nb-1]) zero. Integer
+  // counts: the same as the scalar loop below in either build.
   namespace stdx = vec::stdx;
+  const size_t ne = nb - 1;
   const size_t panels = num_units_ / vec::kCountLanes;
+  std::vector<size_t> class_rows(nc, 0);
+  for (uint32_t c : cls) ++class_rows[c];
+  std::vector<vec::CountV> over(nc * ne);
+  for (size_t p = 0; p < panels; ++p) {
+    const size_t u0 = p * vec::kCountLanes;
+    std::fill(over.begin(), over.end(), vec::CountV(0u));
+    for (size_t r = 0; r < rows; ++r) {
+      const vec::FloatC xv(units.row_data(r) + u0, stdx::element_aligned);
+      vec::CountV* const o = over.data() + cls[r] * ne;
+      for (size_t b = 0; b < ne; ++b) {
+        const vec::FloatC ev(edges_t_.data() + b * num_units_ + u0,
+                             stdx::element_aligned);
+        stdx::where(vec::CountM(xv > ev), o[b]) = o[b] + 1u;
+      }
+    }
+    for (size_t l = 0; l < vec::kCountLanes; ++l) {
+      size_t* const cu = &counts_[(u0 + l) * nb * nc];
+      for (size_t c = 0; c < nc; ++c) {
+        size_t above = class_rows[c];
+        for (size_t b = 0; b < ne; ++b) {
+          const size_t next = over[c * ne + b][l];
+          cu[b * nc + c] += above - next;
+          above = next;
+        }
+        cu[ne * nc + c] += above;
+      }
+    }
+  }
   const size_t tail0 = panels * vec::kCountLanes;
 #else
   const size_t tail0 = 0;
 #endif
-  for (size_t r = 0; r < units.rows(); ++r) {
-    const size_t cls = static_cast<size_t>(HypClass(hyp[r]));
+  for (size_t r = 0; r < rows; ++r) {
     const float* const row = units.row_data(r);
-#if DEEPBASE_SIMD_ENABLED
-    // Vector bin index = number of exceeded edges; the histogram
-    // increment itself is a scalar scatter per lane (integer counts, so
-    // still bit-identical to the scalar build and kExact under merges).
-    for (size_t p = 0; p < panels; ++p) {
-      const size_t u0 = p * vec::kCountLanes;
-      const vec::FloatC xv(row + u0, stdx::element_aligned);
-      vec::CountV bin(0u);
-      for (size_t b = 0; b + 1 < nb; ++b) {
-        const vec::FloatC ev(edges_t_.data() + b * num_units_ + u0,
-                             stdx::element_aligned);
-        const vec::CountM over(xv > ev);
-        stdx::where(over, bin) = bin + 1u;
-      }
-      for (size_t l = 0; l < vec::kCountLanes; ++l) {
-        ++counts_[((u0 + l) * nb + bin[l]) * nc + cls];
-      }
-    }
-#endif
     for (size_t u = tail0; u < num_units_; ++u) {
       const float* e = &edges_[u * (nb - 1)];
       size_t bin = 0;
       for (size_t b = 0; b + 1 < nb; ++b) {
         if (row[u] > e[b]) ++bin;
       }
-      ++counts_[(u * nb + bin) * nc + cls];
+      ++counts_[(u * nb + bin) * nc + cls[r]];
     }
   }
-  n_ += units.rows();
+  n_ += rows;
 }
 
 std::unique_ptr<Measure> MutualInfoMeasure::CloneState() const {
@@ -845,6 +855,16 @@ bool MutualInfoMeasure::DeserializeState(codec::Reader* r) {
   const size_t edge_count =
       edges_ready_ ? num_units_ * static_cast<size_t>(num_bins_ - 1) : 0;
   if (!ReadVec(r, edge_count, &edges_)) return false;
+  // ProcessBlock's exceedance counts need each unit's edges nondecreasing
+  // in the kernel's key order (so NaN only at the top), as calibration
+  // makes them: any other edges would wrap #(x > e[b-1]) − #(x > e[b]).
+  const size_t per_unit = static_cast<size_t>(num_bins_ - 1);
+  for (size_t i = 1; i < edges_.size(); ++i) {
+    if (i % per_unit != 0 &&
+        order_stats::Key(edges_[i - 1]) > order_stats::Key(edges_[i])) {
+      return false;
+    }
+  }
   const size_t hyp_edge_count =
       (edges_ready_ && hyp_numeric_) ? static_cast<size_t>(num_bins_ - 1) : 0;
   if (!ReadVec(r, hyp_edge_count, &hyp_edges_)) return false;

@@ -150,10 +150,10 @@ class DiffMeansMeasure : public Measure {
 /// \brief Jaccard coefficient (intersection over union) between the
 /// thresholded unit activation and the binary hypothesis — NetDissect's
 /// measure (§4.3, Appendix E). Units are binarized at the per-unit
-/// activation quantile estimated from the first block (NetDissect's
-/// quantile binning). CloneState() copies the calibrated thresholds, so
-/// shard replicas binarize identically and MergeFrom is exact (integer
-/// counters).
+/// activation quantile of the first non-empty block (NetDissect's quantile
+/// binning; order_stats::Select). CloneState() copies the calibrated
+/// thresholds, so shard replicas binarize identically and MergeFrom is
+/// exact (integer counters).
 class JaccardMeasure : public Measure {
  public:
   JaccardMeasure(size_t num_units, double top_quantile = 0.2);
@@ -180,8 +180,11 @@ class JaccardMeasure : public Measure {
 };
 
 /// \brief Mutual information between the quantile-binned unit activation
-/// and the (categorical) hypothesis, in bits. Bin edges are estimated from
-/// the first block. The error estimate is the Miller–Madow bias term.
+/// and the (categorical) hypothesis, in bits. Bin edges are the quantiles
+/// of the first non-empty block (order_stats::Select), so each unit's edges
+/// are nondecreasing; a 16-unit panel counts, per (class, edge), the rows
+/// above the edge and takes each bin's count as the difference of two
+/// such counts. The error estimate is the Miller–Madow bias term.
 /// CloneState() copies the calibrated bin edges; MergeFrom sums the integer
 /// contingency counts, so sharded partials merge exactly.
 class MutualInfoMeasure : public Measure {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "measures/order_stats.h"
 #include "util/logging.h"
 
 namespace deepbase {
@@ -104,24 +105,22 @@ bool MultivariateMiMeasure::DeserializeState(codec::Reader* r) {
 void MultivariateMiMeasure::ProcessBlock(const Matrix& units,
                                          std::span<const float> hyp) {
   DB_DCHECK(units.cols() == num_units_ && units.rows() == hyp.size());
+  // An empty block counts nothing and leaves the calibration pending.
+  if (units.rows() == 0) return;
   if (!thresholds_ready_) {
+    // Threshold at the midpoint between the median and the largest value
+    // strictly below it: with discrete behaviors (e.g. units emitting only
+    // ±1) thresholding exactly at the median would put every sample on one
+    // side of the strict `>` split.
+    const size_t mid = units.rows() / 2;
     medians_.resize(num_units_);
-    std::vector<float> col(units.rows());
+    order_stats::Select(units, {&mid, 1}, medians_.data());
+    std::vector<float> below(num_units_);
+    order_stats::MaxBelow(units, medians_.data(), below.data());
     for (size_t u = 0; u < num_units_; ++u) {
-      for (size_t r = 0; r < units.rows(); ++r) col[r] = units(r, u);
-      size_t mid = col.size() / 2;
-      std::nth_element(col.begin(), col.begin() + mid, col.end());
-      // Threshold at the midpoint between the median and the largest value
-      // strictly below it: with discrete behaviors (e.g. units emitting only
-      // ±1) thresholding exactly at the median would put every sample on one
-      // side of the strict `>` split.
-      float threshold = col[mid];
-      float below = -std::numeric_limits<float>::infinity();
-      for (size_t r = 0; r < mid; ++r) {
-        if (col[r] < col[mid]) below = std::max(below, col[r]);
+      if (std::isfinite(below[u])) {
+        medians_[u] = (below[u] + medians_[u]) / 2.0f;
       }
-      if (std::isfinite(below)) threshold = (below + threshold) / 2.0f;
-      medians_[u] = threshold;
     }
     thresholds_ready_ = true;
   }

@@ -1,10 +1,11 @@
 // Multivariate mutual information (paper §4.3: "DeepBase also supports ...
 // a multivariate implementation of mutual information"): a joint measure
 // between the discretized joint state of a unit group and the hypothesis
-// class. Each unit is binarized at its first-block median; the group's
-// binary pattern forms the joint state. Groups wider than `max_joint_units`
-// are evenly subsampled (the documented approximation — exact multivariate
-// MI over hundreds of units is both intractable and hopelessly sparse).
+// class. Each unit is binarized at the median of the first non-empty
+// block (order_stats::Select and MaxBelow); the group's binary pattern
+// forms the joint state. Groups wider than `max_joint_units` are evenly
+// subsampled (the documented approximation — exact multivariate MI over
+// hundreds of units is both intractable and hopelessly sparse).
 
 #pragma once
 

@@ -15,6 +15,13 @@
 // tests/oracle/probe_reference.h bit for bit, a merged head must equal its
 // solo model, and a head in the scalar tail its twin in a lane.
 //
+// The order-statistics kernel (measures/order_stats.h) calibrates
+// Jaccard, mutual information and multivariate MI: their thresholds,
+// edges and medians must equal the gather-and-sort loops of
+// tests/oracle/calibration_reference.h as floats, and their scores bit
+// for bit, over ragged row and unit counts, ties, ±0, ±inf and
+// subnormals.
+//
 // The shard-invariance tests run the full engine at num_shards {1, 3, 8}
 // over several passes and require byte-identical serialized tables for
 // the kBitExact moment-sum measures — the pairwise-tree merge contract —
@@ -47,10 +54,14 @@
 #include "measures/independent.h"
 #include "measures/logreg.h"
 #include "measures/mlp_probe.h"
+#include "measures/multivariate_mi.h"
+#include "measures/order_stats.h"
 #include "measures/scores.h"
 #include "nn/lstm.h"
 #include "tensor/simd.h"
+#include "tests/oracle/calibration_reference.h"
 #include "tests/oracle/probe_reference.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -392,6 +403,341 @@ TEST(KernelReferenceTest, PearsonMatchesPlainDoubleLoops) {
             : static_cast<float>(cov / std::sqrt(vx * vy));
     EXPECT_EQ(s.unit_scores[u], expected) << "unit " << u;
   }
+}
+
+// ------------------------------------------------------------------
+// The order-statistics kernel (measures/order_stats.h) calibrates
+// Jaccard's thresholds, MI's unit and numeric-hypothesis edges and
+// multivariate MI's medians, and MI counts its bins from per-edge
+// exceedance counts. Against the gather-and-sort loops and the per-row
+// scatter of tests/oracle/calibration_reference.h, the calibrated values
+// must be equal as floats and every score equal bit for bit. "As floats",
+// because a selected zero may carry the other sign than the sort's: the
+// kernel's keys rank −0 below +0 where the sort calls them equal, and no
+// `x > e` can see the difference. NaN, which a float sort leaves
+// unordered (so the reference sees none), ranks above +inf of either sign.
+// ------------------------------------------------------------------
+
+constexpr size_t kCalRows[] = {1, 2, 3, 17, 6144};
+constexpr size_t kCalUnits[] = {1, 15, 16, 17, 33, 64};
+
+// Column kinds cycle with the unit, so every lane of a panel and the
+// scalar tail see each: normal values; ties (only ±1); a constant column;
+// zeros of both signs among two values; ±inf among normal values;
+// subnormals and zeros of both signs; a few small integers.
+float CalibrationValue(size_t u, Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (u % 7) {
+    case 0:
+      return static_cast<float>(rng->Normal());
+    case 1:
+      return rng->Bernoulli(0.5) ? 1.0f : -1.0f;
+    case 2:
+      return 0.25f;
+    case 3: {
+      const float pick[] = {0.0f, -0.0f, 1.5f, -2.0f};
+      return pick[rng->UniformInt(4)];
+    }
+    case 4: {
+      const uint64_t k = rng->UniformInt(8);
+      return k == 0 ? inf : k == 1 ? -inf : static_cast<float>(rng->Normal());
+    }
+    case 5: {
+      const float v = std::numeric_limits<float>::denorm_min() *
+                      static_cast<float>(rng->UniformInt(5));
+      return rng->Bernoulli(0.5) ? v : -v;
+    }
+    default:
+      return static_cast<float>(rng->UniformInt(4));
+  }
+}
+
+Matrix CalibrationBlock(size_t rows, size_t units, Rng* rng) {
+  Matrix m(rows, units);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t u = 0; u < units; ++u) m(r, u) = CalibrationValue(u, rng);
+  }
+  return m;
+}
+
+// Class labels for num_classes >= 2; otherwise a numeric hypothesis with
+// ties (a third of the rows read 0.5).
+std::vector<float> CalibrationHyp(size_t rows, int num_classes, Rng* rng) {
+  std::vector<float> hyp(rows);
+  for (float& v : hyp) {
+    if (num_classes >= 2) {
+      v = static_cast<float>(
+          rng->UniformInt(static_cast<uint64_t>(num_classes)));
+    } else {
+      v = rng->Bernoulli(0.33) ? 0.5f : static_cast<float>(rng->Normal());
+    }
+  }
+  return hyp;
+}
+
+std::vector<float> ReadFloats(codec::Reader* r) {
+  std::vector<float> v(r->U32());
+  for (float& x : v) x = r->F32();
+  return v;
+}
+
+// The calibrated values each measure serializes, read past the fields
+// that precede them in its state.
+std::vector<float> ThresholdsOf(const JaccardMeasure& m) {
+  codec::Writer w;
+  m.SerializeState(&w);
+  codec::Reader r(w.bytes());
+  r.U8(), r.U32(), r.F64(), r.U8();
+  return ReadFloats(&r);
+}
+
+std::pair<std::vector<float>, std::vector<float>> EdgesOf(
+    const MutualInfoMeasure& m) {
+  codec::Writer w;
+  m.SerializeState(&w);
+  codec::Reader r(w.bytes());
+  r.U8(), r.U32(), r.U32(), r.U32(), r.U8(), r.U8();
+  std::vector<float> unit_edges = ReadFloats(&r);
+  return {std::move(unit_edges), ReadFloats(&r)};
+}
+
+std::vector<float> MediansOf(const MultivariateMiMeasure& m) {
+  codec::Writer w;
+  m.SerializeState(&w);
+  codec::Reader r(w.bytes());
+  r.U8(), r.U32(), r.U32();
+  for (uint32_t j = r.U32(); j > 0; --j) r.U64();
+  r.U8();
+  return ReadFloats(&r);
+}
+
+void ExpectEqualAsFloats(const std::vector<float>& got,
+                         const std::vector<float>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i])
+        << what << " [" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+// The calibration block of `rows` rows, then two ragged blocks counted
+// against the calibrated values, into the measure and its reference.
+// `calibrated` compares the calibrated values after the first block.
+template <typename MeasureT, typename OracleT, typename Calibrated>
+void ExpectMatchesReference(MeasureT* m, OracleT* o, size_t rows,
+                            size_t units, int num_classes,
+                            const Calibrated& calibrated,
+                            const std::string& what) {
+  Rng rng(rows * 131 + units);
+  for (size_t block_rows : {rows, size_t{7}, size_t{33}}) {
+    const Matrix block = CalibrationBlock(block_rows, units, &rng);
+    const std::vector<float> hyp =
+        CalibrationHyp(block_rows, num_classes, &rng);
+    m->ProcessBlock(block, hyp);
+    o->ProcessBlock(block, hyp);
+    if (block_rows == rows) calibrated();
+  }
+  ExpectScoresBitwiseEqual(m->Scores(), o->Scores(), what);
+}
+
+std::string Shape(size_t rows, size_t units) {
+  return "rows=" + std::to_string(rows) + " units=" + std::to_string(units);
+}
+
+TEST(CalibrationKernelTest, SelectEqualsSortedKeysBitwise) {
+  Rng rng(61);
+  for (size_t rows : kCalRows) {
+    for (size_t units : kCalUnits) {
+      const Matrix block = CalibrationBlock(rows, units, &rng);
+      // Nondecreasing, with a repeat: tiles of 4, 3 and 1 ranks.
+      const std::vector<size_t> ranks = {0,        rows / 4, rows / 4,
+                                         rows / 3, rows / 2, (rows * 2) / 3,
+                                         rows - 1, rows - 1};
+      const size_t nr = ranks.size();
+      std::vector<float> got(units * nr);
+      order_stats::Select(block, ranks, got.data());
+      for (size_t u = 0; u < units; ++u) {
+        std::vector<uint32_t> keys(rows);
+        std::vector<float> col(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          keys[r] = order_stats::Key(block(r, u));
+          col[r] = block(r, u);
+        }
+        std::sort(keys.begin(), keys.end());
+        std::sort(col.begin(), col.end());
+        for (size_t i = 0; i < nr; ++i) {
+          const float v = got[u * nr + i];
+          EXPECT_EQ(Bits(v), Bits(order_stats::FromKey(keys[ranks[i]])))
+              << Shape(rows, units) << " unit " << u << " rank " << ranks[i];
+          EXPECT_TRUE(v == col[ranks[i]])
+              << Shape(rows, units) << " unit " << u << " rank " << ranks[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(CalibrationKernelTest, NanOfEitherSignRanksAboveInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float neg_nan = std::copysign(nan, -1.0f);
+  using order_stats::Key;
+  EXPECT_GT(Key(nan), Key(inf));
+  EXPECT_GT(Key(neg_nan), Key(inf));
+  EXPECT_LT(Key(-inf), Key(-std::numeric_limits<float>::max()));
+  EXPECT_LT(Key(-0.0f), Key(0.0f));
+  EXPECT_LT(Key(0.0f), Key(std::numeric_limits<float>::denorm_min()));
+  // 17 units, so 16 in a panel and one in the scalar tail; each column
+  // holds the same five values in a rotated order.
+  const float values[] = {neg_nan, inf, 1.0f, -inf, nan};
+  constexpr size_t kRows = 5, kCols = 17;
+  Matrix block(kRows, kCols);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t u = 0; u < kCols; ++u) block(r, u) = values[(r + u) % kRows];
+  }
+  const std::vector<size_t> ranks = {0, 1, 2, 3, 4};
+  std::vector<float> got(kCols * ranks.size());
+  order_stats::Select(block, ranks, got.data());
+  for (size_t u = 0; u < kCols; ++u) {
+    const float* g = &got[u * ranks.size()];
+    EXPECT_EQ(g[0], -inf) << "unit " << u;
+    EXPECT_EQ(g[1], 1.0f) << "unit " << u;
+    EXPECT_EQ(g[2], inf) << "unit " << u;
+    EXPECT_TRUE(std::isnan(g[3]) && std::isnan(g[4])) << "unit " << u;
+  }
+  // MaxBelow never counts NaN, and finds nothing below −inf.
+  std::vector<float> bound(kCols, inf), below(kCols);
+  order_stats::MaxBelow(block, bound.data(), below.data());
+  for (float b : below) EXPECT_EQ(b, 1.0f);
+  bound.assign(kCols, -inf);
+  order_stats::MaxBelow(block, bound.data(), below.data());
+  for (float b : below) EXPECT_EQ(b, -inf);
+}
+
+TEST(CalibrationKernelTest, JaccardMatchesSortReference) {
+  for (size_t rows : kCalRows) {
+    for (size_t units : kCalUnits) {
+      JaccardMeasure m(units);
+      oracle::Jaccard o(units);
+      ExpectMatchesReference(
+          &m, &o, rows, units, 2,
+          [&] {
+            ExpectEqualAsFloats(ThresholdsOf(m), o.thresholds(),
+                                "thresholds " + Shape(rows, units));
+          },
+          "jaccard " + Shape(rows, units));
+    }
+  }
+}
+
+TEST(CalibrationKernelTest, MultivariateMiMatchesSortReference) {
+  for (size_t rows : kCalRows) {
+    for (size_t units : kCalUnits) {
+      MultivariateMiMeasure m(units, 3);
+      oracle::MultivariateMi o(units, 3);
+      ExpectMatchesReference(
+          &m, &o, rows, units, 3,
+          [&] {
+            ExpectEqualAsFloats(MediansOf(m), o.medians(),
+                                "medians " + Shape(rows, units));
+          },
+          "multivariate_mi " + Shape(rows, units));
+    }
+  }
+}
+
+void ExpectMutualInfoMatches(size_t rows, size_t units, int num_classes,
+                             int num_bins) {
+  const std::string what = Shape(rows, units) +
+                           " classes=" + std::to_string(num_classes) +
+                           " bins=" + std::to_string(num_bins);
+  MutualInfoMeasure m(units, num_classes, num_bins);
+  oracle::MutualInfo o(units, num_classes, num_bins);
+  ExpectMatchesReference(
+      &m, &o, rows, units, num_classes,
+      [&] {
+        const auto [unit_edges, hyp_edges] = EdgesOf(m);
+        ExpectEqualAsFloats(unit_edges, o.edges(), "edges " + what);
+        ExpectEqualAsFloats(hyp_edges, o.hyp_edges(), "hyp edges " + what);
+      },
+      "mutual_info " + what);
+}
+
+TEST(CalibrationKernelTest, MutualInfoMatchesSortReference) {
+  for (size_t rows : kCalRows) {
+    for (size_t units : kCalUnits) ExpectMutualInfoMatches(rows, units, 2, 4);
+  }
+}
+
+TEST(CalibrationKernelTest, MutualInfoBinsAndClassesMatchSortReference) {
+  // Classes 0 is a numeric hypothesis, binned at its own quantile edges.
+  for (int num_bins : {2, 4, 8, 16}) {
+    for (int num_classes : {2, 3, 40, 0}) {
+      for (size_t rows : {size_t{17}, size_t{6144}}) {
+        ExpectMutualInfoMatches(rows, 33, num_classes, num_bins);
+      }
+    }
+  }
+}
+
+// Feeding (empty block, block) must score exactly as (block) alone: an
+// empty block counts nothing and leaves the calibration pending.
+template <typename MeasureT>
+void ExpectEmptyFirstBlockIgnored(const MeasureT& prototype, int classes) {
+  constexpr size_t kCols = 33, kRows = 40;
+  Rng rng(17);
+  const Matrix block = CalibrationBlock(kRows, kCols, &rng);
+  const std::vector<float> hyp = CalibrationHyp(kRows, classes, &rng);
+  const Matrix empty(0, kCols);
+  std::unique_ptr<Measure> after_empty = prototype.CloneState();
+  std::unique_ptr<Measure> alone = prototype.CloneState();
+  after_empty->ProcessBlock(empty, {});
+  after_empty->ProcessBlock(block, hyp);
+  alone->ProcessBlock(block, hyp);
+  ExpectScoresBitwiseEqual(after_empty->Scores(), alone->Scores(),
+                      "empty first block");
+}
+
+TEST(CalibrationKernelTest, EmptyFirstBlockLeavesCalibrationPending) {
+  ExpectEmptyFirstBlockIgnored(JaccardMeasure(33), 2);
+  ExpectEmptyFirstBlockIgnored(MutualInfoMeasure(33, 3), 3);
+  ExpectEmptyFirstBlockIgnored(MutualInfoMeasure(33, 0), 0);
+  ExpectEmptyFirstBlockIgnored(MultivariateMiMeasure(33, 2), 2);
+}
+
+// A hand-built mutual-information state of one unit, two classes and
+// four bins with the given edges.
+std::string MutualInfoState(const std::vector<float>& edges) {
+  codec::Writer w;
+  w.U8(static_cast<uint8_t>(measure_internal::StateKind::kMutualInfo));
+  w.U32(1);  // units
+  w.U32(2);  // classes
+  w.U32(4);  // bins
+  w.U8(0);   // categorical hypothesis
+  w.U8(1);   // edges ready
+  measure_internal::WriteVec(&w, edges);
+  measure_internal::WriteVec(&w, std::vector<float>{});
+  measure_internal::WriteVec(&w, std::vector<size_t>(8, 1));
+  w.U64(8);
+  return w.bytes();
+}
+
+bool DecodesAsMutualInfo(const std::vector<float>& edges) {
+  const std::string bytes = MutualInfoState(edges);
+  codec::Reader r(bytes);
+  MutualInfoMeasure m(1, 2, 4);
+  return m.DeserializeState(&r) && r.exhausted();
+}
+
+TEST(CalibrationKernelTest, MutualInfoStateRejectsEdgesOutOfKeyOrder) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Bins are counted as differences of per-edge exceedance counts, which
+  // wrap unless the edges are nondecreasing with NaN only at the top.
+  EXPECT_TRUE(DecodesAsMutualInfo({-0.5f, 0.5f, 1.0f}));
+  EXPECT_TRUE(DecodesAsMutualInfo({0.5f, 0.5f, nan}));
+  EXPECT_FALSE(DecodesAsMutualInfo({0.5f, -0.5f, 1.0f}));
+  EXPECT_FALSE(DecodesAsMutualInfo({nan, 0.0f, 1.0f}));
 }
 
 // ------------------------------------------------------------------

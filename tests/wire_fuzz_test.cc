@@ -9,7 +9,8 @@
 // values written over every 4- and 8-byte window (where the length fields
 // and counts live). A decode must return an error or a value — no crash,
 // no sanitizer report, and no allocation sized by a length field before
-// the remaining bytes are known to hold it. scripts/check.sh runs this
+// the remaining bytes are known to hold it. A measure state that decodes
+// then takes one more block and scores it. scripts/check.sh runs this
 // suite under ASan+UBSan.
 
 #include <gtest/gtest.h>
@@ -279,7 +280,9 @@ TEST(WireFuzzTest, MergeableMeasureStates) {
     ASSERT_NE(state, nullptr) << factory->name();
     ASSERT_NE(state->merge_exactness(), MergeExactness::kNone)
         << factory->name();
-    for (uint64_t block = 0; block < 2; ++block) {
+    std::vector<Matrix> blocks;
+    std::vector<std::vector<float>> hyps;
+    for (uint64_t block = 0; block < 3; ++block) {
       Matrix units(kRows, kUnits);
       std::vector<float> hyp(kRows);
       for (size_t r = 0; r < kRows; ++r) {
@@ -291,18 +294,32 @@ TEST(WireFuzzTest, MergeableMeasureStates) {
                            static_cast<uint64_t>(num_classes)))
                      : static_cast<float>(rng.Uniform());
       }
+      blocks.push_back(std::move(units));
+      hyps.push_back(std::move(hyp));
+    }
+    for (uint64_t block = 0; block < 2; ++block) {
       state->BeginBlock(block);
-      state->ProcessBlock(units, hyp);
+      state->ProcessBlock(blocks[block], hyps[block]);
     }
     codec::Writer w;
     ASSERT_TRUE(state->SerializeState(&w)) << factory->name();
     const MeasureFactory& f = *factory;
     const int classes = num_classes;
+    // A state that decodes must also take a further block and score: the
+    // decoder may not accept what the block kernels cannot count.
+    const Matrix& next = blocks[2];
+    const std::vector<float>& next_hyp = hyps[2];
     Fuzz(factory->name() + "_state", w.bytes(),
-         [&f, classes](const std::string& bytes) {
+         [&f, classes, &next, &next_hyp](const std::string& bytes) {
            std::unique_ptr<Measure> restored = f.Create(kUnits, classes);
            codec::Reader r(bytes);
-           return restored->DeserializeState(&r) && r.exhausted();
+           if (!restored->DeserializeState(&r) || !r.exhausted()) {
+             return false;
+           }
+           restored->BeginBlock(2);
+           restored->ProcessBlock(next, next_hyp);
+           (void)restored->Scores();
+           return true;
          });
   }
 }
