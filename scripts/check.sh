@@ -93,11 +93,13 @@ if ! awk -v owners="($SHARD_OWNERS)\\(" '
        "PipelinePlan::num_shards, instead."
   exit 1
 fi
-LANE_RULES='Sliceable|NeedsSequentialLane|FusesIntoComposite|PairMergeExactness|PlannedBlockDispatches'
+LANE_RULES='Sliceable|NeedsSequentialLane|FusesIntoComposite|PairMergeExactness|PlannedBlockDispatches|CalibrationLeaders'
 if grep -nwE "$LANE_RULES" $(echo "$SRC_FILES" | grep -v '^src/core/block_pipeline\.cc$'); then
   echo "lint: the lines above name a lane rule outside PlanPipeline" \
        "(core/block_pipeline.cc). Read the job's PipelinePlan (pairs," \
-       "composites, sequential_lane, sliceable, blocks_planned) instead."
+       "composites, sequential_lane, sliceable, blocks_planned) instead;" \
+       "the calibration wave's leader rule (CalibrationLeaders) stays in" \
+       "BlockPipeline's constructor."
   exit 1
 fi
 
@@ -234,6 +236,53 @@ if ! awk '
        "The order-statistics kernel owns per-unit order statistics:" \
        "order_stats::Select and order_stats::MaxBelow" \
        "(src/measures/order_stats.h)."
+  exit 1
+fi
+
+# One calibration per job and key. A job's pairs over one unit group
+# share block 0's calibration when their measure declares that it reads
+# only the units (Measure::calibration_reads_units_only). So every measure
+# class that calibrates through order_stats::Select or
+# order_stats::MaxBelow decides it: it overrides the capability, with
+# either value, in its class body or as a Class::
+# calibration_reads_units_only definition. A call is the class's when it
+# sits in a Class::Method definition (a column-0 line) or in a class body.
+if ! awk '
+      FNR == 1 { fn_class = ""; body_class = "" }
+      { code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /^class [A-Za-z_]/ {
+        body_class = code; sub(/^class /, "", body_class)
+        sub(/[^A-Za-z0-9_].*/, "", body_class)
+      }
+      code ~ /^};/ { body_class = "" }
+      code ~ /^[A-Za-z_].*\(/ {
+        fn_class = ""
+        if (match(code, /[A-Za-z_][A-Za-z0-9_]*::[A-Za-z_~][A-Za-z0-9_]*\(/)) {
+          fn_class = substr(code, RSTART, RLENGTH); sub(/::.*/, "", fn_class)
+        }
+      }
+      code ~ /calibration_reads_units_only\(/ {
+        if (body_class != "") decides[body_class] = 1
+        if (match(code, /[A-Za-z_][A-Za-z0-9_]*::calibration_reads_units_only\(/)) {
+          c = substr(code, RSTART, RLENGTH); sub(/::.*/, "", c); decides[c] = 1
+        }
+      }
+      FILENAME !~ /order_stats\.(h|cc)$/ &&
+      code ~ /order_stats::(Select|MaxBelow)\(/ {
+        c = body_class != "" ? body_class : fn_class
+        calls[++n] = c; where[n] = FILENAME ":" FNR ": " $0
+      }
+      END {
+        for (i = 1; i <= n; ++i) {
+          if (!(calls[i] in decides)) { print where[i]; bad = 1 }
+        }
+        exit bad
+      }' src/measures/*.h src/measures/*.cc; then
+  echo "lint: the lines above calibrate a measure through the" \
+       "order-statistics kernel, and its class does not decide whether" \
+       "that calibration may be shared. Override" \
+       "Measure::calibration_reads_units_only (true only when the" \
+       "calibration reads the units alone; src/measures/measure.h)."
   exit 1
 fi
 

@@ -759,11 +759,26 @@ std::string HypothesisBehaviorKey(const std::string& set_name,
   return HypothesisBehaviorKey(set_name, DatasetFingerprint(dataset));
 }
 
-std::mutex* BehaviorStore::MaterializeLockFor(const std::string& key) {
+BehaviorStore::MaterializeGuard::MaterializeGuard(BehaviorStore* store,
+                                                  const std::string& key)
+    : store_(store) {
+  {
+    std::lock_guard<std::mutex> lock(store_->materialize_mu_);
+    slot_ = store_->materialize_locks_.try_emplace(key).first;
+    ++slot_->second.holders;
+  }
+  slot_->second.mu.lock();
+}
+
+BehaviorStore::MaterializeGuard::~MaterializeGuard() {
+  slot_->second.mu.unlock();
+  std::lock_guard<std::mutex> lock(store_->materialize_mu_);
+  if (--slot_->second.holders == 0) store_->materialize_locks_.erase(slot_);
+}
+
+size_t BehaviorStore::materialize_slots() const {
   std::lock_guard<std::mutex> lock(materialize_mu_);
-  std::unique_ptr<std::mutex>& slot = materialize_locks_[key];
-  if (slot == nullptr) slot = std::make_unique<std::mutex>();
-  return slot.get();
+  return materialize_locks_.size();
 }
 
 Result<std::string> BehaviorStore::EnsureUnitBehaviors(
@@ -779,7 +794,7 @@ Result<std::string> BehaviorStore::EnsureUnitBehaviors(
   if (materialized_now != nullptr) *materialized_now = false;
   const std::string key =
       UnitBehaviorKey(extractor.model_id(), dataset_fingerprint);
-  std::lock_guard<std::mutex> materialize_lock(*MaterializeLockFor(key));
+  const MaterializeGuard materialize_lock(this, key);
   if (Contains(key)) return key;
   std::vector<int> unit_ids(extractor.num_units());
   for (size_t u = 0; u < unit_ids.size(); ++u) {
@@ -811,7 +826,7 @@ Result<std::string> BehaviorStore::EnsureHypothesisBehaviors(
   if (materialized_now != nullptr) *materialized_now = false;
   const std::string key =
       HypothesisBehaviorKey(hyp.name(), dataset_fingerprint);
-  std::lock_guard<std::mutex> materialize_lock(*MaterializeLockFor(key));
+  const MaterializeGuard materialize_lock(this, key);
   if (Contains(key)) return key;
   const size_t ns = dataset.ns();
   if (memory_only()) {

@@ -169,6 +169,10 @@ class BehaviorStore {
   /// miss, so one bad file costs one recompute instead of a permanent
   /// kDataLoss).
   size_t quarantines() const;
+  /// \brief Keys with an Ensure*Behaviors call in flight: each holds one
+  /// per-key materialization lock, which its last caller frees (0 when
+  /// idle, however many keys were ever materialized).
+  size_t materialize_slots() const;
 
   /// \brief Ensure `extractor`'s full unit behaviors over `dataset`, whose
   /// DatasetFingerprint is `dataset_fingerprint`, are stored (extracting
@@ -230,7 +234,24 @@ class BehaviorStore {
   /// fits the global budget. Cost-aware: among the least-recent
   /// candidates, the lowest cost-per-byte entry goes first.
   void EnforceBudgetLocked();
-  std::mutex* MaterializeLockFor(const std::string& key);
+  struct MaterializeSlot {
+    std::mutex mu;
+    size_t holders = 0;  // calls holding or waiting for mu
+  };
+  /// The per-key materialization lock of one Ensure*Behaviors call, held
+  /// for the guard's life. A key's slot counts the calls that hold or wait
+  /// for its lock, and the last of them erases it.
+  class MaterializeGuard {
+   public:
+    MaterializeGuard(BehaviorStore* store, const std::string& key);
+    ~MaterializeGuard();
+    MaterializeGuard(const MaterializeGuard&) = delete;
+    MaterializeGuard& operator=(const MaterializeGuard&) = delete;
+
+   private:
+    BehaviorStore* store_;
+    std::map<std::string, MaterializeSlot>::iterator slot_;
+  };
   /// Build the per-namespace blob manifest (one directory scan, oldest
   /// file first) on first blob operation.
   void EnsureBlobManifestLocked() const;
@@ -246,10 +267,12 @@ class BehaviorStore {
 
   // Per-key locks so EnsureUnitBehaviors extracts each (model, dataset)
   // at most once without serializing unrelated materializations against
-  // each other. materialize_mu_ only guards the lock map and is ordered
-  // before mu_ (a key lock is held across Contains/Put, which take mu_).
-  std::mutex materialize_mu_;
-  std::map<std::string, std::unique_ptr<std::mutex>> materialize_locks_;
+  // each other; a slot lives only while some call holds or waits for it
+  // (MaterializeGuard). materialize_mu_ only guards the slot map and is
+  // ordered before mu_ (a key lock is held across Contains/Put, which
+  // take mu_).
+  mutable std::mutex materialize_mu_;
+  std::map<std::string, MaterializeSlot> materialize_locks_;
   mutable std::mutex mu_;
   size_t memory_bytes_ = 0;
   std::map<std::string, size_t> namespace_bytes_;

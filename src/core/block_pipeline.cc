@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "core/behavior_store.h"
@@ -42,6 +44,27 @@ MergeExactness PairMergeExactness(const MeasureFactory& factory,
   const std::unique_ptr<Measure> probe =
       factory.Create(1, hypothesis.num_classes());
   return probe == nullptr ? MergeExactness::kNone : probe->merge_exactness();
+}
+
+// The calibration wave's leader rule: a pair whose measure calibrates from
+// the units alone adopts the calibration of the first pair with its
+// (model, group, measure, class count); every other pair is its own
+// leader. Returns each pair's leader index.
+std::vector<size_t> CalibrationLeaders(
+    const std::vector<PipelinePair>& pairs,
+    const std::vector<HypothesisPtr>& hypotheses) {
+  std::map<std::tuple<size_t, size_t, size_t, int>, size_t> leader_of;
+  std::vector<size_t> leaders(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const PipelinePair& pair = pairs[i];
+    leaders[i] = i;
+    if (pair.measure->calibration_reads_units_only()) {
+      const auto key = std::make_tuple(pair.model_i, pair.group_i, pair.score_i,
+                                       hypotheses[pair.hyp_i]->num_classes());
+      leaders[i] = leader_of.emplace(key, i).first->second;
+    }
+  }
+  return leaders;
 }
 
 // Block dispatches of a full run over `num_records` records.
@@ -226,6 +249,20 @@ BlockPipeline::BlockPipeline(const PipelinePlan& plan,
   }
 
   seq_lane_ = num_shards_ == 1 ? 0 : num_shards_;
+
+  // --- The calibration wave's deal: each round (the pairs that calibrate,
+  // then those that adopt) deals its shardable primaries over the shard
+  // lanes in pair order; sequential pairs stay on the sequential lane.
+  const std::vector<size_t> leaders = CalibrationLeaders(pairs_, hypotheses_);
+  size_t dealt[2] = {0, 0};
+  for (size_t i = 0; i < pairs_.size(); ++i) {
+    PipelinePair& pair = pairs_[i];
+    pair.calibration_leader = leaders[i];
+    size_t& next = dealt[leaders[i] == i ? 0 : 1];
+    pair.calibration_lane =
+        pair.shard_lane ? next++ % num_shards_ : seq_lane_;
+  }
+
   warned_bad_size_ =
       std::make_unique<std::atomic<bool>[]>(hypotheses_.size());
 
@@ -460,23 +497,32 @@ std::span<const float> BlockPipeline::HypSpan(const BlockData& data,
   return {data.hyp_cols.row_data(h), data.hyp_cols.cols()};
 }
 
+void BlockPipeline::InspectPair(PipelinePair& pair, size_t shard,
+                                const BlockData& data, LaneScratch* scratch) {
+  Measure* measure = (shard == 0 || pair.replicas.empty())
+                         ? pair.measure.get()
+                         : pair.replicas[shard].get();
+  const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i, scratch);
+  // The serial is shard-count-invariant (shuffle position), so the
+  // (occurrence, serial) keys a kBitExact measure derives from it are
+  // identical no matter which lane or worker consumed the block.
+  measure->BeginBlock(data.serial);
+  measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
+  if (options_.early_stopping && measure->SupportsConvergence() &&
+      measure->ErrorEstimate() < pair.epsilon) {
+    if (pair.shard_lane) {
+      pair.shard_converged[shard] = 1;
+    } else {
+      pair.converged = true;
+    }
+  }
+}
+
 void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
                                       LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (!pair.shard_lane || pair.shard_converged[shard]) continue;
-    Measure* measure = (shard == 0 || pair.replicas.empty())
-                           ? pair.measure.get()
-                           : pair.replicas[shard].get();
-    const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i,
-                                      scratch);
-    // The serial is shard-count-invariant (shuffle position), so the
-    // (occurrence, serial) keys a kBitExact measure derives from it are
-    // identical no matter which lane or worker consumed the block.
-    measure->BeginBlock(data.serial);
-    measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
-    if (options_.early_stopping && measure->SupportsConvergence() &&
-        measure->ErrorEstimate() < pair.epsilon) {
-      pair.shard_converged[shard] = 1;
+    if (pair.shard_lane && !pair.shard_converged[shard]) {
+      InspectPair(pair, shard, data, scratch);
     }
   }
 }
@@ -484,16 +530,15 @@ void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
 void BlockPipeline::InspectSequentialBlock(const BlockData& data,
                                            LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (pair.shard_lane || pair.converged) continue;
-    const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i,
-                                      scratch);
-    pair.measure->BeginBlock(data.serial);
-    pair.measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
-    if (options_.early_stopping && pair.measure->SupportsConvergence() &&
-        pair.measure->ErrorEstimate() < pair.epsilon) {
-      pair.converged = true;
+    if (!pair.shard_lane && !pair.converged) {
+      InspectPair(pair, 0, data, scratch);
     }
   }
+  InspectComposites(data, scratch);
+}
+
+void BlockPipeline::InspectComposites(const BlockData& data,
+                                      LaneScratch* scratch) {
   for (auto& ms : merged_) {
     if (ms.all_converged) continue;
     const Matrix& units = GroupMatrix(data, ms.model_i, ms.group_i, scratch);
@@ -606,13 +651,31 @@ void BlockPipeline::Extract(const std::vector<std::vector<size_t>>& idx,
   }
 }
 
-void BlockPipeline::InspectOnLane(size_t lane, size_t block,
-                                  BlockData* data) {
+void BlockPipeline::InspectOnLane(size_t lane, size_t block, BlockData* data,
+                                  Round round) {
   Lane& state = lanes_[lane];
   Stopwatch watch;
-  if (lane == ShardOf(block)) InspectShardBlock(*data, lane, &state.scratch);
-  if (lane == seq_lane_) InspectSequentialBlock(*data, &state.scratch);
+  if (round == Round::kEveryPair) {
+    if (lane == ShardOf(block)) InspectShardBlock(*data, lane, &state.scratch);
+    if (lane == seq_lane_) InspectSequentialBlock(*data, &state.scratch);
+  } else {
+    // The calibration wave feeds each pair's primary on its dealt lane.
+    for (size_t i = 0; i < pairs_.size(); ++i) {
+      PipelinePair& pair = pairs_[i];
+      if (pair.calibration_lane == lane &&
+          (pair.calibration_leader != i) == (round == Round::kAdopt)) {
+        InspectPair(pair, 0, *data, &state.scratch);
+      }
+    }
+    if (lane == seq_lane_ && round == Round::kCalibrate) {
+      InspectComposites(*data, &state.scratch);
+    }
+  }
   state.stats.inspection_s += watch.Seconds();
+  // A lane dealt pairs of another shard's block books only its seconds.
+  if (round == Round::kAdopt || (lane != ShardOf(block) && lane != seq_lane_)) {
+    return;
+  }
   state.stats.blocks_processed += 1;
   state.stats.records_processed += data->records;
   if (!OwnsShard(ShardOf(block)) ||
@@ -628,7 +691,12 @@ void BlockPipeline::InspectOnLane(size_t lane, size_t block,
 }
 
 void BlockPipeline::RunLane(size_t lane, const Wave& wave,
-                            const Stopwatch& watch) {
+                            const Stopwatch& watch, Round round) {
+  if (round != Round::kEveryPair) {
+    // The calibration wave: block 0 alone, checked once before the wave.
+    InspectOnLane(lane, wave.first, &wave.blocks[0], round);
+    return;
+  }
   const bool seq = lane == seq_lane_;
   for (size_t i = 0; i < wave.size; ++i) {
     const size_t block = wave.first + i;
@@ -639,7 +707,7 @@ void BlockPipeline::RunLane(size_t lane, const Wave& wave,
     }
     if (OverBudget(watch) || CancelRequested()) return;
     if (wave.blocks[i].rows == 0) continue;  // not extracted here
-    InspectOnLane(lane, block, &wave.blocks[i]);
+    InspectOnLane(lane, block, &wave.blocks[i], round);
   }
 }
 
@@ -649,22 +717,44 @@ void BlockPipeline::RunWave(const Wave& wave, const Stopwatch& watch,
     wave.blocks[i].counted.store(false, std::memory_order_relaxed);
   }
   // Block 0 of pass 0 calibrates the primaries every replica is cloned
-  // from, so in slice mode shard 0's lane runs it on every worker.
+  // from, so in slice mode every worker runs it, on all its lanes.
   const bool calibration = wave.pass == 0 && wave.first == 0;
-  ParallelDo(lanes_.size(), [&](size_t lane) {
-    if (lane < num_shards_ && !OwnsShard(lane) && !calibration) return;
-    // Each lane carries a private TraceContext (the shared Tracer's ring
-    // is internally locked) so lane spans parent to the pipeline caller
-    // without racing on a shared parent cursor.
-    TraceContext trace{lane_spans ? options_.tracer : nullptr,
-                       options_.trace_parent_span};
-    DB_SPAN_NAMED(lane_span, trace,
-                  lane < num_shards_ ? "pipeline.lane" : "pipeline.seq_lane");
-    if (lane < num_shards_) {
-      lane_span.Tag("shard", static_cast<uint64_t>(lane));
-    }
-    RunLane(lane, wave, watch);
-  });
+  auto run_lanes = [&](Round round) {
+    ParallelDo(lanes_.size(), [&](size_t lane) {
+      if (lane < num_shards_ && !OwnsShard(lane) && !calibration) return;
+      // Each lane carries a private TraceContext (the shared Tracer's ring
+      // is internally locked) so lane spans parent to the pipeline caller
+      // without racing on a shared parent cursor.
+      TraceContext trace{lane_spans ? options_.tracer : nullptr,
+                         options_.trace_parent_span};
+      DB_SPAN_NAMED(lane_span, trace,
+                    lane < num_shards_ ? "pipeline.lane" : "pipeline.seq_lane");
+      if (lane < num_shards_) {
+        lane_span.Tag("shard", static_cast<uint64_t>(lane));
+      }
+      RunLane(lane, wave, watch, round);
+    });
+  };
+  if (!calibration) {
+    run_lanes(Round::kEveryPair);
+    return;
+  }
+  // Block 0 is atomic: one budget, deadline and cancel check for both
+  // rounds, so every pair consumes it or none does.
+  if (wave.blocks[0].rows == 0 || OverBudget(watch) || CancelRequested()) {
+    return;
+  }
+  run_lanes(Round::kCalibrate);
+  // Adopt before any lane reads an adopter's state.
+  bool adopters = false;
+  for (size_t i = 0; i < pairs_.size(); ++i) {
+    PipelinePair& pair = pairs_[i];
+    if (pair.calibration_leader == i) continue;
+    pair.measure = pairs_[pair.calibration_leader].measure->CloneState();
+    DB_DCHECK(pair.measure != nullptr);
+    adopters = true;
+  }
+  if (adopters) run_lanes(Round::kAdopt);
 }
 
 BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {

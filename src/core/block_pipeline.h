@@ -16,8 +16,7 @@
 //
 // One loop with two inputs: materialized or streaming
 // (InspectOptions::streaming), and the owned shard set (every shard, or
-// the range RestrictShards sets). Each pass opens with block 0 alone — on
-// pass 0 it calibrates the primaries before the replicas are cloned —
+// the range RestrictShards sets). Each pass opens with block 0 alone,
 // followed by waves: when materialized, one wave of every other block
 // (extracted once, in parallel, and reused by later passes); when
 // streaming, waves of at most S blocks freshly extracted with seed
@@ -27,10 +26,25 @@
 //                     every block, in order
 // At S == 1 there is one lane, and it is also the sequential lane.
 //
+// The calibration wave: block 0 of pass 0 calibrates the primaries before
+// the replicas are cloned. A measure whose calibration reads only the
+// units (Measure::calibration_reads_units_only) calibrates once per
+// (model, group, measure, class count): the first such pair calibrates,
+// and every later pair with that key starts from the leader's
+// CloneState(), the state its own calibration would reach. The wave runs
+// in two rounds, the pairs that calibrate and then those that adopt; each
+// round deals its shardable primaries over every shard lane, and the
+// sequential pairs and composites stay on the sequential lane. Block 0 is
+// atomic: the budget, deadline and cancel checks run once before the
+// wave, so either every pair consumes it or none does.
+//
 // Block accounting: a block counts once per pass, on the first lane that
 // inspects it, and in slice mode only on the owner of its shard (block 0
 // belongs to shard 0). Live progress ticks by the same rule, so a finished
-// run's progress equals its blocks_processed.
+// run's progress equals its blocks_processed. A lane's blocks_processed
+// counts the blocks of its own shard (and, on the sequential lane, every
+// block): a shard lane dealt pairs of the calibration wave books only the
+// seconds, since block 0 is shard 0's.
 
 #pragma once
 
@@ -133,6 +147,11 @@ struct PipelinePair : PlannedPair {
   /// Per-shard convergence flags of a shard-lane pair (bytes, not
   /// vector<bool>: shards write their own element concurrently).
   std::vector<unsigned char> shard_converged;
+  /// The calibration wave: the lane that feeds the primary block 0, and
+  /// the index in BlockPipeline::pairs() of the pair whose calibration it
+  /// adopts (its own index when it calibrates itself).
+  size_t calibration_lane = 0;
+  size_t calibration_leader = 0;
 
   bool FullyConverged() const {
     if (!shard_lane) return converged;
@@ -301,14 +320,24 @@ class BlockPipeline {
                             LaneScratch* scratch);
   std::span<const float> HypSpan(const BlockData& data, size_t h) const;
 
-  /// Feed one block to a shardable pair's shard-`s` replica (s == 0 is the
-  /// primary, which stands in for every shard until EnsureReplicas()).
+  /// The pairs a lane feeds a block to: outside the calibration wave every
+  /// pair of the lane (kEveryPair), in it the pairs dealt to the lane that
+  /// calibrate (kCalibrate) or, once they have, those that adopt (kAdopt).
+  enum class Round { kEveryPair, kCalibrate, kAdopt };
+
+  /// Feed one block to `pair`'s shard-`shard` state (shard 0 is the
+  /// primary, which stands in for every shard until EnsureReplicas(); a
+  /// sequential pair has only the primary) and note its convergence.
+  void InspectPair(PipelinePair& pair, size_t shard, const BlockData& data,
+                   LaneScratch* scratch);
+  /// Feed one block to the shardable pairs' shard-`shard` states.
   /// Respects early stopping.
   void InspectShardBlock(const BlockData& data, size_t shard,
                          LaneScratch* scratch);
   /// Feed one block to the sequential-lane states (unshardable pairs and
   /// merged measures).
   void InspectSequentialBlock(const BlockData& data, LaneScratch* scratch);
+  void InspectComposites(const BlockData& data, LaneScratch* scratch);
   bool SequentialLaneConverged() const;
   bool ShardLaneConverged(size_t shard) const;
 
@@ -316,14 +345,18 @@ class BlockPipeline {
   size_t ShardOf(size_t block) const {
     return block == 0 ? 0 : (block - 1) % num_shards_;
   }
-  /// Run every lane over `wave` in parallel; `lane_spans` records one
-  /// pipeline.lane / pipeline.seq_lane span per lane.
+  /// Run every lane over `wave` in parallel (the calibration wave in its
+  /// two rounds); `lane_spans` records one pipeline.lane /
+  /// pipeline.seq_lane span per lane.
   void RunWave(const Wave& wave, const Stopwatch& watch, bool lane_spans);
-  void RunLane(size_t lane, const Wave& wave, const Stopwatch& watch);
-  /// Inspect block `block` on `lane` and book it: the lane's seconds,
-  /// blocks and records, and — for the first lane to inspect it this pass,
-  /// if the block's shard is owned — the run's count and progress tick.
-  void InspectOnLane(size_t lane, size_t block, BlockData* data);
+  void RunLane(size_t lane, const Wave& wave, const Stopwatch& watch,
+               Round round);
+  /// Inspect block `block` on `lane` in `round` and book it: the lane's
+  /// seconds; if the block is the lane's (its shard's, or any block on
+  /// the sequential lane), once per pass, the lane's blocks and records;
+  /// and — for the first lane to inspect it this pass, if the block's
+  /// shard is owned — the run's count and progress tick.
+  void InspectOnLane(size_t lane, size_t block, BlockData* data, Round round);
 
   void EnsureReplicas();
   void MergeReplicas();

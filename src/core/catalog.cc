@@ -8,6 +8,7 @@
 #include "core/inspect_parser.h"
 #include "measures/scores.h"
 #include "util/fnv.h"
+#include "util/logging.h"
 
 namespace deepbase {
 
@@ -321,7 +322,7 @@ void HashOptions(const InspectOptions& o, uint64_t* h) {
 }  // namespace
 
 std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, uint64_t dataset_fingerprint,
+    const InspectRequest& request, const InspectPlan& compiled,
     const InspectOptions& options) {
   // Cacheable requests are fully name-resolved: inline extractor,
   // hypothesis, or measure objects have no stable identity to key on.
@@ -332,11 +333,18 @@ std::optional<uint64_t> InspectRequestFingerprint(
   if (!request.hypotheses.empty()) return std::nullopt;
   if (!request.measures.empty()) return std::nullopt;
 
+  DB_DCHECK(compiled.models.size() == request.models.size());
+
   uint64_t h = kFnvOffsetBasis;
   // A result an older extraction kernel computed is never served.
   HashPod(kExtractionKernelVersion, &h);
-  for (const InspectRequest::ModelRef& ref : request.models) {
+  for (size_t m = 0; m < request.models.size(); ++m) {
+    const InspectRequest::ModelRef& ref = request.models[m];
     HashStr(ref.name, &h);
+    // The extractor's model id, as the unit tier keys it: a model
+    // re-registered under its name with a fresh id is never served the
+    // old model's results.
+    HashStr(compiled.models[m].extractor->model_id(), &h);
     HashPod(ref.group_by_layer, &h);
     for (const UnitGroupSpec& group : ref.groups) {
       HashStr(group.group_id, &h);
@@ -347,7 +355,7 @@ std::optional<uint64_t> InspectRequestFingerprint(
   for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
   HashStr("|filter", &h);
   for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
-  HashPod(dataset_fingerprint, &h);
+  HashPod(compiled.dataset_fingerprint, &h);
   HashStr("|measures", &h);
   for (const std::string& name : request.measure_names) HashStr(name, &h);
   const bool has_min = request.min_abs_unit_score.has_value();
@@ -362,8 +370,7 @@ std::optional<uint64_t> InspectRequestFingerprint(
     const InspectOptions& options) {
   Result<InspectPlan> plan = catalog.Compile(request, options);
   if (!plan.ok()) return std::nullopt;
-  return InspectRequestFingerprint(request, plan->dataset_fingerprint,
-                                   options);
+  return InspectRequestFingerprint(request, *plan, options);
 }
 
 Status CheckHypothesisOutputFormat(const InspectPlan& plan) {

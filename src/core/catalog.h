@@ -173,14 +173,15 @@ class Catalog {
 };
 
 /// \brief Result-cache and dedup key of a fully catalog-resolved request:
-/// its names, the resolved dataset fingerprint, the extraction kernel
-/// version and the score-affecting option values; nullopt for inline
-/// extractor/hypothesis/measure objects.
+/// its names, the model ids of the extractors they resolved to and the
+/// dataset fingerprint (both from `compiled`, the request's compiled
+/// plan), the extraction kernel version and the score-affecting option
+/// values; nullopt for inline extractor/hypothesis/measure objects.
 std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, uint64_t dataset_fingerprint,
+    const InspectRequest& request, const InspectPlan& compiled,
     const InspectOptions& options);
-/// \brief The same, taking the dataset fingerprint from compiling
-/// `request` against `catalog`; nullopt when it does not compile.
+/// \brief The same, compiling `request` against `catalog`; nullopt when
+/// it does not compile.
 std::optional<uint64_t> InspectRequestFingerprint(
     const InspectRequest& request, const Catalog& catalog,
     const InspectOptions& options);

@@ -153,7 +153,8 @@ class DiffMeansMeasure : public Measure {
 /// activation quantile of the first non-empty block (NetDissect's quantile
 /// binning; order_stats::Select). CloneState() copies the calibrated
 /// thresholds, so shard replicas binarize identically and MergeFrom is
-/// exact (integer counters).
+/// exact (integer counters). The thresholds read only the units, so a
+/// job's pairs over one unit group share one calibration.
 class JaccardMeasure : public Measure {
  public:
   JaccardMeasure(size_t num_units, double top_quantile = 0.2);
@@ -166,6 +167,7 @@ class JaccardMeasure : public Measure {
     return MergeExactness::kExact;
   }
   std::unique_ptr<Measure> CloneState() const override;
+  bool calibration_reads_units_only() const override { return true; }
   void MergeFrom(const Measure& other) override;
   bool SerializeState(codec::Writer* w) const override;
   bool DeserializeState(codec::Reader* r) override;
@@ -186,7 +188,9 @@ class JaccardMeasure : public Measure {
 /// above the edge and takes each bin's count as the difference of two
 /// such counts. The error estimate is the Miller–Madow bias term.
 /// CloneState() copies the calibrated bin edges; MergeFrom sums the integer
-/// contingency counts, so sharded partials merge exactly.
+/// contingency counts, so sharded partials merge exactly. A categorical
+/// hypothesis's calibration reads only the units; a numeric one also
+/// calibrates its own hypothesis edges, so it cannot share a calibration.
 class MutualInfoMeasure : public Measure {
  public:
   MutualInfoMeasure(size_t num_units, int num_classes, int num_bins = 4);
@@ -199,6 +203,7 @@ class MutualInfoMeasure : public Measure {
     return MergeExactness::kExact;
   }
   std::unique_ptr<Measure> CloneState() const override;
+  bool calibration_reads_units_only() const override { return !hyp_numeric_; }
   void MergeFrom(const Measure& other) override;
   bool SerializeState(codec::Writer* w) const override;
   bool DeserializeState(codec::Reader* r) override;

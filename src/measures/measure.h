@@ -162,6 +162,18 @@ class Measure {
   /// Returns nullptr when merging is unsupported (merge_exactness kNone).
   virtual std::unique_ptr<Measure> CloneState() const { return nullptr; }
 
+  /// \brief True when the first-block calibration reads only the units,
+  /// never the hypothesis behaviors: then a state that has consumed a block
+  /// has, through CloneState(), exactly the calibration that a fresh state
+  /// of the same factory, unit count and class count reaches on that block
+  /// for any other hypothesis. The engine relies on it to calibrate once
+  /// per (model, unit group, measure, class count) on a job's first block:
+  /// the first such pair calibrates, and every later one starts from its
+  /// CloneState() before it consumes the same block, so its scores are the
+  /// ones its own calibration would give. Requires CloneState() support.
+  /// False by default: the engine then calibrates every pair on its own.
+  virtual bool calibration_reads_units_only() const { return false; }
+
   /// \brief Fold another replica's accumulated state into this one. `other`
   /// must originate from CloneState() of the same measure (checked). Merge
   /// order is deterministic in the engine (ascending shard id), so results

@@ -32,6 +32,8 @@ class MultivariateMiMeasure : public Measure {
     return MergeExactness::kExact;
   }
   std::unique_ptr<Measure> CloneState() const override;
+  /// The medians read only the units.
+  bool calibration_reads_units_only() const override { return true; }
   void MergeFrom(const Measure& other) override;
   bool SerializeState(codec::Writer* w) const override;
   bool DeserializeState(codec::Reader* r) override;

@@ -54,7 +54,7 @@ struct SessionConfig {
   /// behaviors from memory/disk instead of re-running the model (§6.3).
   /// Store entries are keyed by (model_id, dataset fingerprint): register
   /// a retrained model under a fresh id (e.g. "lm@epoch6") so its stale
-  /// behaviors are never served.
+  /// behaviors, and the results computed from them, are never served.
   std::string store_dir;
   size_t store_memory_budget_bytes = 64ull << 20;
   /// Per-namespace memory-tier quotas for the store ("unit:" and "hyp:"
@@ -93,11 +93,14 @@ struct SessionConfig {
   /// dataset fingerprint), so a restarted session answers repeat queries
   /// with zero engine work. Requires store_dir; entries are revalidated
   /// against the current catalog version at load time, and stale versions
-  /// are purged when the catalog mutates. Caveat: across restarts,
-  /// hypothesis/model *names* are their identity (functions and weights
-  /// cannot be content-fingerprinted — the store tiers' existing
-  /// contract); register changed definitions under fresh names or
-  /// disable this flag when definitions churn under fixed names.
+  /// are purged when the catalog mutates. A model is identified by its
+  /// name and its extractor's model id (as the unit tier keys it), so a
+  /// retrained model registered under its old name with a fresh id misses.
+  /// Caveat: across restarts, hypothesis and measure *names* are their
+  /// identity, and so is a model id (functions and weights cannot be
+  /// content-fingerprinted — the store tiers' existing contract); register
+  /// changed definitions under fresh names or ids, or disable this flag
+  /// when definitions churn under fixed ones.
   bool persist_result_cache = true;
   /// On-disk byte quota for the "cache:" blob namespace (0 = unlimited).
   size_t result_cache_disk_quota_bytes = 32ull << 20;

@@ -727,8 +727,8 @@ std::shared_ptr<const JobPlan> Scheduler::PlanJob(
   // sweeps shard-count-invariant, so only early-stopping requests hash
   // the pinned shard count (see HashOptions in core/catalog.cc).
   if (config.enable_result_cache || config.enable_inflight_dedup) {
-    plan->fingerprint = InspectRequestFingerprint(
-        plan->request, plan->compiled.dataset_fingerprint, options);
+    plan->fingerprint =
+        InspectRequestFingerprint(plan->request, plan->compiled, options);
   }
   plan->cacheable = plan->fingerprint.has_value() && config.enable_result_cache;
   plan->dedupable = plan->fingerprint.has_value() &&

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "measures/scores.h"
@@ -272,6 +275,54 @@ TEST_F(StoreFixture, EnsureHypothesisBehaviorsMaterializesOnce) {
   ASSERT_TRUE(store.EnsureHypothesisBehaviors(*hyp, ds, &materialized).ok());
   EXPECT_FALSE(materialized);
   EXPECT_EQ(store.bytes_written(), written);
+}
+
+// Each Ensure*Behaviors call holds its key's materialization lock, and the
+// last caller of a key frees it: keys that are no longer in flight leave
+// no lock behind, however many a session materialized.
+TEST_F(StoreFixture, MaterializeLocksAreFreedByTheirLastCaller) {
+  Dataset ds(Vocab::FromChars("ab"), 4);
+  ds.AddText("abab");
+  ds.AddText("bbaa");
+  LstmLm model(ds.vocab().size(), 4, 1, 5);
+  BehaviorStore store(dir_.string());
+  for (int i = 0; i < 24; ++i) {
+    const auto hyp = std::make_shared<FunctionHypothesis>(
+        "h" + std::to_string(i),
+        [](const Record& rec) { return std::vector<float>(rec.size(), 1); });
+    ASSERT_TRUE(store.EnsureHypothesisBehaviors(*hyp, ds).ok());
+    // A model re-registered under a fresh id: a new unit-tier key.
+    const LstmLmExtractor extractor("lm@" + std::to_string(i), &model);
+    ASSERT_TRUE(store.EnsureUnitBehaviors(extractor, ds).ok());
+  }
+  EXPECT_EQ(store.materialize_slots(), 0u);
+}
+
+// Callers that race on one key still materialize it once.
+TEST_F(StoreFixture, ConcurrentEnsureCallsOnOneKeyMaterializeOnce) {
+  Dataset ds(Vocab::FromChars("ab"), 4);
+  for (int i = 0; i < 8; ++i) ds.AddText(i % 2 == 0 ? "abab" : "bbaa");
+  std::atomic<size_t> evals{0};
+  const auto hyp = std::make_shared<FunctionHypothesis>(
+      "slow", [&evals](const Record& rec) {
+        evals.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return std::vector<float>(rec.size(), 1.0f);
+      });
+  BehaviorStore store(dir_.string());
+  std::atomic<int> materialized{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      bool now = false;
+      EXPECT_TRUE(store.EnsureHypothesisBehaviors(*hyp, ds, &now).ok());
+      if (now) materialized.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(materialized.load(), 1);
+  EXPECT_EQ(evals.load(), ds.num_records());
+  EXPECT_EQ(store.materialize_slots(), 0u);
 }
 
 TEST_F(StoreFixture, ZeroBudgetDisablesMemoryTier) {

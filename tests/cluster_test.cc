@@ -903,6 +903,60 @@ TEST(ClusterEndToEndTest, SlicedCountsAndFinalProgressMatchLocalRun) {
   }
 }
 
+// Eight binary hypotheses: each worker calibrates jaccard on block 0 once
+// per unit group, and its other seven pairs adopt that calibration. The
+// sliced table still equals the local one byte for byte.
+TEST(ClusterEndToEndTest, SlicedSharedCalibrationMatchesLocalTable) {
+  std::vector<HypothesisPtr> eight;
+  for (int k = 0; k < 8; ++k) {
+    eight.push_back(std::make_shared<FunctionHypothesis>(
+        "mod" + std::to_string(k), [k](const Record& rec) {
+          std::vector<float> out(rec.size(), 0.0f);
+          for (size_t i = 0; i < rec.size(); ++i) {
+            const bool a = rec.tokens[i] == "a";
+            out[i] = a == ((i + k) % (2 + k % 3) == 0) ? 1.0f : 0.0f;
+          }
+          return out;
+        }));
+  }
+  InspectRequest request = ExactRequest();
+  request.hypothesis_sets = {"eight"};
+  request.measure_names = {"jaccard"};
+
+  World local;
+  local.session.catalog().RegisterHypotheses("eight", eight);
+  Result<ResultTable> reference = local.session.Inspect(request);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->size(), 8u * 4);
+
+  World coord_world;
+  coord_world.session.catalog().RegisterHypotheses("eight", eight);
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  std::vector<std::unique_ptr<World>> worlds;
+  std::vector<std::unique_ptr<cluster::InspectionWorker>> workers;
+  for (size_t i = 0; i < 2; ++i) {
+    worlds.push_back(std::make_unique<World>());
+    worlds.back()->session.catalog().RegisterHypotheses("eight", eight);
+    workers.push_back(std::make_unique<cluster::InspectionWorker>(
+        &worlds.back()->session,
+        cluster::WorkerConfig{.worker_id = "w-" + std::to_string(i),
+                              .coordinator_port = coordinator.port()}));
+    ASSERT_TRUE(workers.back()->Connect().ok());
+  }
+  ASSERT_TRUE(WaitForWorkers(coordinator, 2));
+
+  JobHandle job = coord_world.session.Submit(request);
+  ASSERT_TRUE(job.Wait().ok()) << job.Wait().status().ToString();
+  EXPECT_EQ(coordinator.stats().jobs_sliced, 1u);
+  EXPECT_EQ(job.Wait()->SerializeToString(), reference->SerializeToString());
+
+  for (auto& worker : workers) worker->Shutdown();
+  coordinator.Shutdown();
+}
+
 // A cluster run reports its plan's block count and the S that ran, in
 // both dispatch modes — the numbers a local run of the same request
 // reports.

@@ -3,16 +3,24 @@
 // counts merge exactly; the moment-sum measures reduce through a
 // canonical pairwise tree, so full sweeps are shard-count-invariant too),
 // determinism across repeated sharded runs, early stopping and
-// cancellation under sharding, and pool sharing between concurrent jobs
-// and their shards.
+// cancellation under sharding, pool sharing between concurrent jobs and
+// their shards, and the calibration wave: one shared calibration per
+// (model, group, measure, class count), byte-identical to each pair's own,
+// and an atomic block 0.
 // The whole file is TSan-relevant: scripts/check.sh runs it under
 // -DDEEPBASE_TSAN=ON.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/extractors.h"
@@ -562,6 +570,310 @@ TEST(ParallelEngineTest, FinalProgressEqualsBlocksProcessedInEveryMode) {
     EXPECT_EQ(progress.blocks_total, 24u) << context;
     EXPECT_EQ(stats.blocks_total_planned, 24u) << context;
     EXPECT_EQ(stats.shards.size(), mode.lanes) << context;
+  }
+}
+
+
+// ------------------------------------------------- shared calibration
+
+// Jaccard, categorical mutual information and multivariate MI calibrate
+// from the units of block 0 alone, so the pipeline calibrates once per
+// (model, group, measure, class count) and the job's other pairs with that
+// key adopt the leader's CloneState(). The calibration wave deals its two
+// rounds — the pairs that calibrate, then those that adopt — over every
+// shard lane.
+
+// 20 units: one 16-unit SIMD panel and a 4-unit tail. Unit u mixes the
+// "is it 'a'" indicator with a hash of (symbol, position, unit), so every
+// unit has its own quantiles.
+class WideExtractor : public Extractor {
+ public:
+  WideExtractor() : Extractor("wide") {}
+  size_t num_units() const override { return 20; }
+
+  Matrix ExtractRecord(const Record& rec,
+                       const std::vector<int>& unit_ids) const override {
+    Matrix out(rec.size(), unit_ids.size());
+    for (size_t t = 0; t < rec.size(); ++t) {
+      const bool is_a = rec.tokens[t] == "a";
+      for (size_t j = 0; j < unit_ids.size(); ++j) {
+        const uint32_t h = static_cast<uint32_t>(rec.ids[t]) * 2654435761u +
+                           static_cast<uint32_t>(t) * 40503u +
+                           static_cast<uint32_t>(unit_ids[j]) * 97u;
+        const float noise = static_cast<float>(h % 1000) / 500.0f - 1.0f;
+        out(t, j) = (unit_ids[j] % 3 == 0 && is_a ? 1.0f : 0.0f) + noise;
+      }
+    }
+    return out;
+  }
+};
+
+// Class of symbol t: (position + shift + [symbol is 'a']) mod classes, or
+// for classes == 0 a numeric behavior.
+HypothesisPtr PositionHypothesis(int classes, int shift) {
+  return std::make_shared<FunctionHypothesis>(
+      "pos" + std::to_string(classes) + "_" + std::to_string(shift),
+      [classes, shift](const Record& rec) {
+        std::vector<float> out(rec.size());
+        for (size_t t = 0; t < rec.size(); ++t) {
+          const int a = rec.tokens[t] == "a" ? 1 : 0;
+          const int v = static_cast<int>(t) + shift + a;
+          out[t] = classes == 0 ? 0.25f * static_cast<float>(v * v % 11)
+                                : static_cast<float>(v % classes);
+        }
+        return out;
+      },
+      classes);
+}
+
+// One factory under another name, so a request can carry two
+// configurations of one measure.
+class RenamedScore : public MeasureFactory {
+ public:
+  RenamedScore(std::string name, MeasureFactoryPtr inner)
+      : MeasureFactory(std::move(name)), inner_(std::move(inner)) {}
+  bool is_joint() const override { return inner_->is_joint(); }
+  std::unique_ptr<Measure> Create(size_t num_units,
+                                  int num_classes) const override {
+    return inner_->Create(num_units, num_classes);
+  }
+
+ private:
+  MeasureFactoryPtr inner_;
+};
+
+TEST(SharedCalibrationTest, EveryPairEqualsItsSoloRunByteForByte) {
+  WideExtractor ex;
+  Dataset ds = MakeAbDataset(96);
+  ModelSpec model = AllUnitsGroup(&ex);  // identity path
+  // Gather path: 18 units in descending order, a panel and a tail.
+  UnitGroupSpec gathered;
+  gathered.group_id = "gathered";
+  for (int u = 19; u >= 0; --u) {
+    if (u != 4 && u != 11) gathered.unit_ids.push_back(u);
+  }
+  model.groups.push_back(gathered);
+  const std::vector<ModelSpec> models = {model};
+  // Two hypotheses per class count: 2, 3 and 0 (numeric).
+  const std::vector<HypothesisPtr> hyps = {
+      PositionHypothesis(2, 0), PositionHypothesis(3, 0),
+      PositionHypothesis(0, 0), PositionHypothesis(2, 1),
+      PositionHypothesis(3, 1), PositionHypothesis(0, 1)};
+  const std::vector<MeasureFactoryPtr> measures = {
+      std::make_shared<JaccardScore>(),
+      std::make_shared<MutualInfoScore>(4),
+      std::make_shared<RenamedScore>("mutual_info_16",
+                                     std::make_shared<MutualInfoScore>(16)),
+      std::make_shared<MultivariateMiScore>(),
+      std::make_shared<CorrelationScore>("pearson")};
+
+  ThreadPool pool(4);
+  for (size_t shards : {1u, 3u, 8u}) {
+    for (bool streaming : {false, true}) {
+      for (bool early_stopping : {false, true}) {
+        const std::string context =
+            "S=" + std::to_string(shards) +
+            (streaming ? " streaming" : " materialized") +
+            (early_stopping ? " early stopping" : "");
+        InspectOptions options = BaseOptions();
+        options.num_shards = shards;
+        options.streaming = streaming;
+        options.early_stopping = early_stopping;
+        options.pool = &pool;
+        const ResultTable all = Inspect(models, ds, measures, hyps, options);
+        for (const MeasureFactoryPtr& measure : measures) {
+          for (const HypothesisPtr& hyp : hyps) {
+            // Alone, each pair is the only one of its key and calibrates
+            // itself.
+            const ResultTable solo =
+                Inspect(models, ds, {measure}, {hyp}, options);
+            const ResultTable rows = all.Filter([&](const ResultRow& row) {
+              return row.measure == measure->name() &&
+                     row.hypothesis == hyp->name();
+            });
+            ASSERT_FALSE(rows.empty());
+            EXPECT_TRUE(rows.SerializeToString() == solo.SerializeToString())
+                << context << " " << measure->name() << "/" << hyp->name();
+          }
+        }
+      }
+    }
+  }
+}
+
+// What the counted-calibration measures of one factory share: whether
+// they declare that their calibration reads only the units, how many
+// calibrations they made, and a hook the first block fed to any of them
+// runs first.
+struct CalibrationProbe {
+  bool shares = false;
+  std::atomic<int> calibrations{0};
+  std::function<void()> on_first_block;
+  std::atomic<bool> fired{false};
+};
+
+// A first-block calibration that records each unit's value in the block's
+// first row; later rows count as hits where a unit exceeds it and the
+// hypothesis is on. The group score is the number of rows consumed.
+class CountedCalibrationMeasure : public Measure {
+ public:
+  CountedCalibrationMeasure(size_t num_units, CalibrationProbe* probe)
+      : num_units_(num_units), probe_(probe), hits_(num_units, 0) {}
+
+  void ProcessBlock(const Matrix& units, std::span<const float> hyp) override {
+    if (probe_->on_first_block && !probe_->fired.exchange(true)) {
+      probe_->on_first_block();
+    }
+    if (units.rows() == 0) return;
+    if (thresholds_.empty()) {
+      thresholds_.assign(units.row_data(0), units.row_data(0) + num_units_);
+      probe_->calibrations.fetch_add(1, std::memory_order_relaxed);
+    }
+    for (size_t r = 0; r < units.rows(); ++r) {
+      for (size_t u = 0; u < num_units_; ++u) {
+        hits_[u] += units.row_data(r)[u] > thresholds_[u] && hyp[r] >= 0.5f;
+      }
+    }
+    rows_ += units.rows();
+  }
+  MeasureScores Scores() const override {
+    MeasureScores out;
+    out.group_score = static_cast<float>(rows_);
+    return out;
+  }
+  double ErrorEstimate() const override {
+    return std::numeric_limits<double>::infinity();
+  }
+  bool SupportsConvergence() const override { return false; }
+  MergeExactness merge_exactness() const override {
+    return MergeExactness::kExact;
+  }
+  std::unique_ptr<Measure> CloneState() const override {
+    auto clone =
+        std::make_unique<CountedCalibrationMeasure>(num_units_, probe_);
+    clone->thresholds_ = thresholds_;
+    return clone;
+  }
+  void MergeFrom(const Measure& other) override {
+    const auto& o =
+        measure_internal::MergePeer<CountedCalibrationMeasure>(other);
+    for (size_t u = 0; u < num_units_; ++u) hits_[u] += o.hits_[u];
+    rows_ += o.rows_;
+  }
+  bool calibration_reads_units_only() const override {
+    return probe_->shares;
+  }
+
+ private:
+  size_t num_units_;
+  CalibrationProbe* probe_;
+  std::vector<float> thresholds_;
+  std::vector<size_t> hits_;
+  size_t rows_ = 0;
+};
+
+class CountedCalibrationScore : public MeasureFactory {
+ public:
+  CountedCalibrationScore(std::string name, bool shares)
+      : MeasureFactory(std::move(name)) {
+    probe.shares = shares;
+  }
+  bool is_joint() const override { return true; }
+  std::unique_ptr<Measure> Create(size_t num_units,
+                                  int num_classes) const override {
+    (void)num_classes;
+    return std::make_unique<CountedCalibrationMeasure>(num_units, &probe);
+  }
+
+  mutable CalibrationProbe probe;
+};
+
+TEST(SharedCalibrationTest, OneCalibrationPerModelGroupMeasureAndClassCount) {
+  SyntheticExtractor ex;
+  Dataset ds = MakeAbDataset(96);
+  // Two models (one extractor, listed twice), two groups each.
+  const std::vector<ModelSpec> models = {MakeModels(&ex)[0],
+                                         MakeModels(&ex)[0]};
+  // Two class counts, two hypotheses each.
+  const std::vector<HypothesisPtr> hyps = {
+      PositionHypothesis(2, 0), PositionHypothesis(3, 0),
+      PositionHypothesis(2, 1), PositionHypothesis(3, 1)};
+  ThreadPool pool(4);
+  for (size_t shards : {1u, 3u, 8u}) {
+    for (bool streaming : {false, true}) {
+      const std::string context = "S=" + std::to_string(shards) +
+                                  (streaming ? " streaming" : "");
+      auto sharing = std::make_shared<CountedCalibrationScore>("shares", true);
+      auto own = std::make_shared<CountedCalibrationScore>("own", false);
+      InspectOptions options = BaseOptions();
+      options.num_shards = shards;
+      options.streaming = streaming;
+      options.passes = 2;  // a later pass's block 0 calibrates nothing
+      options.pool = &pool;
+      const ResultTable table =
+          Inspect(models, ds, {sharing, own}, hyps, options);
+      // 2 models × 2 groups × 2 class counts.
+      EXPECT_EQ(sharing->probe.calibrations.load(), 8) << context;
+      // One per pair: 2 models × 2 groups × 4 hypotheses.
+      EXPECT_EQ(own->probe.calibrations.load(), 16) << context;
+      // Every pair consumed every row of both passes.
+      ASSERT_EQ(table.size(), 32u) << context;
+      for (const ResultRow& row : table.rows()) {
+        EXPECT_EQ(row.group_score, 2.0f * 96 * 8) << context;
+      }
+    }
+  }
+}
+
+// Block 0 is atomic: when the time budget or the deadline passes, or a
+// cancel arrives, while the calibration wave runs, every pair still
+// consumes block 0 (the checks run once, before the wave, never between
+// its rounds), and no pair consumes another block.
+TEST(SharedCalibrationTest, CalibrationWaveIsAtomicUnderStops) {
+  SyntheticExtractor ex;
+  Dataset ds = MakeAbDataset(96);
+  const std::vector<ModelSpec> models = MakeModels(&ex);
+  std::vector<HypothesisPtr> hyps;
+  for (int shift = 0; shift < 4; ++shift) {
+    hyps.push_back(PositionHypothesis(2, shift));
+  }
+  constexpr auto kLimit = std::chrono::milliseconds(300);
+  const auto past_limit = [kLimit] {
+    std::this_thread::sleep_for(kLimit + std::chrono::milliseconds(100));
+  };
+  ThreadPool pool(4);
+  for (const char* stop : {"cancel", "budget", "deadline"}) {
+    for (size_t shards : {1u, 3u, 8u}) {
+      const std::string context =
+          std::string(stop) + " S=" + std::to_string(shards);
+      std::atomic<bool> cancel{false};
+      auto score = std::make_shared<CountedCalibrationScore>("stops", true);
+      InspectOptions options = BaseOptions();
+      options.streaming = false;
+      options.num_shards = shards;
+      options.pool = &pool;
+      options.cancel = &cancel;
+      if (std::string(stop) == "cancel") {
+        score->probe.on_first_block = [&cancel] { cancel.store(true); };
+      } else if (std::string(stop) == "budget") {
+        options.time_budget_s =
+            std::chrono::duration<double>(kLimit).count();
+        score->probe.on_first_block = past_limit;
+      } else {
+        options.deadline = std::chrono::steady_clock::now() + kLimit;
+        score->probe.on_first_block = past_limit;
+      }
+      RuntimeStats stats;
+      const ResultTable table =
+          Inspect(models, ds, {score}, hyps, options, &stats);
+      ASSERT_TRUE(score->probe.fired.load()) << context;
+      EXPECT_EQ(stats.blocks_processed, 1u) << context;
+      ASSERT_EQ(table.size(), 8u) << context;  // 2 groups × 4 hypotheses
+      for (const ResultRow& row : table.rows()) {
+        EXPECT_EQ(row.group_score, 8.0f * 8) << context << " " << row.group_id
+                                             << "/" << row.hypothesis;
+      }
+    }
   }
 }
 

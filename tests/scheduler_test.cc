@@ -35,8 +35,9 @@ namespace {
 // as on the 1-core CI.
 class CountingExtractor : public Extractor {
  public:
-  explicit CountingExtractor(size_t units = 4, int delay_us = 0)
-      : Extractor("planted"), units_(units), delay_us_(delay_us) {}
+  explicit CountingExtractor(size_t units = 4, int delay_us = 0,
+                             std::string model_id = "planted")
+      : Extractor(std::move(model_id)), units_(units), delay_us_(delay_us) {}
   size_t num_units() const override { return units_; }
 
   size_t block_calls() const {
@@ -1296,6 +1297,44 @@ TEST(SchedulerPersistenceTest, RestartRoundTripAndInvalidation) {
       EXPECT_NE(key.find(":" + version_hex + ":"), std::string::npos) << key;
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The persisted result cache keys each model by its name and its
+// extractor's model id: a model re-registered under its old name with a
+// fresh id (a retrained model, as SessionConfig::store_dir asks) is not
+// served the old model's persisted tables.
+TEST(SchedulerPersistenceTest, AModelReRegisteredUnderAFreshIdMisses) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "deepbase_scheduler_persist_model_id";
+  std::filesystem::remove_all(dir);
+  CountingExtractor untrained(4, 0, "planted@e0");
+  CountingExtractor trained(4, 0, "planted@e1");
+  Dataset dataset = MakeAbDataset(120, 8);
+
+  auto run = [&](const Extractor* extractor, RuntimeStats* stats) {
+    SessionConfig config;
+    config.options.block_size = 32;
+    config.options.num_shards = 1;
+    config.store_dir = dir.string();
+    InspectionSession session(std::move(config));
+    session.catalog().RegisterModel("planted", extractor);
+    session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+    session.catalog().RegisterDataset("ab", &dataset);
+    return session.Inspect(PlantedRequest(), stats);
+  };
+  RuntimeStats first;
+  ASSERT_TRUE(run(&untrained, &first).ok());
+  EXPECT_GT(first.blocks_processed, 0u);
+  // Control: the same model id is served from the persisted entry.
+  RuntimeStats again;
+  ASSERT_TRUE(run(&untrained, &again).ok());
+  EXPECT_EQ(again.result_cache_hits, 1u);
+  // A fresh id under the same name misses and runs the engine.
+  RuntimeStats retrained;
+  ASSERT_TRUE(run(&trained, &retrained).ok());
+  EXPECT_EQ(retrained.result_cache_hits, 0u);
+  EXPECT_GT(retrained.blocks_processed, 0u);
   std::filesystem::remove_all(dir);
 }
 
