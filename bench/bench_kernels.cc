@@ -1,4 +1,4 @@
-// Measure-kernel throughput bench: the raw block kernels of
+// Kernel throughput bench: the raw block kernels of
 // measures/independent.cc (pearson, diff_means, jaccard, mutual_info at 4
 // and 16 bins) and measures/multivariate_mi.cc driven directly — no
 // extraction, no engine — so the number is the numeric substrate itself:
@@ -6,6 +6,12 @@
 // from their first block (jaccard, both mutual_info cells and
 // multivariate_mi) also record that block's seconds, phase_calibrate_s,
 // which phase_process_s includes; every phase sums the timed repeats.
+//
+// One extraction cell, lstm_extract, runs the LSTM step kernel
+// (nn/lstm.cc) as the engine does: every unit of the benchmark world's
+// model (2 layers × 32 units, 96-symbol records) through
+// LstmLmExtractor::ExtractBlock over 32-record blocks on one thread,
+// reporting symbol rows extracted per second and phase_extract_s.
 //
 // The SIMD/scalar comparison is a *cross-build* one (the scalar fallback
 // is compiled in with -DDEEPBASE_SIMD=OFF), so the bench runs twice:
@@ -19,19 +25,21 @@
 // 1-lane or low-core CI number is read in context.
 //
 // Flags: --smoke (tiny workload), --out PATH (JSON),
-//        --raw-out PATH ("measure records_per_s" lines for the scalar leg),
+//        --raw-out PATH ("cell rows_per_s" lines for the scalar leg),
 //        --scalar-raw PATH (embed a previous scalar leg + speedups)
 
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
+#include "core/extractors.h"
 #include "measures/independent.h"
 #include "measures/multivariate_mi.h"
 #include "tensor/matrix.h"
@@ -117,6 +125,46 @@ KernelCell RunKernel(const Workload& w, const Factory& make, size_t repeats,
   return cell;
 }
 
+struct ExtractCell {
+  double rows_per_s = 0;
+  double extract_s = 0;  // time inside ExtractBlock, summed over repeats
+  size_t blocks = 0;
+};
+
+constexpr size_t kExtractNs = 96, kExtractHidden = 32, kExtractLayers = 2,
+                 kExtractBlockRecords = 32;
+
+ExtractCell RunExtraction(size_t records, size_t repeats) {
+  const SqlWorld world =
+      BuildSqlWorld(/*level=*/3, records, kExtractNs, kExtractHidden,
+                    kExtractLayers, /*epochs=*/0, /*seed=*/4243);
+  const LstmLmExtractor extractor("lstm", world.model.get());
+  std::vector<int> units(world.model->num_units());
+  std::iota(units.begin(), units.end(), 0);
+  std::vector<std::vector<size_t>> blocks;
+  for (size_t begin = 0; begin < records; begin += kExtractBlockRecords) {
+    blocks.emplace_back(std::min(kExtractBlockRecords, records - begin));
+    std::iota(blocks.back().begin(), blocks.back().end(), begin);
+  }
+  for (const auto& block : blocks) {  // warmup
+    (void)extractor.ExtractBlock(world.dataset, block, units);
+  }
+  ExtractCell cell;
+  cell.blocks = blocks.size();
+  size_t rows = 0;
+  for (size_t rep = 0; rep < repeats; ++rep) {
+    for (const auto& block : blocks) {
+      Stopwatch watch;
+      const Matrix out = extractor.ExtractBlock(world.dataset, block, units);
+      cell.extract_s += watch.Seconds();
+      rows += out.rows();
+    }
+  }
+  cell.rows_per_s =
+      cell.extract_s > 0 ? static_cast<double>(rows) / cell.extract_s : 0;
+  return cell;
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace deepbase
@@ -137,7 +185,7 @@ int main(int argc, char** argv) {
   Workload w = MakeWorkload(num_blocks, rows, units);
 
   PrintHeader("kernels",
-              "measure-kernel throughput (rows scored per second)");
+              "kernel throughput (rows scored or extracted per second)");
   std::printf("  simd=%s float_lanes=%zu lda=%zu units=%zu rows/block=%zu "
               "blocks=%zu repeats=%zu\n",
               DEEPBASE_SIMD_ENABLED ? "on" : "off", vec::kFloatLanes,
@@ -161,6 +209,10 @@ int main(int argc, char** argv) {
   cells["multivariate_mi"] = RunKernel(
       w, [&] { return std::make_unique<MultivariateMiMeasure>(units, 2); },
       repeats, /*calibrates=*/true);
+
+  const ExtractCell extract =
+      RunExtraction(smoke ? 2 * kExtractBlockRecords : 8 * kExtractBlockRecords,
+                    repeats);
 
   // Optional scalar baseline from a previous -DDEEPBASE_SIMD=OFF run.
   std::map<std::string, double> scalar;
@@ -189,11 +241,22 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  const auto scalar_extract = scalar.find("lstm_extract");
+  const double extract_speedup =
+      scalar_extract != scalar.end() && scalar_extract->second > 0
+          ? extract.rows_per_s / scalar_extract->second
+          : 0;
+  std::printf("  %-18s %12.0f rows/s  (extract %.3fs)", "lstm_extract",
+              extract.rows_per_s, extract.extract_s);
+  if (extract_speedup > 0) std::printf("  %.2fx vs scalar", extract_speedup);
+  std::printf("\n");
+
   if (!raw_out.empty()) {
     std::ofstream out(raw_out);
     for (const auto& [name, cell] : cells) {
       out << name << " " << cell.records_per_s << "\n";
     }
+    out << "lstm_extract " << extract.rows_per_s << "\n";
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", raw_out.c_str());
       return 1;
@@ -231,7 +294,21 @@ int main(int argc, char** argv) {
       }
       out << "\n    }" << (++i < cells.size() ? "," : "") << "\n";
     }
-    out << "  }\n}\n";
+    out << "  },\n"
+        << "  \"extraction\": {\n"
+        << "    \"lstm_extract\": {\n"
+        << "      \"hidden\": " << kExtractHidden << ",\n"
+        << "      \"layers\": " << kExtractLayers << ",\n"
+        << "      \"ns\": " << kExtractNs << ",\n"
+        << "      \"block_records\": " << kExtractBlockRecords << ",\n"
+        << "      \"blocks\": " << extract.blocks << ",\n"
+        << "      \"rows_per_s\": " << extract.rows_per_s << ",\n"
+        << "      \"phase_extract_s\": " << extract.extract_s;
+    if (extract_speedup > 0) {
+      out << ",\n      \"scalar_rows_per_s\": " << scalar_extract->second
+          << ",\n      \"speedup_vs_scalar\": " << extract_speedup;
+    }
+    out << "\n    }\n  }\n}\n";
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
       return 1;

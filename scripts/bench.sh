@@ -10,11 +10,12 @@
 # observed end-to-end through the wire), and the distributed-cluster
 # bench (BENCH_cluster_scaleout.json — records/s at 1/2/4 workers with
 # the tables asserted bit-identical across worker counts, plus the
-# mid-job worker-kill reassignment latency), and the measure-kernel
-# bench (BENCH_kernels.json — rows scored per second per measure, SIMD
-# build vs a scalar -DDEEPBASE_SIMD=OFF leg of the same bench, with the
-# per-measure speedup, each calibrating measure's first-block seconds
-# and the host's lane/core capabilities recorded).
+# mid-job worker-kill reassignment latency), and the kernel bench
+# (BENCH_kernels.json — rows scored per second per measure and rows
+# extracted per second by the LSTM step kernel, SIMD build vs a scalar
+# -DDEEPBASE_SIMD=OFF leg of the same bench, with the per-cell speedup,
+# each calibrating measure's first-block seconds and the host's lane/core
+# capabilities recorded).
 # Also runs the
 # store-reinspection ablation and, when google-benchmark is available,
 # the bench_micro engine cells, so one command captures the whole
@@ -68,7 +69,7 @@ echo "== cluster scale-out (1/2/4 workers + reassignment latency) =="
 "$BUILD_DIR/bench/bench_cluster" --jobs 4 \
     --out "$REPO_ROOT/BENCH_cluster_scaleout.json"
 
-echo "== measure kernels (scalar leg, then SIMD leg vs that baseline) =="
+echo "== kernels (scalar leg, then SIMD leg vs that baseline) =="
 KERNELS_SCALAR_RAW="$(mktemp)"
 "$SCALAR_DIR/bench/bench_kernels" --raw-out "$KERNELS_SCALAR_RAW"
 "$BUILD_DIR/bench/bench_kernels" --scalar-raw "$KERNELS_SCALAR_RAW" \
@@ -100,7 +101,7 @@ assert_keys "$REPO_ROOT/BENCH_cluster_scaleout.json" \
     phase_merge_s_mean phase_worker_hop_s_mean
 assert_keys "$REPO_ROOT/BENCH_kernels.json" \
     phase_process_s phase_calibrate_s phase_scores_s speedup_vs_scalar \
-    float_lanes
+    float_lanes lstm_extract phase_extract_s
 
 echo "== perf trend vs committed baselines =="
 # Advisory per-metric diff of the fresh numbers against what HEAD has

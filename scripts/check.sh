@@ -185,6 +185,36 @@ if ! awk '
        "(HiddenStatesInto, HiddenGradientsInto, EncoderStatesInto)."
   exit 1
 fi
+# Extraction in lockstep. The LSTM's pre-activations have one owner, the
+# step kernel (StepKernel in src/nn/lstm.cc): it steps a tile of records
+# through time together and keeps each register tile's accumulators in
+# registers across k. An AddScaledSpan or MatMul in src/nn/lstm.cc is the
+# per-record product it replaced. An ExtractBlock in
+# src/core/extractors.cc that calls HiddenStatesInto or EncoderStatesInto
+# with anything but the tile FillBlock hands it steps records one at a
+# time again. A function starts at a column-0 line holding "(".
+if ! awk '
+      FNR == 1 { fn = "" }
+      /^[A-Za-z_].*\(/ { fn = $0 }
+      { code = $0; sub(/\/\/.*/, "", code) }
+      FILENAME ~ /lstm\.cc$/ &&
+      code ~ /(^|[^A-Za-z0-9_])(AddScaledSpan|MatMul)\(/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      FILENAME ~ /extractors\.cc$/ && fn ~ /::ExtractBlock\(/ &&
+      code ~ /(HiddenStatesInto|EncoderStatesInto)\(/ &&
+      code !~ /(HiddenStatesInto|EncoderStatesInto)\(tile[,)]/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+      }
+      END { exit bad }' src/nn/lstm.cc src/core/extractors.cc; then
+  echo "lint: the lines above build LSTM pre-activations outside the step" \
+       "kernel, or step a block's records one at a time. StepKernel" \
+       "(src/nn/lstm.cc) owns the product: run a layer through" \
+       "LstmLayer::Forward/ForwardIds (one record) or" \
+       "ForwardTile/ForwardIdsTile (a tile), and pass the tiles FillBlock" \
+       "hands ExtractBlock to HiddenStatesInto or EncoderStatesInto."
+  exit 1
+fi
 for owner in src/core/behavior_store.cc:UnitBehaviorKey \
              src/core/catalog.cc:InspectRequestFingerprint; do
   if ! awk -v fn="${owner#*:}" '

@@ -269,6 +269,10 @@ Result<InspectPlan> Catalog::Compile(
     plan.measures.push_back(std::move(measure));
   }
   lock.unlock();
+  // Every model must be able to read the dataset's symbols.
+  for (const ModelSpec& spec : plan.models) {
+    DB_RETURN_NOT_OK(spec.extractor->CheckDataset(*plan.dataset));
+  }
   if (plan.measures.empty()) {
     plan.measures.push_back(std::make_shared<CorrelationScore>("pearson"));
   }

@@ -148,7 +148,9 @@ class Catalog {
   /// under one lock acquisition (see InspectPlan::catalog_version).
   /// Returns descriptive errors: kNotFound for unknown catalog names,
   /// kInvalidArgument for structurally invalid requests (no model, no
-  /// dataset, empty hypothesis list, out-of-range unit ids).
+  /// dataset, empty hypothesis list, out-of-range unit ids) and for a
+  /// dataset a model cannot read (Extractor::CheckDataset: a symbol id
+  /// outside an LSTM's vocabulary).
   Result<InspectPlan> Compile(const InspectRequest& request,
                               const InspectOptions& default_options) const;
 

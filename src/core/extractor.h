@@ -12,11 +12,12 @@
 
 #include "data/dataset.h"
 #include "tensor/matrix.h"
+#include "util/status.h"
 
 namespace deepbase {
 
-/// \brief Version of the library's extraction kernels: the LSTM recurrent
-/// product and gate step (nn/lstm.cc) that every built-in extractor runs.
+/// \brief Version of the library's extraction kernels: the LSTM step
+/// kernel and gate step (nn/lstm.cc) that every built-in extractor runs.
 /// The behavior store's unit tier (UnitBehaviorKey) and the persistent
 /// result cache (InspectRequestFingerprint) key on it, so behaviors and
 /// results an older build computed are re-extracted, never served. Bump it
@@ -35,6 +36,15 @@ class Extractor {
 
   /// \brief Total addressable hidden units of the model.
   virtual size_t num_units() const = 0;
+
+  /// \brief Whether the model can read every record of `dataset`.
+  /// Catalog::Compile asks once per request, so a dataset the model cannot
+  /// run over fails the request (kInvalidArgument) before any extraction.
+  /// The default accepts every dataset.
+  virtual Status CheckDataset(const Dataset& dataset) const {
+    (void)dataset;
+    return Status::OK();
+  }
 
   /// \brief Behaviors for one record: rec.size() × |unit_ids|.
   virtual Matrix ExtractRecord(const Record& rec,

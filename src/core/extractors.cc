@@ -1,38 +1,76 @@
 #include "core/extractors.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace deepbase {
 
 namespace {
 
-// A block's behaviors, (|record_idx| * ns) × num_cols: `write(ids, out,
-// row0)` fills record i's rows [i * ns, (i + 1) * ns) of the block itself,
-// over the pool's threads when there is a pool.
+// A block's behaviors, (|record_idx| * ns) × num_cols: `write(tile, out,
+// row0)` fills the rows of a tile of consecutive block records, record i
+// at rows [i * ns, (i + 1) * ns) of the block itself, over the pool's
+// threads when there is a pool. Tiles hold at most `max_tile` records, and
+// a block yields at least min(records, threads) of them.
 template <typename WriteFn>
 Matrix FillBlock(const Dataset& dataset, const std::vector<size_t>& record_idx,
-                 size_t num_cols, ThreadPool* pool, const WriteFn& write) {
-  const size_t ns = dataset.ns();
-  Matrix out(record_idx.size() * ns, num_cols);
-  auto fill = [&](size_t i) {
+                 size_t num_cols, ThreadPool* pool, size_t max_tile,
+                 const WriteFn& write) {
+  const size_t ns = dataset.ns(), n = record_idx.size();
+  Matrix out(n * ns, num_cols);
+  std::vector<const std::vector<int>*> ids(n);
+  for (size_t i = 0; i < n; ++i) {
     const Record& rec = dataset.record(record_idx[i]);
     DB_DCHECK(rec.size() == ns);
-    write(rec.ids, &out, i * ns);
+    ids[i] = &rec.ids;
+  }
+  const size_t threads = pool ? pool->num_threads() : 1;
+  const size_t tile = std::clamp<size_t>(n / threads, 1, max_tile);
+  auto fill = [&](size_t i) {
+    const size_t begin = i * tile;
+    write(RecordTile(ids).subspan(begin, std::min(tile, n - begin)), &out,
+          begin * ns);
   };
+  const size_t tiles = (n + tile - 1) / tile;
   if (pool) {
-    pool->ParallelFor(record_idx.size(), fill);
+    pool->ParallelFor(tiles, fill);
   } else {
-    for (size_t i = 0; i < record_idx.size(); ++i) fill(i);
+    for (size_t i = 0; i < tiles; ++i) fill(i);
   }
   return out;
 }
 
+// A symbol id outside [0, vocab) has no row in the model's input weights.
+Status CheckVocabulary(const Dataset& dataset, size_t vocab,
+                       const std::string& model_id) {
+  if (dataset.min_id() > dataset.max_id()) return Status::OK();  // no symbol
+  const int id = dataset.min_id() < 0 ? dataset.min_id() : dataset.max_id();
+  if (id >= 0 && static_cast<size_t>(id) < vocab) return Status::OK();
+  return Status::Invalid("dataset symbol id " + std::to_string(id) +
+                         " is outside the vocabulary of model '" + model_id +
+                         "' (" + std::to_string(vocab) + " symbols)");
+}
+
 }  // namespace
+
+Status LstmLmExtractor::CheckDataset(const Dataset& dataset) const {
+  return CheckVocabulary(dataset, model_->vocab_size(), model_id());
+}
+
+Status LstmLmGradientExtractor::CheckDataset(const Dataset& dataset) const {
+  return CheckVocabulary(dataset, model_->vocab_size(), model_id());
+}
+
+Status Seq2SeqEncoderExtractor::CheckDataset(const Dataset& dataset) const {
+  return CheckVocabulary(dataset, model_->src_vocab(), model_id());
+}
 
 Matrix LstmLmExtractor::ExtractRecord(
     const Record& rec, const std::vector<int>& unit_ids) const {
   Matrix out(rec.size(), unit_ids.size());
-  model_->HiddenStatesInto(rec.ids, unit_ids, &out, 0);
+  const std::vector<int>* tile[] = {&rec.ids};
+  model_->HiddenStatesInto(tile, unit_ids, &out, 0);
   return out;
 }
 
@@ -40,8 +78,9 @@ Matrix LstmLmExtractor::ExtractBlock(const Dataset& dataset,
                                      const std::vector<size_t>& record_idx,
                                      const std::vector<int>& unit_ids) const {
   return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
-                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
-                     model_->HiddenStatesInto(ids, unit_ids, out, row0);
+                   kLstmTileRecords,
+                   [&](RecordTile tile, Matrix* out, size_t row0) {
+                     model_->HiddenStatesInto(tile, unit_ids, out, row0);
                    });
 }
 
@@ -55,16 +94,19 @@ Matrix LstmLmGradientExtractor::ExtractRecord(
 Matrix LstmLmGradientExtractor::ExtractBlock(
     const Dataset& dataset, const std::vector<size_t>& record_idx,
     const std::vector<int>& unit_ids) const {
-  return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
-                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
-                     model_->HiddenGradientsInto(ids, unit_ids, out, row0);
+  // Gradients run one record at a time (a tile of one).
+  return FillBlock(dataset, record_idx, unit_ids.size(), pool_, 1,
+                   [&](RecordTile tile, Matrix* out, size_t row0) {
+                     model_->HiddenGradientsInto(*tile[0], unit_ids, out,
+                                                 row0);
                    });
 }
 
 Matrix Seq2SeqEncoderExtractor::ExtractRecord(
     const Record& rec, const std::vector<int>& unit_ids) const {
   Matrix out(rec.size(), unit_ids.size());
-  model_->EncoderStatesInto(rec.ids, unit_ids, &out, 0);
+  const std::vector<int>* tile[] = {&rec.ids};
+  model_->EncoderStatesInto(tile, unit_ids, &out, 0);
   return out;
 }
 
@@ -72,8 +114,9 @@ Matrix Seq2SeqEncoderExtractor::ExtractBlock(
     const Dataset& dataset, const std::vector<size_t>& record_idx,
     const std::vector<int>& unit_ids) const {
   return FillBlock(dataset, record_idx, unit_ids.size(), pool_,
-                   [&](const std::vector<int>& ids, Matrix* out, size_t row0) {
-                     model_->EncoderStatesInto(ids, unit_ids, out, row0);
+                   kLstmTileRecords,
+                   [&](RecordTile tile, Matrix* out, size_t row0) {
+                     model_->EncoderStatesInto(tile, unit_ids, out, row0);
                    });
 }
 

@@ -13,9 +13,10 @@
 namespace deepbase {
 
 /// \brief Extracts LSTM hidden states from an LstmLm. Unit id u addresses
-/// layer u / hidden_dim, unit u % hidden_dim. If a thread pool is given,
-/// records in a block are extracted in parallel — the CPU stand-in for the
-/// paper's GPU extraction path.
+/// layer u / hidden_dim, unit u % hidden_dim. A block's records are
+/// stepped through time in tiles of up to kLstmTileRecords; if a thread
+/// pool is given, the tiles run in parallel — the CPU stand-in for the
+/// paper's batched GPU extraction path.
 class LstmLmExtractor : public Extractor {
  public:
   LstmLmExtractor(std::string model_id, const LstmLm* model,
@@ -23,6 +24,9 @@ class LstmLmExtractor : public Extractor {
       : Extractor(std::move(model_id)), model_(model), pool_(pool) {}
 
   size_t num_units() const override { return model_->num_units(); }
+  /// \brief Every symbol id of `dataset` must be in the model's input
+  /// vocabulary.
+  Status CheckDataset(const Dataset& dataset) const override;
   Matrix ExtractRecord(const Record& rec,
                        const std::vector<int>& unit_ids) const override;
   Matrix ExtractBlock(const Dataset& dataset,
@@ -46,6 +50,9 @@ class LstmLmGradientExtractor : public Extractor {
       : Extractor(std::move(model_id)), model_(model), pool_(pool) {}
 
   size_t num_units() const override { return model_->num_units(); }
+  /// \brief Every symbol id of `dataset` must be in the model's input
+  /// vocabulary.
+  Status CheckDataset(const Dataset& dataset) const override;
   Matrix ExtractRecord(const Record& rec,
                        const std::vector<int>& unit_ids) const override;
   Matrix ExtractBlock(const Dataset& dataset,
@@ -66,6 +73,9 @@ class Seq2SeqEncoderExtractor : public Extractor {
       : Extractor(std::move(model_id)), model_(model), pool_(pool) {}
 
   size_t num_units() const override { return model_->num_encoder_units(); }
+  /// \brief Every symbol id of `dataset` must be in the model's input
+  /// vocabulary.
+  Status CheckDataset(const Dataset& dataset) const override;
   Matrix ExtractRecord(const Record& rec,
                        const std::vector<int>& unit_ids) const override;
   Matrix ExtractBlock(const Dataset& dataset,

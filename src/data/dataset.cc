@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace deepbase {
@@ -27,6 +29,10 @@ void Dataset::Add(Record record) {
   }
   for (auto& [name, track] : record.annotations) {
     track.resize(ns_, "");
+  }
+  for (int id : record.ids) {
+    min_id_ = std::min(min_id_, id);
+    max_id_ = std::max(max_id_, id);
   }
   records_.push_back(std::move(record));
 }

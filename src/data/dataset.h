@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,6 +47,13 @@ class Dataset {
   /// \brief Total number of symbols nd*ns.
   size_t num_symbols() const { return records_.size() * ns_; }
 
+  /// \brief The smallest and the largest symbol id over every record,
+  /// kept as records are added (so a model can check its vocabulary covers
+  /// the dataset without a scan). min_id() > max_id() while no record
+  /// holds a symbol.
+  int min_id() const { return min_id_; }
+  int max_id() const { return max_id_; }
+
   const Record& record(size_t i) const { return records_[i]; }
   const std::vector<Record>& records() const { return records_; }
   const Vocab& vocab() const { return vocab_; }
@@ -58,6 +66,8 @@ class Dataset {
   Vocab vocab_;
   size_t ns_ = 0;
   std::vector<Record> records_;
+  int min_id_ = std::numeric_limits<int>::max();
+  int max_id_ = std::numeric_limits<int>::min();
 };
 
 /// \brief Iterates a dataset in blocks of nb records, in shuffled record

@@ -1,9 +1,11 @@
 #include "nn/lstm.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "tensor/simd.h"
 #include "util/logging.h"
@@ -136,10 +138,157 @@ inline void GateLanes(float* i, float* f, float* o, float* g,
   Store(og * tv, h);
 }
 
-// One timestep of units [0, h): z holds the 4h pre-activations [i f o g]
-// and receives the gates; cprev is c[t-1]; writes c[t], tanh(c[t]), h[t].
-void GateStep(float* z, const float* cprev, float* c, float* tc, float* h,
-              size_t hidden) {
+// ------------------------------------------------------------------------
+// The step kernel: the 4h pre-activations of a tile of records at one
+// timestep. Every element is built in one order, whatever the tile:
+//   layer 0:      Wx[id] + b
+//   layer l >= 1: 0 + x_0·Wx[0] + x_1·Wx[1] + ..., then + b
+//   then, t > 0:  + h_0·Wh[0] + h_1·Wh[1] + ...
+// with k ascending, a term skipped where that record's x_k or h_k is 0,
+// and each term added as acc + v * w, which the SIMD build contracts into
+// one FMA. That is the order of the per-record products it replaced (the
+// input product, then the bias, then one row update per k), so every
+// byte is theirs. A register tile of R <= kLstmTileRecords records by
+// C <= kTileVectors vectors of columns keeps its R·C accumulators in
+// registers across k: each weight vector is loaded once per k for all R
+// records, and the pre-activations are stored once per step. The weight
+// and bias rows are padded to whole vectors (PaddedLda), so a ragged last
+// vector loads whole and stores only its columns.
+// ------------------------------------------------------------------------
+
+// The register tiles' loops over records and vectors run unrolled, so
+// their accumulators are registers, not a stack array.
+#define DB_UNROLL _Pragma("GCC unroll 16")
+
+// Accumulator vectors per record: 8 of AVX-512's 32 registers (16 lanes),
+// 4 of the 16 below it, so R·C accumulators and C weight vectors fit.
+constexpr size_t kTileVectors = kGateLanes >= 16 ? 8 : 4;
+constexpr size_t kPanelCols = kTileVectors * kGateLanes;
+
+// One step of a tile: record r reads its id at ids[r * ids_stride]
+// (layer 0) or its input row at x + r * x_stride (layer >= 1), its
+// previous hidden state at hprev + r * h_stride (null at t = 0), and
+// receives its pre-activations at z + r * z_stride.
+struct StepArgs {
+  const Matrix* wx = nullptr;
+  const Matrix* wh = nullptr;
+  const float* b = nullptr;
+  size_t in = 0, hidden = 0;
+  const int* ids = nullptr;
+  size_t ids_stride = 0;
+  const float* x = nullptr;
+  size_t x_stride = 0;
+  const float* hprev = nullptr;
+  size_t h_stride = 0;
+  float* z = nullptr;
+  size_t z_stride = 0;
+};
+
+// acc[r][c] += v_r[k] · w[k][j0 + c·lanes] for k ascending, skipping the
+// terms where v_r[k] == 0; record r's v row is at v + r * v_stride.
+template <size_t R, size_t C>
+inline void Accumulate(GateV (&acc)[R][C], const Matrix& w, size_t K,
+                       const float* v, size_t v_stride, size_t j0) {
+  const float* wk = w.row_data(0) + j0;
+  for (size_t k = 0; k < K; ++k, wk += w.lda()) {
+    GateV wv[C];
+    DB_UNROLL
+    for (size_t c = 0; c < C; ++c) wv[c] = Load(wk + c * kGateLanes);
+    DB_UNROLL
+    for (size_t r = 0; r < R; ++r) {
+      const float vk = v[r * v_stride + k];
+      if (vk == 0.0f) continue;
+      DB_UNROLL
+      for (size_t c = 0; c < C; ++c) acc[r][c] = acc[r][c] + vk * wv[c];
+    }
+  }
+}
+
+// The register tile of records [r0, r0 + R) and columns [j0, j0 + width),
+// width in ((C - 1)·lanes, C·lanes].
+template <size_t R, size_t C>
+void StepPanel(const StepArgs& a, size_t r0, size_t j0, size_t width) {
+  GateV acc[R][C];
+  if (a.ids != nullptr) {
+    DB_UNROLL
+    for (size_t r = 0; r < R; ++r) {
+      const float* wrow = a.wx->row_data(a.ids[(r0 + r) * a.ids_stride]) + j0;
+      DB_UNROLL
+      for (size_t c = 0; c < C; ++c) {
+        acc[r][c] =
+            Load(wrow + c * kGateLanes) + Load(a.b + j0 + c * kGateLanes);
+      }
+    }
+  } else {
+    DB_UNROLL
+    for (size_t r = 0; r < R; ++r) {
+      DB_UNROLL
+      for (size_t c = 0; c < C; ++c) acc[r][c] = GateV(0.0f);
+    }
+    Accumulate(acc, *a.wx, a.in, a.x + r0 * a.x_stride, a.x_stride, j0);
+    DB_UNROLL
+    for (size_t r = 0; r < R; ++r) {
+      DB_UNROLL
+      for (size_t c = 0; c < C; ++c) {
+        acc[r][c] = acc[r][c] + Load(a.b + j0 + c * kGateLanes);
+      }
+    }
+  }
+  if (a.hprev != nullptr) {
+    Accumulate(acc, *a.wh, a.hidden, a.hprev + r0 * a.h_stride, a.h_stride,
+               j0);
+  }
+  const size_t tail = width - (C - 1) * kGateLanes;
+  DB_UNROLL
+  for (size_t r = 0; r < R; ++r) {
+    float* z = a.z + (r0 + r) * a.z_stride + j0;
+    DB_UNROLL
+    for (size_t c = 0; c + 1 < C; ++c) Store(acc[r][c], z + c * kGateLanes);
+    if (tail == kGateLanes) {
+      Store(acc[r][C - 1], z + (C - 1) * kGateLanes);
+    } else {
+      alignas(vec::kByteAlign) float lanes[kGateLanes];
+      Store(acc[r][C - 1], lanes);
+      std::copy_n(lanes, tail, z + (C - 1) * kGateLanes);
+    }
+  }
+}
+
+using PanelFn = void (*)(const StepArgs&, size_t, size_t, size_t);
+
+template <size_t R, size_t... C>
+constexpr std::array<PanelFn, kTileVectors> PanelRow(
+    std::index_sequence<C...>) {
+  return {&StepPanel<R, C + 1>...};
+}
+
+template <size_t... R>
+constexpr std::array<std::array<PanelFn, kTileVectors>, kLstmTileRecords>
+PanelTable(std::index_sequence<R...>) {
+  return {PanelRow<R + 1>(std::make_index_sequence<kTileVectors>())...};
+}
+
+// kPanels[R - 1][C - 1] is StepPanel<R, C>.
+constexpr auto kPanels =
+    PanelTable(std::make_index_sequence<kLstmTileRecords>());
+
+// The pre-activations of all `n` records of a tile at one step.
+void StepKernel(const StepArgs& a, size_t n) {
+  const size_t cols = 4 * a.hidden;
+  for (size_t r0 = 0; r0 < n; r0 += kLstmTileRecords) {
+    const size_t rows = std::min(kLstmTileRecords, n - r0);
+    for (size_t j0 = 0; j0 < cols; j0 += kPanelCols) {
+      const size_t width = std::min(kPanelCols, cols - j0);
+      kPanels[rows - 1][(width + kGateLanes - 1) / kGateLanes - 1](a, r0, j0,
+                                                                  width);
+    }
+  }
+}
+
+}  // namespace
+
+void LstmGateStep(float* z, const float* cprev, float* c, float* tc, float* h,
+                  size_t hidden) {
   size_t j = 0;
   for (; j + kGateLanes <= hidden; j += kGateLanes) {
     GateLanes(z + j, z + hidden + j, z + 2 * hidden + j, z + 3 * hidden + j,
@@ -158,28 +307,46 @@ void GateStep(float* z, const float* cprev, float* c, float* tc, float* h,
   std::copy_n(pad[7], m, h + j);
 }
 
-}  // namespace
-
-Matrix LstmLayer::RunGates(size_t T, Matrix preact, LstmCache* cache) const {
+Matrix LstmLayer::Run(size_t records, size_t T, const int* ids,
+                      const Matrix* inputs, LstmCache* cache) const {
+  DB_DCHECK(cache == nullptr || records == 1);
   const size_t h = hidden_dim_;
-  Matrix hiddens(T, h), cells(T, h), tanh_c(T, h);
-  const Matrix c_zero(1, h);
+  Matrix hiddens(records * T, h);
+  // Catalog::Compile rejects a dataset outside the vocabulary
+  // (Extractor::CheckDataset); this guards the library's direct callers.
+  for (size_t i = 0; ids != nullptr && i < records * T; ++i) {
+    DB_DCHECK(ids[i] >= 0 && static_cast<size_t>(ids[i]) < input_dim_);
+  }
+  // A cache keeps every step's gates, cells and tanh(c) for Backward;
+  // without one, each record reuses one row of each across its steps. A
+  // cell row starts at zero and holds c[t-1] until the gate step
+  // overwrites it with c[t].
+  const size_t rows = cache ? T : records;
+  Matrix gates(rows, 4 * h), cells(rows, h), tanh_c(rows, h);
+  StepArgs a{.wx = &wx,
+             .wh = &wh,
+             .b = b.row_data(0),
+             .in = input_dim_,
+             .hidden = h,
+             .ids_stride = T,
+             .x_stride = inputs ? T * inputs->lda() : 0,
+             .h_stride = T * hiddens.lda(),
+             .z_stride = gates.lda()};
   for (size_t t = 0; t < T; ++t) {
-    float* z = preact.row_data(t);
-    // Add recurrent contribution h_{t-1} * Wh.
-    if (t > 0) {
-      const float* hp = hiddens.row_data(t - 1);
-      for (size_t k = 0; k < h; ++k) {
-        const float hv = hp[k];
-        if (hv == 0.0f) continue;
-        vec::AddScaledSpan(z, wh.row_data(k), hv, 4 * h);
-      }
+    a.ids = ids ? ids + t : nullptr;
+    a.x = inputs ? inputs->row_data(t) : nullptr;
+    a.hprev = t > 0 ? hiddens.row_data(t - 1) : nullptr;
+    a.z = gates.row_data(cache ? t : 0);
+    StepKernel(a, records);
+    for (size_t r = 0; r < records; ++r) {
+      const size_t row = cache ? t : r;
+      const float* cprev = cells.row_data(cache && t > 0 ? t - 1 : row);
+      LstmGateStep(gates.row_data(row), cprev, cells.row_data(row),
+                   tanh_c.row_data(row), hiddens.row_data(r * T + t), h);
     }
-    GateStep(z, t > 0 ? cells.row_data(t - 1) : c_zero.row_data(0),
-             cells.row_data(t), tanh_c.row_data(t), hiddens.row_data(t), h);
   }
   if (cache) {
-    cache->gates = std::move(preact);
+    cache->gates = std::move(gates);
     cache->cells = std::move(cells);
     cache->tanh_c = std::move(tanh_c);
     cache->hiddens = hiddens;
@@ -189,24 +356,31 @@ Matrix LstmLayer::RunGates(size_t T, Matrix preact, LstmCache* cache) const {
 
 Matrix LstmLayer::Forward(const Matrix& inputs, LstmCache* cache) const {
   DB_DCHECK(inputs.cols() == input_dim_);
-  const size_t T = inputs.rows();
-  Matrix preact = MatMul(inputs, wx);
-  preact.AddRowBroadcast(b);
   if (cache) cache->inputs = inputs;
-  return RunGates(T, std::move(preact), cache);
+  return Run(1, inputs.rows(), nullptr, &inputs, cache);
 }
 
 Matrix LstmLayer::ForwardIds(const std::vector<int>& ids,
                              LstmCache* cache) const {
-  const size_t T = ids.size();
-  Matrix preact(T, 4 * hidden_dim_);
-  for (size_t t = 0; t < T; ++t) {
-    DB_DCHECK(ids[t] >= 0 && static_cast<size_t>(ids[t]) < input_dim_);
-    const float* wrow = wx.row_data(ids[t]);
-    float* z = preact.row_data(t);
-    for (size_t j = 0; j < 4 * hidden_dim_; ++j) z[j] = wrow[j] + b(0, j);
+  return Run(1, ids.size(), ids.data(), nullptr, cache);
+}
+
+Matrix LstmLayer::ForwardTile(const Matrix& inputs, size_t records) const {
+  DB_DCHECK(inputs.cols() == input_dim_ && records > 0 &&
+            inputs.rows() % records == 0);
+  return Run(records, inputs.rows() / records, nullptr, &inputs, nullptr);
+}
+
+Matrix LstmLayer::ForwardIdsTile(RecordTile tile) const {
+  DB_DCHECK(!tile.empty());
+  const size_t T = tile.front()->size();
+  std::vector<int> ids;  // record-major
+  ids.reserve(tile.size() * T);
+  for (const std::vector<int>* record : tile) {
+    DB_DCHECK(record->size() == T);
+    ids.insert(ids.end(), record->begin(), record->end());
   }
-  return RunGates(T, std::move(preact), cache);
+  return Run(tile.size(), T, ids.data(), nullptr, nullptr);
 }
 
 Matrix LstmLayer::BackwardCore(const LstmCache& cache, const Matrix& dh,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,16 @@ struct LstmCache {
   Matrix tanh_c;   ///< T × h, tanh(c_t)
 };
 
-/// \brief Single LSTM layer processing one sequence at a time.
+/// \brief The most records the step kernel (nn/lstm.cc) keeps in registers
+/// at once: a tile of more records is stepped as successive register tiles
+/// of this many. The extractors hand the pool tiles of at most this size.
+inline constexpr size_t kLstmTileRecords = 2;
+
+/// \brief A tile of equal-length records, by their symbol ids.
+using RecordTile = std::span<const std::vector<int>* const>;
+
+/// \brief One LSTM layer. It runs one record, or a tile of equal-length
+/// records stepped through time in lockstep, through one step kernel.
 ///
 /// Gate layout in the 4h dimension is [input | forget | output | candidate].
 /// Initial state is zero (records are independent windows).
@@ -41,6 +51,15 @@ class LstmLayer {
   /// Wx, avoiding the dense product). `cache->inputs` stays empty; pass the
   /// same ids to BackwardIds.
   Matrix ForwardIds(const std::vector<int>& ids, LstmCache* cache) const;
+
+  /// \brief Forward for a tile of `records` equal-length records stepped
+  /// in lockstep, with no cache. `inputs` holds them record-major (record
+  /// r's T steps are rows [r*T, (r+1)*T)), and so does the returned
+  /// (records*T)×h matrix. Each record's states are bitwise those Forward
+  /// returns for it alone.
+  Matrix ForwardTile(const Matrix& inputs, size_t records) const;
+  /// \brief ForwardTile over the one-hot ids of a tile of records.
+  Matrix ForwardIdsTile(RecordTile tile) const;
 
   /// \brief BPTT. `dh` is dLoss/dh_t (T×h). Accumulates parameter grads
   /// into this layer's grad buffers and writes dLoss/dinputs if non-null.
@@ -69,8 +88,11 @@ class LstmLayer {
   Matrix wx, wh, b;  ///< in×4h, h×4h, 1×4h
 
  private:
-  // Shared core once the per-step pre-activation rows are computed.
-  Matrix RunGates(size_t T, Matrix preact, LstmCache* cache) const;
+  // The time loop over a tile of `records` records of T steps each, by
+  // ids (layer 0) or input rows: the step kernel, then the gate step per
+  // record. A cache is filled only for a single record.
+  Matrix Run(size_t records, size_t T, const int* ids, const Matrix* inputs,
+             LstmCache* cache) const;
   // Common BPTT returning d(pre-activations) (T×4h) for the caller to
   // propagate into Wx / inputs. When `dh_total_out` is non-null it receives
   // the total dL/dh_t; when `accumulate_grads` is false the parameter
@@ -83,11 +105,21 @@ class LstmLayer {
   mutable Matrix dwx_, dwh_, db_;
 };
 
-/// \brief Copy the states of `units` out of per-layer T×h state matrices
-/// (unit u is column u % h of layers[u / h]) into rows [row0, row0 + T) of
-/// `out`, whose column j receives unit units[j]. The models hand a record's
-/// selected units to an extractor's block this way, with no per-record
-/// matrix in between.
+/// \brief The gate step of one timestep of units [0, hidden): z holds the
+/// 4h pre-activations [i f o g] and receives the gates; cprev is c[t-1]
+/// (it may alias c); writes c[t], tanh(c[t]) and h[t]. Sigmoid and tanh
+/// come from one polynomial, one vector lane per unit, so a unit's outputs
+/// depend only on its own inputs. The layer runs it per record after the
+/// step kernel; the differential tests run it after their reference
+/// products.
+void LstmGateStep(float* z, const float* cprev, float* c, float* tc,
+                  float* h, size_t hidden);
+
+/// \brief Copy the states of `units` out of per-layer state matrices of
+/// equal row counts R (unit u is column u % h of layers[u / h]) into rows
+/// [row0, row0 + R) of `out`, whose column j receives unit units[j]. The
+/// models hand a record's, or a tile's, selected units to an extractor's
+/// block this way, with no per-record matrix in between.
 void WriteUnits(const std::vector<Matrix>& layers,
                 const std::vector<int>& units, Matrix* out, size_t row0);
 

@@ -269,14 +269,20 @@ std::vector<int> AllUnits(size_t n) {
 
 Matrix LstmLm::HiddenStates(const std::vector<int>& ids) const {
   Matrix out(ids.size(), num_units());
-  HiddenStatesInto(ids, AllUnits(num_units()), &out, 0);
+  const std::vector<int>* tile[] = {&ids};
+  HiddenStatesInto(tile, AllUnits(num_units()), &out, 0);
   return out;
 }
 
-void LstmLm::HiddenStatesInto(const std::vector<int>& ids,
-                              const std::vector<int>& units, Matrix* out,
-                              size_t row0) const {
-  WriteUnits(ForwardAll(ids, nullptr), units, out, row0);
+void LstmLm::HiddenStatesInto(RecordTile tile, const std::vector<int>& units,
+                              Matrix* out, size_t row0) const {
+  std::vector<Matrix> states;
+  states.reserve(layers_.size());
+  states.push_back(layers_[0].ForwardIdsTile(tile));
+  for (size_t l = 1; l < layers_.size(); ++l) {
+    states.push_back(layers_[l].ForwardTile(states.back(), tile.size()));
+  }
+  WriteUnits(states, units, out, row0);
 }
 
 Matrix LstmLm::HiddenGradients(const std::vector<int>& ids) const {

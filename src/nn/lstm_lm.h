@@ -67,12 +67,13 @@ class LstmLm {
   /// \brief Hidden-state behaviors for one record: T × num_units(), layers
   /// concatenated left to right.
   Matrix HiddenStates(const std::vector<int>& ids) const;
-  /// \brief The hidden states of `units` for one record, written into rows
-  /// [row0, row0 + T) of `out` (column j holds unit units[j]): how the
-  /// extractors fill a block without a per-record matrix.
-  void HiddenStatesInto(const std::vector<int>& ids,
-                        const std::vector<int>& units, Matrix* out,
-                        size_t row0) const;
+  /// \brief The hidden states of `units` for a tile of equal-length
+  /// records, stepped through time together: record r's T rows are written
+  /// into rows [row0 + r*T, row0 + (r+1)*T) of `out` (column j holds unit
+  /// units[j]). How the extractors fill a block without a per-record
+  /// matrix; a record's rows are bitwise the same in any tile.
+  void HiddenStatesInto(RecordTile tile, const std::vector<int>& units,
+                        Matrix* out, size_t row0) const;
 
   /// \brief Gradient behaviors for one record: dL/dh per unit and symbol
   /// (T × num_units()), where L is the mean next-symbol cross-entropy of
@@ -81,7 +82,8 @@ class LstmLm {
   /// the basis of gradient saliency. Layer columns are concatenated left
   /// to right, matching HiddenStates().
   Matrix HiddenGradients(const std::vector<int>& ids) const;
-  /// \brief HiddenGradients of `units`, written like HiddenStatesInto.
+  /// \brief HiddenGradients of `units` for one record, written into rows
+  /// [row0, row0 + T) of `out` like HiddenStatesInto.
   void HiddenGradientsInto(const std::vector<int>& ids,
                            const std::vector<int>& units, Matrix* out,
                            size_t row0) const;

@@ -221,17 +221,17 @@ Matrix Seq2Seq::EncoderStates(const std::vector<int>& src_ids) const {
   std::vector<int> units(num_encoder_units());
   std::iota(units.begin(), units.end(), 0);
   Matrix out(src_ids.size(), units.size());
-  EncoderStatesInto(src_ids, units, &out, 0);
+  const std::vector<int>* tile[] = {&src_ids};
+  EncoderStatesInto(tile, units, &out, 0);
   return out;
 }
 
-void Seq2Seq::EncoderStatesInto(const std::vector<int>& src_ids,
-                                const std::vector<int>& units, Matrix* out,
-                                size_t row0) const {
+void Seq2Seq::EncoderStatesInto(RecordTile tile, const std::vector<int>& units,
+                                Matrix* out, size_t row0) const {
   std::vector<Matrix> layers;
   layers.reserve(2);
-  layers.push_back(enc0_.ForwardIds(src_ids, nullptr));
-  layers.push_back(enc1_.Forward(layers.front(), nullptr));
+  layers.push_back(enc0_.ForwardIdsTile(tile));
+  layers.push_back(enc1_.ForwardTile(layers.front(), tile.size()));
   WriteUnits(layers, units, out, row0);
 }
 

@@ -25,6 +25,7 @@ class Seq2Seq {
   Seq2Seq(size_t src_vocab, size_t tgt_vocab, size_t hidden_dim,
           uint64_t seed);
 
+  size_t src_vocab() const { return src_vocab_; }
   size_t hidden_dim() const { return hidden_dim_; }
   /// \brief Total inspectable encoder units (2 layers).
   size_t num_encoder_units() const { return 2 * hidden_dim_; }
@@ -41,11 +42,12 @@ class Seq2Seq {
   /// \brief Encoder behaviors for a source record: T × (2*hidden), layer 0
   /// in columns [0, hidden), layer 1 in [hidden, 2*hidden).
   Matrix EncoderStates(const std::vector<int>& src_ids) const;
-  /// \brief The encoder states of `units` for a source record, written into
-  /// rows [row0, row0 + T) of `out` (column j holds unit units[j]).
-  void EncoderStatesInto(const std::vector<int>& src_ids,
-                         const std::vector<int>& units, Matrix* out,
-                         size_t row0) const;
+  /// \brief The encoder states of `units` for a tile of equal-length
+  /// source records stepped together, written like
+  /// LstmLm::HiddenStatesInto: record r into rows [row0 + r*T,
+  /// row0 + (r+1)*T) of `out` (column j holds unit units[j]).
+  void EncoderStatesInto(RecordTile tile, const std::vector<int>& units,
+                         Matrix* out, size_t row0) const;
 
   /// \brief Serialize all parameters to a binary file (the "public model
   /// available online" workflow of §6.3 — train once, inspect anywhere).

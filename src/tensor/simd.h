@@ -15,10 +15,11 @@
 // builds, on top of being shard-count-invariant. Kernels that reduce
 // ACROSS lanes (Sum/Dot/Softmax in tensor/matrix.cc) re-associate relative
 // to the scalar build; the kernels_equivalence test pins their documented
-// ULP tolerance. Float multiply-adds (AddScaledSpan: MatMul and the LSTM's
-// recurrent product) are contracted into FMAs under -march=native, so
-// their results differ from the scalar build's too, though never between
-// the lanes of one build. Integer counting kernels are bit-identical
+// ULP tolerance. Float multiply-adds (AddScaledSpan: MatMul's row update
+// and the probe kernel's gradient; the LSTM step kernel's acc + v * w in
+// nn/lstm.cc) are contracted into FMAs under -march=native, so their
+// results differ from the scalar build's too, though never between the
+// lanes of one build. Integer counting kernels are bit-identical
 // everywhere.
 
 #pragma once
@@ -81,7 +82,7 @@ inline constexpr size_t kCountLanes = 1;
 #endif  // DEEPBASE_SIMD_ENABLED
 
 /// d[i] += a * s[i] for i in [0, n): the row update of MatMul and of the
-/// LSTM's recurrent product. Each element gets one multiply-add per call,
+/// probe kernel's gradient. Each element gets one multiply-add per call,
 /// so a product built from it sums every element in its k order.
 inline void AddScaledSpan(float* d, const float* s, float a, size_t n) {
   size_t i = 0;

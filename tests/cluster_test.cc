@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "cluster/coordinator.h"
+#include "core/extractors.h"
 #include "cluster/partition.h"
 #include "cluster/worker.h"
 #include "measures/multivariate_mi.h"
@@ -1030,6 +1031,47 @@ TEST(ClusterEndToEndTest, HypothesisOutputFormatIsCheckedBeforeDispatch) {
   Result<ResultTable> cluster_result = coord_world.session.Inspect(request);
   ASSERT_FALSE(cluster_result.ok());
   EXPECT_EQ(cluster_result.status().code(), local_result.status().code());
+  EXPECT_EQ(coordinator.stats().assignments_sent, 0u);
+
+  worker.Shutdown();
+  coordinator.Shutdown();
+}
+
+TEST(ClusterEndToEndTest, DatasetOutsideTheVocabularyFailsBeforeDispatch) {
+  // An LSTM over 5 symbols and a dataset holding ids up to 8: the
+  // coordinator's compile rejects it as a local run does, and no worker
+  // is sent an assignment that would abort it.
+  const LstmLm model(5, 4, 1, 7);
+  const LstmLmExtractor extractor("lm5", &model);
+  Dataset wide(Vocab::FromChars("abcdefgh"), 8);
+  for (int i = 0; i < 4; ++i) wide.AddText("abcdefgh");
+  InspectRequest request = ExactRequest();
+  request.models = {{.name = "lm5"}};
+  request.dataset_name = "wide";
+
+  World coord_world;
+  World worker_world;
+  for (World* world : {&coord_world, &worker_world}) {
+    world->session.catalog().RegisterModel("lm5", &extractor);
+    world->session.catalog().RegisterDataset("wide", &wide);
+  }
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  cluster::InspectionWorker worker(&worker_world.session,
+                                   {.worker_id = "w-0",
+                                    .coordinator_port = coordinator.port()});
+  ASSERT_TRUE(worker.Connect().ok());
+  ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+  Result<ResultTable> result = coord_world.session.Inspect(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const char* part : {"'lm5'", "id 8", "(5 symbols)"}) {
+    EXPECT_NE(result.status().message().find(part), std::string::npos)
+        << result.status().ToString();
+  }
   EXPECT_EQ(coordinator.stats().assignments_sent, 0u);
 
   worker.Shutdown();

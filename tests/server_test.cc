@@ -20,6 +20,7 @@
 #include <chrono>
 #include <thread>
 
+#include "core/extractors.h"
 #include "server/client.h"
 #include "service/scheduler.h"
 #include "util/failpoint.h"
@@ -594,6 +595,43 @@ TEST(InspectionServerTest, RemoteRegisterDatasetAndHypotheses) {
   }
   EXPECT_TRUE(saw_keyword);
   EXPECT_TRUE(saw_char_class);
+}
+
+TEST(InspectionServerTest, RemoteDatasetOutsideTheVocabularyIsAnError) {
+  // The server numbers a remote dataset's tokens in order of first
+  // appearance, so a client can send more distinct tokens than a served
+  // LSTM has symbols. The request fails with a typed error over the wire
+  // and the server keeps serving. (Declared before the world: the model
+  // outlives the session that reads it.)
+  const LstmLm model(5, 4, 1, 7);
+  const LstmLmExtractor extractor("lm5", &model);
+  ServerWorld world;
+  world.session->catalog().RegisterModel("lm5", &extractor);
+  InspectionClient client(world.client_config());
+  ASSERT_TRUE(client.Connect().ok());
+
+  Dataset wide(Vocab::FromChars("abcdefgh"), 8);
+  for (int i = 0; i < 4; ++i) wide.AddText("abcdefgh");
+  ASSERT_TRUE(client.RegisterDataset("wide", wide).ok());
+  InspectRequest request;
+  request.models.push_back({.name = "lm5"});
+  request.hypothesis_sets = {"keywords"};
+  request.dataset_name = "wide";
+  const Result<ResultTable> rejected = client.Inspect(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  for (const char* part : {"'lm5'", "id 8", "(5 symbols)"}) {
+    EXPECT_NE(rejected.status().message().find(part), std::string::npos)
+        << rejected.status().ToString();
+  }
+  const Result<std::string> explained = client.Explain(request);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+
+  // Same connection, next request: served.
+  const Result<ResultTable> served = client.Inspect(PlantedRequest());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE(served->empty());
 }
 
 TEST(InspectionServerTest, ConnectionChurnIsReclaimed) {

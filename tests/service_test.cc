@@ -14,8 +14,10 @@
 #include <map>
 #include <set>
 
+#include "core/extractors.h"
 #include "core/inspect_parser.h"
 #include "core/inspect_query.h"
+#include "service/explain.h"
 #include "measures/scores.h"
 #include "sql/sql_session.h"
 #include "util/rng.h"
@@ -202,6 +204,66 @@ TEST(CatalogTest, CompileReportsStructuralErrors) {
     EXPECT_EQ(catalog.Compile(request, defaults).status().code(),
               StatusCode::kNotFound);
   }
+}
+
+// A dataset numbered the way the wire layer numbers a remote one: each
+// token's id in order of first appearance (wire::DecodeDataset), so it
+// holds ids up to `distinct` whatever model it is meant for.
+Dataset FirstAppearanceDataset(size_t distinct, size_t records = 6,
+                               size_t ns = 8) {
+  Dataset dataset(Vocab(), ns);
+  for (size_t i = 0; i < records; ++i) {
+    Record rec;
+    for (size_t t = 0; t < ns; ++t) {
+      rec.tokens.push_back(std::string(1, 'a' + (i * ns + t) % distinct));
+      rec.ids.push_back(dataset.mutable_vocab()->Add(rec.tokens.back()));
+    }
+    dataset.Add(std::move(rec));
+  }
+  return dataset;
+}
+
+TEST(CatalogTest, DatasetOutsideAnLstmVocabularyFailsToCompile) {
+  // A model over 5 symbols and a dataset holding ids up to 8: every entry
+  // point fails with one kInvalidArgument naming the model, the id and
+  // the vocabulary size, before any extraction (which would abort).
+  const LstmLm model(5, 4, 1, 7);
+  const LstmLmExtractor extractor("lm5", &model);
+  const Dataset wide = FirstAppearanceDataset(8);
+  ASSERT_EQ(wide.max_id(), 8);
+  const Dataset narrow = FirstAppearanceDataset(4);
+  SessionConfig config;
+  config.num_threads = 2;
+  InspectionSession session(std::move(config));
+  session.catalog().RegisterModel("lm5", &extractor);
+  session.catalog().RegisterHypotheses("keywords", {IsAHypothesis()});
+  session.catalog().RegisterDataset("wide", &wide);
+  session.catalog().RegisterDataset("narrow", &narrow);
+  InspectRequest request;
+  request.models.push_back({.name = "lm5"});
+  request.hypothesis_sets = {"keywords"};
+  request.dataset_name = "wide";
+
+  const Status compiled =
+      session.catalog().Compile(request, InspectOptions{}).status();
+  EXPECT_EQ(compiled.code(), StatusCode::kInvalidArgument);
+  for (const char* part : {"'lm5'", "id 8", "(5 symbols)"}) {
+    EXPECT_NE(compiled.message().find(part), std::string::npos)
+        << compiled.ToString();
+  }
+  const Result<ResultTable> inspected = session.Inspect(request);
+  JobHandle job = session.Submit(request);
+  const Result<ResultTable> submitted = job.Wait();
+  const Result<InspectionPlan> explained = session.Explain(request);
+  for (const Status& status :
+       {inspected.status(), submitted.status(), explained.status()}) {
+    EXPECT_EQ(status.code(), compiled.code());
+    EXPECT_EQ(status.message(), compiled.message());
+  }
+  // The session goes on serving, and a dataset inside the vocabulary runs.
+  request.dataset_name = "narrow";
+  const Result<ResultTable> ok = session.Inspect(request);
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
