@@ -154,6 +154,21 @@ if grep -rnwE "$DELETED_TENSOR_NAMES" src; then
   exit 1
 fi
 
+# One byte codec for every file: the behavior store's .behaviors and .blob
+# files and the model files encode through codec::Writer and decode
+# through codec::Reader over the file's bytes (codec::MapFile), like wire
+# frames, measure states and result tables, so every length is checked
+# against the bytes the reader still holds. A binary stream in src/ is a
+# second parser beside it. TextTable::WriteCsv's text std::ofstream stays
+# legal.
+if grep -rnE 'std::(i|if)stream\b|ios::binary|std::ostream\*' src; then
+  echo "lint: the lines above read or write binary bytes through a" \
+       "stream. Encode with codec::Writer and write with" \
+       "codec::WriteFile; decode with codec::Reader over codec::MapFile's" \
+       "bytes (src/util/codec.h)."
+  exit 1
+fi
+
 # Extraction at kernel speed. The LSTM gate step evaluates sigmoid and
 # tanh with its own polynomial, one vector lane per unit: a libm call per
 # unit and step in src/nn/lstm.cc is the scalar path it replaced. The

@@ -1,17 +1,12 @@
 #include "core/behavior_store.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 
 #include "core/extractors.h"
+#include "util/codec.h"
 #include "util/failpoint.h"
 #include "util/fnv.h"
 #include "util/stopwatch.h"
@@ -35,50 +30,60 @@ std::string NamespaceOf(const std::string& key) {
 constexpr uint32_t kStoreMagicV2 = 0x44425332;  // "DBS2"
 constexpr uint32_t kBlobMagic = 0x44425342;     // "DBSB"
 
-// The v2 behavior-file layout places the raw float payload (packed
-// logical rows×cols, row-major) at the first 64-byte boundary after the
-// header, so MapPayload can serve it in place: mapped pages are cache-line
-// aligned like owned Matrix buffers. It is the only layout: a file with
-// any other magic fails validation and is quarantined like any corrupt
-// file.
+// A .behaviors file is magic(4), key length(8), key, checksum(8), rows(8)
+// and cols(8), zero padding to the next 64-byte boundary, then the packed
+// logical rows×cols floats, so GetShared can hand out the file's mapping
+// in place: mapped pages are cache-line aligned like owned Matrix buffers.
+// It is the only layout: a file with any other magic fails validation and
+// is quarantined like any corrupt file.
 constexpr size_t kPayloadAlign = 64;
 
-size_t AlignUp(size_t n, size_t align) {
-  return (n + align - 1) / align * align;
+/// The zero padding after a header whose key is `key_len` bytes long.
+size_t PaddingBytes(size_t key_len) {
+  const size_t header = sizeof(uint32_t) + 4 * sizeof(uint64_t) + key_len;
+  return (kPayloadAlign - header % kPayloadAlign) % kPayloadAlign;
 }
 
-/// Byte offset of the float payload in a v2 file whose key is `key_len`
-/// bytes long: magic(4) + key_len(8) + key + checksum(8) + rows(8) +
-/// cols(8), rounded up to the alignment boundary.
-size_t V2PayloadOffset(size_t key_len) {
-  return AlignUp(sizeof(uint32_t) + 4 * sizeof(uint64_t) + key_len,
-                 kPayloadAlign);
-}
+/// A decoded store file; the views point into the decoded bytes. A blob
+/// has no shape.
+struct StoreFile {
+  std::string_view key;
+  uint64_t checksum = 0;
+  uint64_t rows = 0, cols = 0;
+  std::string_view payload;
+};
 
-// Map the packed `rows`×`cols` float payload at byte `payload_offset` of
-// `path` read-only, as a Matrix that shares the mapping (unmapped with its
-// last copy); the page cache streams it. Null on I/O failure or when the
-// opened file is too short.
-std::shared_ptr<const Matrix> MapPayload(const std::string& path,
-                                         size_t payload_offset, size_t rows,
-                                         size_t cols) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return nullptr;
-  const size_t len = payload_offset + rows * cols * sizeof(float);
-  struct stat st;
-  void* base = MAP_FAILED;
-  if (fstat(fd, &st) == 0 && static_cast<size_t>(st.st_size) >= len) {
-    base = mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+/// The one decoder of a .behaviors file, shared by GetShared, PeekTier
+/// and Keys: the header, zero padding to the payload offset, then exactly
+/// rows×cols floats. False when any field disagrees with the bytes.
+bool DecodeBehaviorsFile(std::string_view bytes, StoreFile* file) {
+  codec::Reader r(bytes);
+  if (r.U32() != kStoreMagicV2) return false;
+  const uint64_t key_len = r.U64();
+  file->key = r.View(key_len);
+  file->checksum = r.U64();
+  file->rows = r.U64();
+  file->cols = r.U64();
+  if (!r.ok()) return false;
+  r.View(PaddingBytes(key_len));
+  uint64_t floats = 0;
+  if (__builtin_mul_overflow(file->rows, file->cols, &floats) ||
+      floats > r.remaining() / sizeof(float)) {
+    return false;
   }
-  ::close(fd);  // the mapping keeps its own reference
-  if (base == MAP_FAILED) return nullptr;
-  std::shared_ptr<const void> mapping(
-      base, [len](const void* p) { munmap(const_cast<void*>(p), len); });
-  return std::make_shared<const Matrix>(
-      std::move(mapping),
-      reinterpret_cast<const float*>(static_cast<const char*>(base) +
-                                     payload_offset),
-      rows, cols);
+  file->payload = r.View(floats * sizeof(float));
+  return r.exhausted();
+}
+
+/// The one decoder of a .blob file, shared by GetBlob and the manifest
+/// scan: magic, key, checksum, then a length and exactly that many bytes.
+bool DecodeBlobFile(std::string_view bytes, StoreFile* file) {
+  codec::Reader r(bytes);
+  if (r.U32() != kBlobMagic) return false;
+  file->key = r.View(r.U64());
+  file->checksum = r.U64();
+  file->payload = r.View(r.U64());
+  return r.exhausted();
 }
 
 uint64_t MatrixChecksum(const Matrix& m) {
@@ -87,7 +92,8 @@ uint64_t MatrixChecksum(const Matrix& m) {
   const uint64_t rows = m.rows(), cols = m.cols();
   h = Fnv1a(&rows, sizeof(rows), h);
   h = Fnv1a(&cols, sizeof(cols), h);
-  for (size_t r = 0; r < m.rows(); ++r) {
+  // A zero-column matrix folds no bytes, however many rows a file claims.
+  for (size_t r = 0; r < m.rows() && m.cols() > 0; ++r) {
     h = Fnv1a(m.row_data(r), m.cols() * sizeof(float), h);
   }
   return h;
@@ -146,39 +152,23 @@ Status BehaviorStore::Put(const std::string& key, const Matrix& behaviors,
     return Status::IOError("cannot create store directory " + root_dir_ +
                            ": " + ec.message());
   }
-  const std::string path = PathForKey(key);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + path);
-    const uint32_t magic = kStoreMagicV2;
-    const uint64_t key_len = key.size();
-    const uint64_t checksum = MatrixChecksum(behaviors);
-    const uint64_t rows = behaviors.rows();
-    const uint64_t cols = behaviors.cols();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&key_len), sizeof(key_len));
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    // Zero-pad the header so the payload starts 64-byte-aligned — the
-    // precondition for serving the file through MapPayload.
-    const size_t header_end = sizeof(magic) + 4 * sizeof(uint64_t) + key.size();
-    const size_t payload_offset = V2PayloadOffset(key.size());
-    const std::string pad(payload_offset - header_end, '\0');
-    out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-    // Logical rows×cols row by row — never the padded lda, so files are
-    // identical across SIMD/scalar builds.
-    for (size_t r = 0; r < behaviors.rows(); ++r) {
-      out.write(reinterpret_cast<const char*>(behaviors.row_data(r)),
-                static_cast<std::streamsize>(cols * sizeof(float)));
-    }
-    if (!out) return Status::IOError("write failed for " + path);
-    // Actual file footprint (header + padding + payload), not an entry
-    // count or a payload-only estimate.
-    const auto pos = out.tellp();
-    bytes_written_ += pos > 0 ? static_cast<size_t>(pos) : 0;
-  }
+  codec::Writer out;
+  out.U32(kStoreMagicV2);
+  out.U64(key.size());
+  out.Bytes(key);
+  out.U64(MatrixChecksum(behaviors));
+  out.U64(behaviors.rows());
+  out.U64(behaviors.cols());
+  // Zero-pad the header so the payload starts 64-byte-aligned — the
+  // precondition for handing out the file's mapping.
+  out.Bytes(std::string(PaddingBytes(key.size()), '\0'));
+  // Logical rows×cols — never the padded lda, so files are identical
+  // across SIMD/scalar builds.
+  WriteMatrixPayload(behaviors, &out);
+  DB_RETURN_NOT_OK(codec::WriteFile(PathForKey(key), out.bytes()));
+  // Actual file footprint (header + padding + payload), not an entry
+  // count or a payload-only estimate.
+  bytes_written_ += out.bytes().size();
   AdmitLocked(key, std::make_shared<const Matrix>(behaviors), cost);
   return Status::OK();
 }
@@ -204,10 +194,14 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
   }
 
   DB_FAILPOINT("store.read");
+  // One open per read: the file is mapped once and decoded from the
+  // mapping. The mmap tier hands that mapping out; the disk tier copies
+  // the payload out of it.
   const std::string path = PathForKey(key);
-  std::ifstream in;
-  if (!memory_only()) in.open(path, std::ios::binary);
-  if (!in.is_open()) {
+  Result<codec::MappedFile> mapped =
+      memory_only() ? Result<codec::MappedFile>(Status::NotFound(path))
+                    : codec::MapFile(path);
+  if (!mapped.ok()) {
     ++misses_;
     return Status::NotFound("no stored behaviors for key: " + key);
   }
@@ -216,70 +210,37 @@ Result<std::shared_ptr<const Matrix>> BehaviorStore::GetShared(
   // repopulates the entry, instead of every restart re-failing kDataLoss
   // on the same bytes forever.
   auto corrupt = [&](const std::string& what) -> Status {
-    in.close();
     QuarantineLocked(path);
     ++misses_;
     return Status::NotFound("stored behaviors for key '" + key +
                             "' failed validation (" + what +
                             "); file quarantined");
   };
-  uint32_t magic = 0;
-  uint64_t key_len = 0, checksum = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-  if (!in || magic != kStoreMagicV2 || key_len > (1u << 20)) {
-    return corrupt("corrupt store file header");
+  StoreFile file;
+  if (!DecodeBehaviorsFile(mapped->bytes, &file)) {
+    return corrupt("the header does not describe the file");
   }
-  std::string stored_key(key_len, '\0');
-  in.read(stored_key.data(), static_cast<std::streamsize>(key_len));
-  in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  if (!in || stored_key != key) {
-    return corrupt("key mismatch (hash collision?)");
+  if (file.key != key) return corrupt("key mismatch (hash collision?)");
+
+  // Out-of-core handout: the aligned payload, read-only, in the mapping;
+  // the page cache streams it.
+  if (OutOfCoreLocked(key, file.payload.size())) {
+    ++mmap_hits_;
+    if (served_from != nullptr) *served_from = Tier::kMmap;
+    return std::make_shared<const Matrix>(
+        std::move(mapped->mapping),
+        reinterpret_cast<const float*>(file.payload.data()), file.rows,
+        file.cols);
   }
 
-  uint64_t rows = 0, cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  // Shape sanity before any multiply: reject products that would
-  // overflow rows*cols*sizeof(float).
-  constexpr uint64_t kMaxFloats =
-      std::numeric_limits<size_t>::max() / sizeof(float);
-  if (!in || (cols != 0 && rows > kMaxFloats / cols)) {
-    return corrupt("corrupt v2 store file shape");
-  }
-  const size_t payload_offset = V2PayloadOffset(key_len);
-  const size_t payload_bytes = rows * cols * sizeof(float);
-  std::error_code size_ec;
-  const auto file_size = std::filesystem::file_size(path, size_ec);
-  if (size_ec || file_size < payload_offset + payload_bytes) {
-    return corrupt("v2 store file truncated");
-  }
-
-  // Out-of-core handout: map the aligned payload read-only and let the
-  // page cache stream it.
-  if (OutOfCoreLocked(key, payload_bytes)) {
-    if (std::shared_ptr<const Matrix> mapped =
-            MapPayload(path, payload_offset, rows, cols)) {
-      ++mmap_hits_;
-      if (served_from != nullptr) *served_from = Tier::kMmap;
-      return mapped;
-    }
-    // Map failure degrades to the deserializing path below.
-  }
-
-  in.seekg(static_cast<std::streamoff>(payload_offset));
-  Matrix m(rows, cols);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    in.read(reinterpret_cast<char*>(m.row_data(r)),
-            static_cast<std::streamsize>(cols * sizeof(float)));
-  }
-  if (in.fail()) return corrupt("unreadable v2 matrix payload");
-  if (MatrixChecksum(m) != checksum) {
+  codec::Reader payload(file.payload);
+  Result<Matrix> m = ReadMatrixPayload(&payload, file.rows, file.cols);
+  if (!m.ok() || MatrixChecksum(*m) != file.checksum) {
     return corrupt("checksum mismatch");
   }
   ++disk_hits_;
   if (served_from != nullptr) *served_from = Tier::kDisk;
-  auto shared = std::make_shared<const Matrix>(std::move(m));
+  auto shared = std::make_shared<const Matrix>(std::move(*m));
   AdmitLocked(key, shared, /*cost=*/1.0);
   return shared;
 }
@@ -288,15 +249,16 @@ BehaviorStore::Tier BehaviorStore::PeekTier(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (index_.count(key) > 0) return Tier::kMemory;
   if (memory_only()) return Tier::kMiss;
-  std::error_code ec;
-  const auto file_size = std::filesystem::file_size(PathForKey(key), ec);
-  const size_t payload_offset = V2PayloadOffset(key.size());
-  // A file too short for its own header fails GetShared's validation.
-  if (ec || file_size < payload_offset) return Tier::kMiss;
-  // Put writes the payload right after the aligned header, so the file
-  // size pins the payload size GetShared compares.
-  return OutOfCoreLocked(key, file_size - payload_offset) ? Tier::kMmap
-                                                          : Tier::kDisk;
+  // GetShared's decoder and out-of-core rule; a file whose header it
+  // would reject is a miss.
+  Result<codec::MappedFile> mapped = codec::MapFile(PathForKey(key));
+  StoreFile file;
+  if (!mapped.ok() || !DecodeBehaviorsFile(mapped->bytes, &file) ||
+      file.key != key) {
+    return Tier::kMiss;
+  }
+  return OutOfCoreLocked(key, file.payload.size()) ? Tier::kMmap
+                                                   : Tier::kDisk;
 }
 
 bool BehaviorStore::OutOfCoreLocked(const std::string& key,
@@ -341,15 +303,11 @@ std::vector<std::string> BehaviorStore::Keys() const {
   for (const auto& entry :
        std::filesystem::directory_iterator(root_dir_, ec)) {
     if (entry.path().extension() != ".behaviors") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    uint32_t magic = 0;
-    uint64_t key_len = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-    if (!in || magic != kStoreMagicV2 || key_len > (1u << 20)) continue;
-    std::string key(key_len, '\0');
-    in.read(key.data(), static_cast<std::streamsize>(key_len));
-    if (in) keys.push_back(std::move(key));
+    Result<codec::MappedFile> mapped = codec::MapFile(entry.path());
+    StoreFile file;
+    if (mapped.ok() && DecodeBehaviorsFile(mapped->bytes, &file)) {
+      keys.emplace_back(file.key);
+    }
   }
   std::sort(keys.begin(), keys.end());
   return keys;
@@ -459,21 +417,13 @@ void BehaviorStore::EnsureBlobManifestLocked() const {
   for (const auto& entry :
        std::filesystem::directory_iterator(root_dir_, ec)) {
     if (entry.path().extension() != ".blob") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    uint32_t magic = 0;
-    uint64_t key_len = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-    if (!in || magic != kBlobMagic || key_len > (1u << 20)) continue;
-    std::string key(key_len, '\0');
-    in.read(key.data(), static_cast<std::streamsize>(key_len));
-    if (!in) continue;
-    std::error_code size_ec, time_ec;
-    const auto bytes = std::filesystem::file_size(entry.path(), size_ec);
+    Result<codec::MappedFile> mapped = codec::MapFile(entry.path());
+    StoreFile file;
+    if (!mapped.ok() || !DecodeBlobFile(mapped->bytes, &file)) continue;
+    std::error_code time_ec;
     const auto mtime =
         std::filesystem::last_write_time(entry.path(), time_ec);
-    if (size_ec) continue;
-    found.push_back({mtime, std::move(key), static_cast<size_t>(bytes)});
+    found.push_back({mtime, std::string(file.key), mapped->bytes.size()});
   }
   std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
     return a.mtime != b.mtime ? a.mtime < b.mtime : a.key < b.key;
@@ -538,28 +488,16 @@ Status BehaviorStore::PutBlob(const std::string& key,
     return Status::IOError("cannot create store directory " + root_dir_ +
                            ": " + ec.message());
   }
-  const std::string path = PathForBlob(key);
-  size_t file_bytes = 0;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + path);
-    const uint32_t magic = kBlobMagic;
-    const uint64_t key_len = key.size();
-    const uint64_t checksum =
-        Fnv1a(bytes.data(), bytes.size());
-    const uint64_t payload_len = bytes.size();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&key_len), sizeof(key_len));
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.write(reinterpret_cast<const char*>(&payload_len),
-              sizeof(payload_len));
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) return Status::IOError("write failed for " + path);
-    const auto pos = out.tellp();
-    file_bytes = pos > 0 ? static_cast<size_t>(pos) : 0;
-    bytes_written_ += file_bytes;
-  }
+  codec::Writer out;
+  out.U32(kBlobMagic);
+  out.U64(key.size());
+  out.Bytes(key);
+  out.U64(Fnv1a(bytes.data(), bytes.size()));
+  out.U64(bytes.size());
+  out.Bytes(bytes);
+  DB_RETURN_NOT_OK(codec::WriteFile(PathForBlob(key), out.bytes()));
+  const size_t file_bytes = out.bytes().size();
+  bytes_written_ += file_bytes;
   const std::string ns = NamespaceOf(key);
   DropBlobFromManifestLocked(key);  // overwrite: replace the old entry
   blob_ns_bytes_[ns] += file_bytes;
@@ -572,9 +510,10 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
   DB_FAILPOINT("store.blob.read");
   std::lock_guard<std::mutex> lock(mu_);
   const std::string path = PathForBlob(key);
-  std::ifstream in;
-  if (!memory_only()) in.open(path, std::ios::binary);
-  if (!in.is_open()) {
+  Result<codec::MappedFile> mapped =
+      memory_only() ? Result<codec::MappedFile>(Status::NotFound(path))
+                    : codec::MapFile(path);
+  if (!mapped.ok()) {
     ++blob_misses_;
     return Status::NotFound("no stored blob for key: " + key);
   }
@@ -582,7 +521,6 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
   // renamed aside, dropped from the manifest, and read as a miss so the
   // caller recomputes exactly once.
   auto corrupt = [&](const std::string& what) -> Status {
-    in.close();
     QuarantineLocked(path);
     EnsureBlobManifestLocked();
     DropBlobFromManifestLocked(key);
@@ -591,39 +529,16 @@ Result<std::string> BehaviorStore::GetBlob(const std::string& key) {
                             "' failed validation (" + what +
                             "); file quarantined");
   };
-  uint32_t magic = 0;
-  uint64_t key_len = 0, checksum = 0, payload_len = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&key_len), sizeof(key_len));
-  if (!in || magic != kBlobMagic || key_len > (1u << 20)) {
-    return corrupt("corrupt blob file header");
+  StoreFile file;
+  if (!DecodeBlobFile(mapped->bytes, &file)) {
+    return corrupt("the header does not describe the file");
   }
-  std::string stored_key(key_len, '\0');
-  in.read(stored_key.data(), static_cast<std::streamsize>(key_len));
-  in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  if (!in || stored_key != key) {
-    return corrupt("key mismatch (hash collision?)");
-  }
-  // Size nothing from the length field before the file backs it: the
-  // payload is exactly the bytes after the header.
-  const uint64_t header_bytes = sizeof(magic) + sizeof(key_len) + key_len +
-                                sizeof(checksum) + sizeof(payload_len);
-  std::error_code size_ec;
-  const auto file_size = std::filesystem::file_size(path, size_ec);
-  if (size_ec || file_size < header_bytes ||
-      file_size - header_bytes != payload_len) {
-    return corrupt("payload size does not match the file");
-  }
-  std::string payload(payload_len, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (in.fail() ||
-      Fnv1a(payload.data(), payload.size()) !=
-          checksum) {
+  if (file.key != key) return corrupt("key mismatch (hash collision?)");
+  if (Fnv1a(file.payload.data(), file.payload.size()) != file.checksum) {
     return corrupt("checksum mismatch");
   }
   ++blob_hits_;
-  return payload;
+  return std::string(file.payload);
 }
 
 bool BehaviorStore::ContainsBlob(const std::string& key) const {

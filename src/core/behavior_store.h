@@ -7,7 +7,10 @@
 // activations once and makes the subsequent passes on the cached
 // version"). A store without a root directory keeps only the memory
 // tier: the paper's hypothesis-behavior cache (§5.1.2, Fig. 9), "simple
-// LRU to pin the matrix in memory", which storeless sessions use.
+// LRU to pin the matrix in memory", which storeless sessions use. Files
+// are encoded with codec::Writer and decoded with codec::Reader over the
+// file's mapped bytes (util/codec.h); each file kind has one decoder,
+// shared by its reads and its directory scan.
 
 #pragma once
 
@@ -73,7 +76,8 @@ class BehaviorStore {
 
   /// \brief Fetch a matrix: memory tier first, then disk (re-admitting to
   /// memory). kNotFound if the key was never Put — or if the on-disk file
-  /// failed validation (bad header, key mismatch, checksum mismatch), in
+  /// failed validation (a key, shape or length that does not describe the
+  /// file's bytes, or a checksum mismatch), in
   /// which case the file is quarantined (renamed `.quarantined`) so the
   /// caller recomputes once instead of hitting kDataLoss on every read
   /// across restarts. `served_from`, when non-null, reports which tier
@@ -89,11 +93,13 @@ class BehaviorStore {
   /// Out-of-core: when the stored payload is larger than the memory
   /// tier's effective limit (the global budget, tightened by the key's
   /// namespace quota), the matrix would evict everything and still not
-  /// fit — so instead of deserializing, the store maps the v2 file's
-  /// 64-byte-aligned float payload read-only (Tier::kMmap) and the page
-  /// cache streams it. Mmap handouts bypass the LRU and skip checksum
-  /// verification (validating would read the whole payload, defeating
-  /// the point); the header and file size are still validated.
+  /// fit — so instead of deserializing, the store hands out the file's
+  /// read-only mapping of its 64-byte-aligned float payload
+  /// (Tier::kMmap) and the page cache streams it. Every read maps the
+  /// file once; the disk tier copies the payload out of that mapping.
+  /// Mmap handouts bypass the LRU and skip checksum verification
+  /// (validating would read the whole payload, defeating the point); the
+  /// header's key and shape are still checked against the file's bytes.
   Result<std::shared_ptr<const Matrix>> GetShared(
       const std::string& key, Tier* served_from = nullptr);
 

@@ -508,7 +508,7 @@ void WriteUnits(const std::vector<Matrix>& layers,
 }
 
 Result<std::vector<Matrix>> ReadWeights(
-    std::istream* in, const std::vector<std::pair<size_t, size_t>>& shapes) {
+    codec::Reader* in, const std::vector<std::pair<size_t, size_t>>& shapes) {
   std::vector<Matrix> weights;
   weights.reserve(shapes.size());
   for (const auto& [rows, cols] : shapes) {

@@ -4,7 +4,6 @@
 
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <utility>
 #include <vector>
@@ -128,6 +127,6 @@ void WriteUnits(const std::vector<Matrix>& layers,
 /// (Invalid otherwise). Model Load reads every weight before it builds the
 /// model, so it never allocates from header sizes the file does not hold.
 Result<std::vector<Matrix>> ReadWeights(
-    std::istream* in, const std::vector<std::pair<size_t, size_t>>& shapes);
+    codec::Reader* in, const std::vector<std::pair<size_t, size_t>>& shapes);
 
 }  // namespace deepbase

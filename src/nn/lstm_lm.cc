@@ -1,9 +1,9 @@
 #include "nn/lstm_lm.h"
 
 #include <cmath>
-#include <fstream>
 #include <numeric>
 
+#include "util/codec.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -203,15 +203,11 @@ constexpr uint32_t kLstmLmMagic = 0x44424C4D;  // "DBLM"
 }  // namespace
 
 Status LstmLm::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path);
-  const uint32_t magic = kLstmLmMagic;
-  const uint64_t vocab = vocab_size_, hidden = hidden_dim_,
-                 layers = layers_.size();
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&vocab), sizeof(vocab));
-  out.write(reinterpret_cast<const char*>(&hidden), sizeof(hidden));
-  out.write(reinterpret_cast<const char*>(&layers), sizeof(layers));
+  codec::Writer out;
+  out.U32(kLstmLmMagic);
+  out.U64(vocab_size_);
+  out.U64(hidden_dim_);
+  out.U64(layers_.size());
   for (const LstmLayer& layer : layers_) {
     WriteMatrix(layer.wx, &out);
     WriteMatrix(layer.wh, &out);
@@ -219,20 +215,17 @@ Status LstmLm::Save(const std::string& path) const {
   }
   WriteMatrix(wo_, &out);
   WriteMatrix(bo_, &out);
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return codec::WriteFile(path, out.bytes());
 }
 
 Result<LstmLm> LstmLm::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  uint32_t magic = 0;
-  uint64_t vocab = 0, hidden = 0, layers = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&vocab), sizeof(vocab));
-  in.read(reinterpret_cast<char*>(&hidden), sizeof(hidden));
-  in.read(reinterpret_cast<char*>(&layers), sizeof(layers));
-  if (!in || magic != kLstmLmMagic) {
+  DB_ASSIGN_OR_RETURN(codec::MappedFile file, codec::MapFile(path));
+  codec::Reader in(file.bytes);
+  const uint32_t magic = in.U32();
+  const uint64_t vocab = in.U64();
+  const uint64_t hidden = in.U64();
+  const uint64_t layers = in.U64();
+  if (!in.ok() || magic != kLstmLmMagic) {
     return Status::Invalid("not a DeepBase LstmLm file: " + path);
   }
   if (vocab == 0 || hidden == 0 || hidden > (1u << 16) || layers == 0 ||

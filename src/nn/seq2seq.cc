@@ -1,9 +1,9 @@
 #include "nn/seq2seq.h"
 
 #include <cmath>
-#include <fstream>
 #include <numeric>
 
+#include "util/codec.h"
 #include "util/logging.h"
 
 namespace deepbase {
@@ -240,14 +240,11 @@ constexpr uint32_t kSeq2SeqMagic = 0x44425332;  // "DBS2"
 }  // namespace
 
 Status Seq2Seq::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path);
-  const uint32_t magic = kSeq2SeqMagic;
-  const uint64_t src = src_vocab_, tgt = tgt_vocab_, hidden = hidden_dim_;
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&src), sizeof(src));
-  out.write(reinterpret_cast<const char*>(&tgt), sizeof(tgt));
-  out.write(reinterpret_cast<const char*>(&hidden), sizeof(hidden));
+  codec::Writer out;
+  out.U32(kSeq2SeqMagic);
+  out.U64(src_vocab_);
+  out.U64(tgt_vocab_);
+  out.U64(hidden_dim_);
   for (const LstmLayer* layer : {&enc0_, &enc1_, &dec_}) {
     WriteMatrix(layer->wx, &out);
     WriteMatrix(layer->wh, &out);
@@ -255,20 +252,17 @@ Status Seq2Seq::Save(const std::string& path) const {
   }
   WriteMatrix(wo_, &out);
   WriteMatrix(bo_, &out);
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return codec::WriteFile(path, out.bytes());
 }
 
 Result<Seq2Seq> Seq2Seq::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  uint32_t magic = 0;
-  uint64_t src = 0, tgt = 0, hidden = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&src), sizeof(src));
-  in.read(reinterpret_cast<char*>(&tgt), sizeof(tgt));
-  in.read(reinterpret_cast<char*>(&hidden), sizeof(hidden));
-  if (!in || magic != kSeq2SeqMagic) {
+  DB_ASSIGN_OR_RETURN(codec::MappedFile file, codec::MapFile(path));
+  codec::Reader in(file.bytes);
+  const uint32_t magic = in.U32();
+  const uint64_t src = in.U64();
+  const uint64_t tgt = in.U64();
+  const uint64_t hidden = in.U64();
+  if (!in.ok() || magic != kSeq2SeqMagic) {
     return Status::Invalid("not a DeepBase Seq2Seq file: " + path);
   }
   if (src == 0 || tgt == 0 || hidden == 0 || hidden > (1u << 16)) {

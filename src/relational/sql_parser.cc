@@ -290,6 +290,20 @@ class SqlParser {
   // multiplicative < unary < primary.
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
 
+  // Every recursive descent (NOT, unary minus, parentheses, call arguments
+  // and IN items) goes through here, so the parser's stack depth is
+  // bounded by kMaxSqlNesting instead of by the statement.
+  Result<ExprPtr> Nested(Result<ExprPtr> (SqlParser::*parse)()) {
+    if (nesting_ == kMaxSqlNesting) {
+      return Status::Invalid("expression nests deeper than " +
+                             std::to_string(kMaxSqlNesting) + " levels");
+    }
+    ++nesting_;
+    Result<ExprPtr> e = (this->*parse)();
+    --nesting_;
+    return e;
+  }
+
   Result<ExprPtr> ParseOr() {
     DB_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
     while (TryKeyword("or")) {
@@ -310,7 +324,7 @@ class SqlParser {
 
   Result<ExprPtr> ParseNot() {
     if (TryKeyword("not")) {
-      DB_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      DB_ASSIGN_OR_RETURN(ExprPtr operand, Nested(&SqlParser::ParseNot));
       return Expr::Unary("not", std::move(operand));
     }
     return ParseComparison();
@@ -336,7 +350,7 @@ class SqlParser {
       // semantics, no new evaluator machinery.
       ExprPtr chain;
       do {
-        DB_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
+        DB_ASSIGN_OR_RETURN(ExprPtr item, Nested(&SqlParser::ParseExpr));
         ExprPtr eq = Expr::Binary("=", left->Clone(), std::move(item));
         chain = chain ? Expr::Binary("or", std::move(chain), std::move(eq))
                       : std::move(eq);
@@ -383,7 +397,7 @@ class SqlParser {
 
   Result<ExprPtr> ParseUnary() {
     if (TrySymbol("-")) {
-      DB_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      DB_ASSIGN_OR_RETURN(ExprPtr operand, Nested(&SqlParser::ParseUnary));
       return Expr::Unary("-", std::move(operand));
     }
     return ParsePrimary();
@@ -399,7 +413,7 @@ class SqlParser {
         return Expr::Literal(Datum::Str(t.text));
       case TokenKind::kSymbol:
         if (t.text == "(") {
-          DB_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+          DB_ASSIGN_OR_RETURN(ExprPtr inner, Nested(&SqlParser::ParseExpr));
           DB_RETURN_NOT_OK(ExpectSymbol(")"));
           return inner;
         }
@@ -420,7 +434,8 @@ class SqlParser {
                 ++pos_;
                 args.push_back(Expr::Star());
               } else {
-                DB_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+                DB_ASSIGN_OR_RETURN(ExprPtr arg,
+                                    Nested(&SqlParser::ParseExpr));
                 args.push_back(std::move(arg));
               }
             } while (TrySymbol(","));
@@ -447,6 +462,7 @@ class SqlParser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;
 };
 
 }  // namespace

@@ -66,6 +66,11 @@ struct SelectStmt {
   long long limit = -1;              // -1 = no limit
 };
 
+/// \brief How deep NOT, unary minus, parentheses, call arguments and IN
+/// items may nest in one expression; deeper input is kInvalidArgument, so
+/// no statement can overflow the parser's stack.
+inline constexpr int kMaxSqlNesting = 200;
+
 /// \brief Parse one statement. Keywords are case-insensitive; identifiers
 /// and string literals are case-sensitive.
 Result<SelectStmt> ParseSql(const std::string& sql);

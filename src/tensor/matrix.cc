@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <new>
-#include <ostream>
 #include <sstream>
 
 #include "tensor/simd.h"
+#include "util/codec.h"
 
 namespace deepbase {
 
@@ -643,43 +642,35 @@ Matrix Relu(const Matrix& x) {
   return out;
 }
 
-void WriteMatrix(const Matrix& m, std::ostream* out) {
-  const uint64_t rows = m.rows(), cols = m.cols();
-  out->write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  out->write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  // Logical rows×cols only — lda padding never reaches the serialized
-  // format, so blobs are identical across builds with different widths.
-  for (uint64_t r = 0; r < rows; ++r) {
-    out->write(reinterpret_cast<const char*>(m.row_data(r)),
-               static_cast<std::streamsize>(cols * sizeof(float)));
-  }
+void WriteMatrix(const Matrix& m, codec::Writer* out) {
+  out->U64(m.rows());
+  out->U64(m.cols());
+  WriteMatrixPayload(m, out);
 }
 
-Result<Matrix> ReadMatrix(std::istream* in) {
-  uint64_t rows = 0, cols = 0;
-  in->read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in->read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!*in) return Status::Invalid("truncated matrix header");
-  // The payload must be in the stream before the matrix is allocated from
-  // the header's sizes.
-  const std::streampos payload = in->tellg();
-  in->seekg(0, std::ios::end);
-  const std::streampos end = in->tellg();
-  in->seekg(payload);
-  if (payload < 0 || end < payload || !*in) {
-    return Status::Invalid("matrix stream is not seekable");
-  }
+Result<Matrix> ReadMatrix(codec::Reader* in) {
+  const uint64_t rows = in->U64();
+  const uint64_t cols = in->U64();
+  if (!in->ok()) return Status::Invalid("truncated matrix header");
+  return ReadMatrixPayload(in, rows, cols);
+}
+
+void WriteMatrixPayload(const Matrix& m, codec::Writer* out) {
+  out->Reserve(m.size() * sizeof(float));
+  for (size_t r = 0; r < m.rows(); ++r) out->F32s(m.row_data(r), m.cols());
+}
+
+Result<Matrix> ReadMatrixPayload(codec::Reader* in, uint64_t rows,
+                                 uint64_t cols) {
   uint64_t floats = 0;
   if (__builtin_mul_overflow(rows, cols, &floats) ||
-      floats > static_cast<uint64_t>(end - payload) / sizeof(float)) {
-    return Status::Invalid("matrix dimensions exceed the stream");
+      floats > in->remaining() / sizeof(float)) {
+    return Status::Invalid("matrix dimensions exceed the bytes that remain");
   }
   Matrix m(rows, cols);
   for (uint64_t r = 0; r < rows && cols > 0; ++r) {
-    in->read(reinterpret_cast<char*>(m.row_data(r)),
-             static_cast<std::streamsize>(cols * sizeof(float)));
+    in->F32s(m.row_data(r), cols);
   }
-  if (!*in) return Status::Invalid("truncated matrix data");
   return m;
 }
 

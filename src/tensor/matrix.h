@@ -20,14 +20,15 @@
 // through row_data()/lda() (or check contiguous() first and treat row 0 as
 // a flat span of size() floats). Serialization never pads: WriteMatrix,
 // ReadMatrix and the BehaviorStore file layout carry logical rows×cols, so
-// blobs round-trip bit-identically across builds with different vector
-// widths.
+// files round-trip bit-identically across builds with different vector
+// widths. They encode and decode through codec (util/codec.h), like every
+// other byte string the program reads back.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,6 +39,11 @@
 #include "util/status.h"
 
 namespace deepbase {
+
+namespace codec {
+class Reader;
+class Writer;
+}  // namespace codec
 
 /// \brief Leading dimension for a padded in-memory row: cols rounded up to
 /// a multiple of vec::kLdaFloats (16 floats = one cache line). Matrices of
@@ -244,14 +250,20 @@ Matrix Relu(const Matrix& x);
 /// \brief Max absolute elementwise difference; matrices must share shape.
 float MaxAbsDiff(const Matrix& a, const Matrix& b);
 
-/// \brief Binary serialization: rows, cols (u64 little-endian), then the
-/// logical rows×cols floats row by row — never the padded lda, so blobs
-/// written by any build round-trip bit-identically with pre-padding blobs
-/// and across builds with different vector widths.
-void WriteMatrix(const Matrix& m, std::ostream* out);
-/// \brief Inverse of WriteMatrix; Invalid on malformed input. Sizes are
-/// overflow-checked, and nothing is allocated before the (seekable) stream
-/// is known to hold the whole payload.
-Result<Matrix> ReadMatrix(std::istream* in);
+/// \brief Binary serialization: rows, cols (u64 little-endian), then
+/// WriteMatrixPayload's floats. A model file is a header and one of these
+/// per weight.
+void WriteMatrix(const Matrix& m, codec::Writer* out);
+/// \brief Inverse of WriteMatrix; Invalid on malformed input.
+Result<Matrix> ReadMatrix(codec::Reader* in);
+
+/// \brief The logical rows×cols floats (little-endian), one bulk copy per
+/// row — never the padded lda.
+void WriteMatrixPayload(const Matrix& m, codec::Writer* out);
+/// \brief A `rows`×`cols` matrix from the next WriteMatrixPayload bytes
+/// of `in`. Invalid, before anything is allocated, when rows×cols
+/// overflows or exceeds what `in` still holds.
+Result<Matrix> ReadMatrixPayload(codec::Reader* in, uint64_t rows,
+                                 uint64_t cols);
 
 }  // namespace deepbase

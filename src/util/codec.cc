@@ -1,28 +1,15 @@
 #include "util/codec.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <bit>
+#include <cstdio>
 
 namespace deepbase {
 namespace codec {
-
-void Writer::U16(uint16_t v) {
-  U8(static_cast<uint8_t>(v));
-  U8(static_cast<uint8_t>(v >> 8));
-}
-
-void Writer::U32(uint32_t v) {
-  U16(static_cast<uint16_t>(v));
-  U16(static_cast<uint16_t>(v >> 16));
-}
-
-void Writer::U64(uint64_t v) {
-  U32(static_cast<uint32_t>(v));
-  U32(static_cast<uint32_t>(v >> 32));
-}
-
-void Writer::F32(float v) { U32(std::bit_cast<uint32_t>(v)); }
-void Writer::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
 void Writer::Str(const std::string& s) {
   U32(static_cast<uint32_t>(s.size()));
@@ -42,35 +29,19 @@ bool Reader::Need(size_t n) {
   return true;
 }
 
-uint8_t Reader::U8() {
-  if (!Need(1)) return 0;
-  return static_cast<uint8_t>(data_[pos_++]);
+bool Reader::F32s(float* out, size_t n) {
+  if (n > remaining() / sizeof(float)) {
+    ok_ = false;
+    return false;
+  }
+  const std::string_view bytes = View(n * sizeof(float));
+  if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  return ok_;
 }
 
-uint16_t Reader::U16() {
-  const uint16_t lo = U8();
-  const uint16_t hi = U8();
-  return static_cast<uint16_t>(lo | (hi << 8));
-}
-
-uint32_t Reader::U32() {
-  const uint32_t lo = U16();
-  const uint32_t hi = U16();
-  return lo | (hi << 16);
-}
-
-uint64_t Reader::U64() {
-  const uint64_t lo = U32();
-  const uint64_t hi = U32();
-  return lo | (hi << 32);
-}
-
-float Reader::F32() { return std::bit_cast<float>(U32()); }
-double Reader::F64() { return std::bit_cast<double>(U64()); }
-
-std::string Reader::Bytes(size_t n) {
+std::string_view Reader::View(size_t n) {
   if (!Need(n)) return {};
-  std::string out = data_.substr(pos_, n);
+  const std::string_view out = data_.substr(pos_, n);
   pos_ += n;
   return out;
 }
@@ -86,6 +57,38 @@ std::vector<std::string> Reader::StrList() {
   out.reserve(std::min<size_t>(n, remaining() / 4));
   for (uint32_t i = 0; i < n && ok(); ++i) out.push_back(Str());
   return out;
+}
+
+Result<MappedFile> MapFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  struct stat st;
+  const bool sized = ::fstat(fd, &st) == 0;
+  const size_t len = sized ? static_cast<size_t>(st.st_size) : 0;
+  void* base = len > 0 ? ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0)
+                       : nullptr;
+  ::close(fd);  // the mapping keeps its own reference
+  if (!sized || base == MAP_FAILED) {
+    return Status::IOError("cannot map " + path);
+  }
+  MappedFile file;
+  if (len == 0) return file;
+  file.mapping.reset(base, [len](const void* p) {
+    ::munmap(const_cast<void*>(p), len);
+  });
+  file.bytes = std::string_view(static_cast<const char*>(base), len);
+  return file;
+}
+
+Status WriteFile(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("cannot open " + path);
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  if (std::fclose(f) != 0 || !written) {
+    return Status::IOError("write failed for " + path);
+  }
+  return Status::OK();
 }
 
 }  // namespace codec

@@ -21,6 +21,7 @@
 #include "nn/lstm_lm.h"
 #include "service/inspection_session.h"
 #include "tensor/simd.h"
+#include "util/codec.h"
 #include "util/fnv.h"
 #include "util/rng.h"
 
@@ -649,6 +650,37 @@ TEST_F(StoreFixture, OversizedPayloadIsServedByMmapWithoutAdmission) {
   EXPECT_EQ(store.mmap_hits(), 2u);
 }
 
+// A 64-byte file whose shape wraps the size arithmetic: 100 × cols × 4 +
+// the 64-byte header is 2^64 + 48. Shapes are overflow-checked against the
+// bytes the file holds, so at either tier the file is a quarantined miss,
+// never a matrix the bytes do not hold.
+TEST_F(StoreFixture, WrappingShapeQuarantinesAtEveryTier) {
+  const std::string key = "unit:x";
+  for (const size_t budget : {size_t{64} << 20, size_t{0}}) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    codec::Writer out;
+    out.U32(0x44425332);  // "DBS2"
+    out.U64(key.size());
+    out.Bytes(key);
+    out.U64(0);  // checksum
+    out.U64(100);
+    out.U64(46116860184273879ull);
+    out.Bytes(std::string(64 - out.bytes().size(), '\0'));
+    ASSERT_TRUE(
+        codec::WriteFile(
+            dir_ / (HexU64(Fnv1a(key.data(), key.size())) + ".behaviors"),
+            out.bytes())
+            .ok());
+    BehaviorStore store(dir_.string(), budget);
+    BehaviorStore::Tier tier = BehaviorStore::Tier::kMemory;
+    Result<std::shared_ptr<const Matrix>> m = store.GetShared(key, &tier);
+    EXPECT_EQ(m.status().code(), StatusCode::kNotFound) << budget;
+    EXPECT_EQ(tier, BehaviorStore::Tier::kMiss) << budget;
+    EXPECT_EQ(store.quarantines(), 1u) << budget;
+  }
+}
+
 TEST_F(StoreFixture, NamespaceQuotaTriggersMmapBelowGlobalBudget) {
   // Global budget would fit the payload, but the key's namespace quota is
   // tighter — the effective limit is the min of the two.
@@ -846,14 +878,13 @@ TEST_F(StoreFixture, LegacyV1FileIsQuarantinedAndReinspectedIdentically) {
   const std::filesystem::path v1_path =
       dir_ / (HexU64(Fnv1a(key.data(), key.size())) + ".behaviors");
   {
-    std::ofstream out(v1_path, std::ios::binary);
-    const uint32_t magic = 0x44425354;  // "DBST"
-    const uint64_t key_len = key.size();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&key_len), sizeof(key_len));
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    codec::Writer out;
+    out.U32(0x44425354);  // "DBST"
+    out.U64(key.size());
+    out.Bytes(key);
+    out.U64(checksum);
     WriteMatrix(behaviors, &out);
+    ASSERT_TRUE(codec::WriteFile(v1_path, out.bytes()).ok());
   }
 
   std::vector<HypothesisPtr> hyps = {

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/extractors.h"
@@ -20,6 +18,7 @@
 #include "nn/lstm_lm.h"
 #include "nn/seq2seq.h"
 #include "tensor/matrix.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -168,21 +167,23 @@ TEST(AblationTest, PartialAblationIsBetween) {
 TEST(MatrixSerializationTest, RoundTrip) {
   Rng rng(5);
   Matrix m = Matrix::RandomNormal(7, 11, &rng);
-  std::stringstream buf;
-  WriteMatrix(m, &buf);
-  Result<Matrix> back = ReadMatrix(&buf);
+  codec::Writer out;
+  WriteMatrix(m, &out);
+  codec::Reader in(out.bytes());
+  Result<Matrix> back = ReadMatrix(&in);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(MaxAbsDiff(*back, m), 0.0f);
 }
 
 TEST(MatrixSerializationTest, TruncatedInputFails) {
-  std::stringstream buf("short");
-  EXPECT_FALSE(ReadMatrix(&buf).ok());
+  const std::string bytes = "short";
+  codec::Reader in(bytes);
+  EXPECT_FALSE(ReadMatrix(&in).ok());
 }
 
-TEST(MatrixSerializationTest, HeaderTheStreamDoesNotHoldIsInvalid) {
+TEST(MatrixSerializationTest, HeaderTheBytesDoNotHoldIsInvalid) {
   // Each header is followed by 8 payload bytes. Sizes are overflow-checked
-  // and compared with what the stream still holds before anything is
+  // and compared with what the reader still holds before anything is
   // allocated. The wrapping header comes first: it dies on a null store
   // where sizes are not checked, before the large allocations below it.
   const std::vector<std::pair<uint64_t, uint64_t>> headers = {
@@ -191,22 +192,24 @@ TEST(MatrixSerializationTest, HeaderTheStreamDoesNotHoldIsInvalid) {
       {uint64_t{1} << 32, 1},  // 16 GiB
       {3, 4}};                 // 48 bytes
   const float payload[2] = {1.5f, -2.0f};
-  auto stream = [&](uint64_t rows, uint64_t cols) {
-    std::stringstream buf;
-    buf.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    buf.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    buf.write(reinterpret_cast<const char*>(payload), sizeof(payload));
-    return buf;
+  auto encode = [&](uint64_t rows, uint64_t cols) {
+    codec::Writer out;
+    out.U64(rows);
+    out.U64(cols);
+    out.F32s(payload, 2);
+    return out.Take();
   };
   for (const auto& [rows, cols] : headers) {
-    std::stringstream buf = stream(rows, cols);
-    Result<Matrix> m = ReadMatrix(&buf);
+    const std::string bytes = encode(rows, cols);
+    codec::Reader in(bytes);
+    Result<Matrix> m = ReadMatrix(&in);
     ASSERT_FALSE(m.ok()) << rows << "x" << cols;
     EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
   }
   // The bound is exact: a 1×2 header is held by the same 8 bytes.
-  std::stringstream exact_buf = stream(1, 2);
-  Result<Matrix> exact = ReadMatrix(&exact_buf);
+  const std::string exact_bytes = encode(1, 2);
+  codec::Reader exact_in(exact_bytes);
+  Result<Matrix> exact = ReadMatrix(&exact_in);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_EQ((*exact)(0, 1), -2.0f);
 }
@@ -215,12 +218,11 @@ TEST(MatrixSerializationTest, HeaderTheStreamDoesNotHoldIsInvalid) {
 void WriteModelFile(const std::string& path, uint32_t magic,
                     const std::vector<uint64_t>& header,
                     const std::vector<Matrix>& weights) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  for (const uint64_t field : header) {
-    out.write(reinterpret_cast<const char*>(&field), sizeof(field));
-  }
+  codec::Writer out;
+  out.U32(magic);
+  for (const uint64_t field : header) out.U64(field);
   for (const Matrix& w : weights) WriteMatrix(w, &out);
+  ASSERT_TRUE(codec::WriteFile(path, out.bytes()).ok());
 }
 
 TEST(LstmLmSerializationTest, RejectsWeightsTheHeaderDoesNotDescribe) {

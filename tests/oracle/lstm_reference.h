@@ -11,11 +11,11 @@
 
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "util/codec.h"
 
 namespace deepbase::oracle {
 
@@ -31,11 +31,12 @@ struct ModelFile {
 };
 
 inline ModelFile ReadModelFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
   ModelFile file;
-  file.header.resize(28);
-  in.read(file.header.data(), 28);
-  while (in && in.peek() != std::char_traits<char>::eof()) {
+  Result<codec::MappedFile> mapped = codec::MapFile(path);
+  if (!mapped.ok()) return file;
+  codec::Reader in(mapped->bytes);
+  file.header = in.Bytes(28);
+  while (in.remaining() > 0) {
     Result<Matrix> w = ReadMatrix(&in);
     if (!w.ok()) break;
     file.weights.push_back(std::move(*w));
@@ -44,10 +45,10 @@ inline ModelFile ReadModelFile(const std::string& path) {
 }
 
 inline void WriteModelFile(const std::string& path, const ModelFile& file) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(file.header.data(),
-            static_cast<std::streamsize>(file.header.size()));
+  codec::Writer out;
+  out.Bytes(file.header);
   for (const Matrix& w : file.weights) WriteMatrix(w, &out);
+  (void)codec::WriteFile(path, out.bytes());
 }
 
 /// \brief One-hot rows of `ids` over a `vocab`-symbol input.

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/extractor.h"
 #include "hypothesis/hypothesis.h"
@@ -264,6 +267,50 @@ TEST(SqlParserTest, RandomGarbageNeverCrashes) {
     }
     ParseSql(input);     // must return; ok or error both fine
     ParseSqlExpr(input);
+  }
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// NOT, unary minus and parentheses recurse in the parser, so their depth
+// is bounded: past kMaxSqlNesting the statement is kInvalidArgument, not a
+// stack overflow, however deep the text nests.
+TEST(SqlParserTest, NestingPastTheBoundIsInvalid) {
+  const std::vector<std::pair<std::string, std::function<Status(int)>>>
+      shapes = {
+          {"ParseSql parentheses",
+           [](int n) {
+             return ParseSql("SELECT " + Repeat("(", n) + "1" +
+                             Repeat(")", n) + " FROM t")
+                 .status();
+           }},
+          {"ParseSql NOT",
+           [](int n) {
+             return ParseSql("SELECT a FROM t WHERE " + Repeat("NOT ", n) +
+                             "a")
+                 .status();
+           }},
+          {"ParseSql unary minus",
+           [](int n) {
+             return ParseSql("SELECT " + Repeat("- ", n) + "1 FROM t")
+                 .status();
+           }},
+          {"ParseSqlExpr parentheses",
+           [](int n) {
+             return ParseSqlExpr(Repeat("(", n) + "1" + Repeat(")", n))
+                 .status();
+           }},
+      };
+  for (const auto& [name, parse] : shapes) {
+    EXPECT_TRUE(parse(kMaxSqlNesting).ok()) << name;
+    for (const int n : {kMaxSqlNesting + 1, 4000, 100000}) {
+      EXPECT_EQ(parse(n).code(), StatusCode::kInvalidArgument)
+          << name << " at " << n;
+    }
   }
 }
 

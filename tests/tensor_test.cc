@@ -8,10 +8,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace deepbase {
@@ -233,11 +233,10 @@ TEST(LayoutTest, SizeCountsLogicalElementsNeverPadding) {
 TEST(SerializationTest, WriteMatrixEmitsLogicalShapeNeverLda) {
   Rng rng(11);
   Matrix m = Matrix::RandomNormal(6, 7, &rng);  // lda 16 > cols 7
-  std::ostringstream out(std::ios::binary);
+  codec::Writer out;
   WriteMatrix(m, &out);
-  const std::string bytes = out.str();
   // rows(8) + cols(8) + rows*cols floats — no padding travels.
-  EXPECT_EQ(bytes.size(), 16u + 6 * 7 * sizeof(float));
+  EXPECT_EQ(out.bytes().size(), 16u + 6 * 7 * sizeof(float));
 }
 
 TEST(SerializationTest, RoundTripsAcrossLayouts) {
@@ -247,11 +246,12 @@ TEST(SerializationTest, RoundTripsAcrossLayouts) {
   Matrix padded = Matrix::RandomNormal(5, 18, &rng);
   Matrix packed = Matrix::RandomNormal(40, 1, &rng);
   for (const Matrix* m : {&padded, &packed}) {
-    std::ostringstream out(std::ios::binary);
+    codec::Writer out;
     WriteMatrix(*m, &out);
-    std::istringstream in(out.str(), std::ios::binary);
+    codec::Reader in(out.bytes());
     Result<Matrix> back = ReadMatrix(&in);
     ASSERT_TRUE(back.ok());
+    EXPECT_TRUE(in.exhausted());
     ASSERT_TRUE(back->SameShape(*m));
     for (size_t r = 0; r < m->rows(); ++r) {
       for (size_t c = 0; c < m->cols(); ++c) {
